@@ -9,12 +9,15 @@ renormalized), and when all siblings are rejected the bonus token is sampled
 from what remains. Because each sibling's acceptance probability equals
 exactly its residual target mass, the joint law of (accepted path, bonus
 token) is identical to ancestral sampling from the target -- for any draft
-tree whatsoever. At temperature 0 this degenerates to following the argmax
-child and emitting the argmax as bonus.
+tree whatsoever. The same walk runs at temperature 0: the target conditional
+is then one-hot, so every non-argmax sibling has zero residual mass and is
+rejected, the argmax child is accepted with probability 1, and the bonus is
+the argmax.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass, field, replace
@@ -23,6 +26,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .models import sample_from
 from .ngram import NgramTrie
 from .tree import (
     ROOT_ID,
@@ -62,8 +66,8 @@ class DecodeConfig:
             raise ConfigError(f"draft length must be >= 1, got {self.d}")
         if self.max_tokens < 1:
             raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if self.temperature < 0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
 
 
 @dataclass
@@ -125,18 +129,19 @@ def verify(
     prefix: Sequence[int],
     target: TargetModel,
     temperature: float,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
 ) -> tuple[list[int], int]:
     """Walk the draft tree against the target; returns (accepted path, bonus).
 
     The target conditional is computed once for the root and once per tree
-    node (the stand-in for one batched tree-attention forward). At
-    temperature 0 the walk follows the unique argmax child. Above zero, the
-    children of the current node are tried in tree order: each is accepted
-    with probability equal to its mass under the residual target conditional,
-    and on rejection that mass is removed and the residual renormalized. The
-    bonus token comes from the final residual, so the output distribution is
-    exactly the target's regardless of the drafter.
+    node (the stand-in for one batched tree-attention forward). The children
+    of the current node are tried in tree order: each is accepted with
+    probability equal to its mass under the residual target conditional, and
+    on rejection that mass is removed and the residual renormalized. The bonus
+    token comes from the final residual, so the output distribution is exactly
+    the target's regardless of the drafter. The same walk runs at temperature
+    0, where the one-hot conditional makes it follow the argmax child and emit
+    the argmax as bonus.
     """
     if not tree.nodes:
         raise ConfigError("cannot verify an empty tree")
@@ -160,15 +165,6 @@ def verify(
     while True:
         dist = dists[current]
         offered = children[current]
-        if temperature == 0:
-            best = int(np.argmax(dist))
-            match = next((c for c in offered if c.token == best), None)
-            if match is None:
-                return accepted, best
-            accepted.append(match.token)
-            current = match.id
-            continue
-
         residual = dist.astype(np.float64).copy()
         total = float(residual.sum())
         chosen = None
@@ -182,18 +178,21 @@ def verify(
             residual[child.token] = 0.0
             total -= mass
         if chosen is None:
-            if total <= 0.0:
-                # All target mass sat on the offered children (fp corner);
-                # fall back to the highest-mass child to stay well-defined.
-                fallback = max(offered, key=lambda c: float(dist[c.token]))
-                accepted.append(fallback.token)
-                current = fallback.id
-                continue
-            cum = np.cumsum(residual)
-            bonus = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            return accepted, bonus
+            if total > 0.0:
+                return accepted, sample_from(residual, rng)
+            # All target mass sat on the offered children (fp corner); fall
+            # back to the highest-mass child to stay well-defined.
+            chosen = max(offered, key=lambda c: float(dist[c.token]))
         accepted.append(chosen.token)
         current = chosen.id
+
+
+def _check_prompt(prompt: Sequence[int], vocab_size: int) -> list[int]:
+    tokens = [int(t) for t in prompt]
+    bad = [t for t in tokens if not 0 <= t < vocab_size]
+    if bad:
+        raise ConfigError(f"prompt tokens must lie in [0, {vocab_size}), got {bad[:5]}")
+    return tokens
 
 
 def baseline_decode(
@@ -206,15 +205,10 @@ def baseline_decode(
 ) -> list[int]:
     """Plain autoregressive decoding (the reference for losslessness checks)."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    prefix = list(prompt)
+    prefix = _check_prompt(prompt, target.vocab_size)
     out: list[int] = []
     while len(out) < max_tokens:
-        dist = target.next_dist(prefix, temperature)
-        if temperature == 0:
-            tok = int(np.argmax(dist))
-        else:
-            cum = np.cumsum(dist)
-            tok = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        tok = sample_from(target.next_dist(prefix, temperature), rng)
         out.append(tok)
         prefix.append(tok)
         if eos_token is not None and tok == eos_token:
@@ -243,7 +237,7 @@ def decode(
     if len(prompt) == 0:
         raise ConfigError("prompt must be nonempty")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    prefix = list(int(t) for t in prompt)
+    prefix = _check_prompt(prompt, target.vocab_size)
     out: list[int] = []
     records: list[CycleRecord] = []
     stop = False

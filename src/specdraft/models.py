@@ -39,11 +39,13 @@ def temperature_adjust(dist: np.ndarray, temperature: float) -> np.ndarray:
         return out
     if temperature == 1.0:
         return dist / dist.sum()
-    powed = dist ** (1.0 / temperature)
+    # Scaling by the max first keeps small temperatures from underflowing to 0/0.
+    powed = (dist / dist.max()) ** (1.0 / temperature)
     return powed / powed.sum()
 
 
 def sample_from(dist: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of one token from unnormalized mass `dist`."""
     cum = np.cumsum(dist)
     return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
 
@@ -117,34 +119,24 @@ class MarkovTarget:
         mid = np.empty((n, FEAT_WIDTH))
         high = np.empty((n, FEAT_WIDTH))
         for i in range(n):
-            f = self._feat(self._context(prefix[: i + 1]))
+            f = self._feat(self._context(prefix[max(0, i + 1 - self.order): i + 1]))
             low[i], mid[i], high[i] = f
         return TargetFeatures(low, mid, high, self._row(self._context(prefix)))
 
+    def rollout(self, prefix, length: int, pick) -> list[int]:
+        """`length` tokens past `prefix`, each `pick(row)` of the untempered
+        conditional given everything before it."""
+        seq = list(prefix)
+        for _ in range(length):
+            seq.append(int(pick(self._row(self._context(seq)))))
+        return seq[len(prefix):]
+
     def greedy_chain(self, prefix, length: int) -> list[int]:
         """Argmax rollout of `length` tokens past `prefix`."""
-        seq = list(prefix)
-        out = []
-        for _ in range(length):
-            tok = int(np.argmax(self._row(self._context(seq))))
-            out.append(tok)
-            seq.append(tok)
-        return out
-
-    def argmin_chain(self, prefix, length: int) -> list[int]:
-        seq = list(prefix)
-        out = []
-        for _ in range(length):
-            tok = int(np.argmin(self._row(self._context(seq))))
-            out.append(tok)
-            seq.append(tok)
-        return out
+        return self.rollout(prefix, length, np.argmax)
 
     def sample_sequence(self, rng: np.random.Generator, length: int, prompt=()) -> list[int]:
-        seq = list(prompt)
-        for _ in range(length):
-            seq.append(sample_from(self._row(self._context(seq)), rng))
-        return seq[len(prompt):] if prompt else seq
+        return self.rollout(prompt, length, lambda row: sample_from(row, rng))
 
 
 def sample_markov_target(seed: int, vocab_size: int, order: int,
@@ -367,7 +359,7 @@ class AdversarialDrafter:
 
     def predict(self, prefix, feats, d, *, temperature=0.0, rng=None) -> ParallelLogits:
         rows = np.zeros((d, self.target.vocab_size))
-        for i, tok in enumerate(self.target.argmin_chain(prefix, d)):
+        for i, tok in enumerate(self.target.rollout(prefix, d, np.argmin)):
             rows[i, tok] = CHAIN_LOGIT
         return ParallelLogits(rows)
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, TrainingDivergedError
 from .models import MarkovTarget, ToyDraft
 from .ngram import EPSILON
+from .tree import log_softmax
 
 LOG_FLOOR = float(np.log(EPSILON))
 
@@ -84,19 +85,40 @@ def _safe_q_log_q(q: np.ndarray) -> np.ndarray:
     return np.where(q > 0, q * np.log(np.maximum(q, 1e-300)), 0.0)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _floored_kl(logits: np.ndarray, q: np.ndarray,
+                weights: np.ndarray) -> tuple[float, np.ndarray, bool]:
+    """Weighted sum of KL(q || softmax(logits)) over the last axis, with the
+    log-probabilities clamped at the epsilon floor.
+
+    Returns (loss, d loss / d logits, floored) where `floored` flags any
+    coordinate whose log-probability was clamped while carrying target mass.
+    The gradient is exact for the clamped objective: clamped coordinates stop
+    contributing their -q_v log p_v term. `weights` broadcasts against the
+    per-row KL values.
+    """
+    logp = log_softmax(logits)
+    unfloored = logp >= LOG_FLOOR
+    floored = bool(np.any(~unfloored & (q > 0)))
+    logp_eff = np.maximum(logp, LOG_FLOOR)
+    kl = (_safe_q_log_q(q) - q * logp_eff).sum(axis=-1)
+    loss = float((weights * kl).sum())
+
+    # weights * (q_mass * p - q * unfloored), where q_mass is a row's target
+    # mass outside the clamp. Built in place: each full-size temporary costs
+    # every training step fresh pages from the allocator.
+    q_kept = q * unfloored
+    grad = np.exp(logp)
+    grad *= q_kept.sum(axis=-1, keepdims=True)
+    grad -= q_kept
+    grad *= weights[..., None]
+    return loss, grad, floored
 
 
 def annealed_kl_loss(draft_logits: np.ndarray, target_dists: np.ndarray,
                      gamma: float) -> tuple[float, np.ndarray, bool]:
     """Sum_t gamma^(t-1) KL(q_t || softmax(logits_t)) with exact logit grads.
 
-    Returns (loss, d loss / d logits, floored) where `floored` flags any
-    coordinate whose log-probability was clamped at the epsilon floor while
-    carrying target mass. The gradient is exact for the clamped objective:
-    clamped coordinates stop contributing their -q_v log p_v term.
+    Returns (loss, d loss / d logits, floored); see `_floored_kl`.
     """
     draft_logits = np.asarray(draft_logits, dtype=np.float64)
     q = np.asarray(target_dists, dtype=np.float64)
@@ -106,18 +128,7 @@ def annealed_kl_loss(draft_logits: np.ndarray, target_dists: np.ndarray,
             f"{draft_logits.shape} vs {q.shape}"
         )
     cfg = AnnealedKLConfig(gamma=gamma, d=draft_logits.shape[0])
-    lam = cfg.weights
-    logp = _log_softmax(draft_logits)
-    unfloored = logp >= LOG_FLOOR
-    floored = bool(np.any(~unfloored & (q > 0)))
-    logp_eff = np.maximum(logp, LOG_FLOOR)
-    kl = (_safe_q_log_q(q) - q * logp_eff).sum(axis=-1)
-    loss = float((lam * kl).sum())
-
-    p = np.exp(logp)
-    q_mass = (q * unfloored).sum(axis=-1, keepdims=True)
-    grad = lam[:, None] * (q_mass * p - q * unfloored)
-    return loss, grad, floored
+    return _floored_kl(draft_logits, q, cfg.weights)
 
 
 @dataclass
@@ -211,22 +222,14 @@ def batch_loss(model: ToyDraft, batch: TrainingBatch,
     z = model.build_inputs(batch.feats, batch.emb_tokens,
                            M - batch.n_prefix, batch.position_ids)
     logits, cache = model.forward_core(z, batch.mask)
-    slot_logits = logits[:, batch.slot_positions, :]
-    logp = _log_softmax(slot_logits)
-    q = batch.labels
-    unfloored = logp >= LOG_FLOOR
-    floored = bool(np.any(~unfloored & (q > 0)))
-    logp_eff = np.maximum(logp, LOG_FLOOR)
-    kl = (_safe_q_log_q(q) - q * logp_eff).sum(axis=-1)  # (B, S)
-    loss = float((batch.slot_weights[None, :] * kl).sum() / batch.norm)
+    loss, dslot, floored = _floored_kl(logits[:, batch.slot_positions, :],
+                                       batch.labels, batch.slot_weights[None, :])
+    loss /= batch.norm
     if not want_grads:
         return loss, None, floored
 
-    p = np.exp(logp)
-    q_mass = (q * unfloored).sum(axis=-1, keepdims=True)
-    dslot = batch.slot_weights[None, :, None] * (q_mass * p - q * unfloored) / batch.norm
     dlogits = np.zeros_like(logits)
-    dlogits[:, batch.slot_positions, :] = dslot  # slot positions are distinct
+    dlogits[:, batch.slot_positions, :] = dslot / batch.norm  # slot positions are distinct
     grads = model.backward_core(cache, dlogits, batch.feats, batch.n_prefix)
     return loss, grads, floored
 

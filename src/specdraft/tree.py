@@ -11,7 +11,7 @@ verification.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,12 +66,16 @@ class PruneConfig:
             raise ConfigError(f"beam width must be >= 1, got {self.w}")
         if self.theta < 1:
             raise ConfigError(f"theta must be >= 1, got {self.theta}")
-        if self.w_ng < 0:
-            raise ConfigError(f"w_ng must be >= 0, got {self.w_ng}")
+        if not (math.isfinite(self.w_ng) and self.w_ng >= 0):
+            raise ConfigError(f"w_ng must be finite and >= 0, got {self.w_ng}")
         if not 0 < self.logit_decay <= 1:
             raise ConfigError(f"logit_decay must be in (0, 1], got {self.logit_decay}")
-        if self.level_exponent < 0:
-            raise ConfigError(f"level_exponent must be >= 0, got {self.level_exponent}")
+        if not (math.isfinite(self.level_exponent) and self.level_exponent >= 0):
+            raise ConfigError(
+                f"level_exponent must be finite and >= 0, got {self.level_exponent}"
+            )
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 @dataclass
@@ -91,20 +95,6 @@ class DraftTree:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def children_of(self, node_id: int) -> list[DraftNode]:
-        return [n for n in self.nodes if n.parent_id == node_id]
-
-    def path_tokens(self, node_id: int) -> list[int]:
-        """Tokens from the first level down to and including `node_id`."""
-        by_id = {n.id: n for n in self.nodes}
-        path = []
-        while node_id != ROOT_ID:
-            node = by_id[node_id]
-            path.append(node.token)
-            node_id = node.parent_id
-        path.reverse()
-        return path
 
     def render(self) -> str:
         """Indented text rendering for debugging."""
@@ -145,10 +135,12 @@ class LinearizedTree:
         return len(self.tokens)
 
 
-def log_softmax(row: np.ndarray) -> np.ndarray:
-    row = np.asarray(row, dtype=np.float64)
-    shifted = row - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, in float64."""
+    logits = np.asarray(logits, dtype=np.float64)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def top_k_candidates(row: np.ndarray, k: int, eps: float = EPSILON) -> list[tuple[int, float]]:
@@ -179,40 +171,11 @@ def combine(s_logit: float, s_ng: float, level: int, cfg: PruneConfig) -> float:
     return min(0.0, (w_logit * s_logit + cfg.w_ng * s_ng) * w_level)
 
 
-@dataclass
-class _Candidate:
-    node_id: int  # ROOT_ID for the bare prefix
-    tokens: tuple[int, ...]  # prefix + accepted draft tokens so far
-    score: float
-
-
-def _expand(
-    cand: _Candidate,
-    topk: list[tuple[int, float]],
-    trie: NgramTrie | None,
-    cfg: PruneConfig,
-    level: int,
-    floor: float,
-) -> list[tuple[int, int, float, float]]:
-    """(parent_id, token, new_score, s_logit) for every top-k extension."""
-    if trie is None:
-        ng_scores: dict[int, float] = {}
-    else:
-        ng_scores = trie.children_scores(cand.tokens, eps=cfg.epsilon)
-    out = []
-    for token, s_logit in topk:
-        s_ng = ng_scores.get(token, floor)
-        inc = combine(s_logit, s_ng, level, cfg)
-        out.append((cand.node_id, token, cand.score + inc, s_logit))
-    return out
-
-
 def prune(
     logits: ParallelLogits,
     trie: NgramTrie | None,
     cfg: PruneConfig,
     prefix: Sequence[int],
-    workers: int = 1,
 ) -> DraftTree:
     """Continuity-aware pruning of the implicit candidate tree.
 
@@ -223,41 +186,32 @@ def prune(
     pool, and competes for the top-w beam. The result is the top-theta pool
     nodes, ancestor-closed.
 
-    Ties everywhere break as (higher score, lower level, lower token, lower
-    parent id), so results are bit-identical for any `workers` count.
+    A beam entry is (node id, trailing context, score). The trie reads only
+    the last order-1 tokens of a context, so that is all an entry keeps, and
+    pruning costs the same for any prefix length. Ties everywhere break as
+    (higher score, lower level, lower token, lower parent id).
     """
     if len(prefix) == 0:
         raise ConfigError("prefix must be nonempty")
     floor = float(np.log(cfg.epsilon))
-    prefix = tuple(int(t) for t in prefix)
+    keep = trie.order - 1 if trie is not None else 0
+    tail = tuple(int(t) for t in prefix[-keep:]) if keep else ()
 
     pool: list[DraftNode] = []
-    beam: list[_Candidate] = [_Candidate(ROOT_ID, prefix, 0.0)]
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for i in range(logits.d):
-            topk = top_k_candidates(logits.rows[i], cfg.k, eps=cfg.epsilon)
-            if executor is not None:
-                chunks = executor.map(
-                    lambda c: _expand(c, topk, trie, cfg, i, floor), beam
-                )
-            else:
-                chunks = (_expand(c, topk, trie, cfg, i, floor) for c in beam)
-            # Deterministic merge: beam order, then top-k order within a candidate.
-            expansions = [e for chunk in chunks for e in chunk]
-            parent_tokens = {c.node_id: c.tokens for c in beam}
-            next_candidates = []
-            for parent_id, token, score, _s_logit in expansions:
-                node = DraftNode(len(pool), parent_id, token, i, score)
-                pool.append(node)
-                next_candidates.append(
-                    _Candidate(node.id, parent_tokens[parent_id] + (token,), score)
-                )
-            next_candidates.sort(key=lambda c: (-c.score, pool[c.node_id].token, pool[c.node_id].parent_id))
-            beam = next_candidates[: cfg.w]
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    beam: list[tuple[int, tuple[int, ...], float]] = [(ROOT_ID, tail, 0.0)]
+    for level in range(logits.d):
+        topk = top_k_candidates(logits.rows[level], cfg.k, eps=cfg.epsilon)
+        start = len(pool)
+        for parent_id, context, score in beam:
+            ng_scores = {} if trie is None else trie.children_scores(context, eps=cfg.epsilon)
+            for token, s_logit in topk:
+                inc = combine(s_logit, ng_scores.get(token, floor), level, cfg)
+                pool.append(DraftNode(len(pool), parent_id, token, level, score + inc))
+        # Stable sort: beam order, then top-k order, among exact ties.
+        survivors = sorted(pool[start:], key=lambda n: (-n.score, n.token, n.parent_id))[: cfg.w]
+        contexts = {parent_id: context for parent_id, context, _ in beam}
+        beam = [(n.id, (contexts[n.parent_id] + (n.token,))[-keep:] if keep else (), n.score)
+                for n in survivors]
 
     # Top-theta selection. Since increments are clamped <= 0 and parents sort
     # strictly before their children under this key, walking the sorted pool

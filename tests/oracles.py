@@ -1,9 +1,9 @@
 """Independent reference implementations the package is tested against.
 
 These deliberately avoid the package's data structures: the window counter is
-a flat hash map, and the pruning oracle enumerates candidate sequences as
-tuples with plain sorts. They implement the same contracts (scoring formulas,
-tie-break order) from scratch.
+a flat hash map, the pruning oracle enumerates candidate sequences as tuples
+with plain sorts, and the greedy rollout takes argmaxes by hand. They
+implement the same contracts (scoring formulas, tie-break order) independently.
 """
 
 import math
@@ -113,6 +113,15 @@ def oracle_prune(rows, counter, cfg, prefix):
             continue
         selected[path] = (info["level"], info["score"])
     return selected
+
+
+def argmax_rollout(target, prompt, length):
+    """Greedy decoding by hand: argmax of the untempered conditional,
+    one token at a time, without the package's samplers or decode loop."""
+    seq = [int(t) for t in prompt]
+    for _ in range(length):
+        seq.append(int(np.argmax(target.next_dist(seq, 1.0))))
+    return seq[len(prompt):]
 
 
 def tree_to_paths(tree):

@@ -35,7 +35,7 @@ from specdraft.training import (
 )
 from specdraft.tree import ParallelLogits, PruneConfig, prune
 
-from oracles import WindowCounter, oracle_prune, tree_to_paths
+from oracles import WindowCounter, argmax_rollout, oracle_prune, tree_to_paths
 from test_training import predicate_mask
 
 
@@ -125,7 +125,7 @@ def test_03_greedy_losslessness():
         prompt = list(rng.integers(0, 16, size=2))
         out, _ = decode(prompt, target, drafter, None, cfg, measure_base=False)
         ref = baseline_decode(prompt, target, 200, 0.0)
-        if out != ref:
+        if out != ref or out != argmax_rollout(target, prompt, 200):
             mismatches += 1
     report("3 greedy losslessness",
            mismatches == 0,

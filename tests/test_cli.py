@@ -77,6 +77,26 @@ def test_decode_matches_baseline_at_t0(config_file, capsys):
     assert spec_out == base_out
 
 
+@pytest.mark.parametrize("tokens", ["99", "-3", "1 16"])
+@pytest.mark.parametrize("baseline", [False, True])
+def test_decode_out_of_vocab_prompt_exits_2(config_file, capsys, tokens, baseline):
+    argv = ["decode", "--config", config_file(), "--prompt-tokens", tokens]
+    rc = main(argv + (["--baseline"] if baseline else []))
+    assert rc == EXIT_CONFIG
+    assert "prompt tokens" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    "decode.temperature=NaN", "prune.epsilon=0", "prune.epsilon=-1",
+    "prune.w_ng=NaN", "prune.level_exponent=NaN",
+])
+def test_decode_non_finite_or_out_of_range_config_exits_2(config_file, capsys, override):
+    rc = main(["decode", "--config", config_file(), "--prompt-tokens", "1 2",
+               "--override", override])
+    assert rc == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_decode_no_ngram_flag_and_warning(config_file, capsys):
     cfg = config_file()
     rc = main(["decode", "--config", cfg, "--drafter", "oracle",

@@ -42,7 +42,7 @@ def test_verify_accepts_greedy_chain(target):
     logits = OracleDrafter(target).predict(prefix, None, 3)
     tree = prune(logits, None, cfg.prune, prefix)
     lin = linearize(tree, len(prefix))
-    accepted, bonus = verify(tree, lin, prefix, target, 0.0, None)
+    accepted, bonus = verify(tree, lin, prefix, target, 0.0, np.random.default_rng(0))
     chain = target.greedy_chain(prefix, 4)
     assert accepted == chain[:3]
     assert bonus == chain[3]
@@ -54,7 +54,7 @@ def test_verify_immediate_mismatch(target):
     wrong = (best + 1) % target.vocab_size
     tree = DraftTree([DraftNode(0, ROOT_ID, wrong, 0, -0.5)])
     lin = linearize(tree, len(prefix))
-    accepted, bonus = verify(tree, lin, prefix, target, 0.0, None)
+    accepted, bonus = verify(tree, lin, prefix, target, 0.0, np.random.default_rng(0))
     assert accepted == []
     assert bonus == best
 
@@ -77,7 +77,7 @@ def test_verify_full_support_always_descends(target):
 
 def test_verify_rejects_empty_tree(target):
     with pytest.raises(ConfigError):
-        verify(DraftTree([]), None, [0], target, 0.0, None)
+        verify(DraftTree([]), None, [0], target, 0.0, np.random.default_rng(0))
 
 
 # -- decode -----------------------------------------------------------------------
@@ -161,6 +161,15 @@ def test_oracle_never_below_corrupted_oracle(target):
 def test_decode_requires_prompt(target):
     with pytest.raises(ConfigError):
         decode([], target, OracleDrafter(target), None, small_cfg())
+
+
+@pytest.mark.parametrize("bad", [8, 99, -3])
+def test_decode_and_baseline_reject_out_of_vocab_prompt(target, bad):
+    # V = 8: any prompt token outside [0, 8) is a configuration error.
+    with pytest.raises(ConfigError, match="prompt tokens"):
+        decode([1, bad], target, OracleDrafter(target), None, small_cfg())
+    with pytest.raises(ConfigError, match="prompt tokens"):
+        baseline_decode([bad], target, 5)
 
 
 def test_concurrent_sessions_share_target_and_trie(target):
@@ -275,3 +284,9 @@ def test_decode_config_validation():
         DecodeConfig(max_tokens=0)
     with pytest.raises(ConfigError):
         DecodeConfig(temperature=-0.1)
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+def test_decode_config_rejects_non_finite_temperature(temperature):
+    with pytest.raises(ConfigError, match="temperature"):
+        DecodeConfig(temperature=temperature)

@@ -51,6 +51,25 @@ def test_temperature_adjust():
         temperature_adjust(dist, -1.0)
 
 
+def test_temperature_adjust_small_temperature_stays_finite():
+    dist = sample_markov_target(4, 256, 2).next_dist([1, 2])
+    cold = temperature_adjust(dist, 0.001)
+    assert np.all(np.isfinite(cold))
+    assert abs(cold.sum() - 1.0) < 1e-12
+    assert np.argmax(cold) == np.argmax(temperature_adjust(dist, 0.0))
+
+
+def test_features_match_per_position_contexts():
+    t = sample_markov_target(9, 8, 3)
+    prefix = [int(x) for x in np.random.default_rng(1).integers(0, 8, size=40)]
+    feats = t.features(prefix)
+    for i in range(len(prefix)):
+        ref = t.features(prefix[: i + 1])
+        assert np.array_equal(feats.low[i], ref.low[i])
+        assert np.array_equal(feats.mid[i], ref.mid[i])
+        assert np.array_equal(feats.high[i], ref.high[i])
+
+
 def test_target_validation():
     with pytest.raises(ConfigError):
         sample_markov_target(0, 1, 1)
@@ -204,7 +223,7 @@ def test_adversarial_argmax_matches_argmin_chain(target):
     drafter = AdversarialDrafter(target)
     prefix = [3, 1]
     rows = drafter.predict(prefix, None, 4).rows
-    assert list(np.argmax(rows, axis=1)) == target.argmin_chain(prefix, 4)
+    assert list(np.argmax(rows, axis=1)) == target.rollout(prefix, 4, np.argmin)
 
 
 def test_uniform_drafter_seeded_stream(target):
