@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import DecodeConfig, baseline_decode, decode, estimate_speedup
-from .errors import ConfigError, TrainingDivergedError, TrieFormatError
+from .errors import ConfigError, ModelFormatError, TrainingDivergedError, TrieFormatError
 from .models import (
     AdversarialDrafter,
     MarkovTarget,
@@ -497,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (OSError, TrieFormatError) as exc:
+    except (OSError, TrieFormatError, ModelFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -26,7 +26,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .models import sample_from
+from .models import TargetFeatures, sample_from
 from .ngram import NgramTrie
 from .tree import (
     ROOT_ID,
@@ -44,7 +44,11 @@ class TargetModel(Protocol):
 
     def next_dist(self, prefix, temperature: float = 1.0) -> np.ndarray: ...
 
-    def features(self, prefix): ...
+    def features(self, prefix, start: int = 0) -> TargetFeatures:
+        """Feature rows for positions start .. len(prefix)-1 and the
+        conditional at the prefix end. decode asks for the whole prompt once
+        per request and then for the rows of the tokens each cycle emitted,
+        extending what it holds with them."""
 
 
 class DraftPredictor(Protocol):
@@ -230,9 +234,11 @@ def decode(
 ) -> tuple[list[int], DecodeMetrics]:
     """Run draft -> prune -> verify cycles until max_tokens or the end token.
 
-    A missing trie scores every continuation at the epsilon floor (the
-    no-n-gram ablation mode). Per-stage wall-clock latencies are recorded per
-    cycle; medians exclude the first (warmup) cycle when more than one ran.
+    Target features cover the prompt after the first cycle's call; each later
+    cycle extends them by the tokens the previous one emitted. A missing trie
+    scores every continuation at the epsilon floor (the no-n-gram ablation
+    mode). Per-stage wall-clock latencies are recorded per cycle; medians
+    exclude the first (warmup) cycle when more than one ran.
     """
     if len(prompt) == 0:
         raise ConfigError("prompt must be nonempty")
@@ -241,10 +247,14 @@ def decode(
     out: list[int] = []
     records: list[CycleRecord] = []
     stop = False
+    feats = None
 
     while not stop and len(out) < cfg.max_tokens:
         t0 = time.perf_counter_ns()
-        feats = target.features(prefix)
+        if feats is None:
+            feats = target.features(prefix)
+        else:
+            feats = feats.extended(target.features(prefix, start=len(prefix) - len(emitted)))
         logits = drafter.predict(prefix, feats, cfg.d,
                                  temperature=cfg.temperature, rng=rng)
         t1 = time.perf_counter_ns()

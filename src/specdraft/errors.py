@@ -48,3 +48,7 @@ class TrainingDivergedError(RuntimeError):
             f"training diverged at step {step}: loss {loss:.6g} "
             f"exceeds 10x initial loss {initial_loss:.6g}"
         )
+
+
+class ModelFormatError(Exception):
+    """Model file is not an array archive, lacks an array, or holds one of the wrong shape."""

@@ -9,16 +9,18 @@ feature vectors are concatenated and projected, the projection is joined with
 shifted token embeddings, a learned mask vector fills the future positions,
 and one causal attention layer plus an output head produces logits for all d
 future positions in a single forward pass (row 1 read from the last prefix
-position, the rest from mask positions).
+position, the rest from mask positions). Drafting queries only those d
+read-out positions, so a forward costs O(n * d) attention in prefix length n.
 """
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ModelFormatError
 from .tree import ParallelLogits
 
 FEAT_WIDTH = 8       # width of each of the three feature vectors
@@ -62,6 +64,14 @@ class TargetFeatures:
 
     def concatenated(self) -> np.ndarray:
         return np.concatenate([self.low, self.mid, self.high], axis=-1)
+
+    def extended(self, more: "TargetFeatures") -> "TargetFeatures":
+        """These rows followed by `more`'s, with `more`'s next_dist: the
+        features of the longer prefix whose tail rows `more` holds."""
+        return TargetFeatures(np.concatenate([self.low, more.low]),
+                              np.concatenate([self.mid, more.mid]),
+                              np.concatenate([self.high, more.high]),
+                              more.next_dist)
 
 
 class MarkovTarget:
@@ -113,14 +123,20 @@ class MarkovTarget:
     def next_dist(self, prefix, temperature: float = 1.0) -> np.ndarray:
         return temperature_adjust(self._row(self._context(prefix)), temperature)
 
-    def features(self, prefix) -> TargetFeatures:
+    def features(self, prefix, start: int = 0) -> TargetFeatures:
+        """Feature rows for positions start .. n-1, each from the trailing
+        `order` tokens up to and including its own position, plus the
+        conditional at the prefix end. Extending features(prefix[:start]) by
+        features(prefix, start) gives features(prefix)."""
         n = len(prefix)
-        low = np.empty((n, FEAT_WIDTH))
-        mid = np.empty((n, FEAT_WIDTH))
-        high = np.empty((n, FEAT_WIDTH))
-        for i in range(n):
+        if not 0 <= start <= n:
+            raise ConfigError(f"features start must be in [0, {n}], got {start}")
+        low = np.empty((n - start, FEAT_WIDTH))
+        mid = np.empty((n - start, FEAT_WIDTH))
+        high = np.empty((n - start, FEAT_WIDTH))
+        for row, i in enumerate(range(start, n)):
             f = self._feat(self._context(prefix[max(0, i + 1 - self.order): i + 1]))
-            low[i], mid[i], high[i] = f
+            low[row], mid[row], high[row] = f
         return TargetFeatures(low, mid, high, self._row(self._context(prefix)))
 
     def rollout(self, prefix, length: int, pick) -> list[int]:
@@ -163,7 +179,10 @@ class ToyDraft:
     is the projected features joined with shifted token embeddings over the
     prefix, followed by learned mask vectors for the remaining future
     positions; logits for future position t are read from input position
-    n + t - 1 (shifted) or n + t (unshifted).
+    n + t - 1 (shifted) or n + t (unshifted). Those d read-out positions are
+    the last d of the sequence, and drafting computes queries, attention and
+    head rows for them alone: each attends to keys 0 .. its own position, so
+    a drafting forward costs O(n * d) rather than O(n^2) in prefix length n.
     """
 
     def __init__(self, vocab_size: int, embeddings: np.ndarray, seed: int = 0,
@@ -176,7 +195,7 @@ class ToyDraft:
         self.embeddings = embeddings  # frozen, shared with the target
         self.shifted = shifted
         self.attention_calls = 0
-        self._pe_cache: dict[tuple, np.ndarray] = {}
+        self._pe_table = positional_encoding(np.arange(0))  # grown on demand
         d = MODEL_WIDTH
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 3])))
         scale = 1.0 / np.sqrt(d)
@@ -205,23 +224,26 @@ class ToyDraft:
         z_prefix = np.concatenate([g, e], axis=-1)
         z_mask = np.broadcast_to(self.params["mask_vec"], (B, n_mask, MODEL_WIDTH))
         z = np.concatenate([z_prefix, z_mask], axis=1)
-        key = tuple(int(i) for i in position_ids)
-        pe = self._pe_cache.get(key)
-        if pe is None:
-            pe = positional_encoding(position_ids)
-            if len(self._pe_cache) < 64:
-                self._pe_cache[key] = pe
-        return z + pe[None, :, :]
+        ids = np.asarray(position_ids, dtype=np.int64)
+        if ids.size and ids.max() >= len(self._pe_table):
+            # Rebuilt whole, never appended, so every row is computed alike.
+            size = max(int(ids.max()) + 1, 2 * len(self._pe_table))
+            self._pe_table = positional_encoding(np.arange(size))
+        return z + self._pe_table[ids][None, :, :]
 
-    def forward_core(self, z: np.ndarray, attn_mask: np.ndarray):
-        """One causal-masked attention layer with residual, then the head.
+    def forward_core(self, z: np.ndarray, attn_mask: np.ndarray, rows=slice(None)):
+        """One masked attention layer with residual, then the head, for the
+        query rows `rows` of z over keys at every position of z.
 
-        Returns (logits (B, L, V), cache for backward).
+        attn_mask has one row per query row and one column per key. Returns
+        (logits (B, R, V) for the R query rows, cache for backward); backward
+        needs every row queried.
         """
         self.attention_calls += 1
         p = self.params
         scale = 1.0 / np.sqrt(MODEL_WIDTH)
-        q = z @ p["Wq"]
+        zq = z[:, rows]
+        q = zq @ p["Wq"]
         k = z @ p["Wk"]
         v = z @ p["Wv"]
         s = (q @ k.transpose(0, 2, 1)) * scale
@@ -230,7 +252,7 @@ class ToyDraft:
         e = np.exp(s)
         attn = e / e.sum(axis=-1, keepdims=True)
         ctx = attn @ v
-        y = z + ctx
+        y = zq + ctx
         logits = y @ p["W_head"] + p["b_head"]
         cache = {"z": z, "q": q, "k": k, "v": v, "attn": attn, "y": y,
                  "mask": attn_mask, "scale": scale}
@@ -268,21 +290,23 @@ class ToyDraft:
 
     # -- inference ------------------------------------------------------------
 
-    def causal_mask(self, length: int) -> np.ndarray:
-        return np.tril(np.ones((length, length), dtype=bool))
-
     def forward(self, feats: np.ndarray, emb_tokens, d: int) -> np.ndarray:
-        """Single-sequence drafting forward; returns (d, V) logits."""
+        """Single-sequence drafting forward; returns (d, V) logits.
+
+        The read-out positions are the last d of the n + n_mask inputs; only
+        they are queried, each attending causally to keys 0 .. its position.
+        """
         n = feats.shape[0]
         if n < 1:
             raise ConfigError("prefix must be nonempty")
         n_mask = d - 1 if self.shifted else d
         length = n + n_mask
-        ids = list(range(length))
-        z = self.build_inputs(feats[None, :, :], np.asarray(emb_tokens)[None, :], n_mask, ids)
-        logits, _ = self.forward_core(z, self.causal_mask(length))
-        start = n - 1 if self.shifted else n
-        return logits[0, start:start + d, :]
+        z = self.build_inputs(feats[None, :, :], np.asarray(emb_tokens)[None, :], n_mask,
+                              np.arange(length))
+        read = np.arange(length - d, length)
+        mask = np.arange(length)[None, :] <= read[:, None]
+        logits, _ = self.forward_core(z, mask, slice(length - d, length))
+        return logits[0]
 
     def predict(self, prefix, feats: TargetFeatures, d: int, *,
                 temperature: float = 0.0, rng: np.random.Generator | None = None) -> ParallelLogits:
@@ -294,13 +318,13 @@ class ToyDraft:
         """
         if temperature > 0 and rng is None:
             raise ConfigError("sampling the shifted next token requires an rng")
-        prefix = [int(t) for t in prefix]
+        tokens = np.asarray(prefix, dtype=np.int64)
         if self.shifted:
             dist = temperature_adjust(feats.next_dist, temperature)
             nxt = int(np.argmax(dist)) if temperature == 0 else sample_from(dist, rng)
-            emb_tokens = prefix[1:] + [nxt]
+            emb_tokens = np.append(tokens[1:], nxt)
         else:
-            emb_tokens = prefix
+            emb_tokens = tokens
         return ParallelLogits(self.forward(feats.concatenated(), emb_tokens, d))
 
     # -- persistence ----------------------------------------------------------
@@ -317,19 +341,44 @@ class ToyDraft:
 
     @classmethod
     def load(cls, path) -> "ToyDraft":
-        with np.load(path) as data:
-            version = int(data["version"])
+        """Read a file written by save(). A file that is not an array archive,
+        lacks an array, or holds one whose shape differs from a freshly built
+        model's raises ModelFormatError; another version raises ConfigError."""
+        unreadable = (ValueError, EOFError, zipfile.BadZipFile)
+        try:
+            data = np.load(path)
+        except unreadable as exc:
+            raise ModelFormatError(f"{path}: not a model file ({exc})") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ModelFormatError(f"{path}: a single array, not a model file")
+        with data:
+            def read(name: str, shape: tuple) -> np.ndarray:
+                if name not in data.files:
+                    raise ModelFormatError(f"{path}: missing array {name!r}")
+                try:
+                    arr = data[name]
+                except unreadable as exc:  # e.g. a pickled object array
+                    raise ModelFormatError(f"{path}: array {name!r} unreadable ({exc})") from exc
+                if arr.shape != shape or arr.dtype.kind not in "iuf":
+                    raise ModelFormatError(
+                        f"{path}: array {name!r} is {arr.dtype} of shape {arr.shape}, "
+                        f"expected a number array of shape {shape}"
+                    )
+                return arr
+
+            version = int(read("version", ()))
             if version != MODEL_FILE_VERSION:
                 raise ConfigError(
                     f"model file version {version}, expected {MODEL_FILE_VERSION}"
                 )
+            vocab_size = int(read("vocab_size", ()))
             model = cls(
-                int(data["vocab_size"]),
-                data["embeddings"],
-                shifted=bool(int(data["shifted"])),
+                vocab_size,
+                read("embeddings", (vocab_size, EMB_WIDTH)),
+                shifted=bool(int(read("shifted", ()))),
             )
-            for name in model.params:
-                model.params[name] = data[name]
+            for name, fresh in model.params.items():
+                model.params[name] = read(name, fresh.shape)
         return model
 
 

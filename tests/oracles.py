@@ -138,3 +138,34 @@ def tree_to_paths(tree):
             cur = by_id[cur.parent_id]
         out[tuple(reversed(path))] = (n.level, n.score)
     return out
+
+
+def readout_attention(params, embeddings, feats, emb_tokens, d, shifted):
+    """Drafting logits of the single-layer drafter, one read-out row at a
+    time: each of the last d input positions attends by hand to every input
+    position up to its own, with the sinusoids written out per position."""
+    n = len(feats)
+    length = n + (d - 1 if shifted else d)
+    width = params["Wq"].shape[0]
+    half = width // 2
+    inputs = []
+    for pos in range(length):
+        if pos < n:
+            x = np.concatenate([feats[pos] @ params["W_in"], embeddings[emb_tokens[pos]]])
+        else:
+            x = np.array(params["mask_vec"], dtype=np.float64)
+        for j in range(half):
+            angle = pos * 10000.0 ** (-j / half)
+            x[2 * j] += math.sin(angle)
+            x[2 * j + 1] += math.cos(angle)
+        inputs.append(x)
+    rows = []
+    for r in range(length - d, length):
+        q = inputs[r] @ params["Wq"]
+        scores = [float(q @ (inputs[j] @ params["Wk"])) / math.sqrt(width) for j in range(r + 1)]
+        top = max(scores)
+        weights = [math.exp(s - top) for s in scores]
+        total = sum(weights)
+        ctx = sum(w / total * (inputs[j] @ params["Wv"]) for j, w in enumerate(weights))
+        rows.append((inputs[r] + ctx) @ params["W_head"] + params["b_head"])
+    return np.array(rows)

@@ -5,6 +5,7 @@ import pytest
 
 from specdraft.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, load_config, main
 from specdraft.errors import ConfigError
+from specdraft.models import ToyDraft, sample_markov_target
 from specdraft.ngram import build_trie, save_trie
 
 
@@ -276,6 +277,19 @@ def test_toy_drafter_vocab_mismatch_rejected(train_config, capsys):
                "--prompt-tokens", "1", "--override", "target.vocab_size=16"])
     assert rc == EXIT_CONFIG
     assert "vocab" in capsys.readouterr().err
+
+
+def test_toy_drafter_misshapen_model_file_exits_3(tmp_path, config_file, capsys):
+    path = tmp_path / "toy.npz"
+    ToyDraft(16, sample_markov_target(7, 16, 2).embeddings).save(path)
+    data = dict(np.load(path))
+    data["W_head"] = np.zeros((3, 3))
+    np.savez(path, **data)
+    cfg = config_file(paths={"model": str(path)})
+    rc = main(["decode", "--config", cfg, "--drafter", "toy", "--prompt-tokens", "1 2"])
+    assert rc == EXIT_IO
+    err = capsys.readouterr().err
+    assert "W_head" in err and "Traceback" not in err
 
 
 def test_estimate_speedup_command(capsys):

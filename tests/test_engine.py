@@ -12,13 +12,17 @@ from specdraft.engine import (
 from specdraft.errors import ConfigError
 from specdraft.models import (
     AdversarialDrafter,
+    MarkovTarget,
     NoisyOracleDrafter,
     OracleDrafter,
+    ToyDraft,
     UniformDrafter,
     sample_markov_target,
 )
 from specdraft.ngram import build_trie
 from specdraft.tree import ROOT_ID, DraftNode, DraftTree, ParallelLogits, PruneConfig, linearize, prune
+
+from oracles import argmax_rollout
 
 
 @pytest.fixture
@@ -243,6 +247,28 @@ def test_greedy_losslessness_with_trie(target):
         out, _ = decode([1, 2], target, NoisyOracleDrafter(target, seed=seed),
                         trie, cfg, measure_base=False)
         assert out == baseline_decode([1, 2], target, 80, 0.0)
+
+
+class RowCountingTarget(MarkovTarget):
+    """Counts the feature rows asked of it."""
+
+    rows = 0
+
+    def features(self, prefix, start=0):
+        self.rows += len(prefix) - start
+        return super().features(prefix, start)
+
+
+def test_greedy_toy_draft_long_prompt_incremental_features():
+    target = RowCountingTarget(21, 16, 2, concentration=0.3)
+    drafter = ToyDraft(16, target.embeddings, seed=1)
+    prompt = target.sample_sequence(np.random.default_rng(4), 300)
+    tokens, metrics = decode(prompt, target, drafter, None, small_cfg(d=4, max_tokens=60))
+    assert tokens == argmax_rollout(target, prompt, 60)
+    assert metrics.cycles >= 20
+    # The prompt's rows once, then only the rows of each cycle's emitted
+    # tokens; the last cycle's tokens are never drafted from.
+    assert target.rows == len(prompt) + len(tokens) - metrics.records[-1].emitted
 
 
 # -- speedup model -------------------------------------------------------------------

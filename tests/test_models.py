@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from specdraft.errors import ConfigError
+from specdraft.errors import ConfigError, ModelFormatError
 from specdraft.models import (
     AdversarialDrafter,
     NoisyOracleDrafter,
@@ -12,6 +14,8 @@ from specdraft.models import (
     sample_markov_target,
     temperature_adjust,
 )
+
+from oracles import readout_attention
 
 
 # -- markov target ---------------------------------------------------------------
@@ -70,6 +74,30 @@ def test_features_match_per_position_contexts():
         assert np.array_equal(feats.high[i], ref.high[i])
 
 
+def test_features_extend_to_the_full_prefix():
+    # Rows from `start` on, appended to the rows of prefix[:start], are the
+    # rows of the whole prefix: also for start < order, where a row's context
+    # reaches back past `start`.
+    t = sample_markov_target(9, 8, 3)
+    rng = np.random.default_rng(2)
+    for n in (0, 1, 2, 5, 17):
+        prefix = [int(x) for x in rng.integers(0, 8, size=n)]
+        full = t.features(prefix)
+        for start in range(n + 1):
+            tail = t.features(prefix, start)
+            assert tail.low.shape == (n - start, 8)
+            joined = t.features(prefix[:start]).extended(tail)
+            for name in ("low", "mid", "high", "next_dist"):
+                assert np.array_equal(getattr(joined, name), getattr(full, name))
+
+
+def test_features_start_out_of_range():
+    t = sample_markov_target(9, 8, 3)
+    for start in (-1, 4):
+        with pytest.raises(ConfigError):
+            t.features([1, 2, 3], start)
+
+
 def test_target_validation():
     with pytest.raises(ConfigError):
         sample_markov_target(0, 1, 1)
@@ -107,6 +135,37 @@ def test_single_forward_per_predict(target, model):
     before = model.attention_calls
     model.predict([1, 2, 3], feats, 4)
     assert model.attention_calls == before + 1
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+@pytest.mark.parametrize("d", [1, 8])
+@pytest.mark.parametrize("n", [1, 2, 300])
+def test_forward_matches_per_row_attention_oracle(shifted, d, n):
+    target = sample_markov_target(9, 16, 2)
+    model = ToyDraft(16, target.embeddings, seed=5, shifted=shifted)
+    prefix = [int(x) for x in np.random.default_rng(n).integers(0, 16, size=n)]
+    feats = target.features(prefix).concatenated()
+    emb_tokens = prefix[1:] + [3] if shifted else prefix
+    rows = model.forward(feats, emb_tokens, d)
+    expect = readout_attention(model.params, target.embeddings, feats, emb_tokens, d, shifted)
+    assert rows.shape == (d, 16)
+    assert np.max(np.abs(rows - expect)) < 1e-12
+
+
+def test_predict_memory_stays_linear_in_prefix():
+    # Full L x L attention at n = 4096 needs a 4103 x 4103 float64 score
+    # matrix (134 MB); the d read-out rows need a few MB.
+    target = sample_markov_target(9, 64, 2)
+    model = ToyDraft(64, target.embeddings, seed=2)
+    prefix = [int(x) for x in np.random.default_rng(0).integers(0, 64, size=4096)]
+    feats = target.features(prefix)
+    tracemalloc.start()
+    try:
+        model.predict(prefix, feats, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_predict_shape_and_d1_boundary(target, model):
@@ -206,6 +265,51 @@ def test_model_load_rejects_other_version(tmp_path, target, model):
     data["version"] = np.int64(99)
     np.savez(p, **data)
     with pytest.raises(ConfigError):
+        ToyDraft.load(p)
+
+
+def _rewrite_model(path, **changes):
+    data = dict(np.load(path))
+    for name, value in changes.items():
+        if value is None:
+            del data[name]
+        else:
+            data[name] = value
+    np.savez(path, **data)
+
+
+@pytest.mark.parametrize("changes", [
+    {"W_head": np.zeros((3, 3))},
+    {"b_head": np.zeros(9)},
+    {"Wq": None},
+    {"mask_vec": None},
+    {"embeddings": np.zeros((8, 4))},
+    {"embeddings": None},
+    {"vocab_size": None},
+    {"vocab_size": np.int64(9)},
+    {"Wk": np.array(["a"] * 24 * 24).reshape(24, 24)},
+    {"Wv": np.empty((24, 24), dtype=object)},
+], ids=lambda c: ",".join(f"{k}={'missing' if v is None else v.shape}" for k, v in c.items()))
+def test_model_load_rejects_malformed_arrays(tmp_path, model, changes):
+    p = tmp_path / "m.npz"
+    model.save(p)
+    _rewrite_model(p, **changes)
+    with pytest.raises(ModelFormatError):
+        ToyDraft.load(p)
+
+
+@pytest.mark.parametrize("content", [b"", b"not an archive", b"PK\x03\x04truncated"])
+def test_model_load_rejects_non_archives(tmp_path, content):
+    p = tmp_path / "m.npz"
+    p.write_bytes(content)
+    with pytest.raises(ModelFormatError):
+        ToyDraft.load(p)
+
+
+def test_model_load_rejects_single_array(tmp_path):
+    p = tmp_path / "m.npy"
+    np.save(p, np.zeros(3))
+    with pytest.raises(ModelFormatError):
         ToyDraft.load(p)
 
 
