@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -213,7 +212,17 @@ def _load_optional_trie(args, cfg: RunConfig) -> NgramTrie | None:
         print("warning: no trie configured; continuity scores fall back to the "
               "epsilon floor (no-n-gram mode)", file=sys.stderr)
         return None
-    return load_trie(path)
+    return _load_trie_for(path, cfg)
+
+
+def _load_trie_for(path, cfg: RunConfig) -> NgramTrie:
+    trie = load_trie(path)
+    if trie.vocab_size != cfg.target.vocab_size:
+        raise ConfigError(
+            f"trie at {path} has vocab {trie.vocab_size}, target has "
+            f"{cfg.target.vocab_size}; rebuild it with --vocab-size {cfg.target.vocab_size}"
+        )
+    return trie
 
 
 def cmd_decode(args) -> int:
@@ -261,26 +270,16 @@ def cmd_bench_trie(args) -> int:
     rng = np.random.default_rng(args.seed)
 
     # Sample query contexts from the observed context set, plus some misses.
-    contexts = []
-    stack = [(trie.root, ())]
-    while stack:
-        node, ctx = stack.pop()
-        if len(ctx) == trie.order - 1:
-            if node.children:
-                contexts.append(ctx)
-            continue
-        stack.extend((child, ctx + (tok,)) for tok, child in node.children.items())
-    if not contexts:
-        contexts = [(0,) * (trie.order - 1)]
+    contexts = trie.contexts() or [(0,) * (trie.order - 1)]
     picks = rng.integers(0, len(contexts), size=args.queries)
     miss = rng.random(args.queries) < 0.1
     V = max(trie.vocab_size, 1)
     miss_ctx = rng.integers(0, V, size=(args.queries, trie.order - 1))
 
-    def run_queries(lo: int, hi: int) -> list[tuple[float, float]]:
+    def run_queries(n: int) -> list[tuple[float, float]]:
         """Returns (wall-clock time, latency us) per query."""
         out = []
-        for i in range(lo, hi):
+        for i in range(n):
             ctx = tuple(miss_ctx[i]) if miss[i] else contexts[picks[i]]
             t0 = time.perf_counter_ns()
             trie.children_scores(ctx)
@@ -289,16 +288,10 @@ def cmd_bench_trie(args) -> int:
         return out
 
     warmup = min(args.queries, 2000)
-    run_queries(0, warmup)
+    run_queries(warmup)
 
     start = time.perf_counter_ns()
-    if args.threads > 1:
-        bounds = np.linspace(0, args.queries, args.threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            parts = pool.map(lambda b: run_queries(b[0], b[1]), zip(bounds, bounds[1:]))
-            results = [r for part in parts for r in part]
-    else:
-        results = run_queries(0, args.queries)
+    results = run_queries(args.queries)
 
     lat = np.array([r[1] for r in results])
     wall = np.array([r[0] for r in results])
@@ -310,8 +303,7 @@ def cmd_bench_trie(args) -> int:
         records.append({"interval": int(b), "queries": int(sel.size),
                         "mean_us": float(sel.mean())})
     summary = {"median_us": float(np.median(lat)), "p90_us": float(np.percentile(lat, 90)),
-               "mean_us": float(lat.mean()), "queries": int(lat.size),
-               "threads": args.threads}
+               "mean_us": float(lat.mean()), "queries": int(lat.size)}
     lines = [f"{'interval':>8} {'queries':>8} {'mean_us':>8}"]
     lines += [f"{r['interval']:>8} {r['queries']:>8} {r['mean_us']:>8.2f}" for r in records]
     lines.append(f"median {summary['median_us']:.2f} us | p90 {summary['p90_us']:.2f} us "
@@ -362,7 +354,7 @@ def cmd_eval(args) -> int:
     alpha = evaluate_alpha(drafter, cfg.target, heldout, d,
                            vs_greedy=args.alpha_vs == "greedy")
 
-    trie = load_trie(cfg.paths["trie"]) if cfg.paths.get("trie") else None
+    trie = _load_trie_for(cfg.paths["trie"], cfg) if cfg.paths.get("trie") else None
     taus = []
     for i, seq in enumerate(heldout[: args.tau_prompts]):
         run = DecodeConfig(d=d, temperature=cfg.decode.temperature,
@@ -447,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-trie", help="trie query latency benchmark")
     p.add_argument("--trie", required=True)
     p.add_argument("--queries", type=int, default=100000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--interval-ms", type=float, default=200.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jsonl", action="store_true")

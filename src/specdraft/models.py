@@ -343,7 +343,7 @@ class ToyDraft:
     def load(cls, path) -> "ToyDraft":
         """Read a file written by save(). A file that is not an array archive,
         lacks an array, or holds one whose shape differs from a freshly built
-        model's raises ModelFormatError; another version raises ConfigError."""
+        model's, or carries another version, raises ModelFormatError."""
         unreadable = (ValueError, EOFError, zipfile.BadZipFile)
         try:
             data = np.load(path)
@@ -368,8 +368,8 @@ class ToyDraft:
 
             version = int(read("version", ()))
             if version != MODEL_FILE_VERSION:
-                raise ConfigError(
-                    f"model file version {version}, expected {MODEL_FILE_VERSION}"
+                raise ModelFormatError(
+                    f"{path}: model file version {version}, expected {MODEL_FILE_VERSION}"
                 )
             vocab_size = int(read("vocab_size", ()))
             model = cls(

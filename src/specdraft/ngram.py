@@ -1,11 +1,20 @@
-"""Count-based n-gram trie used as the continuity scorer during draft-tree pruning.
+"""Count-based n-gram table used as the continuity scorer during draft-tree pruning.
 
-The trie stores exact window counts: every length-`order` window of the corpus
-increments one root-to-leaf path. A context (the trailing ``order - 1`` tokens
-of a sequence) maps to an internal node whose children are the observed
-continuations; the conditional probability of a continuation is its count
-divided by the parent's total child count. Scores are ``log(p + eps)`` so that
-unseen continuations degrade to a finite floor instead of -inf.
+The trie stores exact window counts as one table: the distinct length-`order`
+windows of the corpus, sorted lexicographically, each with its count. A
+context (the trailing ``order - 1`` tokens of a sequence, or fewer at a
+sequence start) is any prefix of those windows; its continuations are the
+tokens that follow it in some window. The conditional probability of a
+continuation is its count divided by the context's total. Scores are
+``log(p + eps)`` so that unseen continuations degrade to a finite floor
+instead of -inf. Queries go through one dict built from the table, mapping
+each context tuple to ``(total, tokens, counts)``.
+
+File format, version 2, little-endian: a 32-byte header holding the magic
+``NGTR``, a u16 version, two zero bytes, then order, vocab_size and the row
+count as int64; then the window tokens as a (rows, order) int64 array; then
+the counts as a (rows,) int64 array. Version 1 files (a varint node stream)
+are not read; rebuild them from their corpus with ``specdraft build-trie``.
 
 After construction the trie is immutable and may be queried from any number of
 threads without synchronization.
@@ -15,31 +24,29 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadMagicError,
     ConfigError,
     OutOfVocabularyError,
+    TrieFormatError,
     TruncatedFileError,
     VersionMismatchError,
 )
 
 EPSILON = 1e-9
-LOG_EPSILON = math.log(EPSILON)
 
 MAGIC = b"NGTR"
-FORMAT_VERSION = 1
-
-
-class TrieNode:
-    __slots__ = ("children", "count", "total_child_count")
-
-    def __init__(self):
-        self.children: dict[int, TrieNode] = {}
-        self.count = 0
-        self.total_child_count = 0
+FORMAT_VERSION = 2
+HEADER = struct.Struct("<4sHHqqq")  # magic, version, padding, order, vocab_size, rows
+# An (rows, order) int64 array must stay addressable even with zero rows.
+MAX_ORDER = 2 ** 16
 
 
 @dataclass
@@ -50,67 +57,94 @@ class TrieStats:
 
 
 class NgramTrie:
-    """Immutable count trie over token windows of length `order`."""
+    """Immutable window-count table of one `order`, with its context query dict.
 
-    def __init__(self, order: int, vocab_size: int, root: TrieNode | None = None):
-        if order < 2:
-            raise ConfigError(f"n-gram order must be >= 2, got {order}")
+    `windows` is a (rows, order) int64 array of distinct windows in strictly
+    increasing lexicographic order; `window_counts` holds each row's count.
+    Made by build_trie or load_trie, which check the order and the table.
+    """
+
+    def __init__(self, order: int, vocab_size: int, windows: np.ndarray,
+                 window_counts: np.ndarray):
         self.order = order
         self.vocab_size = vocab_size
-        self.root = root if root is not None else TrieNode()
+        self.windows = windows
+        self.window_counts = window_counts
+        self._query = _context_table(windows, window_counts)
         self._bytes_on_disk = 0
 
     # -- queries ------------------------------------------------------------
 
-    def _context_node(self, context: Sequence[int]) -> TrieNode | None:
-        """Descend through the trailing order-1 tokens of `context`.
-
-        Shorter contexts (sequence start) descend as far as tokens exist.
-        """
-        if len(context) > self.order - 1:
-            context = context[-(self.order - 1):]
-        node = self.root
-        for tok in context:
-            node = node.children.get(tok)
-            if node is None:
-                return None
-        return node
-
     def score(self, context: Sequence[int], token: int, eps: float = EPSILON) -> float:
         """log(Pr(token | context) + eps); log(eps) for anything unseen."""
-        node = self._context_node(context)
-        if node is None or node.total_child_count == 0:
-            return math.log(eps)
-        child = node.children.get(token)
-        if child is None:
-            return math.log(eps)
-        return math.log(child.count / node.total_child_count + eps)
+        return self.children_scores(context, eps).get(token, math.log(eps))
 
     def children_scores(self, context: Sequence[int], eps: float = EPSILON) -> dict[int, float]:
-        """Scores for every observed continuation of `context`, one descent.
+        """Scores for every observed continuation of `context`, one lookup.
 
-        Tokens absent from the returned map are implicitly at log(eps).
+        Only the trailing order-1 tokens count; shorter contexts (sequence
+        start) are looked up as they are. Tokens absent from the returned map
+        are implicitly at log(eps).
         """
-        node = self._context_node(context)
-        if node is None or node.total_child_count == 0:
+        entry = self._query.get(tuple(context[-(self.order - 1):]))
+        if entry is None:
             return {}
-        total = node.total_child_count
+        total, tokens, counts = entry
         log = math.log
-        return {tok: log(child.count / total + eps) for tok, child in node.children.items()}
+        return {tok: log(count / total + eps) for tok, count in zip(tokens, counts)}
+
+    def counts(self, context: Sequence[int]) -> dict[int, int]:
+        """{token: count} for the continuations of `context` (trailing order-1 tokens)."""
+        entry = self._query.get(tuple(context[-(self.order - 1):]))
+        return {} if entry is None else dict(zip(entry[1], entry[2]))
+
+    def contexts(self) -> list[tuple[int, ...]]:
+        """Every full-length (order-1) context with a continuation, in sorted order."""
+        return [ctx for ctx in self._query if len(ctx) == self.order - 1]
 
     def stats(self) -> TrieStats:
-        node_count = 0
-        distinct_contexts = 0
-        context_depth = self.order - 1
-        stack = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            node_count += 1
-            if depth == context_depth and node.children:
-                distinct_contexts += 1
-            if depth < self.order:
-                stack.extend((child, depth + 1) for child in node.children.values())
-        return TrieStats(node_count, distinct_contexts, self._bytes_on_disk)
+        """Node counts of the equivalent prefix trie: the root plus one node per
+        distinct window prefix."""
+        node_count = 1 + sum(len(tokens) for _, tokens, _ in self._query.values())
+        return TrieStats(node_count, len(self.contexts()), self._bytes_on_disk)
+
+
+def _group_starts(rows: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a sorted (n, k) array that differ from the row before."""
+    return np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))))
+
+
+def _context_table(windows: np.ndarray, counts: np.ndarray) -> dict:
+    """{context: (total, tokens, counts)} for every context length 0 … order-1.
+
+    The full-length contexts come from groups of table rows; each shorter
+    context's continuations are the next longer contexts, counted by their
+    totals. Values are tuples of ints, never dicts, so that the garbage
+    collector untracks them: a tuple holding a dict stays tracked, and every
+    full collection would walk all of them.
+    """
+    if len(windows) == 0:
+        return {}
+    ctx = windows[:, :-1]
+    starts = _group_starts(ctx)
+    bounds = starts.tolist() + [len(windows)]
+    tokens = windows[:, -1].tolist()
+    cnts = counts.tolist()
+    level = {}
+    for key, lo, hi in zip(ctx[starts].tolist(), bounds, bounds[1:]):
+        c = tuple(cnts[lo:hi])
+        level[tuple(key)] = (sum(c), tuple(tokens[lo:hi]), c)
+    query = dict(level)
+    for _ in range(windows.shape[1] - 1):
+        parents: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for key, (total, _, _) in level.items():
+            parents.setdefault(key[:-1], []).append((key[-1], total))
+        level = {}
+        for key, children in parents.items():
+            toks, totals = zip(*children)
+            level[key] = (sum(totals), toks, totals)
+        query.update(level)
+    return query
 
 
 def build_trie(
@@ -118,142 +152,108 @@ def build_trie(
     order: int,
     vocab_size: int | None = None,
 ) -> NgramTrie:
-    """Count every length-`order` window of every sequence into a trie.
+    """Count every length-`order` window of every sequence into a table.
 
     vocab_size=None infers V as max token + 1; when given, any token >= V
     raises OutOfVocabularyError naming the offending sequence.
     """
-    if order < 2:
-        raise ConfigError(f"n-gram order must be >= 2, got {order}")
-    root = TrieNode()
+    if not 2 <= order <= MAX_ORDER:
+        raise ConfigError(f"n-gram order must be in [2, {MAX_ORDER}], got {order}")
+    parts = []
     max_token = -1
     for seq_index, seq in enumerate(corpus):
-        if vocab_size is not None:
-            for tok in seq:
-                if tok >= vocab_size or tok < 0:
-                    raise OutOfVocabularyError(tok, vocab_size, seq_index)
-        elif seq:
-            max_token = max(max_token, max(seq))
-            if min(seq) < 0:
-                raise OutOfVocabularyError(min(seq), 0, seq_index)
-        for start in range(len(seq) - order + 1):
-            node = root
-            for tok in seq[start:start + order]:
-                node.total_child_count += 1
-                child = node.children.get(tok)
-                if child is None:
-                    child = TrieNode()
-                    node.children[tok] = child
-                node = child
-                node.count += 1
+        arr = np.asarray(seq, dtype=np.int64)
+        if arr.size == 0:
+            continue
+        bad = arr < 0 if vocab_size is None else (arr < 0) | (arr >= vocab_size)
+        if bad.any():
+            raise OutOfVocabularyError(int(arr[bad][0]), vocab_size or 0, seq_index)
+        max_token = max(max_token, int(arr.max()))
+        if arr.size >= order:
+            parts.append(sliding_window_view(arr, order))
     if vocab_size is None:
         vocab_size = max_token + 1
-    return NgramTrie(order, vocab_size, root)
+    if not parts:
+        return NgramTrie(order, vocab_size, np.empty((0, order), np.int64),
+                         np.empty(0, np.int64))
+    windows = np.concatenate(parts)
+    windows = windows[np.lexsort(windows.T[::-1])]
+    starts = _group_starts(windows)
+    counts = np.diff(np.append(starts, len(windows)))
+    return NgramTrie(order, vocab_size, windows[starts], counts)
 
 
 # -- serialization ------------------------------------------------------------
-#
-# Little-endian layout: MAGIC, u16 version, varint order, varint vocab_size,
-# then the node stream in preorder. Each node is varint(count),
-# varint(num_children), then children in ascending token order as
-# varint(token) followed by the child node. total_child_count is derived.
-
-
-def _write_varint(buf: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            return
-
-
-def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise TruncatedFileError("file ended inside a varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
 
 
 def save_trie(trie: NgramTrie, path: str | os.PathLike) -> int:
-    """Serialize to `path`; returns bytes written."""
-    buf = bytearray()
-    buf += MAGIC
-    buf += FORMAT_VERSION.to_bytes(2, "little")
-    _write_varint(buf, trie.order)
-    _write_varint(buf, trie.vocab_size)
-
-    # Preorder without recursion: each stack entry is a node to emit.
-    stack = [trie.root]
-    while stack:
-        node = stack.pop()
-        _write_varint(buf, node.count)
-        _write_varint(buf, len(node.children))
-        items = sorted(node.children.items())
-        for token, _child in items:
-            _write_varint(buf, token)
-        # Children follow in ascending token order; push reversed for the stack.
-        stack.extend(child for _tok, child in reversed(items))
-
+    """Write the v2 file to `path`; returns bytes written."""
     with open(path, "wb") as f:
-        f.write(buf)
-    trie._bytes_on_disk = len(buf)
-    return len(buf)
+        f.write(HEADER.pack(MAGIC, FORMAT_VERSION, 0, trie.order, trie.vocab_size,
+                            len(trie.window_counts)))
+        f.write(np.ascontiguousarray(trie.windows, dtype="<i8"))
+        f.write(np.ascontiguousarray(trie.window_counts, dtype="<i8"))
+        n_bytes = f.tell()
+    trie._bytes_on_disk = n_bytes
+    return n_bytes
 
 
 def load_trie(path: str | os.PathLike) -> NgramTrie:
+    """Read and validate a v2 file; any malformed content raises TrieFormatError.
+
+    The arrays are views of the one buffer read from the file.
+    """
     with open(path, "rb") as f:
+        head = f.read(HEADER.size)
+        if len(head) < len(MAGIC) + 2:
+            raise TruncatedFileError(f"{path}: file too short for header")
+        if head[: len(MAGIC)] != MAGIC:
+            raise BadMagicError(f"{path}: not a trie file (bad magic)")
+        version = int.from_bytes(head[len(MAGIC):len(MAGIC) + 2], "little")
+        if version != FORMAT_VERSION:
+            raise VersionMismatchError(
+                f"{path}: format version {version}, expected {FORMAT_VERSION}; "
+                f"rebuild it from its corpus with `specdraft build-trie`"
+            )
+        if len(head) < HEADER.size:
+            raise TruncatedFileError(f"{path}: file too short for header")
+        _, _, padding, order, vocab_size, rows = HEADER.unpack(head)
+        if padding:
+            raise TrieFormatError(f"{path}: nonzero header padding")
+        if not 2 <= order <= MAX_ORDER:
+            raise TrieFormatError(f"{path}: order must be in [2, {MAX_ORDER}], got {order}")
+        if vocab_size < 0 or rows < 0:
+            raise TrieFormatError(f"{path}: negative vocab_size or row count")
+        expected = HEADER.size + 8 * rows * (order + 1)
+        size = os.fstat(f.fileno()).st_size
+        if size < expected:
+            raise TruncatedFileError(
+                f"{path}: header gives {rows} rows ({expected} bytes), file has {size}")
+        if size > expected:
+            raise TruncatedFileError(f"{path}: {size - expected} trailing bytes")
         data = f.read()
-    if len(data) < len(MAGIC) + 2:
-        raise TruncatedFileError(f"{path}: file too short for header")
-    if data[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"{path}: not a trie file (bad magic)")
-    version = int.from_bytes(data[len(MAGIC):len(MAGIC) + 2], "little")
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(
-            f"{path}: format version {version}, expected {FORMAT_VERSION}"
-        )
-    pos = len(MAGIC) + 2
-    order, pos = _read_varint(data, pos)
-    vocab_size, pos = _read_varint(data, pos)
-
-    def read_header(pos: int) -> tuple[TrieNode, list[int], int]:
-        node = TrieNode()
-        node.count, pos = _read_varint(data, pos)
-        n_children, pos = _read_varint(data, pos)
-        tokens = []
-        for _ in range(n_children):
-            tok, pos = _read_varint(data, pos)
-            tokens.append(tok)
-        tokens.reverse()  # consumed back-to-front below
-        return node, tokens, pos
-
-    root, pending, pos = read_header(pos)
-    stack: list[tuple[TrieNode, list[int]]] = [(root, pending)]
-    while stack:
-        parent, pending = stack[-1]
-        if not pending:
-            stack.pop()
-            parent.total_child_count = sum(c.count for c in parent.children.values())
-            continue
-        tok = pending.pop()
-        node, child_tokens, pos = read_header(pos)
-        parent.children[tok] = node
-        stack.append((node, child_tokens))
-    if pos != len(data):
-        raise TruncatedFileError(f"{path}: {len(data) - pos} trailing bytes")
-
-    trie = NgramTrie(order, vocab_size, root)
-    trie._bytes_on_disk = len(data)
+    if len(data) != expected - HEADER.size:
+        raise TruncatedFileError(f"{path}: file changed size while being read")
+    windows = np.frombuffer(data, "<i8", count=rows * order).reshape(rows, order)
+    counts = np.frombuffer(data, "<i8", offset=8 * rows * order)
+    if rows:
+        if windows.min() < 0 or windows.max() >= vocab_size:
+            raise TrieFormatError(f"{path}: a token outside [0, {vocab_size})")
+        if counts.min() < 1:
+            raise TrieFormatError(f"{path}: a window count below 1")
+    # Row i+1 > row i lexicographically: at the first column where they differ.
+    undecided = np.ones(max(rows - 1, 0), dtype=bool)
+    for j in range(order):
+        if not undecided.any():
+            break
+        prev, nxt = windows[:-1, j], windows[1:, j]
+        if (undecided & (nxt < prev)).any():
+            raise TrieFormatError(f"{path}: rows are not in increasing order")
+        undecided &= nxt == prev
+    if undecided.any():
+        raise TrieFormatError(f"{path}: duplicate rows")
+    trie = NgramTrie(order, vocab_size, windows, counts)
+    trie._bytes_on_disk = size
     return trie
 
 

@@ -318,12 +318,6 @@ def evaluate_alpha(drafter, target: MarkovTarget,
     return [float(h / total) for h in hits]
 
 
-def flatten_params(model: ToyDraft) -> tuple[np.ndarray, list[tuple[str, tuple]]]:
-    shapes = [(name, model.params[name].shape) for name in sorted(model.params)]
-    flat = np.concatenate([model.params[name].ravel() for name, _ in shapes])
-    return flat, shapes
-
-
 def finite_diff_check(model: ToyDraft, batch: TrainingBatch, h: float,
                       n_coords: int = 40, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients

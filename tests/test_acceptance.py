@@ -257,10 +257,7 @@ def test_10_trie_latency():
     stats = trie.stats()
     assert stats.node_count >= 1_000_000, f"only {stats.node_count} nodes"
 
-    contexts = []
-    for t1, n1 in trie.root.children.items():
-        for t2 in n1.children:
-            contexts.append((t1, t2))
+    contexts = trie.contexts()
     picks = rng.integers(0, len(contexts), size=220_000)
     for i in picks[:20_000]:  # warmup
         trie.children_scores(contexts[i])

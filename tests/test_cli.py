@@ -124,6 +124,17 @@ def test_decode_with_trie_and_jsonl(tmp_path, config_file, capsys):
     assert all("draft_ms" in r for r in records[:-1])
 
 
+def test_trie_vocab_mismatch_exits_2(tmp_path, config_file, capsys):
+    trie_path = tmp_path / "t.bin"
+    save_trie(build_trie([[1, 2, 3, 1, 2, 200]], 3, 256), trie_path)
+    cfg = config_file(paths={"trie": str(trie_path)})
+    for argv in (["decode", "--config", cfg, "--prompt-tokens", "1 2"],
+                 ["eval", "--config", cfg, "--drafter", "oracle", "--tau-prompts", "1"]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "vocab 256" in err and "target has 16" in err
+
+
 def test_decode_max_tokens_one(config_file, capsys):
     cfg = config_file(decode={"d": 3, "max_tokens": 1, "temperature": 0.0})
     rc = main(["decode", "--config", cfg, "--drafter", "oracle",
@@ -197,16 +208,15 @@ def test_bench_trie_runs_and_reports(tmp_path, capsys):
     assert records[-1]["median_us"] > 0
 
 
-def test_bench_trie_threads_consistent(tmp_path, capsys):
-    rng = np.random.default_rng(0)
-    trie = build_trie([list(rng.integers(0, 16, 400))], 3, 16)
-    path = tmp_path / "t.bin"
-    save_trie(trie, path)
-    rc = main(["bench-trie", "--trie", str(path), "--queries", "4000",
-               "--threads", "4", "--jsonl"])
-    assert rc == EXIT_OK
-    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert summary["queries"] == 4000 and summary["threads"] == 4
+def test_v1_trie_file_exits_3_with_rebuild_message(tmp_path, config_file, capsys):
+    path = tmp_path / "v1.trie"
+    path.write_bytes(b"NGTR" + (1).to_bytes(2, "little") + bytes([3, 16, 0, 0]))
+    cfg = config_file(paths={"trie": str(path)})
+    for argv in (["decode", "--config", cfg, "--prompt-tokens", "1 2"],
+                 ["bench-trie", "--trie", str(path), "--queries", "10"]):
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "build-trie" in err and "Traceback" not in err
 
 
 @pytest.fixture

@@ -264,7 +264,7 @@ def test_model_load_rejects_other_version(tmp_path, target, model):
     data = dict(np.load(p))
     data["version"] = np.int64(99)
     np.savez(p, **data)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ModelFormatError):
         ToyDraft.load(p)
 
 

@@ -1,14 +1,19 @@
 import math
+import struct
+import tempfile
 import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdraft.errors import (
     BadMagicError,
     ConfigError,
     OutOfVocabularyError,
+    TrieFormatError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -30,18 +35,14 @@ A, B, C, D = 0, 1, 2, 3
 
 def test_build_repeated_window():
     trie = build_trie([[A, B, A, B, A]], order=3)
-    ctx_ab = trie.root.children[A].children[B]
-    assert set(ctx_ab.children) == {A}
-    assert ctx_ab.children[A].count == 2
-    ctx_ba = trie.root.children[B].children[A]
-    assert set(ctx_ba.children) == {B}
-    assert ctx_ba.children[B].count == 1
+    assert trie.counts((A, B)) == {A: 2}
+    assert trie.counts((B, A)) == {B: 1}
+    assert trie.contexts() == [(A, B), (B, A)]
 
 
 def test_build_two_children():
     trie = build_trie([[A, B, C, A, B, D]], order=3)
-    ctx = trie.root.children[A].children[B]
-    assert {t: n.count for t, n in ctx.children.items()} == {C: 1, D: 1}
+    assert trie.counts((A, B)) == {C: 1, D: 1}
 
 
 def test_empty_sequence_corpus():
@@ -118,29 +119,30 @@ def test_oracle_equivalence_random(corpus, order):
             assert trie.score(ctx, tok) == counter.score(ctx, tok)
 
 
+def _all_contexts(trie):
+    """Every context with a continuation: the full ones and all their prefixes."""
+    return {ctx[:n] for ctx in trie.contexts() for n in range(trie.order)}
+
+
 @given(corpora, st.integers(2, 4))
 def test_children_probabilities_sum_to_one(corpus, order):
     trie = build_trie(corpus, order, vocab_size=16)
-    stack = [trie.root]
-    while stack:
-        node = stack.pop()
-        if node.children:
-            total = sum(c.count for c in node.children.values())
-            assert total == node.total_child_count
-            assert abs(sum(c.count / node.total_child_count
-                           for c in node.children.values()) - 1.0) < 1e-12
-            stack.extend(node.children.values())
+    for ctx in _all_contexts(trie):
+        counts = trie.counts(ctx)
+        total = sum(counts.values())
+        assert abs(sum(c / total for c in counts.values()) - 1.0) < 1e-12
+        if len(ctx) < order - 1:
+            # A continuation's count is the total of the context it extends to.
+            for tok, count in counts.items():
+                assert count == sum(trie.counts(ctx + (tok,)).values())
 
 
 def _trie_equal(a, b):
     assert a.order == b.order and a.vocab_size == b.vocab_size
-    stack = [(a.root, b.root)]
-    while stack:
-        na, nb = stack.pop()
-        assert na.count == nb.count
-        assert na.total_child_count == nb.total_child_count
-        assert set(na.children) == set(nb.children)
-        stack.extend((na.children[t], nb.children[t]) for t in na.children)
+    assert a.contexts() == b.contexts()
+    for ctx in _all_contexts(a):
+        assert a.counts(ctx) == b.counts(ctx)
+    assert a.stats().node_count == b.stats().node_count
 
 
 def test_round_trip(tmp_path, rng):
@@ -158,15 +160,15 @@ def test_round_trip(tmp_path, rng):
     assert loaded.stats().bytes_on_disk == n
 
 
-def test_round_trip_multibyte_varints(tmp_path):
-    # tokens >= 128 and counts >= 16384 need 2- and 3-byte varints
+def test_round_trip_large_tokens_and_counts(tmp_path):
     corpus = [[500, 501, 502]] * 20000 + [[0, 1, 2, 500]]
     trie = build_trie(corpus, 3, vocab_size=600)
     path = tmp_path / "big.bin"
     save_trie(trie, path)
     loaded = load_trie(path)
     _trie_equal(trie, loaded)
-    assert loaded.root.children[500].children[501].children[502].count == 20000
+    assert loaded.counts((500, 501)) == {502: 20000}
+    assert loaded.counts(()) == {0: 1, 1: 1, 500: 20000}
 
 
 def test_round_trip_deep_order(tmp_path, rng):
@@ -215,6 +217,124 @@ def test_load_trailing_garbage(tmp_path):
     p.write_bytes(p.read_bytes() + b"\x01\x02")
     with pytest.raises(TruncatedFileError):
         load_trie(p)
+
+
+def _v2_bytes(order, vocab_size, windows, counts, rows=None, padding=0):
+    """A trie file spelled out from the documented layout, independent of save_trie."""
+    windows = np.asarray(windows, dtype="<i8")
+    counts = np.asarray(counts, dtype="<i8")
+    rows = len(counts) if rows is None else rows
+    header = struct.pack("<4sHHqqq", MAGIC, 2, padding, order, vocab_size, rows)
+    return header + windows.tobytes() + counts.tobytes()
+
+
+def test_v2_layout_loads_and_writes_back(tmp_path):
+    data = _v2_bytes(3, 4, [[0, 1, 2], [0, 1, 3], [1, 2, 0]], [2, 1, 1])
+    p = tmp_path / "t.bin"
+    p.write_bytes(data)
+    trie = load_trie(p)
+    assert (trie.order, trie.vocab_size) == (3, 4)
+    assert trie.counts((0, 1)) == {2: 2, 3: 1}
+    assert trie.counts((0,)) == {1: 3}
+    assert trie.counts(()) == {0: 3, 1: 1}
+    assert trie.stats().node_count == 1 + 2 + 2 + 3
+    assert trie.children_scores((0, 1)) == {2: math.log(2 / 3 + EPSILON),
+                                            3: math.log(1 / 3 + EPSILON)}
+    out = tmp_path / "out.bin"
+    assert save_trie(trie, out) == len(data)
+    assert out.read_bytes() == data
+    assert save_trie(build_trie([[0, 1, 2], [0, 1, 2], [0, 1, 3], [1, 2, 0]], 3, 4),
+                     out) == len(data)
+    assert out.read_bytes() == data
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(rows=2), "trailing bytes"),
+    (dict(rows=4), "rows"),
+    (dict(rows=2 ** 60), "rows"),
+    (dict(rows=-1), "negative"),
+    (dict(order=1, windows=[0, 1, 2, 3, 1, 2]), "order"),
+    (dict(order=-3, windows=[]), "order"),
+    (dict(vocab_size=-1), "negative"),
+    (dict(vocab_size=3), "outside"),
+    (dict(windows=[[-1, 1, 2], [0, 1, 3], [1, 2, 0]]), "outside"),
+    (dict(counts=[2, 0, 1]), "below 1"),
+    (dict(counts=[2, 1, -7]), "below 1"),
+    (dict(windows=[[0, 1, 3], [0, 1, 2], [1, 2, 0]]), "increasing"),
+    (dict(windows=[[0, 1, 2], [0, 1, 2], [1, 2, 0]]), "duplicate"),
+    (dict(padding=1), "padding"),
+])
+def test_load_rejects_malformed_table(tmp_path, fields, message):
+    args = dict(order=3, vocab_size=4, windows=[[0, 1, 2], [0, 1, 3], [1, 2, 0]],
+                counts=[2, 1, 1])
+    args.update(fields)
+    p = tmp_path / "bad.bin"
+    p.write_bytes(_v2_bytes(**args))
+    with pytest.raises(TrieFormatError, match=message):
+        load_trie(p)
+
+
+def test_load_v1_file_asks_for_rebuild(tmp_path):
+    # A version-1 file: magic, u16 version 1, varint order 3 and vocab 4, empty root.
+    p = tmp_path / "v1.trie"
+    p.write_bytes(MAGIC + (1).to_bytes(2, "little") + bytes([3, 4, 0, 0]))
+    with pytest.raises(VersionMismatchError, match="build-trie"):
+        load_trie(p)
+
+
+_VALID = _v2_bytes(3, 300, [[0, 1, 2], [0, 1, 299], [1, 2, 0], [2, 0, 1], [299, 0, 1]],
+                   [3, 1, 2, 70000, 1])
+_mutations = st.one_of(
+    st.lists(st.tuples(st.integers(0, len(_VALID) - 1), st.integers(1, 255)),
+             min_size=1, max_size=4).map(lambda flips: ("flip", flips)),
+    st.integers(0, len(_VALID) - 1).map(lambda n: ("truncate", n)),
+    st.binary(min_size=1, max_size=40).map(lambda tail: ("append", tail)),
+)
+
+
+def _parse_v2(data):
+    """(order, vocab_size, rows as tuples, counts) read with struct alone."""
+    _, _, _, order, vocab_size, rows = struct.unpack_from("<4sHHqqq", data)
+    values = struct.unpack_from(f"<{rows * (order + 1)}q", data, 32)
+    windows = [values[i * order:(i + 1) * order] for i in range(rows)]
+    return order, vocab_size, windows, values[rows * order:]
+
+
+@settings(max_examples=400)
+@given(_mutations)
+def test_mutated_file_rejected_or_round_trips(mutation):
+    kind, arg = mutation
+    data = bytearray(_VALID)
+    if kind == "flip":
+        for pos, mask in arg:
+            data[pos] ^= mask
+    elif kind == "truncate":
+        del data[arg:]
+    else:
+        data += arg
+    with tempfile.TemporaryDirectory() as tmp:
+        p, out = Path(tmp) / "m.bin", Path(tmp) / "out.bin"
+        p.write_bytes(bytes(data))
+        try:
+            trie = load_trie(p)
+        except TrieFormatError:
+            return
+        save_trie(trie, out)
+        assert out.read_bytes() == bytes(data)
+    # What loaded must hold the documented invariants and score from its rows.
+    order, vocab_size, windows, counts = _parse_v2(bytes(data))
+    assert (trie.order, trie.vocab_size) == (order, vocab_size)
+    assert all(0 <= tok < vocab_size for window in windows for tok in window)
+    assert all(count >= 1 for count in counts)
+    assert all(a < b for a, b in zip(windows, windows[1:]))
+    children = {}
+    for window, count in zip(windows, counts):
+        children.setdefault(window[:-1], {})[window[-1]] = count
+    assert trie.contexts() == sorted(children)
+    for ctx, kids in children.items():
+        total = sum(kids.values())
+        assert trie.children_scores(ctx) == {t: math.log(c / total + EPSILON)
+                                             for t, c in kids.items()}
 
 
 def test_concurrent_queries_leave_stats_unchanged(rng):
