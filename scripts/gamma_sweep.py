@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from specdraft.engine import DecodeConfig, decode
-from specdraft.models import sample_markov_target
+from specdraft.models import MarkovTarget
 from specdraft.ngram import build_trie
 from specdraft.training import evaluate_alpha, train_toy_draft
 from specdraft.tree import PruneConfig
@@ -30,7 +30,7 @@ def main():
 
     gammas = [float(g) for g in args.gammas.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
-    target = sample_markov_target(5, args.vocab_size, args.order, concentration=0.3)
+    target = MarkovTarget(5, args.vocab_size, args.order, concentration=0.3)
     rng = np.random.default_rng(0)
     corpus = [target.sample_sequence(rng, 16) for _ in range(16)]
     heldout = [target.sample_sequence(rng, 16) for _ in range(150)]

@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from specdraft.engine import DecodeConfig, decode
-from specdraft.models import NoisyOracleDrafter, sample_markov_target
+from specdraft.models import MarkovTarget, NoisyOracleDrafter
 from specdraft.ngram import build_trie
 from specdraft.tree import PruneConfig
 
@@ -24,7 +24,7 @@ def main():
     ap.add_argument("--noise", type=float, default=1.0)
     args = ap.parse_args()
 
-    target = sample_markov_target(17, args.vocab_size, 2, concentration=0.1)
+    target = MarkovTarget(17, args.vocab_size, 2, concentration=0.1)
     rng = np.random.default_rng(99)
     corpus = [target.sample_sequence(rng, 300) for _ in range(30)]
     trie = build_trie(corpus, 3, args.vocab_size)

@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from specdraft.models import sample_markov_target
+from specdraft.models import MarkovTarget
 from specdraft.training import evaluate_alpha, train_toy_draft
 
 
@@ -21,7 +21,7 @@ def main():
     ap.add_argument("--steps", type=int, default=250)
     args = ap.parse_args()
 
-    target = sample_markov_target(5, 8, 2, concentration=0.3)
+    target = MarkovTarget(5, 8, 2, concentration=0.3)
     rng = np.random.default_rng(0)
     corpus = [target.sample_sequence(rng, 16) for _ in range(16)]
     heldout = [target.sample_sequence(rng, 16) for _ in range(150)]

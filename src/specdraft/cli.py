@@ -27,7 +27,6 @@ from .models import (
     OracleDrafter,
     ToyDraft,
     UniformDrafter,
-    sample_markov_target,
 )
 from .ngram import (
     NgramTrie,
@@ -127,7 +126,7 @@ def load_config(path: str | None, overrides: list[str] | None = None,
     seed = int(raw.get("seed", 0))
     prune_cfg = PruneConfig(**prune_raw)
     decode_cfg = DecodeConfig(seed=seed, prune=prune_cfg, **decode_raw)
-    target = sample_markov_target(
+    target = MarkovTarget(
         int(target_raw["seed"]), int(target_raw["vocab_size"]),
         int(target_raw["order"]), float(target_raw["concentration"]),
     )
@@ -244,6 +243,7 @@ def cmd_decode(args) -> int:
             print(json.dumps(rec))
         print(json.dumps({"tau": metrics.tau, "cycles": metrics.cycles,
                           "tokens_out": metrics.tokens_out,
+                          "accept_rates": metrics.accept_rates,
                           "modeled_speedup": metrics.modeled_speedup,
                           "draft_ratio": metrics.draft_ratio}))
     else:
@@ -276,39 +276,23 @@ def cmd_bench_trie(args) -> int:
     V = max(trie.vocab_size, 1)
     miss_ctx = rng.integers(0, V, size=(args.queries, trie.order - 1))
 
-    def run_queries(n: int) -> list[tuple[float, float]]:
-        """Returns (wall-clock time, latency us) per query."""
-        out = []
+    def run_queries(n: int) -> np.ndarray:
+        """Latency of each query, in us."""
+        out = np.empty(n)
         for i in range(n):
             ctx = tuple(miss_ctx[i]) if miss[i] else contexts[picks[i]]
             t0 = time.perf_counter_ns()
             trie.children_scores(ctx)
-            t1 = time.perf_counter_ns()
-            out.append((t1, (t1 - t0) / 1e3))
+            out[i] = (time.perf_counter_ns() - t0) / 1e3
         return out
 
-    warmup = min(args.queries, 2000)
-    run_queries(warmup)
-
-    start = time.perf_counter_ns()
-    results = run_queries(args.queries)
-
-    lat = np.array([r[1] for r in results])
-    wall = np.array([r[0] for r in results])
-    interval_ns = args.interval_ms * 1e6
-    buckets = ((wall - start) // interval_ns).astype(int)
-    records = []
-    for b in sorted(set(buckets)):
-        sel = lat[buckets == b]
-        records.append({"interval": int(b), "queries": int(sel.size),
-                        "mean_us": float(sel.mean())})
+    run_queries(min(args.queries, 2000))  # warm-up
+    lat = run_queries(args.queries)
     summary = {"median_us": float(np.median(lat)), "p90_us": float(np.percentile(lat, 90)),
                "mean_us": float(lat.mean()), "queries": int(lat.size)}
-    lines = [f"{'interval':>8} {'queries':>8} {'mean_us':>8}"]
-    lines += [f"{r['interval']:>8} {r['queries']:>8} {r['mean_us']:>8.2f}" for r in records]
-    lines.append(f"median {summary['median_us']:.2f} us | p90 {summary['p90_us']:.2f} us "
-                 f"| mean {summary['mean_us']:.2f} us over {summary['queries']} queries")
-    _emit(args, records + [summary], "\n".join(lines))
+    _emit(args, [summary],
+          f"median {summary['median_us']:.2f} us | p90 {summary['p90_us']:.2f} us "
+          f"| mean {summary['mean_us']:.2f} us over {summary['queries']} queries")
     return EXIT_OK
 
 
@@ -439,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-trie", help="trie query latency benchmark")
     p.add_argument("--trie", required=True)
     p.add_argument("--queries", type=int, default=100000)
-    p.add_argument("--interval-ms", type=float, default=200.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jsonl", action="store_true")
     p.set_defaults(func=cmd_bench_trie)

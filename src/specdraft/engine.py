@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -79,19 +79,13 @@ class CycleRecord:
     cycle: int
     accepted: int  # accepted draft tokens (bonus not counted)
     emitted: int   # tokens appended to the output this cycle
+    nodes_per_level: list[int]  # draft tree nodes at each of the d levels
     draft_ms: float
     prune_ms: float
     verify_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "cycle": self.cycle,
-            "accepted": self.accepted,
-            "emitted": self.emitted,
-            "draft_ms": self.draft_ms,
-            "prune_ms": self.prune_ms,
-            "verify_ms": self.verify_ms,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -105,6 +99,8 @@ class DecodeMetrics:
     base_ms: float | None
     modeled_speedup: float | None
     draft_ratio: float | None
+    # alpha_t = P(accept at depth t | depth t reached), t = 1 .. d, over the cycles
+    accept_rates: list[float] = field(default_factory=list)
     records: list[CycleRecord] = field(default_factory=list)
 
     def report(self) -> str:
@@ -147,48 +143,46 @@ def verify(
     0, where the one-hot conditional makes it follow the argmax child and emit
     the argmax as bonus.
     """
-    if not tree.nodes:
+    if len(tree) == 0:
         raise ConfigError("cannot verify an empty tree")
-    prefix = list(prefix)
+    parent = tree.parent.tolist()
+    token = lin.tokens
 
-    # One conditional per node plus the root. Each node's context is read off
-    # the linearization: the prefix plus every tree position its attention-mask
-    # row admits (its ancestors and itself, in order) -- the same view a
-    # batched tree-attention forward would give the target.
-    dists: dict[int, np.ndarray] = {ROOT_ID: target.next_dist(prefix, temperature)}
-    children: dict[int, list] = {ROOT_ID: []}
-    for idx, node in enumerate(tree.nodes):
-        visible = np.flatnonzero(lin.attention_mask[idx])
-        context = prefix + [lin.tokens[j] for j in visible]
-        dists[node.id] = target.next_dist(context, temperature)
-        children.setdefault(node.id, [])
-        children[node.parent_id].append(node)
+    # Slot 0 is the root and slot i+1 is node i. A node's context is its
+    # parent's plus its own token: the prefix, its ancestors and itself, which
+    # is what its attention-mask row admits in a batched tree-attention forward.
+    contexts = [list(prefix)]
+    children: list[list[int]] = [[] for _ in range(len(token) + 1)]
+    for i, (p, t) in enumerate(zip(parent, token)):
+        contexts.append(contexts[p + 1] + [t])
+        children[p + 1].append(i)
+    dists = [target.next_dist(context, temperature) for context in contexts]
 
     accepted: list[int] = []
     current = ROOT_ID
     while True:
-        dist = dists[current]
-        offered = children[current]
+        dist = dists[current + 1]
+        offered = children[current + 1]
         residual = dist.astype(np.float64).copy()
         total = float(residual.sum())
         chosen = None
         for child in offered:
-            mass = float(residual[child.token])
+            mass = float(residual[token[child]])
             if total <= 0.0:
                 break
             if rng.random() < mass / total:
                 chosen = child
                 break
-            residual[child.token] = 0.0
+            residual[token[child]] = 0.0
             total -= mass
         if chosen is None:
             if total > 0.0:
                 return accepted, sample_from(residual, rng)
             # All target mass sat on the offered children (fp corner); fall
             # back to the highest-mass child to stay well-defined.
-            chosen = max(offered, key=lambda c: float(dist[c.token]))
-        accepted.append(chosen.token)
-        current = chosen.id
+            chosen = max(offered, key=lambda c: float(dist[token[c]]))
+        accepted.append(token[chosen])
+        current = chosen
 
 
 def _check_prompt(prompt: Sequence[int], vocab_size: int) -> list[int]:
@@ -218,6 +212,13 @@ def baseline_decode(
         if eos_token is not None and tok == eos_token:
             break
     return out
+
+
+def _accept_rates(accepted: list[int], d: int) -> list[float]:
+    """alpha_t for t = 1 .. d: of the cycles that accepted at least t-1 draft
+    tokens, the share that accepted at least t; 0 where none reached depth t."""
+    at_least = np.bincount(accepted, minlength=d + 1)[::-1].cumsum()[::-1].tolist()
+    return [hit / reached if reached else 0.0 for reached, hit in zip(at_least, at_least[1:])]
 
 
 def _median(values: list[float]) -> float:
@@ -278,6 +279,7 @@ def decode(
             cycle=len(records),
             accepted=len(emitted) - 1,
             emitted=len(emitted),
+            nodes_per_level=np.bincount(tree.level, minlength=cfg.d).tolist(),
             draft_ms=(t1 - t0) / 1e6,
             prune_ms=(t2 - t1) / 1e6,
             verify_ms=(t3 - t2) / 1e6,
@@ -316,6 +318,7 @@ def decode(
         base_ms=base_ms,
         modeled_speedup=modeled_speedup,
         draft_ratio=draft_ratio,
+        accept_rates=_accept_rates([r.accepted for r in records], cfg.d),
         records=records,
     )
     return out, metrics

@@ -131,13 +131,15 @@ class MarkovTarget:
         n = len(prefix)
         if not 0 <= start <= n:
             raise ConfigError(f"features start must be in [0, {n}], got {start}")
-        low = np.empty((n - start, FEAT_WIDTH))
-        mid = np.empty((n - start, FEAT_WIDTH))
-        high = np.empty((n - start, FEAT_WIDTH))
-        for row, i in enumerate(range(start, n)):
-            f = self._feat(self._context(prefix[max(0, i + 1 - self.order): i + 1]))
-            low[row], mid[row], high[row] = f
-        return TargetFeatures(low, mid, high, self._row(self._context(prefix)))
+        # Row i's context is the `order` tokens ending at i, in the prefix
+        # left-padded with token 0 as _context pads it.
+        lo = max(0, start + 1 - self.order)
+        padded = np.concatenate([np.zeros(self.order - 1 - (start - lo), np.int64),
+                                 np.asarray(prefix[lo:n], dtype=np.int64)])
+        windows = padded[np.arange(n - start)[:, None] + np.arange(self.order)].tolist()
+        blocks = np.array([self._feat(tuple(w)) for w in windows]).reshape(-1, 3, FEAT_WIDTH)
+        return TargetFeatures(blocks[:, 0], blocks[:, 1], blocks[:, 2],
+                              self._row(self._context(prefix)))
 
     def rollout(self, prefix, length: int, pick) -> list[int]:
         """`length` tokens past `prefix`, each `pick(row)` of the untempered
@@ -153,12 +155,6 @@ class MarkovTarget:
 
     def sample_sequence(self, rng: np.random.Generator, length: int, prompt=()) -> list[int]:
         return self.rollout(prompt, length, lambda row: sample_from(row, rng))
-
-
-def sample_markov_target(seed: int, vocab_size: int, order: int,
-                         concentration: float = 0.3) -> MarkovTarget:
-    """Deterministic-from-seed random stochastic table plus features."""
-    return MarkovTarget(seed, vocab_size, order, concentration)
 
 
 def positional_encoding(position_ids, width: int = MODEL_WIDTH) -> np.ndarray:

@@ -53,7 +53,6 @@ MAX_ORDER = 2 ** 16
 class TrieStats:
     node_count: int
     distinct_contexts: int
-    bytes_on_disk: int = 0
 
 
 class NgramTrie:
@@ -71,7 +70,6 @@ class NgramTrie:
         self.windows = windows
         self.window_counts = window_counts
         self._query = _context_table(windows, window_counts)
-        self._bytes_on_disk = 0
 
     # -- queries ------------------------------------------------------------
 
@@ -106,7 +104,7 @@ class NgramTrie:
         """Node counts of the equivalent prefix trie: the root plus one node per
         distinct window prefix."""
         node_count = 1 + sum(len(tokens) for _, tokens, _ in self._query.values())
-        return TrieStats(node_count, len(self.contexts()), self._bytes_on_disk)
+        return TrieStats(node_count, len(self.contexts()))
 
 
 def _group_starts(rows: np.ndarray) -> np.ndarray:
@@ -193,9 +191,7 @@ def save_trie(trie: NgramTrie, path: str | os.PathLike) -> int:
                             len(trie.window_counts)))
         f.write(np.ascontiguousarray(trie.windows, dtype="<i8"))
         f.write(np.ascontiguousarray(trie.window_counts, dtype="<i8"))
-        n_bytes = f.tell()
-    trie._bytes_on_disk = n_bytes
-    return n_bytes
+        return f.tell()
 
 
 def load_trie(path: str | os.PathLike) -> NgramTrie:
@@ -252,9 +248,7 @@ def load_trie(path: str | os.PathLike) -> NgramTrie:
         undecided &= nxt == prev
     if undecided.any():
         raise TrieFormatError(f"{path}: duplicate rows")
-    trie = NgramTrie(order, vocab_size, windows, counts)
-    trie._bytes_on_disk = size
-    return trie
+    return NgramTrie(order, vocab_size, windows, counts)
 
 
 # -- corpus ingestion ----------------------------------------------------------

@@ -1,12 +1,12 @@
 """Draft token tree construction from one set of parallel per-position logits.
 
-One drafting forward yields d rows of logits, one per future position. Those
-rows induce a combinatorially large tree of candidate continuations; pruning
-walks the positions level by level, expanding an active beam by the top-k
-tokens of each row, scoring every expansion with a blend of the draft logit
-score and an n-gram continuity score, and finally keeping the top-theta
-scoring nodes as an ancestor-closed tree ready for tree-attention
-verification.
+One drafting forward yields d rows of logits, one per future position. Pruning
+walks the positions level by level and scores each level at once: the beam
+times the row's top-k tokens is one (beam, k) matrix of expansions, scored by
+`combine` from the draft logit score and the n-gram continuity score. Every
+expansion enters a pool of parallel arrays, the best w become the next beam,
+and the top-theta pool nodes form an ancestor-closed DraftTree: parallel
+parent, token, level and score arrays, parents before children.
 """
 
 from __future__ import annotations
@@ -79,50 +79,50 @@ class PruneConfig:
 
 
 @dataclass
-class DraftNode:
-    id: int
-    parent_id: int  # ROOT_ID for children of the prefix
-    token: int
-    level: int  # 0 = first future position
-    score: float  # cumulative combined score
-
-
-@dataclass
 class DraftTree:
-    """Ancestor-closed scored token tree, nodes listed parents-before-children."""
+    """Ancestor-closed scored token tree as parallel arrays, parents before
+    children. Node i has id i; parent[i] is its parent's id, or ROOT_ID for a
+    child of the prefix; level 0 is the first future position; score is the
+    cumulative combined score."""
 
-    nodes: list[DraftNode]
+    parent: np.ndarray
+    token: np.ndarray
+    level: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self):
+        self.parent = np.asarray(self.parent, dtype=np.int64)
+        self.token = np.asarray(self.token, dtype=np.int64)
+        self.level = np.asarray(self.level, dtype=np.int64)
+        self.score = np.asarray(self.score, dtype=np.float64)
+        n = len(self.token)
+        if any(a.shape != (n,) for a in (self.parent, self.token, self.level, self.score)):
+            raise InvalidTreeError("parent, token, level and score must be 1-D and of one length")
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.token)
 
     def render(self) -> str:
         """Indented text rendering for debugging."""
         lines = []
-        by_parent: dict[int, list[DraftNode]] = {}
-        for n in self.nodes:
-            by_parent.setdefault(n.parent_id, []).append(n)
+        by_parent: dict[int, list[int]] = {}
+        for i, p in enumerate(self.parent.tolist()):
+            by_parent.setdefault(p, []).append(i)
 
         def walk(parent_id: int, indent: int):
-            for n in by_parent.get(parent_id, []):
-                lines.append(f"{'  ' * indent}{n.token} (score={n.score:.4f})")
-                walk(n.id, indent + 1)
+            for i in by_parent.get(parent_id, []):
+                lines.append(f"{'  ' * indent}{self.token[i]} (score={self.score[i]:.4f})")
+                walk(i, indent + 1)
 
         walk(ROOT_ID, 0)
         return "\n".join(lines)
 
     def to_records(self) -> list[dict]:
         """Machine-readable adjacency listing for golden tests."""
-        return [
-            {
-                "id": n.id,
-                "parent_id": n.parent_id,
-                "token": n.token,
-                "level": n.level,
-                "score": n.score,
-            }
-            for n in self.nodes
-        ]
+        columns = zip(self.parent.tolist(), self.token.tolist(), self.level.tolist(),
+                      self.score.tolist())
+        return [{"id": i, "parent_id": p, "token": t, "level": lv, "score": s}
+                for i, (p, t, lv, s) in enumerate(columns)]
 
 
 @dataclass
@@ -130,9 +130,6 @@ class LinearizedTree:
     tokens: list[int]
     position_ids: list[int]
     attention_mask: np.ndarray  # bool (N, N); prefix visibility is implicit
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -143,32 +140,35 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def top_k_candidates(row: np.ndarray, k: int, eps: float = EPSILON) -> list[tuple[int, float]]:
-    """The k highest-logit tokens with s_logit = log(softmax(row) + eps).
+def top_k_candidates(rows: np.ndarray, k: int,
+                     eps: float = EPSILON) -> tuple[np.ndarray, np.ndarray]:
+    """The k highest-logit tokens of each row, with s_logit = log(softmax(row) + eps).
 
-    Sorted by descending score; ties broken by ascending token ID.
+    Works over the last axis: for (d, V) rows both arrays are (d, k). Sorted
+    by descending logit; ties broken by ascending token ID.
     """
-    row = np.asarray(row, dtype=np.float64)
-    if k > row.shape[0]:
-        raise ConfigError(f"k = {k} exceeds vocabulary size {row.shape[0]}")
+    rows = np.asarray(rows, dtype=np.float64)
+    if k > rows.shape[-1]:
+        raise ConfigError(f"k = {k} exceeds vocabulary size {rows.shape[-1]}")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    order = np.lexsort((np.arange(row.shape[0]), -row))[:k]
-    probs = np.exp(log_softmax(row))
-    return [(int(t), float(np.log(probs[t] + eps))) for t in order]
+    tokens = np.argsort(-rows, axis=-1, kind="stable")[..., :k]
+    probs = np.exp(log_softmax(rows))
+    return tokens, np.log(np.take_along_axis(probs, tokens, axis=-1) + eps)
 
 
-def combine(s_logit: float, s_ng: float, level: int, cfg: PruneConfig) -> float:
+def combine(s_logit, s_ng, level: int, cfg: PruneConfig):
     """Score increment for extending a candidate at tree depth `level`.
 
     (logit_decay^level * s_logit + w_ng * s_ng) * (level+1)^-level_exponent,
-    clamped to <= 0 so cumulative scores never increase along a path.
+    clamped to <= 0 so cumulative scores never increase along a path. The
+    scores may be floats or arrays that broadcast together.
     """
     if level < 0:
         raise ConfigError(f"level must be >= 0, got {level}")
     w_logit = cfg.logit_decay ** level
     w_level = (level + 1) ** (-cfg.level_exponent)
-    return min(0.0, (w_logit * s_logit + cfg.w_ng * s_ng) * w_level)
+    return np.minimum(0.0, (w_logit * s_logit + cfg.w_ng * s_ng) * w_level)
 
 
 def prune(
@@ -181,55 +181,80 @@ def prune(
 
     The active beam starts as the bare prefix with score 0. At future position
     i (level i-1) every active candidate expands by the row's top-k tokens;
-    each expansion is scored by `combine` of the logit score and the trie's
-    continuity score for the candidate's trailing context, enters the global
-    pool, and competes for the top-w beam. The result is the top-theta pool
-    nodes, ancestor-closed.
+    `combine` scores the level's (beam, k) expansions from the logit scores
+    and the trie's continuity scores for each candidate's trailing context.
+    Every expansion enters the pool, in beam order, then top-k order, and the
+    top w become the next beam. The result is the top-theta pool nodes.
 
-    A beam entry is (node id, trailing context, score). The trie reads only
+    A beam entry is (pool id, trailing context, score). The trie reads only
     the last order-1 tokens of a context, so that is all an entry keeps, and
     pruning costs the same for any prefix length. Ties everywhere break as
-    (higher score, lower level, lower token, lower parent id).
+    (higher score, lower level, lower token, lower parent id, pool order).
     """
     if len(prefix) == 0:
         raise ConfigError("prefix must be nonempty")
     floor = float(np.log(cfg.epsilon))
     keep = trie.order - 1 if trie is not None else 0
     tail = tuple(int(t) for t in prefix[-keep:]) if keep else ()
+    top_tokens, top_scores = top_k_candidates(logits.rows, cfg.k, eps=cfg.epsilon)
 
-    pool: list[DraftNode] = []
-    beam: list[tuple[int, tuple[int, ...], float]] = [(ROOT_ID, tail, 0.0)]
-    for level in range(logits.d):
-        topk = top_k_candidates(logits.rows[level], cfg.k, eps=cfg.epsilon)
-        start = len(pool)
-        for parent_id, context, score in beam:
-            ng_scores = {} if trie is None else trie.children_scores(context, eps=cfg.epsilon)
-            for token, s_logit in topk:
-                inc = combine(s_logit, ng_scores.get(token, floor), level, cfg)
-                pool.append(DraftNode(len(pool), parent_id, token, level, score + inc))
-        # Stable sort: beam order, then top-k order, among exact ties.
-        survivors = sorted(pool[start:], key=lambda n: (-n.score, n.token, n.parent_id))[: cfg.w]
-        contexts = {parent_id: context for parent_id, context, _ in beam}
-        beam = [(n.id, (contexts[n.parent_id] + (n.token,))[-keep:] if keep else (), n.score)
-                for n in survivors]
+    beam_ids = np.array([ROOT_ID])
+    beam_scores = np.zeros(1)
+    contexts = [tail]
+    pool = []  # per level: (parent, token, level, score) arrays of its expansions
+    size = 0
+    for depth in range(logits.d):
+        row_tokens = top_tokens[depth]
+        s_ng = floor
+        if trie is not None:
+            # One children_scores call per beam entry, scattered into a dense
+            # (beam, V) matrix and gathered at the top-k tokens.
+            found = [trie.children_scores(context, eps=cfg.epsilon) for context in contexts]
+            dense = np.full((len(contexts), logits.vocab_size), floor)
+            beam_of = np.repeat(np.arange(len(found)), [len(f) for f in found])
+            dense[beam_of, [t for f in found for t in f]] = [v for f in found for v in f.values()]
+            s_ng = dense[:, row_tokens]
+        inc = combine(top_scores[depth], s_ng, depth, cfg)
+        level_scores = (beam_scores[:, None] + inc).ravel()
+        level_parents = np.repeat(beam_ids, cfg.k)
+        level_tokens = row_tokens[None, :].repeat(len(contexts), axis=0).ravel()
+        best = _ranked(cfg.w, level_scores, level_tokens, level_parents)[: cfg.w]
+        contexts = [(contexts[b] + (t,))[-keep:] if keep else ()
+                    for b, t in zip((best // cfg.k).tolist(), level_tokens[best].tolist())]
+        beam_ids = size + best
+        beam_scores = level_scores[best]
+        size += len(level_scores)
+        pool.append((level_parents, level_tokens, np.full(len(level_scores), depth), level_scores))
+    parent, token, level, score = (np.concatenate(a) for a in zip(*pool))
 
-    # Top-theta selection. Since increments are clamped <= 0 and parents sort
-    # strictly before their children under this key, walking the sorted pool
-    # keeps the selection ancestor-closed; the parent check guards the
+    # Top-theta selection. Increments are clamped <= 0, so a parent scores at
+    # least as high as its child and sorts strictly before it: the ranked
+    # candidates are ancestor-closed, and the parent check guards that
     # invariant rather than implementing a search.
-    ranked = sorted(pool, key=lambda n: (-n.score, n.level, n.token, n.parent_id))
-    selected: dict[int, int] = {}  # old id -> new id
-    nodes: list[DraftNode] = []
-    for node in ranked:
-        if len(nodes) >= cfg.theta:
+    ranked = _ranked(cfg.theta, score, level, token, parent)
+    tree_id = {ROOT_ID: ROOT_ID}  # pool id -> tree id
+    picked: list[int] = []
+    tree_parent: list[int] = []
+    for i, p in zip(ranked.tolist(), parent[ranked].tolist()):
+        if len(picked) >= cfg.theta:
             break
-        if node.parent_id != ROOT_ID and node.parent_id not in selected:
+        if p not in tree_id:
             continue  # unreachable under score monotonicity; skip, never strand
-        new_id = len(nodes)
-        selected[node.id] = new_id
-        parent = ROOT_ID if node.parent_id == ROOT_ID else selected[node.parent_id]
-        nodes.append(DraftNode(new_id, parent, node.token, node.level, node.score))
-    return DraftTree(nodes)
+        tree_id[i] = len(picked)
+        picked.append(i)
+        tree_parent.append(tree_id[p])
+    return DraftTree(tree_parent, token[picked], level[picked], score[picked])
+
+
+def _ranked(n: int, score: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Indices of the entries scoring at least the n-th best score, ranked by
+    (higher score, *keys ascending, lower index): the top n of the full
+    ranking come first. One stable np.lexsort ranks just these candidates."""
+    if len(score) <= n:
+        return np.lexsort((*reversed(keys), -score))
+    candidates = np.flatnonzero(score >= -np.partition(-score, n - 1)[n - 1])
+    order = np.lexsort(tuple(k[candidates] for k in reversed(keys)) + (-score[candidates],))
+    return candidates[order]
 
 
 def linearize(tree: DraftTree, prefix_len: int) -> LinearizedTree:
@@ -238,31 +263,26 @@ def linearize(tree: DraftTree, prefix_len: int) -> LinearizedTree:
     Nodes keep their stored order (parents before children); position IDs are
     prefix_len + level; mask entry (q, kv) is true iff kv is q or one of q's
     ancestors. Prefix positions are always visible and are not part of the
-    matrix.
+    matrix. The mask is built one level at a time: each node's row is its
+    parent's row plus itself.
     """
-    n = len(tree.nodes)
-    index_of: dict[int, int] = {}
+    n = len(tree)
+    parent, level = tree.parent, tree.level
+    bad = np.flatnonzero((parent < ROOT_ID) | (parent >= np.arange(n)))
+    if bad.size:
+        raise InvalidTreeError(f"node {bad[0]} appears before its parent {parent[bad[0]]} "
+                               "or the parent is missing")
+    parent_level = np.where(parent == ROOT_ID, -1, level[np.maximum(parent, 0)])
+    bad = np.flatnonzero(level != parent_level + 1)
+    if bad.size:
+        raise InvalidTreeError(f"node {bad[0]} has level {level[bad[0]]} under a parent "
+                               f"of level {parent_level[bad[0]]}")
     mask = np.zeros((n, n), dtype=bool)
-    tokens = []
-    position_ids = []
-    for idx, node in enumerate(tree.nodes):
-        if node.id in index_of:
-            raise InvalidTreeError(f"duplicate node id {node.id}")
-        if node.parent_id == ROOT_ID:
-            if node.level != 0:
-                raise InvalidTreeError(f"root child {node.id} has level {node.level}")
-        else:
-            if node.parent_id not in index_of:
-                raise InvalidTreeError(
-                    f"node {node.id} appears before its parent {node.parent_id} "
-                    "or the parent is missing"
-                )
-            parent_idx = index_of[node.parent_id]
-            if node.level != tree.nodes[parent_idx].level + 1:
-                raise InvalidTreeError(f"node {node.id} level skips its parent's")
-            mask[idx] = mask[parent_idx]
-        index_of[node.id] = idx
+    by_level = np.argsort(level, kind="stable")
+    bounds = np.cumsum(np.bincount(level)).tolist()
+    for lo, hi in zip([0] + bounds, bounds):
+        idx = by_level[lo:hi]
+        if lo:
+            mask[idx] = mask[parent[idx]]
         mask[idx, idx] = True
-        tokens.append(node.token)
-        position_ids.append(prefix_len + node.level)
-    return LinearizedTree(tokens, position_ids, mask)
+    return LinearizedTree(tree.token.tolist(), (prefix_len + level).tolist(), mask)

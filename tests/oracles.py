@@ -125,18 +125,20 @@ def argmax_rollout(target, prompt, length):
 
 
 def tree_to_paths(tree):
-    """Canonical form of a DraftTree: {draft path tuple: (level, score)}."""
-    by_id = {n.id: n for n in tree.nodes}
+    """Canonical form of a DraftTree, read from its records:
+    {draft path tuple: (level, score)}, in tree order."""
+    records = tree.to_records()
+    by_id = {r["id"]: r for r in records}
     out = {}
-    for n in tree.nodes:
+    for r in records:
         path = []
-        cur = n
+        cur = r
         while True:
-            path.append(cur.token)
-            if cur.parent_id == -1:
+            path.append(cur["token"])
+            if cur["parent_id"] == -1:
                 break
-            cur = by_id[cur.parent_id]
-        out[tuple(reversed(path))] = (n.level, n.score)
+            cur = by_id[cur["parent_id"]]
+        out[tuple(reversed(path))] = (r["level"], r["score"])
     return out
 
 

@@ -19,11 +19,11 @@ from specdraft.engine import (
 )
 from specdraft.models import (
     AdversarialDrafter,
+    MarkovTarget,
     NoisyOracleDrafter,
     OracleDrafter,
     ToyDraft,
     UniformDrafter,
-    sample_markov_target,
 )
 from specdraft.ngram import build_trie
 from specdraft.training import (
@@ -108,8 +108,8 @@ def test_03_greedy_losslessness():
     rng = np.random.default_rng(11)
     mismatches = 0
     for case in range(100):
-        target = sample_markov_target(int(rng.integers(1 << 30)), 16, 2,
-                                      concentration=0.2)
+        target = MarkovTarget(int(rng.integers(1 << 30)), 16, 2,
+                              concentration=0.2)
         kind = case % 4
         drafter = [
             OracleDrafter(target),
@@ -134,7 +134,7 @@ def test_03_greedy_losslessness():
 
 def test_04_sampled_losslessness():
     start = time.perf_counter()
-    target = sample_markov_target(3, 4, 2, concentration=0.4)
+    target = MarkovTarget(3, 4, 2, concentration=0.4)
     cfg = DecodeConfig(d=2, temperature=1.0, max_tokens=3, seed=42,
                        prune=PruneConfig(k=2, w=2, theta=4))
     tvs = {}
@@ -150,7 +150,7 @@ def test_04_sampled_losslessness():
 
 
 def test_05_ngram_ablation_direction():
-    target = sample_markov_target(17, 32, 2, concentration=0.1)
+    target = MarkovTarget(17, 32, 2, concentration=0.1)
     crng = np.random.default_rng(99)
     corpus = [target.sample_sequence(crng, 300) for _ in range(30)]
     trie = build_trie(corpus, 3, 32)
@@ -188,7 +188,7 @@ def test_06_training_mask_exhaustive():
 
 
 def test_07_gradient_check():
-    target = sample_markov_target(5, 8, 1, concentration=0.05)
+    target = MarkovTarget(5, 8, 1, concentration=0.05)
     rng = np.random.default_rng(0)
     corpus = [target.sample_sequence(rng, 14) for _ in range(12)]
     batch = build_training_batch(target, corpus, 4, 0.6)
@@ -212,7 +212,7 @@ GAMMAS = (0.5, 0.6, 0.8, 1.0)
 
 
 def test_08_annealing_direction():
-    target = sample_markov_target(5, 8, 2, concentration=0.3)
+    target = MarkovTarget(5, 8, 2, concentration=0.3)
     rng = np.random.default_rng(0)
     corpus = [target.sample_sequence(rng, 16) for _ in range(16)]
     heldout = [target.sample_sequence(rng, 16) for _ in range(150)]
@@ -230,7 +230,7 @@ def test_08_annealing_direction():
 
 
 def test_09_shifted_prediction_direction():
-    target = sample_markov_target(5, 8, 2, concentration=0.3)
+    target = MarkovTarget(5, 8, 2, concentration=0.3)
     rng = np.random.default_rng(0)
     corpus = [target.sample_sequence(rng, 16) for _ in range(16)]
     heldout = [target.sample_sequence(rng, 16) for _ in range(150)]

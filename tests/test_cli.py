@@ -5,7 +5,7 @@ import pytest
 
 from specdraft.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, load_config, main
 from specdraft.errors import ConfigError
-from specdraft.models import ToyDraft, sample_markov_target
+from specdraft.models import MarkovTarget, ToyDraft
 from specdraft.ngram import build_trie, save_trie
 
 
@@ -122,6 +122,11 @@ def test_decode_with_trie_and_jsonl(tmp_path, config_file, capsys):
     records = [json.loads(l) for l in lines]
     assert "tau" in records[-1]
     assert all("draft_ms" in r for r in records[:-1])
+    d, theta = 3, 8  # the config's decode.d and prune.theta
+    assert all(len(r["nodes_per_level"]) == d and 1 <= sum(r["nodes_per_level"]) <= theta
+               for r in records[:-1])
+    rates = records[-1]["accept_rates"]
+    assert len(rates) == d and all(0.0 <= a <= 1.0 for a in rates)
 
 
 def test_trie_vocab_mismatch_exits_2(tmp_path, config_file, capsys):
@@ -291,7 +296,7 @@ def test_toy_drafter_vocab_mismatch_rejected(train_config, capsys):
 
 def test_toy_drafter_misshapen_model_file_exits_3(tmp_path, config_file, capsys):
     path = tmp_path / "toy.npz"
-    ToyDraft(16, sample_markov_target(7, 16, 2).embeddings).save(path)
+    ToyDraft(16, MarkovTarget(7, 16, 2).embeddings).save(path)
     data = dict(np.load(path))
     data["W_head"] = np.zeros((3, 3))
     np.savez(path, **data)

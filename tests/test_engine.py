@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specdraft import engine
 from specdraft.engine import (
     DecodeConfig,
     baseline_decode,
@@ -17,17 +18,16 @@ from specdraft.models import (
     OracleDrafter,
     ToyDraft,
     UniformDrafter,
-    sample_markov_target,
 )
 from specdraft.ngram import build_trie
-from specdraft.tree import ROOT_ID, DraftNode, DraftTree, ParallelLogits, PruneConfig, linearize, prune
+from specdraft.tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, linearize, prune
 
 from oracles import argmax_rollout
 
 
 @pytest.fixture
 def target():
-    return sample_markov_target(21, 8, 2, concentration=0.15)
+    return MarkovTarget(21, 8, 2, concentration=0.15)
 
 
 def small_cfg(**kw):
@@ -56,7 +56,7 @@ def test_verify_immediate_mismatch(target):
     prefix = [1, 2]
     best = int(np.argmax(target.next_dist(prefix, 0.0)))
     wrong = (best + 1) % target.vocab_size
-    tree = DraftTree([DraftNode(0, ROOT_ID, wrong, 0, -0.5)])
+    tree = DraftTree(parent=[ROOT_ID], token=[wrong], level=[0], score=[-0.5])
     lin = linearize(tree, len(prefix))
     accepted, bonus = verify(tree, lin, prefix, target, 0.0, np.random.default_rng(0))
     assert accepted == []
@@ -79,9 +79,26 @@ def test_verify_full_support_always_descends(target):
         assert 0 <= bonus < V
 
 
+def test_verify_tries_children_in_tree_order(target):
+    # The walk's first draw decides the first-listed root child: it is
+    # accepted iff the draw falls below its share of the target mass. Listing
+    # the same children in the other order spends that draw on the other one.
+    prefix = [1, 2]
+    dist = target.next_dist(prefix, 1.0)
+    a, b = np.argsort(dist)[-2:].tolist()
+    for first, second in ((a, b), (b, a)):
+        tree = DraftTree(parent=[ROOT_ID, ROOT_ID], token=[first, second], level=[0, 0],
+                         score=[-0.1, -0.2])
+        lin = linearize(tree, len(prefix))
+        for seed in range(30):
+            draw = np.random.default_rng(seed).random()
+            accepted, _ = verify(tree, lin, prefix, target, 1.0, np.random.default_rng(seed))
+            assert (accepted == [first]) == (draw < dist[first] / float(dist.sum()))
+
+
 def test_verify_rejects_empty_tree(target):
     with pytest.raises(ConfigError):
-        verify(DraftTree([]), None, [0], target, 0.0, np.random.default_rng(0))
+        verify(DraftTree([], [], [], []), None, [0], target, 0.0, np.random.default_rng(0))
 
 
 # -- decode -----------------------------------------------------------------------
@@ -95,7 +112,7 @@ def test_decode_oracle_tau_is_depth_plus_one(target):
 
 
 def test_decode_uniform_tau_band():
-    target = sample_markov_target(3, 256, 2, concentration=0.1)
+    target = MarkovTarget(3, 256, 2, concentration=0.1)
     cfg = DecodeConfig(d=3, temperature=0.0, max_tokens=1100, seed=5,
                        prune=PruneConfig(k=25, w=8, theta=16))
     out, metrics = decode([0], target, UniformDrafter(256, seed=4), None, cfg,
@@ -137,7 +154,7 @@ def test_cycle_accounting(target):
 def test_greedy_losslessness_randomized():
     rng = np.random.default_rng(42)
     for case in range(8):
-        target = sample_markov_target(int(rng.integers(1e6)), 16, 2)
+        target = MarkovTarget(int(rng.integers(1e6)), 16, 2)
         drafter = [
             OracleDrafter(target),
             UniformDrafter(16, seed=case),
@@ -205,6 +222,49 @@ def test_metrics_report_and_records(target):
             "verify_ms"} <= set(recs[0])
 
 
+def test_cycle_records_explain_tau(target, monkeypatch):
+    corpus = [target.greedy_chain([t], 60) for t in range(4)]
+    trie = build_trie(corpus, 3, target.vocab_size)
+    sizes = []
+
+    def recording_prune(*args):
+        tree = prune(*args)
+        sizes.append(len(tree))
+        return tree
+
+    monkeypatch.setattr(engine, "prune", recording_prune)
+    cfg = small_cfg(temperature=1.0, max_tokens=60, seed=3)
+    out, metrics = decode([1, 2], target, NoisyOracleDrafter(target, seed=3), trie, cfg,
+                          measure_base=False)
+    records = metrics.records
+    assert [sum(r.nodes_per_level) for r in records] == sizes
+    assert all(len(r.nodes_per_level) == cfg.d for r in records)
+    assert max(sizes) <= cfg.prune.theta
+    assert sum(r.accepted for r in records) == metrics.tokens_out - metrics.cycles
+    accepted = [r.accepted for r in records]
+    assert len(metrics.accept_rates) == cfg.d
+    for t, rate in enumerate(metrics.accept_rates, start=1):
+        reached = [a for a in accepted if a >= t - 1]
+        assert 0.0 <= rate <= 1.0
+        assert rate == (sum(a >= t for a in reached) / len(reached) if reached else 0.0)
+    assert metrics.accept_rates[0] > 0
+
+
+def test_same_seed_same_records(target):
+    corpus = [target.greedy_chain([t], 60) for t in range(4)]
+    trie = build_trie(corpus, 3, target.vocab_size)
+
+    def run():
+        cfg = small_cfg(temperature=0.7, max_tokens=40, seed=4)
+        out, metrics = decode([3, 1], target, NoisyOracleDrafter(target, seed=4), trie, cfg,
+                              measure_base=False)
+        records = [{k: v for k, v in rec.items() if not k.endswith("_ms")}
+                   for rec in metrics.to_records()]
+        return out, records, metrics.accept_rates, metrics.tau
+
+    assert run() == run()
+
+
 # -- exactness ----------------------------------------------------------------------
 
 
@@ -219,7 +279,7 @@ def test_exactness_requires_positive_temperature(target):
 
 
 def test_exactness_small_run():
-    target = sample_markov_target(3, 4, 2)
+    target = MarkovTarget(3, 4, 2)
     cfg = DecodeConfig(d=2, temperature=1.0, max_tokens=3, seed=7,
                        prune=PruneConfig(k=2, w=2, theta=4))
     tv = exactness_check(target, OracleDrafter(target), None, cfg, 4000)
@@ -231,7 +291,7 @@ def test_exactness_with_sampling_drafter():
     # same rng stream the verifier draws from; output must stay exact.
     from specdraft.models import ToyDraft
 
-    target = sample_markov_target(3, 4, 1)
+    target = MarkovTarget(3, 4, 1)
     drafter = ToyDraft(4, np.zeros((4, 8)), seed=1)
     cfg = DecodeConfig(d=2, temperature=0.9, max_tokens=3, seed=11,
                        prune=PruneConfig(k=2, w=2, theta=4))

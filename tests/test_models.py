@@ -6,12 +6,12 @@ import pytest
 from specdraft.errors import ConfigError, ModelFormatError
 from specdraft.models import (
     AdversarialDrafter,
+    MarkovTarget,
     NoisyOracleDrafter,
     OracleDrafter,
     ToyDraft,
     UniformDrafter,
     positional_encoding,
-    sample_markov_target,
     temperature_adjust,
 )
 
@@ -22,8 +22,8 @@ from oracles import readout_attention
 
 
 def test_same_seed_identical_tables():
-    a = sample_markov_target(7, 4, 2)
-    b = sample_markov_target(7, 4, 2)
+    a = MarkovTarget(7, 4, 2)
+    b = MarkovTarget(7, 4, 2)
     for ctx in [(0, 0), (1, 3), (2, 2)]:
         assert np.array_equal(a.next_dist(ctx), b.next_dist(ctx))
         fa, fb = a.features(list(ctx)), b.features(list(ctx))
@@ -32,7 +32,7 @@ def test_same_seed_identical_tables():
 
 
 def test_rows_sum_to_one():
-    t = sample_markov_target(3, 16, 2)
+    t = MarkovTarget(3, 16, 2)
     rng = np.random.default_rng(0)
     for _ in range(20):
         ctx = list(rng.integers(0, 16, size=2))
@@ -40,8 +40,8 @@ def test_rows_sum_to_one():
 
 
 def test_greedy_continuation_reproducible():
-    a = sample_markov_target(7, 4, 2)
-    b = sample_markov_target(7, 4, 2)
+    a = MarkovTarget(7, 4, 2)
+    b = MarkovTarget(7, 4, 2)
     assert a.greedy_chain([1, 2], 8) == b.greedy_chain([1, 2], 8)
 
 
@@ -56,7 +56,7 @@ def test_temperature_adjust():
 
 
 def test_temperature_adjust_small_temperature_stays_finite():
-    dist = sample_markov_target(4, 256, 2).next_dist([1, 2])
+    dist = MarkovTarget(4, 256, 2).next_dist([1, 2])
     cold = temperature_adjust(dist, 0.001)
     assert np.all(np.isfinite(cold))
     assert abs(cold.sum() - 1.0) < 1e-12
@@ -64,7 +64,7 @@ def test_temperature_adjust_small_temperature_stays_finite():
 
 
 def test_features_match_per_position_contexts():
-    t = sample_markov_target(9, 8, 3)
+    t = MarkovTarget(9, 8, 3)
     prefix = [int(x) for x in np.random.default_rng(1).integers(0, 8, size=40)]
     feats = t.features(prefix)
     for i in range(len(prefix)):
@@ -72,13 +72,17 @@ def test_features_match_per_position_contexts():
         assert np.array_equal(feats.low[i], ref.low[i])
         assert np.array_equal(feats.mid[i], ref.mid[i])
         assert np.array_equal(feats.high[i], ref.high[i])
+        # Row i, one position at a time: the block of the trailing `order`
+        # tokens up to i, left-padded with token 0.
+        block = t._feat(t._context(prefix[max(0, i + 1 - t.order): i + 1]))
+        assert np.array_equal(np.stack([feats.low[i], feats.mid[i], feats.high[i]]), block)
 
 
 def test_features_extend_to_the_full_prefix():
     # Rows from `start` on, appended to the rows of prefix[:start], are the
     # rows of the whole prefix: also for start < order, where a row's context
     # reaches back past `start`.
-    t = sample_markov_target(9, 8, 3)
+    t = MarkovTarget(9, 8, 3)
     rng = np.random.default_rng(2)
     for n in (0, 1, 2, 5, 17):
         prefix = [int(x) for x in rng.integers(0, 8, size=n)]
@@ -92,7 +96,7 @@ def test_features_extend_to_the_full_prefix():
 
 
 def test_features_start_out_of_range():
-    t = sample_markov_target(9, 8, 3)
+    t = MarkovTarget(9, 8, 3)
     for start in (-1, 4):
         with pytest.raises(ConfigError):
             t.features([1, 2, 3], start)
@@ -100,18 +104,18 @@ def test_features_start_out_of_range():
 
 def test_target_validation():
     with pytest.raises(ConfigError):
-        sample_markov_target(0, 1, 1)
+        MarkovTarget(0, 1, 1)
     with pytest.raises(ConfigError):
-        sample_markov_target(0, 4, 0)
+        MarkovTarget(0, 4, 0)
 
 
 def test_short_prefix_padded():
-    t = sample_markov_target(5, 8, 3)
+    t = MarkovTarget(5, 8, 3)
     assert np.array_equal(t.next_dist([4]), t.next_dist([0, 0, 4]))
 
 
 def test_sample_sequence_seeded():
-    t = sample_markov_target(5, 8, 1)
+    t = MarkovTarget(5, 8, 1)
     s1 = t.sample_sequence(np.random.default_rng(3), 20)
     s2 = t.sample_sequence(np.random.default_rng(3), 20)
     assert s1 == s2 and len(s1) == 20
@@ -122,7 +126,7 @@ def test_sample_sequence_seeded():
 
 @pytest.fixture
 def target():
-    return sample_markov_target(9, 8, 1)
+    return MarkovTarget(9, 8, 1)
 
 
 @pytest.fixture
@@ -141,7 +145,7 @@ def test_single_forward_per_predict(target, model):
 @pytest.mark.parametrize("d", [1, 8])
 @pytest.mark.parametrize("n", [1, 2, 300])
 def test_forward_matches_per_row_attention_oracle(shifted, d, n):
-    target = sample_markov_target(9, 16, 2)
+    target = MarkovTarget(9, 16, 2)
     model = ToyDraft(16, target.embeddings, seed=5, shifted=shifted)
     prefix = [int(x) for x in np.random.default_rng(n).integers(0, 16, size=n)]
     feats = target.features(prefix).concatenated()
@@ -155,7 +159,7 @@ def test_forward_matches_per_row_attention_oracle(shifted, d, n):
 def test_predict_memory_stays_linear_in_prefix():
     # Full L x L attention at n = 4096 needs a 4103 x 4103 float64 score
     # matrix (134 MB); the d read-out rows need a few MB.
-    target = sample_markov_target(9, 64, 2)
+    target = MarkovTarget(9, 64, 2)
     model = ToyDraft(64, target.embeddings, seed=2)
     prefix = [int(x) for x in np.random.default_rng(0).integers(0, 64, size=4096)]
     feats = target.features(prefix)

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import rel_entr
 
 from specdraft.errors import ConfigError, TrainingDivergedError
-from specdraft.models import ToyDraft, sample_markov_target
+from specdraft.models import MarkovTarget, ToyDraft
 from specdraft.training import (
     AnnealedKLConfig,
     TrainingLogRecord,
@@ -188,7 +188,7 @@ def test_kl_config_validation():
 
 @pytest.fixture(scope="module")
 def setup():
-    target = sample_markov_target(5, 8, 1, concentration=0.05)
+    target = MarkovTarget(5, 8, 1, concentration=0.05)
     rng = np.random.default_rng(0)
     corpus = [target.sample_sequence(rng, 14) for _ in range(12)]
     heldout = [target.sample_sequence(rng, 14) for _ in range(30)]
@@ -214,7 +214,7 @@ def test_loss_strictly_decreases_first_100_steps(setup):
 def test_divergence_aborts():
     # A smooth target keeps the initial KL small, so a blown-up loss clears
     # the 10x threshold before the epsilon floor caps it.
-    target = sample_markov_target(5, 8, 1, concentration=5.0)
+    target = MarkovTarget(5, 8, 1, concentration=5.0)
     rng = np.random.default_rng(0)
     corpus = [target.sample_sequence(rng, 14) for _ in range(8)]
     with pytest.raises(TrainingDivergedError) as exc:

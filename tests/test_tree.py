@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdraft.errors import ConfigError, InvalidTreeError
+from specdraft.models import MarkovTarget
 from specdraft.ngram import EPSILON, build_trie
 from specdraft.tree import (
     ROOT_ID,
-    DraftNode,
     DraftTree,
     ParallelLogits,
     PruneConfig,
@@ -29,24 +29,24 @@ def test_top_k_basic():
     row = np.array([2.0, 1.0, 0.0])
     e = np.exp(row - row.max())
     sm = e / e.sum()
-    got = top_k_candidates(row, 2)
-    assert [t for t, _ in got] == [0, 1]
-    assert got[0][1] == pytest.approx(math.log(sm[0] + EPSILON))
-    assert got[1][1] == pytest.approx(math.log(sm[1] + EPSILON))
+    tokens, scores = top_k_candidates(row, 2)
+    assert tokens.tolist() == [0, 1]
+    assert scores[0] == pytest.approx(math.log(sm[0] + EPSILON))
+    assert scores[1] == pytest.approx(math.log(sm[1] + EPSILON))
 
 
 def test_top_k_uniform_all():
     V = 5
-    got = top_k_candidates(np.zeros(V), V)
-    assert [t for t, _ in got] == list(range(V))  # ties break by token id
-    for _, s in got:
+    tokens, scores = top_k_candidates(np.zeros(V), V)
+    assert tokens.tolist() == list(range(V))  # ties break by token id
+    for s in scores:
         assert s == pytest.approx(math.log(1 / V + EPSILON))
 
 
 def test_top_k_dominant_entry():
     row = np.zeros(8)
     row[3] = 1e4
-    (tok, s), = top_k_candidates(row, 1)
+    (tok,), (s,) = top_k_candidates(row, 1)
     assert tok == 3
     assert s == pytest.approx(math.log(1 + EPSILON), abs=1e-9)
 
@@ -128,10 +128,31 @@ def assert_matches_oracle(rows, corpus, cfg, prefix):
     tree = prune(ParallelLogits(rows), trie, cfg, prefix)
     got = tree_to_paths(tree)
     want = oracle_prune(rows, counter, cfg, prefix)
-    assert set(got) == set(want)
+    assert list(got) == list(want)  # the same nodes in the same order
     for path, (level, score) in want.items():
         assert got[path][0] == level
         assert abs(got[path][1] - score) < 1e-12
+    return got
+
+
+@pytest.mark.parametrize("V", [64, 256])
+def test_prune_matches_oracle_at_reference_point(V):
+    # The reference operating point, with logits on a 0.5 grid so that many
+    # candidates tie, and a trie over the target's own chain. Prefixes come
+    # from that chain and the rows favour its continuation, so trie hits
+    # reach deep levels; a boost of 30 makes the chain's increments clamp to
+    # 0, so children tie their parents. verify tries siblings in tree order
+    # and draws once per trial, so the node order must match the oracle's.
+    target = MarkovTarget(V, V, 2, concentration=0.1)
+    rng = np.random.default_rng(V)
+    chain = target.sample_sequence(rng, 4000)
+    cfg = PruneConfig(k=25, w=20, theta=59)
+    for boost in (4.0, 4.0, 30.0):
+        i = int(rng.integers(0, len(chain) - 14))
+        prefix = chain[i:i + 6]
+        rows = np.round(rng.standard_normal((8, V)) * 4) / 2
+        rows[np.arange(8), chain[i + 6:i + 14]] += boost
+        assert len(assert_matches_oracle(rows, [chain], cfg, prefix)) == cfg.theta
 
 
 @given(st.data())
@@ -153,9 +174,11 @@ def test_prune_oracle_equivalence(data):
 
 def test_prune_oracle_with_exact_ties():
     # All-uniform rows make every expansion at a level score identically.
+    # With theta = 12 the tree reaches the last level, so which tied
+    # candidates survived the beam shows.
     rows = np.zeros((3, 4))
-    cfg = PruneConfig(k=3, w=2, theta=8)
-    assert_matches_oracle(rows, [], cfg, [0])
+    for theta in (8, 12):
+        assert_matches_oracle(rows, [], PruneConfig(k=3, w=2, theta=theta), [0])
 
 
 def test_prune_depth_one_is_top_k():
@@ -163,9 +186,9 @@ def test_prune_depth_one_is_top_k():
     rows = rng.standard_normal((1, 12))
     cfg = PruneConfig(k=5, w=3, theta=4)
     tree = prune(ParallelLogits(rows), None, cfg, [1, 2])
-    want = [t for t, _ in top_k_candidates(rows[0], min(cfg.k, cfg.theta))]
-    assert [n.token for n in tree.nodes] == want[: cfg.theta]
-    assert all(n.parent_id == ROOT_ID and n.level == 0 for n in tree.nodes)
+    want, _ = top_k_candidates(rows[0], min(cfg.k, cfg.theta))
+    assert tree.token.tolist() == want[: cfg.theta].tolist()
+    assert (tree.parent == ROOT_ID).all() and (tree.level == 0).all()
 
 
 def test_prune_dominant_chain_with_matching_trie():
@@ -202,7 +225,7 @@ def test_beam_soundness():
     cur = [((), 0.0)]
     floor = math.log(cfg.epsilon)
     for level in range(d):
-        cands = top_k_candidates(rows[level], cfg.k)
+        cands = list(zip(*(a.tolist() for a in top_k_candidates(rows[level], cfg.k))))
         new = []
         for path, sc in cur:
             for t, s_logit in cands:
@@ -220,16 +243,14 @@ def test_scores_monotone_and_ancestor_closed():
     rows = rng.standard_normal((4, 9)) * 3
     cfg = PruneConfig(k=3, w=4, theta=12)
     tree = prune(ParallelLogits(rows), None, cfg, [4])
-    ids = {n.id for n in tree.nodes}
-    by_id = {n.id: n for n in tree.nodes}
-    assert len(tree.nodes) <= cfg.theta
-    for n in tree.nodes:
-        if n.parent_id != ROOT_ID:
-            assert n.parent_id in ids
-            assert n.score <= by_id[n.parent_id].score
-            assert n.level == by_id[n.parent_id].level + 1
+    assert len(tree) <= cfg.theta
+    for i, p in enumerate(tree.parent.tolist()):
+        if p != ROOT_ID:
+            assert 0 <= p < i
+            assert tree.score[i] <= tree.score[p]
+            assert tree.level[i] == tree.level[p] + 1
         else:
-            assert n.level == 0
+            assert tree.level[i] == 0
 
 
 def test_ngram_boost_never_lowers_rank():
@@ -245,7 +266,7 @@ def test_ngram_boost_never_lowers_rank():
     def rank_of(corpus):
         trie = build_trie(corpus, 3, vocab_size=V) if corpus else None
         tree = prune(ParallelLogits(rows), trie, cfg, prefix)
-        order = [n.token for n in tree.nodes]
+        order = tree.token.tolist()
         return order.index(target_tok)
 
     base_rank = rank_of([])
@@ -269,10 +290,8 @@ def test_parallel_logits_validation():
 
 
 def chain_tree(tokens):
-    nodes = []
-    for i, t in enumerate(tokens):
-        nodes.append(DraftNode(i, i - 1 if i else ROOT_ID, t, i, -float(i)))
-    return DraftTree(nodes)
+    n = len(tokens)
+    return DraftTree(np.arange(n) - 1, tokens, np.arange(n), -np.arange(n, dtype=float))
 
 
 def test_linearize_chain_is_lower_triangular():
@@ -283,10 +302,8 @@ def test_linearize_chain_is_lower_triangular():
 
 
 def test_linearize_siblings_isolated():
-    tree = DraftTree([
-        DraftNode(0, ROOT_ID, 1, 0, -0.1),
-        DraftNode(1, ROOT_ID, 2, 0, -0.2),
-    ])
+    tree = DraftTree(parent=[ROOT_ID, ROOT_ID], token=[1, 2], level=[0, 0],
+                     score=[-0.1, -0.2])
     lin = linearize(tree, prefix_len=10)
     assert lin.position_ids == [10, 10]
     assert np.array_equal(lin.attention_mask, np.eye(2, dtype=bool))
@@ -296,38 +313,32 @@ def test_linearize_full_binary_depth_two():
     # Root children 0/1; each has two children: 7 nodes... depth 2 => 2 levels
     # below the two roots -> take one root with a full binary subtree of
     # depth 2 plus a second root child: leaves see exactly 3 tree positions.
-    nodes = [
-        DraftNode(0, ROOT_ID, 0, 0, -0.1),
-        DraftNode(1, ROOT_ID, 1, 0, -0.2),
-        DraftNode(2, 0, 0, 1, -0.3),
-        DraftNode(3, 0, 1, 1, -0.4),
-        DraftNode(4, 2, 0, 2, -0.5),
-        DraftNode(5, 2, 1, 2, -0.6),
-        DraftNode(6, 3, 0, 2, -0.7),
-    ]
-    lin = linearize(DraftTree(nodes), prefix_len=0)
+    tree = DraftTree(parent=[ROOT_ID, ROOT_ID, 0, 0, 2, 2, 3],
+                     token=[0, 1, 0, 1, 0, 1, 0],
+                     level=[0, 0, 1, 1, 2, 2, 2],
+                     score=[-0.1, -0.2, -0.3, -0.4, -0.5, -0.6, -0.7])
+    lin = linearize(tree, prefix_len=0)
     for leaf_idx in (4, 5, 6):
         assert lin.attention_mask[leaf_idx].sum() == 3
 
 
 def test_linearize_rejects_orphans_and_disorder():
     with pytest.raises(InvalidTreeError):
-        linearize(DraftTree([DraftNode(0, 99, 1, 1, 0.0)]), 0)
+        linearize(DraftTree([99], [1], [1], [0.0]), 0)  # orphan
     with pytest.raises(InvalidTreeError):
-        linearize(DraftTree([
-            DraftNode(1, 0, 2, 1, -0.5),  # child listed before parent
-            DraftNode(0, ROOT_ID, 1, 0, -0.1),
-        ]), 0)
+        linearize(DraftTree([-2], [1], [0], [0.0]), 0)  # parent id below ROOT_ID
     with pytest.raises(InvalidTreeError):
-        linearize(DraftTree([
-            DraftNode(0, ROOT_ID, 1, 0, -0.1),
-            DraftNode(0, ROOT_ID, 2, 0, -0.1),  # duplicate id
-        ]), 0)
+        # child listed before parent
+        linearize(DraftTree([1, ROOT_ID], [2, 1], [1, 0], [-0.5, -0.1]), 0)
     with pytest.raises(InvalidTreeError):
-        linearize(DraftTree([
-            DraftNode(0, ROOT_ID, 1, 0, -0.1),
-            DraftNode(1, 0, 2, 2, -0.2),  # level skip
-        ]), 0)
+        linearize(DraftTree([0], [1], [0], [-0.1]), 0)  # its own parent
+    with pytest.raises(InvalidTreeError):
+        # level skip
+        linearize(DraftTree([ROOT_ID, 0], [1, 2], [0, 2], [-0.1, -0.2]), 0)
+    with pytest.raises(InvalidTreeError):
+        linearize(DraftTree([ROOT_ID], [1], [1], [-0.1]), 0)  # root child below level 0
+    with pytest.raises(InvalidTreeError):
+        DraftTree([ROOT_ID, 0], [1], [0, 1], [-0.1, -0.2])  # ragged arrays
 
 
 @given(st.integers(0, 2 ** 31))
@@ -339,19 +350,16 @@ def test_linearized_mask_rows_reproduce_parent_chains(seed):
     cfg = PruneConfig(k=3, w=3, theta=9)
     tree = prune(ParallelLogits(rows), None, cfg, [0])
     lin = linearize(tree, prefix_len=5)
-    by_id = {n.id: n for n in tree.nodes}
-    for idx, node in enumerate(tree.nodes):
+    for idx in range(len(tree)):
         chain = []
-        cur = node
-        while True:
-            chain.append(cur.token)
-            if cur.parent_id == ROOT_ID:
-                break
-            cur = by_id[cur.parent_id]
+        cur = idx
+        while cur != ROOT_ID:
+            chain.append(int(tree.token[cur]))
+            cur = int(tree.parent[cur])
         chain.reverse()
         visible = [lin.tokens[j] for j in np.flatnonzero(lin.attention_mask[idx])]
         assert visible == chain
-        assert lin.position_ids[idx] == 5 + node.level
+        assert lin.position_ids[idx] == 5 + tree.level[idx]
 
 
 def test_render_and_records():
