@@ -19,7 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .engine import DecodeConfig, baseline_decode, decode, estimate_speedup
-from .errors import ConfigError, ModelFormatError, TrainingDivergedError, TrieFormatError
+from .errors import (
+    ConfigError,
+    ModelFormatError,
+    TrainingDivergedError,
+    TrieFormatError,
+    check_int,
+    check_number,
+)
 from .models import (
     AdversarialDrafter,
     MarkovTarget,
@@ -78,6 +85,19 @@ def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown config key(s) in {section}: {sorted(unknown)}")
 
 
+def _check_kinds(section: str, values: dict, defaults: dict) -> None:
+    """Each value must be of its default's kind: bool, integer or finite number."""
+    for key, default in defaults.items():
+        name, value = f"{section}.{key}", values[key]
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
+        elif isinstance(default, int):
+            check_int(name, value)
+        else:
+            check_number(name, value)
+
+
 def load_config(path: str | None, overrides: list[str] | None = None,
                 output_paths: set[str] = frozenset()) -> RunConfig:
     """Parse the config file, apply dotted-key overrides, validate strictly.
@@ -123,13 +143,13 @@ def load_config(path: str | None, overrides: list[str] | None = None,
     paths = dict(raw.get("paths", {}))
     _reject_unknown("paths", paths, _PATH_KEYS)
 
-    seed = int(raw.get("seed", 0))
+    seed = raw.get("seed", 0)
+    check_int("seed", seed, minimum=0)
+    _check_kinds("target", target_raw, _TARGET_DEFAULTS)
+    _check_kinds("training", training, _TRAINING_DEFAULTS)
     prune_cfg = PruneConfig(**prune_raw)
     decode_cfg = DecodeConfig(seed=seed, prune=prune_cfg, **decode_raw)
-    target = MarkovTarget(
-        int(target_raw["seed"]), int(target_raw["vocab_size"]),
-        int(target_raw["order"]), float(target_raw["concentration"]),
-    )
+    target = MarkovTarget(**target_raw)
     for key, p in paths.items():
         if key in output_paths or key == "train_log":
             continue
@@ -299,10 +319,10 @@ def cmd_bench_trie(args) -> int:
 def _training_corpora(cfg: RunConfig):
     tr = cfg.training
     rng = np.random.default_rng(cfg.seed)
-    corpus = [cfg.target.sample_sequence(rng, int(tr["sequence_length"]))
-              for _ in range(int(tr["corpus_sequences"]))]
-    heldout = [cfg.target.sample_sequence(rng, int(tr["sequence_length"]))
-               for _ in range(int(tr["heldout_sequences"]))]
+    corpus = [cfg.target.sample_sequence(rng, tr["sequence_length"])
+              for _ in range(tr["corpus_sequences"])]
+    heldout = [cfg.target.sample_sequence(rng, tr["sequence_length"])
+               for _ in range(tr["heldout_sequences"])]
     return corpus, heldout
 
 
@@ -314,8 +334,8 @@ def cmd_train_toy(args) -> int:
     corpus, heldout = _training_corpora(cfg)
     log: list[TrainingLogRecord] = []
     model = train_toy_draft(
-        cfg.target, corpus, float(tr["gamma"]), int(tr["d"]), int(tr["steps"]),
-        float(tr["lr"]), cfg.seed, shifted=bool(tr["shifted"]),
+        cfg.target, corpus, tr["gamma"], tr["d"], tr["steps"],
+        tr["lr"], cfg.seed, shifted=tr["shifted"],
         eval_sequences=heldout, eval_every=args.eval_every, log=log,
     )
     model.save(model_path)
@@ -332,7 +352,7 @@ def cmd_eval(args) -> int:
     unused = set() if args.drafter == "toy" else {"model"}
     cfg = load_config(args.config, args.override, output_paths=unused)
     tr = cfg.training
-    d = int(tr["d"])
+    d = tr["d"]
     _, heldout = _training_corpora(cfg)
     drafter = _make_drafter(args.drafter, cfg, cfg.seed)
     alpha = evaluate_alpha(drafter, cfg.target, heldout, d,

@@ -17,7 +17,6 @@ the argmax.
 
 from __future__ import annotations
 
-import math
 import statistics
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -25,7 +24,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_number
 from .models import TargetFeatures, sample_from
 from .ngram import NgramTrie
 from .tree import (
@@ -52,8 +51,10 @@ class TargetModel(Protocol):
 
 
 class DraftPredictor(Protocol):
-    def predict(self, prefix, feats, d: int, *, temperature: float = 0.0,
-                rng: np.random.Generator | None = None) -> ParallelLogits: ...
+    def predict(self, prefix, feats, d: int, *, rng: np.random.Generator,
+                temperature: float = 0.0) -> ParallelLogits:
+        """d rows of future-position logits from one drafting forward. Any
+        randomness is drawn from `rng`, which decode shares with verify."""
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,14 @@ class DecodeConfig:
     eos_token: int | None = None
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConfigError(f"draft length must be >= 1, got {self.d}")
-        if self.max_tokens < 1:
-            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
+        check_int("draft length d", self.d, minimum=1)
+        check_int("max_tokens", self.max_tokens, minimum=1)
+        check_int("seed", self.seed, minimum=0)
+        if self.eos_token is not None:
+            check_int("eos_token", self.eos_token)
+        check_number("temperature", self.temperature)
+        if self.temperature < 0:
+            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
 
 
 @dataclass

@@ -1,20 +1,38 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks of
+configuration values that raise them."""
+
+import math
+import numbers
 
 
 class ConfigError(ValueError):
     """Invalid configuration value (bad order, k > vocab, nonpositive time, ...)."""
 
 
-class OutOfVocabularyError(ValueError):
-    """A corpus token is >= the declared vocabulary size."""
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise ConfigError unless `value` is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
-    def __init__(self, token: int, vocab_size: int, sequence_index: int):
+
+def check_number(name: str, value) -> None:
+    """Raise ConfigError unless `value` is a finite real number (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+class OutOfVocabularyError(ConfigError):
+    """A corpus token lies outside [0, vocab_size)."""
+
+    def __init__(self, token: int, vocab_size: int | None, sequence_index: int):
         self.token = token
         self.vocab_size = vocab_size
         self.sequence_index = sequence_index
-        super().__init__(
-            f"token {token} >= vocab_size {vocab_size} in corpus sequence {sequence_index}"
-        )
+        where = "is negative" if vocab_size is None else f"outside [0, {vocab_size})"
+        super().__init__(f"token {token} {where} in corpus sequence {sequence_index}")
 
 
 class TrieFormatError(Exception):

@@ -1,11 +1,12 @@
 """Desk-scale target and draft models.
 
 MarkovTarget is an order-k Markov chain standing in for the target LM: exact
-conditional distributions, deterministic per-context feature vectors standing
-in for low/middle/high hidden states, and a frozen token embedding table.
+conditional distributions, deterministic per-context feature rows standing in
+for low/middle/high hidden states side by side, and a frozen token embedding
+table.
 
-ToyDraft realizes the parallel drafting architecture at toy scale: the three
-feature vectors are concatenated and projected, the projection is joined with
+ToyDraft realizes the parallel drafting architecture at toy scale: the fused
+feature rows are projected, the projection is joined with
 shifted token embeddings, a learned mask vector fills the future positions,
 and one causal attention layer plus an output head produces logits for all d
 future positions in a single forward pass (row 1 read from the last prefix
@@ -54,24 +55,20 @@ def sample_from(dist: np.ndarray, rng: np.random.Generator) -> int:
 
 @dataclass
 class TargetFeatures:
-    """Per-position feature vectors plus the target's conditional at the
-    prefix end (used to form the shifted embedding of the next position)."""
+    """Per-position target features plus the target's conditional at the
+    prefix end (used to form the shifted embedding of the next position).
 
-    low: np.ndarray      # (n, FEAT_WIDTH)
-    mid: np.ndarray
-    high: np.ndarray
+    Row i holds position i's low, mid and high feature vectors side by side,
+    FEAT_WIDTH columns each: the fused EAGLE-3-style input the drafter reads.
+    """
+
+    rows: np.ndarray       # (n, 3 * FEAT_WIDTH)
     next_dist: np.ndarray  # (V,), untempered
-
-    def concatenated(self) -> np.ndarray:
-        return np.concatenate([self.low, self.mid, self.high], axis=-1)
 
     def extended(self, more: "TargetFeatures") -> "TargetFeatures":
         """These rows followed by `more`'s, with `more`'s next_dist: the
         features of the longer prefix whose tail rows `more` holds."""
-        return TargetFeatures(np.concatenate([self.low, more.low]),
-                              np.concatenate([self.mid, more.mid]),
-                              np.concatenate([self.high, more.high]),
-                              more.next_dist)
+        return TargetFeatures(np.concatenate([self.rows, more.rows]), more.next_dist)
 
 
 class MarkovTarget:
@@ -83,6 +80,8 @@ class MarkovTarget:
     """
 
     def __init__(self, seed: int, vocab_size: int, order: int, concentration: float = 0.3):
+        if seed < 0:
+            raise ConfigError(f"target seed must be >= 0, got {seed}")
         if vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
         if order < 1:
@@ -116,7 +115,7 @@ class MarkovTarget:
         feat = self._feats.get(ctx)
         if feat is None:
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, 2, *ctx])))
-            feat = rng.standard_normal((3, FEAT_WIDTH))
+            feat = rng.standard_normal(3 * FEAT_WIDTH)  # low | mid | high
             self._feats[ctx] = feat
         return feat
 
@@ -137,9 +136,8 @@ class MarkovTarget:
         padded = np.concatenate([np.zeros(self.order - 1 - (start - lo), np.int64),
                                  np.asarray(prefix[lo:n], dtype=np.int64)])
         windows = padded[np.arange(n - start)[:, None] + np.arange(self.order)].tolist()
-        blocks = np.array([self._feat(tuple(w)) for w in windows]).reshape(-1, 3, FEAT_WIDTH)
-        return TargetFeatures(blocks[:, 0], blocks[:, 1], blocks[:, 2],
-                              self._row(self._context(prefix)))
+        rows = np.array([self._feat(tuple(w)) for w in windows]).reshape(-1, 3 * FEAT_WIDTH)
+        return TargetFeatures(rows, self._row(self._context(prefix)))
 
     def rollout(self, prefix, length: int, pick) -> list[int]:
         """`length` tokens past `prefix`, each `pick(row)` of the untempered
@@ -190,7 +188,6 @@ class ToyDraft:
         self.vocab_size = vocab_size
         self.embeddings = embeddings  # frozen, shared with the target
         self.shifted = shifted
-        self.attention_calls = 0
         self._pe_table = positional_encoding(np.arange(0))  # grown on demand
         d = MODEL_WIDTH
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 3])))
@@ -231,11 +228,10 @@ class ToyDraft:
         """One masked attention layer with residual, then the head, for the
         query rows `rows` of z over keys at every position of z.
 
-        attn_mask has one row per query row and one column per key. Returns
-        (logits (B, R, V) for the R query rows, cache for backward); backward
-        needs every row queried.
+        `rows` is a slice or an array of distinct positions; attn_mask has one
+        row per query row and one column per key. Returns (logits (B, R, V)
+        for the R query rows, cache for backward_core).
         """
-        self.attention_calls += 1
         p = self.params
         scale = 1.0 / np.sqrt(MODEL_WIDTH)
         zq = z[:, rows]
@@ -250,22 +246,27 @@ class ToyDraft:
         ctx = attn @ v
         y = zq + ctx
         logits = y @ p["W_head"] + p["b_head"]
-        cache = {"z": z, "q": q, "k": k, "v": v, "attn": attn, "y": y,
-                 "mask": attn_mask, "scale": scale}
+        cache = {"z": z, "rows": rows, "q": q, "k": k, "v": v, "attn": attn, "y": y,
+                 "scale": scale}
         return logits, cache
 
     def backward_core(self, cache: dict, dlogits: np.ndarray,
                       feats: np.ndarray, n_prefix: int) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss with given d(loss)/d(logits)."""
+        """Gradients of a scalar loss given d(loss)/d(logits) for the rows
+        that the forward_core call behind `cache` queried.
+
+        Rows not queried are keys and values only: they take gradient through
+        k and v, while the queried rows also take it through q and the
+        residual.
+        """
         p = self.params
-        z, q, k, v = cache["z"], cache["q"], cache["k"], cache["v"]
+        z, rows, q, k, v = cache["z"], cache["rows"], cache["q"], cache["k"], cache["v"]
         attn, y, scale = cache["attn"], cache["y"], cache["scale"]
 
         grads = {}
         grads["W_head"] = np.tensordot(y, dlogits, axes=([0, 1], [0, 1]))
         grads["b_head"] = dlogits.sum(axis=(0, 1))
         dy = dlogits @ p["W_head"].T
-        dz = dy.copy()
         dctx = dy
         dattn = dctx @ v.transpose(0, 2, 1)
         dv = attn.transpose(0, 2, 1) @ dctx
@@ -273,10 +274,11 @@ class ToyDraft:
         ds = ds * scale
         dq = ds @ k
         dk = ds.transpose(0, 2, 1) @ q
-        grads["Wq"] = np.tensordot(z, dq, axes=([0, 1], [0, 1]))
+        grads["Wq"] = np.tensordot(z[:, rows], dq, axes=([0, 1], [0, 1]))
         grads["Wk"] = np.tensordot(z, dk, axes=([0, 1], [0, 1]))
         grads["Wv"] = np.tensordot(z, dv, axes=([0, 1], [0, 1]))
-        dz += dq @ p["Wq"].T + dk @ p["Wk"].T + dv @ p["Wv"].T
+        dz = dk @ p["Wk"].T + dv @ p["Wv"].T
+        dz[:, rows] += dy + dq @ p["Wq"].T  # rows are distinct
 
         dz_prefix = dz[:, :n_prefix, :]
         grads["mask_vec"] = dz[:, n_prefix:, :].sum(axis=(0, 1))
@@ -305,23 +307,18 @@ class ToyDraft:
         return logits[0]
 
     def predict(self, prefix, feats: TargetFeatures, d: int, *,
-                temperature: float = 0.0, rng: np.random.Generator | None = None) -> ParallelLogits:
+                rng: np.random.Generator, temperature: float = 0.0) -> ParallelLogits:
         """One drafting forward: d rows of future-position logits.
 
-        The shifted variant embeds the target's next-token choice at the last
-        prefix position: argmax of the target conditional at temperature 0,
-        a sample from the tempered conditional otherwise.
+        The shifted variant embeds at the last prefix position a token drawn
+        from the tempered target conditional; at temperature 0 that
+        conditional is one-hot, so the draw is its argmax.
         """
-        if temperature > 0 and rng is None:
-            raise ConfigError("sampling the shifted next token requires an rng")
         tokens = np.asarray(prefix, dtype=np.int64)
         if self.shifted:
-            dist = temperature_adjust(feats.next_dist, temperature)
-            nxt = int(np.argmax(dist)) if temperature == 0 else sample_from(dist, rng)
-            emb_tokens = np.append(tokens[1:], nxt)
-        else:
-            emb_tokens = tokens
-        return ParallelLogits(self.forward(feats.concatenated(), emb_tokens, d))
+            nxt = sample_from(temperature_adjust(feats.next_dist, temperature), rng)
+            tokens = np.append(tokens[1:], nxt)
+        return ParallelLogits(self.forward(feats.rows, tokens, d))
 
     # -- persistence ----------------------------------------------------------
 

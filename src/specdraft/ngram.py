@@ -152,8 +152,9 @@ def build_trie(
 ) -> NgramTrie:
     """Count every length-`order` window of every sequence into a table.
 
-    vocab_size=None infers V as max token + 1; when given, any token >= V
-    raises OutOfVocabularyError naming the offending sequence.
+    vocab_size=None infers V as max token + 1; a negative token, or when
+    vocab_size is given any token >= V, raises OutOfVocabularyError naming
+    the offending sequence.
     """
     if not 2 <= order <= MAX_ORDER:
         raise ConfigError(f"n-gram order must be in [2, {MAX_ORDER}], got {order}")
@@ -165,7 +166,7 @@ def build_trie(
             continue
         bad = arr < 0 if vocab_size is None else (arr < 0) | (arr >= vocab_size)
         if bad.any():
-            raise OutOfVocabularyError(int(arr[bad][0]), vocab_size or 0, seq_index)
+            raise OutOfVocabularyError(int(arr[bad][0]), vocab_size, seq_index)
         max_token = max(max_token, int(arr.max()))
         if arr.size >= order:
             parts.append(sliding_window_view(arr, order))
@@ -254,19 +255,22 @@ def load_trie(path: str | os.PathLike) -> NgramTrie:
 # -- corpus ingestion ----------------------------------------------------------
 
 
+def _read_lines(path: str | os.PathLike) -> list[str]:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def read_token_corpus(path: str | os.PathLike) -> list[list[int]]:
     """Newline-delimited records of whitespace-separated integer token IDs."""
     corpus = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                corpus.append([])
-                continue
-            try:
-                corpus.append([int(tok) for tok in line.split()])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: non-integer token: {exc}") from exc
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        try:
+            corpus.append([int(tok) for tok in line.split()])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: non-integer token: {exc}") from exc
     return corpus
 
 
@@ -277,5 +281,4 @@ def tokenize_bytes(text: str) -> list[int]:
 
 def read_text_corpus(path: str | os.PathLike) -> list[list[int]]:
     """Plain-text mode: one record per line, byte-level tokens."""
-    with open(path, "r", encoding="utf-8") as f:
-        return [tokenize_bytes(line.rstrip("\n")) for line in f]
+    return [tokenize_bytes(line.rstrip("\n")) for line in _read_lines(path)]

@@ -137,10 +137,10 @@ class TrainingBatch:
 
     feats: np.ndarray          # (B, P, 3*FEAT_WIDTH)
     emb_tokens: np.ndarray     # (B, P)
-    mask: np.ndarray           # (M, M) bool
+    mask: np.ndarray           # (M, M) bool, the leading M positions of the layout
     position_ids: np.ndarray   # (M,)
     n_prefix: int
-    slot_positions: np.ndarray  # (S,) packed positions carrying supervision
+    slot_positions: np.ndarray  # (S,) distinct packed positions carrying supervision
     slot_weights: np.ndarray    # (S,) annealing weight of each slot
     labels: np.ndarray          # (B, S, V) exact target conditionals
     norm: float                 # slots are averaged per (sequence, group)
@@ -153,7 +153,10 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
     Shifted mode uses mask blocks of length d-1 (the first future position is
     read from the prompt position itself); unshifted uses blocks of length d
     read entirely from mask positions. Group g is supervised when all d
-    future tokens fall inside the sequence.
+    future tokens fall inside the sequence, i.e. for g < L-d. Blocks never see
+    each other and prompt rows never see blocks, so the batch keeps only the
+    leading P + (L-d)*m positions of the layout: the prompt and the
+    supervised blocks, which are all that any supervised slot sees.
     """
     if not sequences:
         raise ConfigError("need at least one training sequence")
@@ -166,70 +169,49 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
     m = d - 1 if shifted else d
     if m < 1:
         raise ConfigError("shifted training needs d >= 2")
-    P = L
-    groups = list(range(L - d))  # supervised prompt positions
-
-    slot_positions = []
-    slot_weights = []
-    for g in groups:
-        for t in range(1, d + 1):
-            if shifted:
-                pos = g if t == 1 else P + g * m + (t - 2)
-            else:
-                pos = P + g * m + (t - 1)
-            slot_positions.append(pos)
-            slot_weights.append(cfg.weights[t - 1])
-
-    B = len(sequences)
-    V = target.vocab_size
-    feats = np.empty((B, P, 3 * target.features(sequences[0]).low.shape[1]))
-    emb_tokens = np.empty((B, P), dtype=np.int64)
-    labels = np.empty((B, len(slot_positions), V))
-    for b, seq in enumerate(sequences):
-        feats[b] = target.features(seq).concatenated()
-        if shifted:
-            emb_tokens[b, :-1] = seq[1:]
-            emb_tokens[b, -1] = 0  # inert: only the unsupervised last block sees it
-        else:
-            emb_tokens[b] = seq
-        ctx_dists = {}
-        s = 0
-        for g in groups:
-            for t in range(1, d + 1):
-                j = g + t  # label = conditional given the first j tokens
-                if j not in ctx_dists:
-                    ctx_dists[j] = target.next_dist(seq[:j], 1.0)
-                labels[b, s] = ctx_dists[j]
-                s += 1
-
+    P, G = L, L - d  # groups g < G are supervised
+    # Slot (g, t) predicts token g+t+1 (t = 0 .. d-1) from the t-th position
+    # of block g; shifted mode reads t = 0 from prompt position g itself.
+    g, t = np.divmod(np.arange(G * d), d)
+    slot_positions = np.where(shifted & (t == 0), g, P + g * m + t - int(shifted))
+    # Its label is the target's conditional given the first g+t+1 tokens.
+    labels = np.stack([[target.next_dist(seq[:j], 1.0) for j in range(1, L)]
+                       for seq in sequences])[:, g + t]
+    emb_tokens = np.array(sequences, dtype=np.int64)
+    if shifted:
+        emb_tokens = np.roll(emb_tokens, -1, axis=1)
+        emb_tokens[:, -1] = 0  # inert: the last prompt position is seen by no slot
+    M = P + G * m
     return TrainingBatch(
-        feats=feats,
+        feats=np.stack([target.features(seq).rows for seq in sequences]),
         emb_tokens=emb_tokens,
-        mask=build_training_mask(P, m),
-        position_ids=build_position_ids(P, m),
+        mask=build_training_mask(P, m)[:M, :M],
+        position_ids=build_position_ids(P, m)[:M],
         n_prefix=P,
-        slot_positions=np.asarray(slot_positions),
-        slot_weights=np.asarray(slot_weights),
+        slot_positions=slot_positions,
+        slot_weights=np.tile(cfg.weights, G),
         labels=labels,
-        norm=float(B * len(groups)),
+        norm=float(len(sequences) * G),
     )
 
 
 def batch_loss(model: ToyDraft, batch: TrainingBatch,
                want_grads: bool = True):
-    """Annealed KL over every supervised slot; returns (loss, grads, floored)."""
+    """Annealed KL over every supervised slot; returns (loss, grads, floored).
+
+    The forward queries the slot positions alone; every other position of the
+    layout serves as a key and value only.
+    """
     M = batch.mask.shape[0]
     z = model.build_inputs(batch.feats, batch.emb_tokens,
                            M - batch.n_prefix, batch.position_ids)
-    logits, cache = model.forward_core(z, batch.mask)
-    loss, dslot, floored = _floored_kl(logits[:, batch.slot_positions, :],
-                                       batch.labels, batch.slot_weights[None, :])
+    slots = batch.slot_positions
+    logits, cache = model.forward_core(z, batch.mask[slots], slots)
+    loss, dlogits, floored = _floored_kl(logits, batch.labels, batch.slot_weights[None, :])
     loss /= batch.norm
     if not want_grads:
         return loss, None, floored
-
-    dlogits = np.zeros_like(logits)
-    dlogits[:, batch.slot_positions, :] = dslot / batch.norm  # slot positions are distinct
+    dlogits /= batch.norm
     grads = model.backward_core(cache, dlogits, batch.feats, batch.n_prefix)
     return loss, grads, floored
 
@@ -268,6 +250,8 @@ def train_toy_draft(
     checkpoint_hook(step, model, batch) fires every eval_every steps, for
     gradient-audit instrumentation.
     """
+    if steps < 0:
+        raise ConfigError(f"training steps must be >= 0, got {steps}")
     model = ToyDraft(target.vocab_size, target.embeddings, seed=seed, shifted=shifted)
     if steps == 0:
         return model
@@ -300,14 +284,16 @@ def evaluate_alpha(drafter, target: MarkovTarget,
     equals the token t steps ahead -- the held-out sequence's token by
     default, or the target's own greedy continuation with vs_greedy (the
     quantity that controls greedy-decode acceptance). Works with anything
-    exposing the predict() drafting interface.
+    exposing the predict() drafting interface; drafting runs at temperature 0,
+    so the seeded generator it is handed never changes a row.
     """
+    rng = np.random.Generator(np.random.PCG64(0))
     hits = np.zeros(d)
     total = 0
     for seq in sequences:
         for g in range(min_prefix, len(seq) - d):
             prefix = seq[: g + 1]
-            rows = drafter.predict(prefix, target.features(prefix), d).rows
+            rows = drafter.predict(prefix, target.features(prefix), d, rng=rng).rows
             preds = np.argmax(rows, axis=1)
             truth = target.greedy_chain(prefix, d) if vs_greedy else seq[g + 1: g + 1 + d]
             for t in range(d):

@@ -11,13 +11,12 @@ parent, token, level and score arrays, parents before children.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidTreeError
+from .errors import ConfigError, InvalidTreeError, check_int, check_number
 from .ngram import EPSILON, NgramTrie
 
 ROOT_ID = -1
@@ -60,22 +59,18 @@ class PruneConfig:
     epsilon: float = EPSILON
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.w < 1:
-            raise ConfigError(f"beam width must be >= 1, got {self.w}")
-        if self.theta < 1:
-            raise ConfigError(f"theta must be >= 1, got {self.theta}")
-        if not (math.isfinite(self.w_ng) and self.w_ng >= 0):
-            raise ConfigError(f"w_ng must be finite and >= 0, got {self.w_ng}")
+        for name in ("k", "w", "theta"):
+            check_int(name, getattr(self, name), minimum=1)
+        for name in ("w_ng", "logit_decay", "level_exponent", "epsilon"):
+            check_number(name, getattr(self, name))
+        if self.w_ng < 0:
+            raise ConfigError(f"w_ng must be >= 0, got {self.w_ng}")
         if not 0 < self.logit_decay <= 1:
             raise ConfigError(f"logit_decay must be in (0, 1], got {self.logit_decay}")
-        if not (math.isfinite(self.level_exponent) and self.level_exponent >= 0):
-            raise ConfigError(
-                f"level_exponent must be finite and >= 0, got {self.level_exponent}"
-            )
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if self.level_exponent < 0:
+            raise ConfigError(f"level_exponent must be >= 0, got {self.level_exponent}")
+        if self.epsilon <= 0:
+            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
 
 
 @dataclass

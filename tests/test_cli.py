@@ -98,6 +98,42 @@ def test_decode_non_finite_or_out_of_range_config_exits_2(config_file, capsys, o
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    "decode.max_tokens=1e400", "prune.k=abc", "decode.d=2.5", "target.vocab_size=abc",
+    "seed=abc", "prune.k=true", 'decode.temperature="x"', "training.steps=abc",
+    "seed=-1", "target.seed=-1", "training.shifted=1", "decode.eos_token=true",
+])
+def test_decode_config_value_of_wrong_type_exits_2(config_file, capsys, override):
+    rc = main(["decode", "--config", config_file(), "--prompt-tokens", "1 2",
+               "--override", override])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_build_trie_out_of_vocabulary_token_exits_2(tmp_path, capsys):
+    for line, vocab in (("1 2 9", "4"), ("1 -2 3", "4"), ("1 -2 3", None)):
+        src = tmp_path / "corpus.txt"
+        src.write_text(line + "\n", encoding="utf-8")
+        argv = ["build-trie", "--corpus", str(src), "--order", "2",
+                "--out", str(tmp_path / "t.bin")]
+        rc = main(argv + (["--vocab-size", vocab] if vocab else []))
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "sequence 0" in err
+
+
+def test_build_trie_non_utf8_text_exits_2(tmp_path, capsys):
+    src = tmp_path / "latin1.txt"
+    src.write_bytes("caf\xe9\n".encode("latin-1"))
+    for fmt in ("text", "tokens"):
+        rc = main(["build-trie", "--corpus", str(src), "--order", "2",
+                   "--out", str(tmp_path / "t.bin"), "--format", fmt])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and str(src) in err
+
+
 def test_decode_no_ngram_flag_and_warning(config_file, capsys):
     cfg = config_file()
     rc = main(["decode", "--config", cfg, "--drafter", "oracle",

@@ -5,6 +5,7 @@ import pytest
 
 from specdraft.errors import ConfigError, ModelFormatError
 from specdraft.models import (
+    FEAT_WIDTH,
     AdversarialDrafter,
     MarkovTarget,
     NoisyOracleDrafter,
@@ -27,7 +28,7 @@ def test_same_seed_identical_tables():
     for ctx in [(0, 0), (1, 3), (2, 2)]:
         assert np.array_equal(a.next_dist(ctx), b.next_dist(ctx))
         fa, fb = a.features(list(ctx)), b.features(list(ctx))
-        assert np.array_equal(fa.concatenated(), fb.concatenated())
+        assert np.array_equal(fa.rows, fb.rows)
     assert np.array_equal(a.embeddings, b.embeddings)
 
 
@@ -69,13 +70,11 @@ def test_features_match_per_position_contexts():
     feats = t.features(prefix)
     for i in range(len(prefix)):
         ref = t.features(prefix[: i + 1])
-        assert np.array_equal(feats.low[i], ref.low[i])
-        assert np.array_equal(feats.mid[i], ref.mid[i])
-        assert np.array_equal(feats.high[i], ref.high[i])
-        # Row i, one position at a time: the block of the trailing `order`
-        # tokens up to i, left-padded with token 0.
+        assert np.array_equal(feats.rows[i], ref.rows[i])
+        # Row i, one position at a time: the low, mid and high vectors of the
+        # trailing `order` tokens up to i, left-padded with token 0.
         block = t._feat(t._context(prefix[max(0, i + 1 - t.order): i + 1]))
-        assert np.array_equal(np.stack([feats.low[i], feats.mid[i], feats.high[i]]), block)
+        assert np.array_equal(feats.rows[i], block)
 
 
 def test_features_extend_to_the_full_prefix():
@@ -89,9 +88,9 @@ def test_features_extend_to_the_full_prefix():
         full = t.features(prefix)
         for start in range(n + 1):
             tail = t.features(prefix, start)
-            assert tail.low.shape == (n - start, 8)
+            assert tail.rows.shape == (n - start, 3 * FEAT_WIDTH)
             joined = t.features(prefix[:start]).extended(tail)
-            for name in ("low", "mid", "high", "next_dist"):
+            for name in ("rows", "next_dist"):
                 assert np.array_equal(getattr(joined, name), getattr(full, name))
 
 
@@ -134,11 +133,20 @@ def model(target):
     return ToyDraft(8, target.embeddings, seed=2)
 
 
-def test_single_forward_per_predict(target, model):
+def test_single_forward_per_predict(target, model, monkeypatch, rng):
     feats = target.features([1, 2, 3])
-    before = model.attention_calls
-    model.predict([1, 2, 3], feats, 4)
-    assert model.attention_calls == before + 1
+    calls = []
+    forward_core = model.forward_core
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return forward_core(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward_core", counted)
+    for d in (1, 4):
+        calls.clear()
+        model.predict([1, 2, 3], feats, d, rng=rng)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("shifted", [True, False])
@@ -148,7 +156,7 @@ def test_forward_matches_per_row_attention_oracle(shifted, d, n):
     target = MarkovTarget(9, 16, 2)
     model = ToyDraft(16, target.embeddings, seed=5, shifted=shifted)
     prefix = [int(x) for x in np.random.default_rng(n).integers(0, 16, size=n)]
-    feats = target.features(prefix).concatenated()
+    feats = target.features(prefix).rows
     emb_tokens = prefix[1:] + [3] if shifted else prefix
     rows = model.forward(feats, emb_tokens, d)
     expect = readout_attention(model.params, target.embeddings, feats, emb_tokens, d, shifted)
@@ -156,7 +164,7 @@ def test_forward_matches_per_row_attention_oracle(shifted, d, n):
     assert np.max(np.abs(rows - expect)) < 1e-12
 
 
-def test_predict_memory_stays_linear_in_prefix():
+def test_predict_memory_stays_linear_in_prefix(rng):
     # Full L x L attention at n = 4096 needs a 4103 x 4103 float64 score
     # matrix (134 MB); the d read-out rows need a few MB.
     target = MarkovTarget(9, 64, 2)
@@ -165,36 +173,36 @@ def test_predict_memory_stays_linear_in_prefix():
     feats = target.features(prefix)
     tracemalloc.start()
     try:
-        model.predict(prefix, feats, 8)
+        model.predict(prefix, feats, 8, rng=rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
 
 
-def test_predict_shape_and_d1_boundary(target, model):
+def test_predict_shape_and_d1_boundary(target, model, rng):
     feats = target.features([1, 2, 3])
-    logits = model.predict([1, 2, 3], feats, 1)
+    logits = model.predict([1, 2, 3], feats, 1, rng=rng)
     assert logits.rows.shape == (1, 8)
-    logits5 = model.predict([1, 2, 3], feats, 5)
+    logits5 = model.predict([1, 2, 3], feats, 5, rng=rng)
     assert logits5.rows.shape == (5, 8)
 
 
-def test_causal_extension_leaves_earlier_rows_unchanged(target, model):
+def test_causal_extension_leaves_earlier_rows_unchanged(target, model, rng):
     # Appending more mask positions must not change earlier output rows.
     feats = target.features([1, 2, 3])
-    short = model.predict([1, 2, 3], feats, 2).rows
-    long = model.predict([1, 2, 3], feats, 5).rows
+    short = model.predict([1, 2, 3], feats, 2, rng=rng).rows
+    long = model.predict([1, 2, 3], feats, 5, rng=rng).rows
     assert np.allclose(short, long[:2], atol=1e-12)
 
 
-def test_prefix_perturbation_does_not_leak_backwards(target, model):
+def test_prefix_perturbation_does_not_leak_backwards(target, model, rng):
     # Changing the prefix changes outputs only through attention over visible
     # positions: with d masks appended, the mask rows may change, but an
     # identical shared prefix forward is bitwise reproducible.
     feats = target.features([1, 2, 3])
-    a = model.predict([1, 2, 3], feats, 3).rows
-    b = model.predict([1, 2, 3], feats, 3).rows
+    a = model.predict([1, 2, 3], feats, 3, rng=rng).rows
+    b = model.predict([1, 2, 3], feats, 3, rng=rng).rows
     assert np.array_equal(a, b)
 
 
@@ -210,9 +218,9 @@ def test_shifted_read_position_alignment(target):
     feats = target.features(prefix)
     nxt = int(np.argmax(feats.next_dist))
     emb_tokens = prefix[1:] + [nxt]
-    rows = model.forward(feats.concatenated(), emb_tokens, d)
+    rows = model.forward(feats.rows, emb_tokens, d)
 
-    g = feats.concatenated() @ model.params["W_in"]
+    g = feats.rows @ model.params["W_in"]
     e = target.embeddings[np.asarray(emb_tokens)]
     z = np.concatenate([
         np.concatenate([g, e], axis=-1),
@@ -224,14 +232,14 @@ def test_shifted_read_position_alignment(target):
         assert np.allclose(rows[t], expect[n - 1 + t], atol=1e-12)
 
 
-def test_unshifted_reads_mask_positions(target):
+def test_unshifted_reads_mask_positions(target, rng):
     model = ToyDraft(8, target.embeddings, seed=4, shifted=False)
     model.params["Wv"][:] = 0.0
     prefix = [1, 2, 3]
     n, d = len(prefix), 2
     feats = target.features(prefix)
-    rows = model.predict(prefix, feats, d).rows
-    g = feats.concatenated() @ model.params["W_in"]
+    rows = model.predict(prefix, feats, d, rng=rng).rows
+    g = feats.rows @ model.params["W_in"]
     e = target.embeddings[np.asarray(prefix)]
     z = np.concatenate([
         np.concatenate([g, e], axis=-1),
@@ -243,23 +251,30 @@ def test_unshifted_reads_mask_positions(target):
         assert np.allclose(rows[t], expect[n + t], atol=1e-12)
 
 
-def test_predict_requires_rng_when_sampling(target, model):
+def test_predict_requires_rng_when_sampling(target, model, rng):
+    # The shifted token is drawn at every temperature; at 0 the draw is the
+    # argmax of the target conditional whatever the generator yields.
     feats = target.features([1, 2])
-    with pytest.raises(ConfigError):
-        model.predict([1, 2], feats, 2, temperature=1.0)
-    out = model.predict([1, 2], feats, 2, temperature=1.0,
-                        rng=np.random.default_rng(0))
-    assert out.rows.shape == (2, 8)
+    for temperature in (0.0, 1.0):
+        with pytest.raises(TypeError):
+            model.predict([1, 2], feats, 2, temperature=temperature)
+        out = model.predict([1, 2], feats, 2, temperature=temperature, rng=rng)
+        assert out.rows.shape == (2, 8)
+    nxt = int(np.argmax(feats.next_dist))
+    greedy = model.forward(feats.rows, [2, nxt], 2)
+    for seed in range(5):
+        out = model.predict([1, 2], feats, 2, rng=np.random.default_rng(seed))
+        assert np.array_equal(out.rows, greedy)
 
 
-def test_model_save_load_round_trip(tmp_path, target, model):
+def test_model_save_load_round_trip(tmp_path, target, model, rng):
     p = tmp_path / "m.npz"
     model.save(p)
     loaded = ToyDraft.load(p)
     assert loaded.shifted == model.shifted
     feats = target.features([1, 2, 3])
-    assert np.array_equal(model.predict([1, 2, 3], feats, 3).rows,
-                          loaded.predict([1, 2, 3], feats, 3).rows)
+    assert np.array_equal(model.predict([1, 2, 3], feats, 3, rng=rng).rows,
+                          loaded.predict([1, 2, 3], feats, 3, rng=rng).rows)
 
 
 def test_model_load_rejects_other_version(tmp_path, target, model):

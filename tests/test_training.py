@@ -201,6 +201,8 @@ def test_zero_steps_returns_init(setup):
     fresh = ToyDraft(8, target.embeddings, seed=3)
     for name in fresh.params:
         assert np.array_equal(trained.params[name], fresh.params[name])
+    with pytest.raises(ConfigError):
+        train_toy_draft(target, corpus, 0.6, 4, steps=-1, lr=0.1, seed=3)
 
 
 def test_loss_strictly_decreases_first_100_steps(setup):
@@ -244,6 +246,32 @@ def test_supervised_slot_count(setup):
     assert np.allclose(batch.slot_weights[:d], lam)
     # each slot's weight matches its future-position index
     assert np.allclose(batch.slot_weights, np.tile(lam, groups))
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_slots_and_labels_match_per_slot_reference(setup, shifted):
+    # Slot (g, t) reads future position t of group g from the prompt position
+    # g (shifted, t = 1) or from block g, and is labeled with the target's
+    # conditional given the first g + t tokens. Position i embeds token i + 1
+    # (shifted, the last one inert) or token i.
+    target, corpus, _ = setup
+    d = 3
+    batch = build_training_batch(target, corpus, d, 0.6, shifted=shifted)
+    P, m = len(corpus[0]), d - 1 if shifted else d
+    s = 0
+    for g in range(P - d):
+        for t in range(1, d + 1):
+            if shifted:
+                pos = g if t == 1 else P + g * m + (t - 2)
+            else:
+                pos = P + g * m + (t - 1)
+            assert batch.slot_positions[s] == pos
+            for b, seq in enumerate(corpus):
+                assert np.array_equal(batch.labels[b, s], target.next_dist(seq[:g + t], 1.0))
+            s += 1
+    assert s == len(batch.slot_positions)
+    for b, seq in enumerate(corpus):
+        assert list(batch.emb_tokens[b]) == (list(seq[1:]) + [0] if shifted else list(seq))
 
 
 def test_prefix_isolation(setup):
@@ -297,6 +325,64 @@ def test_training_batch_validation(setup):
         build_training_batch(target, [[1, 2, 3]], 5, 0.6)
     with pytest.raises(ConfigError):
         build_training_batch(target, corpus, 1, 0.6, shifted=True)
+
+
+# -- row-subset forward/backward --------------------------------------------------
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_batch_keeps_every_position_a_slot_sees(setup, shifted):
+    # The batch holds the leading positions of the full packed layout; the
+    # positions it drops are seen by no supervised slot.
+    target, corpus, _ = setup
+    d = 3
+    batch = build_training_batch(target, corpus, d, 0.6, shifted=shifted)
+    P, m = len(corpus[0]), d - 1 if shifted else d
+    M = batch.mask.shape[0]
+    assert M == P + (P - d) * m
+    full = build_training_mask(P, m)
+    assert np.array_equal(batch.mask, full[:M, :M])
+    assert np.array_equal(batch.position_ids, build_position_ids(P, m)[:M])
+    assert not full[batch.slot_positions, M:].any()
+
+
+def _layout(target, corpus, model, case):
+    """(z, mask, query rows, feats, n_prefix) for a training batch or a
+    drafting forward."""
+    if case == "drafting":
+        prefix, d = corpus[0], 4
+        n, n_mask = len(prefix), d - 1
+        feats = target.features(prefix).rows[None]
+        z = model.build_inputs(feats, np.asarray(prefix[1:] + [0])[None], n_mask,
+                               np.arange(n + n_mask))
+        mask = np.tril(np.ones((n + n_mask, n + n_mask), dtype=bool))
+        return z, mask, slice(n + n_mask - d, n + n_mask), feats, n
+    batch = build_training_batch(target, corpus, 3, 0.6, shifted=case == "shifted")
+    z = model.build_inputs(batch.feats, batch.emb_tokens,
+                           batch.mask.shape[0] - batch.n_prefix, batch.position_ids)
+    return z, batch.mask, batch.slot_positions, batch.feats, batch.n_prefix
+
+
+@pytest.mark.parametrize("case", ["shifted", "unshifted", "drafting"])
+def test_row_subset_backward_matches_full_rows(setup, case):
+    # Querying a subset of rows gives the full-rows forward's logits on those
+    # rows, and the gradients of the full-rows backward with d(loss)/d(logits)
+    # zero on every other row.
+    target, corpus, _ = setup
+    model = ToyDraft(8, target.embeddings, seed=9, shifted=case != "unshifted")
+    z, mask, rows, feats, n_prefix = _layout(target, corpus, model, case)
+    full_logits, full_cache = model.forward_core(z, mask)
+    logits, cache = model.forward_core(z, mask[rows], rows)
+    assert np.max(np.abs(logits - full_logits[:, rows])) <= 1e-12
+
+    dlogits = np.random.default_rng(1).standard_normal(logits.shape)
+    dfull = np.zeros_like(full_logits)
+    dfull[:, rows] = dlogits
+    grads = model.backward_core(cache, dlogits, feats, n_prefix)
+    expect = model.backward_core(full_cache, dfull, feats, n_prefix)
+    assert grads.keys() == expect.keys()
+    for name, g in expect.items():
+        assert np.max(np.abs(grads[name] - g)) <= 1e-12 * max(1.0, np.max(np.abs(g))), name
 
 
 # -- finite differences --------------------------------------------------------------

@@ -99,6 +99,7 @@ def test_prune_config_validation():
     ("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", math.nan), ("epsilon", math.inf),
     ("w_ng", math.nan), ("w_ng", math.inf),
     ("level_exponent", math.nan), ("level_exponent", math.inf),
+    ("k", True), ("theta", 2.5), ("w", "4"), ("logit_decay", "x"), ("w_ng", False),
 ])
 def test_prune_config_rejects_non_finite_and_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field):
