@@ -171,6 +171,8 @@ def _emit(args, records: list[dict], text: str) -> None:
 
 
 def cmd_build_trie(args) -> int:
+    if args.vocab_size is not None:
+        check_int("--vocab-size", args.vocab_size, minimum=1)
     reader = read_text_corpus if args.format == "text" else read_token_corpus
     corpus = reader(args.corpus)
     if not any(len(s) >= args.order for s in corpus):
@@ -214,13 +216,21 @@ def _make_drafter(name: str, cfg: RunConfig, seed: int):
 
 
 def _parse_prompt(args, cfg: RunConfig) -> list[int]:
-    if args.prompt_tokens:
-        return [int(t) for t in args.prompt_tokens.replace(",", " ").split()]
-    if args.prompt is not None:
+    if args.prompt_tokens is not None:
+        try:
+            tokens = [int(t) for t in args.prompt_tokens.replace(",", " ").split()]
+        except ValueError:
+            raise ConfigError(
+                f"prompt tokens must be integers, got {args.prompt_tokens!r}") from None
+    elif args.prompt is not None:
         if cfg.target.vocab_size != 256:
             raise ConfigError("text prompts need target.vocab_size = 256 (byte tokens)")
-        return tokenize_bytes(args.prompt)
-    return [0]
+        tokens = tokenize_bytes(args.prompt)
+    else:
+        return [0]
+    if not tokens:
+        raise ConfigError("prompt must be nonempty")
+    return tokens
 
 
 def _load_optional_trie(args, cfg: RunConfig) -> NgramTrie | None:
@@ -283,6 +293,8 @@ def _write_transcript(args, cfg: RunConfig, tokens: list[int]) -> None:
 
 
 def cmd_bench_trie(args) -> int:
+    check_int("--queries", args.queries, minimum=0)
+    check_int("--seed", args.seed, minimum=0)
     trie = load_trie(args.trie)
     if args.queries == 0:
         _emit(args, [], "no queries requested; empty histogram")
@@ -327,6 +339,7 @@ def _training_corpora(cfg: RunConfig):
 
 
 def cmd_train_toy(args) -> int:
+    check_int("--eval-every", args.eval_every, minimum=0)
     cfg = load_config(args.config, args.override, output_paths={"model"})
     tr = cfg.training
     model_path = cfg.paths.get("model", "toy_draft.npz")
@@ -349,6 +362,7 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_int("--tau-prompts", args.tau_prompts, minimum=0)
     unused = set() if args.drafter == "toy" else {"model"}
     cfg = load_config(args.config, args.override, output_paths=unused)
     tr = cfg.training
@@ -375,6 +389,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    check_int("--every", args.every, minimum=0)
     with open(args.log, "r", encoding="utf-8") as f:
         records = [json.loads(line) for line in f if line.strip()]
     if not records:

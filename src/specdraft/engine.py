@@ -27,15 +27,7 @@ import numpy as np
 from .errors import ConfigError, check_int, check_number
 from .models import TargetFeatures, sample_from
 from .ngram import NgramTrie
-from .tree import (
-    ROOT_ID,
-    DraftTree,
-    LinearizedTree,
-    ParallelLogits,
-    PruneConfig,
-    linearize,
-    prune,
-)
+from .tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, prune
 
 
 class TargetModel(Protocol):
@@ -128,7 +120,6 @@ class DecodeMetrics:
 
 def verify(
     tree: DraftTree,
-    lin: LinearizedTree,
     prefix: Sequence[int],
     target: TargetModel,
     temperature: float,
@@ -137,23 +128,24 @@ def verify(
     """Walk the draft tree against the target; returns (accepted path, bonus).
 
     The target conditional is computed once for the root and once per tree
-    node (the stand-in for one batched tree-attention forward). The children
-    of the current node are tried in tree order: each is accepted with
-    probability equal to its mass under the residual target conditional, and
-    on rejection that mass is removed and the residual renormalized. The bonus
-    token comes from the final residual, so the output distribution is exactly
-    the target's regardless of the drafter. The same walk runs at temperature
-    0, where the one-hot conditional makes it follow the argmax child and emit
+    node, read straight from the tree's arrays: the stand-in for one batched
+    tree-attention forward under `tree.attention_mask()`. The children of the
+    current node are tried in tree order: each is accepted with probability
+    equal to its mass under the residual target conditional, and on rejection
+    that mass is removed and the residual renormalized. The bonus token comes
+    from the final residual, so the output distribution is exactly the
+    target's regardless of the drafter. The same walk runs at temperature 0,
+    where the one-hot conditional makes it follow the argmax child and emit
     the argmax as bonus.
     """
     if len(tree) == 0:
         raise ConfigError("cannot verify an empty tree")
     parent = tree.parent.tolist()
-    token = lin.tokens
+    token = tree.token.tolist()
 
     # Slot 0 is the root and slot i+1 is node i. A node's context is its
     # parent's plus its own token: the prefix, its ancestors and itself, which
-    # is what its attention-mask row admits in a batched tree-attention forward.
+    # is what its `attention_mask()` row admits in a tree-attention forward.
     contexts = [list(prefix)]
     children: list[list[int]] = [[] for _ in range(len(token) + 1)]
     for i, (p, t) in enumerate(zip(parent, token)):
@@ -263,9 +255,8 @@ def decode(
                                  temperature=cfg.temperature, rng=rng)
         t1 = time.perf_counter_ns()
         tree = prune(logits, trie, cfg.prune, prefix)
-        lin = linearize(tree, len(prefix))
         t2 = time.perf_counter_ns()
-        accepted, bonus = verify(tree, lin, prefix, target, cfg.temperature, rng)
+        accepted, bonus = verify(tree, prefix, target, cfg.temperature, rng)
         t3 = time.perf_counter_ns()
 
         emitted = accepted + [bonus]
@@ -339,8 +330,11 @@ def estimate_speedup(
     speedup = tau * t_base / (t_verify + t_draft + t_prune);
     draft_ratio = (t_draft + t_prune) / (t_verify + t_draft + t_prune).
     Verification and baseline times must be positive; drafting and pruning
-    may be zero (free drafting) but not negative.
+    may be zero (free drafting) but not negative; all must be finite.
     """
+    for name, value in (("tau", tau), ("t_verify", t_verify), ("t_draft", t_draft),
+                        ("t_prune", t_prune), ("t_base", t_base)):
+        check_number(name, value)
     if tau < 1:
         raise ConfigError(f"tau must be >= 1, got {tau}")
     if t_verify <= 0 or t_base <= 0:

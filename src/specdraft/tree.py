@@ -5,8 +5,8 @@ walks the positions level by level and scores each level at once: the beam
 times the row's top-k tokens is one (beam, k) matrix of expansions, scored by
 `combine` from the draft logit score and the n-gram continuity score. Every
 expansion enters a pool of parallel arrays, the best w become the next beam,
-and the top-theta pool nodes form an ancestor-closed DraftTree: parallel
-parent, token, level and score arrays, parents before children.
+and the top-theta pool nodes form the DraftTree that verification walks: it
+checks its own structure and carries its own tree-attention mask.
 """
 
 from __future__ import annotations
@@ -78,7 +78,9 @@ class DraftTree:
     """Ancestor-closed scored token tree as parallel arrays, parents before
     children. Node i has id i; parent[i] is its parent's id, or ROOT_ID for a
     child of the prefix; level 0 is the first future position; score is the
-    cumulative combined score."""
+    cumulative combined score. Construction raises InvalidTreeError unless
+    every parent id lies in [ROOT_ID, i) and every level is one more than its
+    parent's (0 under ROOT_ID)."""
 
     parent: np.ndarray
     token: np.ndarray
@@ -93,24 +95,35 @@ class DraftTree:
         n = len(self.token)
         if any(a.shape != (n,) for a in (self.parent, self.token, self.level, self.score)):
             raise InvalidTreeError("parent, token, level and score must be 1-D and of one length")
+        parent, level = self.parent, self.level
+        bad = np.flatnonzero((parent < ROOT_ID) | (parent >= np.arange(n)))
+        if bad.size:
+            raise InvalidTreeError(f"node {bad[0]} appears before its parent {parent[bad[0]]} "
+                                   "or the parent is missing")
+        parent_level = np.where(parent == ROOT_ID, -1, level[np.maximum(parent, 0)])
+        bad = np.flatnonzero(level != parent_level + 1)
+        if bad.size:
+            raise InvalidTreeError(f"node {bad[0]} has level {level[bad[0]]} under a parent "
+                                   f"of level {parent_level[bad[0]]}")
 
     def __len__(self) -> int:
         return len(self.token)
 
-    def render(self) -> str:
-        """Indented text rendering for debugging."""
-        lines = []
-        by_parent: dict[int, list[int]] = {}
-        for i, p in enumerate(self.parent.tolist()):
-            by_parent.setdefault(p, []).append(i)
-
-        def walk(parent_id: int, indent: int):
-            for i in by_parent.get(parent_id, []):
-                lines.append(f"{'  ' * indent}{self.token[i]} (score={self.score[i]:.4f})")
-                walk(i, indent + 1)
-
-        walk(ROOT_ID, 0)
-        return "\n".join(lines)
+    def attention_mask(self) -> np.ndarray:
+        """Bool (N, N) tree-attention mask: entry (q, kv) is true iff kv is q or
+        one of q's ancestors; node i sits at position prefix_len + level[i].
+        Prefix positions are always visible and are not part of the matrix.
+        Built one level at a time: each node's row is its parent's plus itself."""
+        n = len(self)
+        mask = np.zeros((n, n), dtype=bool)
+        by_level = np.argsort(self.level, kind="stable")
+        bounds = np.cumsum(np.bincount(self.level)).tolist()
+        for lo, hi in zip([0] + bounds, bounds):
+            idx = by_level[lo:hi]
+            if lo:
+                mask[idx] = mask[self.parent[idx]]
+            mask[idx, idx] = True
+        return mask
 
     def to_records(self) -> list[dict]:
         """Machine-readable adjacency listing for golden tests."""
@@ -118,13 +131,6 @@ class DraftTree:
                       self.score.tolist())
         return [{"id": i, "parent_id": p, "token": t, "level": lv, "score": s}
                 for i, (p, t, lv, s) in enumerate(columns)]
-
-
-@dataclass
-class LinearizedTree:
-    tokens: list[int]
-    position_ids: list[int]
-    attention_mask: np.ndarray  # bool (N, N); prefix visibility is implicit
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -223,22 +229,14 @@ def prune(
     parent, token, level, score = (np.concatenate(a) for a in zip(*pool))
 
     # Top-theta selection. Increments are clamped <= 0, so a parent scores at
-    # least as high as its child and sorts strictly before it: the ranked
-    # candidates are ancestor-closed, and the parent check guards that
-    # invariant rather than implementing a search.
-    ranked = _ranked(cfg.theta, score, level, token, parent)
-    tree_id = {ROOT_ID: ROOT_ID}  # pool id -> tree id
-    picked: list[int] = []
-    tree_parent: list[int] = []
-    for i, p in zip(ranked.tolist(), parent[ranked].tolist()):
-        if len(picked) >= cfg.theta:
-            break
-        if p not in tree_id:
-            continue  # unreachable under score monotonicity; skip, never strand
-        tree_id[i] = len(picked)
-        picked.append(i)
-        tree_parent.append(tree_id[p])
-    return DraftTree(tree_parent, token[picked], level[picked], score[picked])
+    # least as high as its child and sorts strictly before it: the top theta
+    # are ancestor-closed. Parent ids are remapped by the inverse permutation,
+    # whose extra last slot keeps ROOT_ID; were a parent ever left out, its
+    # child would land under ROOT_ID below level 0, which DraftTree rejects.
+    picked = _ranked(cfg.theta, score, level, token, parent)[: cfg.theta]
+    tree_id = np.full(size + 1, ROOT_ID)
+    tree_id[picked] = np.arange(len(picked))
+    return DraftTree(tree_id[parent[picked]], token[picked], level[picked], score[picked])
 
 
 def _ranked(n: int, score: np.ndarray, *keys: np.ndarray) -> np.ndarray:
@@ -250,34 +248,3 @@ def _ranked(n: int, score: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     candidates = np.flatnonzero(score >= -np.partition(-score, n - 1)[n - 1])
     order = np.lexsort(tuple(k[candidates] for k in reversed(keys)) + (-score[candidates],))
     return candidates[order]
-
-
-def linearize(tree: DraftTree, prefix_len: int) -> LinearizedTree:
-    """Flatten a draft tree for tree-attention verification.
-
-    Nodes keep their stored order (parents before children); position IDs are
-    prefix_len + level; mask entry (q, kv) is true iff kv is q or one of q's
-    ancestors. Prefix positions are always visible and are not part of the
-    matrix. The mask is built one level at a time: each node's row is its
-    parent's row plus itself.
-    """
-    n = len(tree)
-    parent, level = tree.parent, tree.level
-    bad = np.flatnonzero((parent < ROOT_ID) | (parent >= np.arange(n)))
-    if bad.size:
-        raise InvalidTreeError(f"node {bad[0]} appears before its parent {parent[bad[0]]} "
-                               "or the parent is missing")
-    parent_level = np.where(parent == ROOT_ID, -1, level[np.maximum(parent, 0)])
-    bad = np.flatnonzero(level != parent_level + 1)
-    if bad.size:
-        raise InvalidTreeError(f"node {bad[0]} has level {level[bad[0]]} under a parent "
-                               f"of level {parent_level[bad[0]]}")
-    mask = np.zeros((n, n), dtype=bool)
-    by_level = np.argsort(level, kind="stable")
-    bounds = np.cumsum(np.bincount(level)).tolist()
-    for lo, hi in zip([0] + bounds, bounds):
-        idx = by_level[lo:hi]
-        if lo:
-            mask[idx] = mask[parent[idx]]
-        mask[idx, idx] = True
-    return LinearizedTree(tree.token.tolist(), (prefix_len + level).tolist(), mask)

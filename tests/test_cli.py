@@ -354,6 +354,41 @@ def test_estimate_speedup_command(capsys):
     assert rc == EXIT_CONFIG
 
 
+_SPEEDUP_ARGS = ["--t-draft", "0", "--t-prune", "0", "--t-base", "10"]
+
+
+@pytest.mark.parametrize("argv, blamed", [
+    (["decode", "--config", "{cfg}", "--prompt-tokens", "abc"], "prompt tokens"),
+    (["decode", "--config", "{cfg}", "--prompt-tokens", ""], "prompt must be nonempty"),
+    (["bench-trie", "--trie", "{trie}", "--queries", "-5"], "--queries"),
+    (["bench-trie", "--trie", "{trie}", "--seed", "-1"], "--seed"),
+    (["eval", "--config", "{cfg}", "--drafter", "oracle", "--tau-prompts", "-1"],
+     "--tau-prompts"),
+    (["train-toy", "--config", "{cfg}", "--eval-every", "-1"], "--eval-every"),
+    (["report", "--log", "{log}", "--every", "-2"], "--every"),
+    (["build-trie", "--corpus", "{corpus}", "--out", "{out}", "--vocab-size", "-3"],
+     "--vocab-size"),
+    (["estimate-speedup", "--tau", "nan", "--t-verify", "10", *_SPEEDUP_ARGS], "tau"),
+    (["estimate-speedup", "--tau", "4", "--t-verify", "inf", *_SPEEDUP_ARGS], "t_verify"),
+], ids=["prompt-tokens-abc", "prompt-tokens-empty", "queries-negative", "seed-negative",
+        "tau-prompts-negative", "eval-every-negative", "every-negative",
+        "vocab-size-negative", "tau-nan", "t-verify-inf"])
+def test_bad_flag_or_prompt_exits_2(train_config, capsys, argv, blamed):
+    cfg, tmp_path = train_config
+    trie = tmp_path / "t.bin"
+    save_trie(build_trie([[0, 1, 2, 3, 4]], 3, 8), trie)
+    log = tmp_path / "log.jsonl"
+    log.write_text('{"step": 0, "loss": 1.0}\n', encoding="utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("1 2 3 1 2\n", encoding="utf-8")
+    files = {"cfg": cfg, "trie": trie, "log": log, "corpus": corpus,
+             "out": tmp_path / "new.bin"}
+    rc = main([a.format(**files) for a in argv])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and blamed in err and "Traceback" not in err
+
+
 def test_text_prompt_requires_byte_vocab(config_file):
     rc = main(["decode", "--config", config_file(), "--prompt", "hello"])
     assert rc == EXIT_CONFIG

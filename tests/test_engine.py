@@ -20,7 +20,7 @@ from specdraft.models import (
     UniformDrafter,
 )
 from specdraft.ngram import build_trie
-from specdraft.tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, linearize, prune
+from specdraft.tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, prune
 
 from oracles import argmax_rollout
 
@@ -45,8 +45,7 @@ def test_verify_accepts_greedy_chain(target):
     cfg = small_cfg()
     logits = OracleDrafter(target).predict(prefix, None, 3)
     tree = prune(logits, None, cfg.prune, prefix)
-    lin = linearize(tree, len(prefix))
-    accepted, bonus = verify(tree, lin, prefix, target, 0.0, np.random.default_rng(0))
+    accepted, bonus = verify(tree, prefix, target, 0.0, np.random.default_rng(0))
     chain = target.greedy_chain(prefix, 4)
     assert accepted == chain[:3]
     assert bonus == chain[3]
@@ -57,8 +56,7 @@ def test_verify_immediate_mismatch(target):
     best = int(np.argmax(target.next_dist(prefix, 0.0)))
     wrong = (best + 1) % target.vocab_size
     tree = DraftTree(parent=[ROOT_ID], token=[wrong], level=[0], score=[-0.5])
-    lin = linearize(tree, len(prefix))
-    accepted, bonus = verify(tree, lin, prefix, target, 0.0, np.random.default_rng(0))
+    accepted, bonus = verify(tree, prefix, target, 0.0, np.random.default_rng(0))
     assert accepted == []
     assert bonus == best
 
@@ -71,10 +69,9 @@ def test_verify_full_support_always_descends(target):
     rows = np.zeros((2, V))
     cfg = PruneConfig(k=V, w=V, theta=V + V * V)
     tree = prune(ParallelLogits(rows), None, cfg, prefix)
-    lin = linearize(tree, len(prefix))
     rng = np.random.default_rng(1)
     for _ in range(40):
-        accepted, bonus = verify(tree, lin, prefix, target, 1.0, rng)
+        accepted, bonus = verify(tree, prefix, target, 1.0, rng)
         assert len(accepted) == 2
         assert 0 <= bonus < V
 
@@ -89,16 +86,15 @@ def test_verify_tries_children_in_tree_order(target):
     for first, second in ((a, b), (b, a)):
         tree = DraftTree(parent=[ROOT_ID, ROOT_ID], token=[first, second], level=[0, 0],
                          score=[-0.1, -0.2])
-        lin = linearize(tree, len(prefix))
         for seed in range(30):
             draw = np.random.default_rng(seed).random()
-            accepted, _ = verify(tree, lin, prefix, target, 1.0, np.random.default_rng(seed))
+            accepted, _ = verify(tree, prefix, target, 1.0, np.random.default_rng(seed))
             assert (accepted == [first]) == (draw < dist[first] / float(dist.sum()))
 
 
 def test_verify_rejects_empty_tree(target):
     with pytest.raises(ConfigError):
-        verify(DraftTree([], [], [], []), None, [0], target, 0.0, np.random.default_rng(0))
+        verify(DraftTree([], [], [], []), [0], target, 0.0, np.random.default_rng(0))
 
 
 # -- decode -----------------------------------------------------------------------

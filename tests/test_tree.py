@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdraft import tree as tree_module
 from specdraft.errors import ConfigError, InvalidTreeError
 from specdraft.models import MarkovTarget
 from specdraft.ngram import EPSILON, build_trie
@@ -14,7 +15,6 @@ from specdraft.tree import (
     ParallelLogits,
     PruneConfig,
     combine,
-    linearize,
     prune,
     top_k_candidates,
 )
@@ -280,6 +280,15 @@ def test_prune_rejects_empty_prefix():
         prune(ParallelLogits(np.zeros((1, 4))), None, PruneConfig(k=2, w=2, theta=2), [])
 
 
+def test_prune_refuses_a_child_that_outranks_its_parent(monkeypatch):
+    # Without combine's <= 0 clamp a child could outscore its parent and be
+    # picked without it; the tree's own checks refuse that result.
+    monkeypatch.setattr(tree_module, "combine", lambda s_logit, s_ng, level, cfg:
+                        np.full_like(s_logit, 1.0 + level))
+    with pytest.raises(InvalidTreeError):
+        prune(ParallelLogits(np.zeros((2, 4))), None, PruneConfig(k=2, w=2, theta=3), [0])
+
+
 def test_parallel_logits_validation():
     with pytest.raises(ConfigError):
         ParallelLogits(np.array([1.0, 2.0]))  # 1-D
@@ -287,7 +296,7 @@ def test_parallel_logits_validation():
         ParallelLogits(np.array([[1.0, np.inf]]))
 
 
-# -- linearize --------------------------------------------------------------------
+# -- tree structure and linearized attention mask --------------------------------
 
 
 def chain_tree(tokens):
@@ -296,18 +305,17 @@ def chain_tree(tokens):
 
 
 def test_linearize_chain_is_lower_triangular():
-    lin = linearize(chain_tree([5, 6, 7]), prefix_len=4)
-    assert lin.tokens == [5, 6, 7]
-    assert lin.position_ids == [4, 5, 6]
-    assert np.array_equal(lin.attention_mask, np.tril(np.ones((3, 3), dtype=bool)))
+    tree = chain_tree([5, 6, 7])
+    assert tree.token.tolist() == [5, 6, 7]
+    assert (4 + tree.level).tolist() == [4, 5, 6]
+    assert np.array_equal(tree.attention_mask(), np.tril(np.ones((3, 3), dtype=bool)))
 
 
 def test_linearize_siblings_isolated():
     tree = DraftTree(parent=[ROOT_ID, ROOT_ID], token=[1, 2], level=[0, 0],
                      score=[-0.1, -0.2])
-    lin = linearize(tree, prefix_len=10)
-    assert lin.position_ids == [10, 10]
-    assert np.array_equal(lin.attention_mask, np.eye(2, dtype=bool))
+    assert (10 + tree.level).tolist() == [10, 10]
+    assert np.array_equal(tree.attention_mask(), np.eye(2, dtype=bool))
 
 
 def test_linearize_full_binary_depth_two():
@@ -318,26 +326,28 @@ def test_linearize_full_binary_depth_two():
                      token=[0, 1, 0, 1, 0, 1, 0],
                      level=[0, 0, 1, 1, 2, 2, 2],
                      score=[-0.1, -0.2, -0.3, -0.4, -0.5, -0.6, -0.7])
-    lin = linearize(tree, prefix_len=0)
+    mask = tree.attention_mask()
     for leaf_idx in (4, 5, 6):
-        assert lin.attention_mask[leaf_idx].sum() == 3
+        assert mask[leaf_idx].sum() == 3
 
 
-def test_linearize_rejects_orphans_and_disorder():
+def test_empty_tree_has_empty_mask():
+    assert DraftTree([], [], [], []).attention_mask().shape == (0, 0)
+
+
+def test_draft_tree_rejects_orphans_and_disorder():
     with pytest.raises(InvalidTreeError):
-        linearize(DraftTree([99], [1], [1], [0.0]), 0)  # orphan
+        DraftTree([99], [1], [1], [0.0])  # orphan
     with pytest.raises(InvalidTreeError):
-        linearize(DraftTree([-2], [1], [0], [0.0]), 0)  # parent id below ROOT_ID
+        DraftTree([-2], [1], [0], [0.0])  # parent id below ROOT_ID
     with pytest.raises(InvalidTreeError):
-        # child listed before parent
-        linearize(DraftTree([1, ROOT_ID], [2, 1], [1, 0], [-0.5, -0.1]), 0)
+        DraftTree([1, ROOT_ID], [2, 1], [1, 0], [-0.5, -0.1])  # child listed before parent
     with pytest.raises(InvalidTreeError):
-        linearize(DraftTree([0], [1], [0], [-0.1]), 0)  # its own parent
+        DraftTree([0], [1], [0], [-0.1])  # its own parent
     with pytest.raises(InvalidTreeError):
-        # level skip
-        linearize(DraftTree([ROOT_ID, 0], [1, 2], [0, 2], [-0.1, -0.2]), 0)
+        DraftTree([ROOT_ID, 0], [1, 2], [0, 2], [-0.1, -0.2])  # level skip
     with pytest.raises(InvalidTreeError):
-        linearize(DraftTree([ROOT_ID], [1], [1], [-0.1]), 0)  # root child below level 0
+        DraftTree([ROOT_ID], [1], [1], [-0.1])  # root child below level 0
     with pytest.raises(InvalidTreeError):
         DraftTree([ROOT_ID, 0], [1], [0, 1], [-0.1, -0.2])  # ragged arrays
 
@@ -350,7 +360,7 @@ def test_linearized_mask_rows_reproduce_parent_chains(seed):
     rows = rng.standard_normal((3, 8))
     cfg = PruneConfig(k=3, w=3, theta=9)
     tree = prune(ParallelLogits(rows), None, cfg, [0])
-    lin = linearize(tree, prefix_len=5)
+    mask = tree.attention_mask()
     for idx in range(len(tree)):
         chain = []
         cur = idx
@@ -358,15 +368,12 @@ def test_linearized_mask_rows_reproduce_parent_chains(seed):
             chain.append(int(tree.token[cur]))
             cur = int(tree.parent[cur])
         chain.reverse()
-        visible = [lin.tokens[j] for j in np.flatnonzero(lin.attention_mask[idx])]
-        assert visible == chain
-        assert lin.position_ids[idx] == 5 + tree.level[idx]
+        assert tree.token[np.flatnonzero(mask[idx])].tolist() == chain
+        assert len(chain) == 1 + tree.level[idx]  # prefix_len + level is its position
 
 
-def test_render_and_records():
+def test_to_records():
     tree = chain_tree([3, 4])
-    text = tree.render()
-    assert "3" in text and "  4" in text
     recs = tree.to_records()
     assert recs[0] == {"id": 0, "parent_id": ROOT_ID, "token": 3, "level": 0,
                        "score": 0.0}
