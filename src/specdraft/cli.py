@@ -1,7 +1,7 @@
 """Command-line surface: trie building, decoding, benchmarking, toy training.
 
 One JSON configuration file drives every command; defaults equal the
-reference constants (k=25, w=20, theta=59, w_ng=0.5, gamma=0.6, d=8) and any
+reference constants (k=25, w=20, theta=59, gamma=0.6, d=8) and any
 dotted key can be overridden on the command line with --override. Exit codes:
 0 success, 2 configuration errors, 3 I/O and file-format errors, 4 training
 divergence.
@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ from .ngram import (
     NgramTrie,
     build_trie,
     load_trie,
+    read_lines,
     read_text_corpus,
     read_token_corpus,
     save_trie,
@@ -58,7 +59,6 @@ class RunConfig:
     """Mirror of the JSON configuration file."""
 
     seed: int = 0
-    prune: PruneConfig = field(default_factory=PruneConfig)
     decode: DecodeConfig = field(default_factory=DecodeConfig)
     target: MarkovTarget | None = None
     training: dict = field(default_factory=dict)
@@ -76,7 +76,13 @@ _TRAINING_DEFAULTS = {
     "heldout_sequences": 50,
 }
 _TARGET_DEFAULTS = {"seed": 7, "vocab_size": 64, "order": 2, "concentration": 0.2}
-_PATH_KEYS = {"trie", "model", "corpus", "train_log"}
+_SECTION_KEYS = {
+    "prune": {f.name for f in fields(PruneConfig)},
+    "decode": {f.name for f in fields(DecodeConfig)} - {"seed", "prune"},
+    "target": set(_TARGET_DEFAULTS),
+    "training": set(_TRAINING_DEFAULTS),
+    "paths": {"trie", "model", "corpus", "train_log"},
+}
 
 
 def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
@@ -108,8 +114,7 @@ def load_config(path: str | None, overrides: list[str] | None = None,
     raw: dict = {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as f:
-                raw = json.load(f)
+            raw = json.loads("".join(read_lines(path)))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -130,33 +135,31 @@ def load_config(path: str | None, overrides: list[str] | None = None,
                 raise ConfigError(f"override path {dotted!r} crosses a non-object")
         cursor[keys[-1]] = parsed
 
-    _reject_unknown("config", raw, {"seed", "prune", "decode", "target", "training", "paths"})
-    prune_raw = dict(raw.get("prune", {}))
-    _reject_unknown("prune", prune_raw,
-                    {"k", "w", "theta", "w_ng", "logit_decay", "level_exponent", "epsilon"})
-    decode_raw = dict(raw.get("decode", {}))
-    _reject_unknown("decode", decode_raw, {"d", "temperature", "max_tokens", "eos_token"})
-    target_raw = {**_TARGET_DEFAULTS, **raw.get("target", {})}
-    _reject_unknown("target", raw.get("target", {}), set(_TARGET_DEFAULTS))
-    training = {**_TRAINING_DEFAULTS, **raw.get("training", {})}
-    _reject_unknown("training", raw.get("training", {}), set(_TRAINING_DEFAULTS))
-    paths = dict(raw.get("paths", {}))
-    _reject_unknown("paths", paths, _PATH_KEYS)
+    _reject_unknown("config", raw, {"seed", *_SECTION_KEYS})
+    sections = {name: raw.get(name, {}) for name in _SECTION_KEYS}
+    for name, given in sections.items():
+        if not isinstance(given, dict):
+            raise ConfigError(f"{name} must be a JSON object, got {given!r}")
+        _reject_unknown(name, given, _SECTION_KEYS[name])
+    target_raw = {**_TARGET_DEFAULTS, **sections["target"]}
+    training = {**_TRAINING_DEFAULTS, **sections["training"]}
+    paths = sections["paths"]
 
     seed = raw.get("seed", 0)
     check_int("seed", seed, minimum=0)
     _check_kinds("target", target_raw, _TARGET_DEFAULTS)
     _check_kinds("training", training, _TRAINING_DEFAULTS)
-    prune_cfg = PruneConfig(**prune_raw)
-    decode_cfg = DecodeConfig(seed=seed, prune=prune_cfg, **decode_raw)
+    decode_cfg = DecodeConfig(seed=seed, prune=PruneConfig(**sections["prune"]),
+                              **sections["decode"])
     target = MarkovTarget(**target_raw)
     for key, p in paths.items():
+        if p is not None and not isinstance(p, str):
+            raise ConfigError(f"paths.{key} must be a string or null, got {p!r}")
         if key in output_paths or key == "train_log":
             continue
         if p is not None and not Path(p).exists():
             raise ConfigError(f"paths.{key} does not exist: {p}")
-    return RunConfig(seed=seed, prune=prune_cfg, decode=decode_cfg,
-                     target=target, training=training, paths=paths)
+    return RunConfig(seed=seed, decode=decode_cfg, target=target, training=training, paths=paths)
 
 
 def _emit(args, records: list[dict], text: str) -> None:
@@ -342,7 +345,7 @@ def cmd_train_toy(args) -> int:
     check_int("--eval-every", args.eval_every, minimum=0)
     cfg = load_config(args.config, args.override, output_paths={"model"})
     tr = cfg.training
-    model_path = cfg.paths.get("model", "toy_draft.npz")
+    model_path = cfg.paths.get("model") or "toy_draft.npz"
     log_path = cfg.paths.get("train_log") or args.log or f"{model_path}.log.jsonl"
     corpus, heldout = _training_corpora(cfg)
     log: list[TrainingLogRecord] = []
@@ -376,7 +379,7 @@ def cmd_eval(args) -> int:
     taus = []
     for i, seq in enumerate(heldout[: args.tau_prompts]):
         run = DecodeConfig(d=d, temperature=cfg.decode.temperature,
-                           max_tokens=48, seed=cfg.seed + i, prune=cfg.prune)
+                           max_tokens=48, seed=cfg.seed + i, prune=cfg.decode.prune)
         _, metrics = decode(seq[:4], cfg.target, drafter, trie, run, measure_base=False)
         taus.append(metrics.tau)
     tau = float(np.mean(taus)) if taus else float("nan")
@@ -388,10 +391,30 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _read_log(path) -> list[dict]:
+    """A training log's records; ConfigError names the file and line of a malformed one."""
+    records = []
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{where}: invalid JSON: {exc}") from exc
+        if not isinstance(rec, dict) or not isinstance(rec.get("alpha") or [], list):
+            raise ConfigError(f"{where}: not a training log record: {rec!r}")
+        check_int(f"{where}: step", rec.get("step"))
+        check_number(f"{where}: loss", rec.get("loss"))
+        for a in rec.get("alpha") or []:
+            check_number(f"{where}: alpha", a)
+        records.append(rec)
+    return records
+
+
 def cmd_report(args) -> int:
     check_int("--every", args.every, minimum=0)
-    with open(args.log, "r", encoding="utf-8") as f:
-        records = [json.loads(line) for line in f if line.strip()]
+    records = _read_log(args.log)
     if not records:
         print("empty training log")
         return EXIT_OK

@@ -155,12 +155,12 @@ class MarkovTarget:
         return self.rollout(prompt, length, lambda row: sample_from(row, rng))
 
 
-def positional_encoding(position_ids, width: int = MODEL_WIDTH) -> np.ndarray:
+def positional_encoding(position_ids) -> np.ndarray:
     """Fixed sinusoidal encoding of the given (possibly repeated) position ids."""
     ids = np.asarray(position_ids, dtype=np.float64)[:, None]
-    half = width // 2
+    half = MODEL_WIDTH // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)[None, :]
-    enc = np.empty((ids.shape[0], width))
+    enc = np.empty((ids.shape[0], MODEL_WIDTH))
     enc[:, 0::2] = np.sin(ids * freqs)
     enc[:, 1::2] = np.cos(ids * freqs)
     return enc

@@ -41,6 +41,7 @@ from .errors import (
 )
 
 EPSILON = 1e-9
+LOG_FLOOR = math.log(EPSILON)  # the score of an unseen continuation
 
 MAGIC = b"NGTR"
 FORMAT_VERSION = 2
@@ -255,7 +256,8 @@ def load_trie(path: str | os.PathLike) -> NgramTrie:
 # -- corpus ingestion ----------------------------------------------------------
 
 
-def _read_lines(path: str | os.PathLike) -> list[str]:
+def read_lines(path: str | os.PathLike) -> list[str]:
+    """The lines of a UTF-8 text file; ConfigError names a file that is not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             return f.readlines()
@@ -266,7 +268,7 @@ def _read_lines(path: str | os.PathLike) -> list[str]:
 def read_token_corpus(path: str | os.PathLike) -> list[list[int]]:
     """Newline-delimited records of whitespace-separated integer token IDs."""
     corpus = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         try:
             corpus.append([int(tok) for tok in line.split()])
         except ValueError as exc:
@@ -281,4 +283,4 @@ def tokenize_bytes(text: str) -> list[int]:
 
 def read_text_corpus(path: str | os.PathLike) -> list[list[int]]:
     """Plain-text mode: one record per line, byte-level tokens."""
-    return [tokenize_bytes(line.rstrip("\n")) for line in _read_lines(path)]
+    return [tokenize_bytes(line.rstrip("\n")) for line in read_lines(path)]

@@ -6,10 +6,10 @@ sees only its own prompt prefix and itself (causally), and different blocks
 never see each other. Every supervised prompt position therefore contributes
 d future-position predictions to a single forward pass.
 
-The objective is a position-annealed KL divergence against the target model's
-exact conditionals, weighted gamma^(t-1) for the t-th future position. All
-arithmetic is float64 and gradients are written by hand, so they can be
-validated against central differences.
+The objective is a position-annealed KL divergence (`floored_kl`) against the
+target model's exact conditionals, weighted gamma^(t-1) for the t-th future
+position. All arithmetic is float64 and gradients are written by hand, so
+they can be validated against central differences.
 """
 
 from __future__ import annotations
@@ -18,28 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError, check_int, check_number
 from .models import MarkovTarget, ToyDraft
-from .ngram import EPSILON
+from .ngram import LOG_FLOOR
 from .tree import log_softmax
-
-LOG_FLOOR = float(np.log(EPSILON))
-
-
-@dataclass(frozen=True)
-class AnnealedKLConfig:
-    gamma: float = 0.6
-    d: int = 8
-
-    def __post_init__(self):
-        if not 0 < self.gamma <= 1:
-            raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.d < 1:
-            raise ConfigError(f"d must be >= 1, got {self.d}")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.gamma ** np.arange(self.d, dtype=np.float64)
 
 
 def build_training_mask(prompt_len: int, block_len: int,
@@ -85,8 +67,8 @@ def _safe_q_log_q(q: np.ndarray) -> np.ndarray:
     return np.where(q > 0, q * np.log(np.maximum(q, 1e-300)), 0.0)
 
 
-def _floored_kl(logits: np.ndarray, q: np.ndarray,
-                weights: np.ndarray) -> tuple[float, np.ndarray, bool]:
+def floored_kl(logits: np.ndarray, q: np.ndarray,
+               weights: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Weighted sum of KL(q || softmax(logits)) over the last axis, with the
     log-probabilities clamped at the epsilon floor.
 
@@ -112,23 +94,6 @@ def _floored_kl(logits: np.ndarray, q: np.ndarray,
     grad -= q_kept
     grad *= weights[..., None]
     return loss, grad, floored
-
-
-def annealed_kl_loss(draft_logits: np.ndarray, target_dists: np.ndarray,
-                     gamma: float) -> tuple[float, np.ndarray, bool]:
-    """Sum_t gamma^(t-1) KL(q_t || softmax(logits_t)) with exact logit grads.
-
-    Returns (loss, d loss / d logits, floored); see `_floored_kl`.
-    """
-    draft_logits = np.asarray(draft_logits, dtype=np.float64)
-    q = np.asarray(target_dists, dtype=np.float64)
-    if draft_logits.shape != q.shape or draft_logits.ndim != 2:
-        raise ConfigError(
-            f"logits and target dists must share a (d, V) shape, got "
-            f"{draft_logits.shape} vs {q.shape}"
-        )
-    cfg = AnnealedKLConfig(gamma=gamma, d=draft_logits.shape[0])
-    return _floored_kl(draft_logits, q, cfg.weights)
 
 
 @dataclass
@@ -158,6 +123,10 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
     leading P + (L-d)*m positions of the layout: the prompt and the
     supervised blocks, which are all that any supervised slot sees.
     """
+    check_int("d", d, minimum=1)
+    check_number("gamma", gamma)
+    if not 0 < gamma <= 1:
+        raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
     if not sequences:
         raise ConfigError("need at least one training sequence")
     L = len(sequences[0])
@@ -165,7 +134,6 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
         raise ConfigError("training sequences must share one length")
     if L <= d:
         raise ConfigError(f"sequences of length {L} cannot supervise d={d} futures")
-    cfg = AnnealedKLConfig(gamma=gamma, d=d)
     m = d - 1 if shifted else d
     if m < 1:
         raise ConfigError("shifted training needs d >= 2")
@@ -189,7 +157,7 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
         position_ids=build_position_ids(P, m)[:M],
         n_prefix=P,
         slot_positions=slot_positions,
-        slot_weights=np.tile(cfg.weights, G),
+        slot_weights=np.tile(gamma ** np.arange(d, dtype=np.float64), G),
         labels=labels,
         norm=float(len(sequences) * G),
     )
@@ -207,7 +175,7 @@ def batch_loss(model: ToyDraft, batch: TrainingBatch,
                            M - batch.n_prefix, batch.position_ids)
     slots = batch.slot_positions
     logits, cache = model.forward_core(z, batch.mask[slots], slots)
-    loss, dlogits, floored = _floored_kl(logits, batch.labels, batch.slot_weights[None, :])
+    loss, dlogits, floored = floored_kl(logits, batch.labels, batch.slot_weights[None, :])
     loss /= batch.norm
     if not want_grads:
         return loss, None, floored
@@ -277,7 +245,7 @@ def train_toy_draft(
 
 def evaluate_alpha(drafter, target: MarkovTarget,
                    sequences: list[list[int]], d: int,
-                   min_prefix: int = 1, vs_greedy: bool = False) -> list[float]:
+                   vs_greedy: bool = False) -> list[float]:
     """Held-out argmax accuracy per future position, inference conditions.
 
     alpha[t-1] is the fraction of (sequence, prefix) pairs whose row-t argmax
@@ -287,11 +255,12 @@ def evaluate_alpha(drafter, target: MarkovTarget,
     exposing the predict() drafting interface; drafting runs at temperature 0,
     so the seeded generator it is handed never changes a row.
     """
+    check_int("d", d, minimum=1)
     rng = np.random.Generator(np.random.PCG64(0))
     hits = np.zeros(d)
     total = 0
     for seq in sequences:
-        for g in range(min_prefix, len(seq) - d):
+        for g in range(1, len(seq) - d):
             prefix = seq[: g + 1]
             rows = drafter.predict(prefix, target.features(prefix), d, rng=rng).rows
             preds = np.argmax(rows, axis=1)

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidTreeError, check_int, check_number
-from .ngram import EPSILON, NgramTrie
+from .errors import ConfigError, InvalidTreeError, check_int
+from .ngram import EPSILON, LOG_FLOOR, NgramTrie
 
 ROOT_ID = -1
 
@@ -46,31 +46,16 @@ class ParallelLogits:
 
 @dataclass(frozen=True)
 class PruneConfig:
-    """Pruning hyperparameters. Defaults follow the reference operating point:
-    top-25 candidates per position, beam width 20, 59-node trees, n-gram
-    weight 0.5, logit weight 0.9^level, level weight (level+1)^-0.7."""
+    """The operating point: top-k candidates per position, beam width w and
+    theta-node trees, by default the reference 25/20/59. `combine` is the score."""
 
     k: int = 25
     w: int = 20
     theta: int = 59
-    w_ng: float = 0.5
-    logit_decay: float = 0.9
-    level_exponent: float = 0.7
-    epsilon: float = EPSILON
 
     def __post_init__(self):
         for name in ("k", "w", "theta"):
             check_int(name, getattr(self, name), minimum=1)
-        for name in ("w_ng", "logit_decay", "level_exponent", "epsilon"):
-            check_number(name, getattr(self, name))
-        if self.w_ng < 0:
-            raise ConfigError(f"w_ng must be >= 0, got {self.w_ng}")
-        if not 0 < self.logit_decay <= 1:
-            raise ConfigError(f"logit_decay must be in (0, 1], got {self.logit_decay}")
-        if self.level_exponent < 0:
-            raise ConfigError(f"level_exponent must be >= 0, got {self.level_exponent}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
 
 
 @dataclass
@@ -141,9 +126,8 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def top_k_candidates(rows: np.ndarray, k: int,
-                     eps: float = EPSILON) -> tuple[np.ndarray, np.ndarray]:
-    """The k highest-logit tokens of each row, with s_logit = log(softmax(row) + eps).
+def top_k_candidates(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k highest-logit tokens of each row, with s_logit = log(softmax(row) + EPSILON).
 
     Works over the last axis: for (d, V) rows both arrays are (d, k). Sorted
     by descending logit; ties broken by ascending token ID.
@@ -155,21 +139,26 @@ def top_k_candidates(rows: np.ndarray, k: int,
         raise ConfigError(f"k must be >= 1, got {k}")
     tokens = np.argsort(-rows, axis=-1, kind="stable")[..., :k]
     probs = np.exp(log_softmax(rows))
-    return tokens, np.log(np.take_along_axis(probs, tokens, axis=-1) + eps)
+    return tokens, np.log(np.take_along_axis(probs, tokens, axis=-1) + EPSILON)
 
 
-def combine(s_logit, s_ng, level: int, cfg: PruneConfig):
+W_NG = 0.5            # weight of the n-gram continuity score
+LOGIT_DECAY = 0.9     # the logit score's weight at level l is LOGIT_DECAY^l
+LEVEL_EXPONENT = 0.7  # the increment's weight at level l is (l+1)^-LEVEL_EXPONENT
+
+
+def combine(s_logit, s_ng, level: int):
     """Score increment for extending a candidate at tree depth `level`.
 
-    (logit_decay^level * s_logit + w_ng * s_ng) * (level+1)^-level_exponent,
+    (LOGIT_DECAY^level * s_logit + W_NG * s_ng) * (level+1)^-LEVEL_EXPONENT,
     clamped to <= 0 so cumulative scores never increase along a path. The
     scores may be floats or arrays that broadcast together.
     """
     if level < 0:
         raise ConfigError(f"level must be >= 0, got {level}")
-    w_logit = cfg.logit_decay ** level
-    w_level = (level + 1) ** (-cfg.level_exponent)
-    return np.minimum(0.0, (w_logit * s_logit + cfg.w_ng * s_ng) * w_level)
+    w_logit = LOGIT_DECAY ** level
+    w_level = (level + 1) ** (-LEVEL_EXPONENT)
+    return np.minimum(0.0, (w_logit * s_logit + W_NG * s_ng) * w_level)
 
 
 def prune(
@@ -194,10 +183,9 @@ def prune(
     """
     if len(prefix) == 0:
         raise ConfigError("prefix must be nonempty")
-    floor = float(np.log(cfg.epsilon))
     keep = trie.order - 1 if trie is not None else 0
     tail = tuple(int(t) for t in prefix[-keep:]) if keep else ()
-    top_tokens, top_scores = top_k_candidates(logits.rows, cfg.k, eps=cfg.epsilon)
+    top_tokens, top_scores = top_k_candidates(logits.rows, cfg.k)
 
     beam_ids = np.array([ROOT_ID])
     beam_scores = np.zeros(1)
@@ -206,16 +194,16 @@ def prune(
     size = 0
     for depth in range(logits.d):
         row_tokens = top_tokens[depth]
-        s_ng = floor
+        s_ng = LOG_FLOOR
         if trie is not None:
             # One children_scores call per beam entry, scattered into a dense
             # (beam, V) matrix and gathered at the top-k tokens.
-            found = [trie.children_scores(context, eps=cfg.epsilon) for context in contexts]
-            dense = np.full((len(contexts), logits.vocab_size), floor)
+            found = [trie.children_scores(context) for context in contexts]
+            dense = np.full((len(contexts), logits.vocab_size), LOG_FLOOR)
             beam_of = np.repeat(np.arange(len(found)), [len(f) for f in found])
             dense[beam_of, [t for f in found for t in f]] = [v for f in found for v in f.values()]
             s_ng = dense[:, row_tokens]
-        inc = combine(top_scores[depth], s_ng, depth, cfg)
+        inc = combine(top_scores[depth], s_ng, depth)
         level_scores = (beam_scores[:, None] + inc).ravel()
         level_parents = np.repeat(beam_ids, cfg.k)
         level_tokens = row_tokens[None, :].repeat(len(contexts), axis=0).ravel()

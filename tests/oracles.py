@@ -62,16 +62,20 @@ def oracle_prune(rows, counter, cfg, prefix):
 
     Returns {draft-token path tuple: (level, cumulative score)} for the
     selected tree. `counter` is a WindowCounter or None (epsilon floor).
+    The score's constants are written out, not read from the package:
+    epsilon 1e-9, logit weight 0.9^level, n-gram weight 0.5 and level
+    weight (level+1)^-0.7.
     """
+    eps = 1e-9
     rows = np.asarray(rows, dtype=np.float64)
     d, V = rows.shape
-    floor = math.log(cfg.epsilon)
+    floor = math.log(eps)
 
     def topk(row):
         order = sorted(range(V), key=lambda t: (-row[t], t))[:cfg.k]
         e = np.exp(row - row.max())
         p = e / e.sum()
-        return [(t, math.log(p[t] + cfg.epsilon)) for t in order]
+        return [(t, math.log(p[t] + eps)) for t in order]
 
     nodes = {}  # path -> dict(score, level, order, parent)
     beam = [((), 0.0)]
@@ -85,9 +89,8 @@ def oracle_prune(rows, counter, cfg, prefix):
                 if counter is None:
                     s_ng = floor
                 else:
-                    s_ng = counter.score(seq, t, eps=cfg.epsilon)
-                inc = (cfg.logit_decay ** level * s_logit + cfg.w_ng * s_ng) \
-                    * (level + 1) ** (-cfg.level_exponent)
+                    s_ng = counter.score(seq, t, eps=eps)
+                inc = (0.9 ** level * s_logit + 0.5 * s_ng) * (level + 1) ** (-0.7)
                 score = sc + min(0.0, inc)
                 nodes[path + (t,)] = {
                     "score": score, "level": level, "order": created,

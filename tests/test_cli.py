@@ -88,14 +88,27 @@ def test_decode_out_of_vocab_prompt_exits_2(config_file, capsys, tokens, baselin
 
 
 @pytest.mark.parametrize("override", [
-    "decode.temperature=NaN", "prune.epsilon=0", "prune.epsilon=-1",
-    "prune.w_ng=NaN", "prune.level_exponent=NaN",
+    "decode.temperature=NaN", "decode.temperature=-1", "prune.k=0",
 ])
 def test_decode_non_finite_or_out_of_range_config_exits_2(config_file, capsys, override):
     rc = main(["decode", "--config", config_file(), "--prompt-tokens", "1 2",
                "--override", override])
     assert rc == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    "prune.epsilon=0", "prune.epsilon=-1", "prune.w_ng=NaN", "prune.level_exponent=NaN",
+    "prune.logit_decay=0.9", "decode.prune=3", "decode.seed=1",
+])
+def test_unsettable_key_is_unknown(config_file, capsys, override):
+    # The pruning score's weights and floor are constants, and decode's seed
+    # and prune come from the config's top-level seed and prune section.
+    rc = main(["decode", "--config", config_file(), "--prompt-tokens", "1 2",
+               "--override", override])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unknown config key" in err and override.split("=")[0].split(".")[1] in err
 
 
 @pytest.mark.parametrize("override", [
@@ -213,7 +226,7 @@ def test_missing_referenced_file_rejected(tmp_path):
 
 def test_override_parsing():
     cfg = load_config(None, ["prune.k=3", "decode.temperature=0.5", "seed=9"])
-    assert cfg.prune.k == 3
+    assert cfg.decode.prune.k == 3
     assert cfg.decode.temperature == 0.5
     assert cfg.seed == 9
     with pytest.raises(ConfigError):
@@ -222,8 +235,8 @@ def test_override_parsing():
 
 def test_default_config_uses_reference_constants():
     cfg = load_config(None)
-    assert (cfg.prune.k, cfg.prune.w, cfg.prune.theta) == (25, 20, 59)
-    assert cfg.prune.w_ng == 0.5
+    prune = cfg.decode.prune
+    assert (prune.k, prune.w, prune.theta) == (25, 20, 59)
     assert cfg.decode.d == 8
     assert cfg.training["gamma"] == 0.6
 
@@ -293,6 +306,15 @@ def test_train_eval_report_cycle(train_config, capsys):
     rc = main(["report", "--log", str(log_path), "--every", "20"])
     assert rc == EXIT_OK
     assert "loss" in capsys.readouterr().out
+
+
+def test_train_toy_null_model_path_takes_the_default(train_config, monkeypatch):
+    cfg, tmp_path = train_config
+    monkeypatch.chdir(tmp_path)
+    rc = main(["train-toy", "--config", cfg, "--override", "paths.model=null",
+               "--override", "training.steps=2"])
+    assert rc == EXIT_OK
+    assert (tmp_path / "toy_draft.npz").exists()
 
 
 def test_train_log_byte_identical_across_runs(train_config, capsys):
@@ -387,6 +409,38 @@ def test_bad_flag_or_prompt_exits_2(train_config, capsys, argv, blamed):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and blamed in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, blamed", [
+    (["decode", "--config", "{cfg}", "--override", "prune=3"], "prune must be a JSON object"),
+    (["decode", "--config", "{cfg}", "--override", "paths=3"], "paths must be a JSON object"),
+    (["decode", "--config", "{cfg}", "--override", "target=3"], "target must be a JSON object"),
+    (["decode", "--config", "{cfg}", "--override", "paths.trie=5"], "paths.trie"),
+    (["decode", "--config", "{cfg}", "--drafter", "toy", "--override", "paths.model=[1]"],
+     "paths.model"),
+    (["decode", "--config", "{latin1}"], "{latin1}"),
+    (["eval", "--config", "{cfg}", "--drafter", "oracle", "--override", "training.d=-1"],
+     "d must be >= 1"),
+    (["report", "--log", "{not_json}"], "{not_json}:2"),
+    (["report", "--log", "{not_object}"], "{not_object}:2"),
+    (["report", "--log", "{no_loss}"], "{no_loss}:2"),
+    (["report", "--log", "{latin1}"], "{latin1}"),
+], ids=["prune-not-object", "paths-not-object", "target-not-object", "trie-path-not-string",
+        "model-path-not-string", "config-not-utf8", "eval-d-negative", "log-line-not-json",
+        "log-record-not-object", "log-record-without-loss", "log-not-utf8"])
+def test_bad_config_or_log_exits_2(train_config, capsys, argv, blamed):
+    cfg, tmp_path = train_config
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"paths": {"train_log": "caf\xe9.jsonl"}}\n'.encode("latin-1"))
+    files = {"cfg": cfg, "latin1": latin1}
+    for name, line in (("not_json", "{step: 1"), ("not_object", "[1, 2]"),
+                       ("no_loss", '{"step": 1}')):
+        files[name] = tmp_path / f"{name}.jsonl"
+        files[name].write_text('{"step": 0, "loss": 1.0}\n' + line + "\n", encoding="utf-8")
+    rc = main([a.format(**files) for a in argv])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and blamed.format(**files) in err and "Traceback" not in err
 
 
 def test_text_prompt_requires_byte_vocab(config_file):

@@ -5,15 +5,14 @@ from scipy.special import rel_entr
 from specdraft.errors import ConfigError, TrainingDivergedError
 from specdraft.models import MarkovTarget, ToyDraft
 from specdraft.training import (
-    AnnealedKLConfig,
     TrainingLogRecord,
-    annealed_kl_loss,
     batch_loss,
     build_position_ids,
     build_training_batch,
     build_training_mask,
     evaluate_alpha,
     finite_diff_check,
+    floored_kl,
     train_toy_draft,
 )
 
@@ -121,7 +120,7 @@ def test_position_ids_examples():
 
 def test_kl_zero_at_match():
     q = np.array([[0.25, 0.25, 0.25, 0.25], [0.7, 0.1, 0.1, 0.1]])
-    loss, grad, floored = annealed_kl_loss(np.log(q), q, 0.6)
+    loss, grad, floored = floored_kl(np.log(q), q, 0.6 ** np.arange(2))
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(grad, 0.0, atol=1e-12)
     assert not floored
@@ -134,7 +133,7 @@ def test_kl_weighted_sum():
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     kl = rel_entr(q, p).sum(axis=1)  # independent oracle
-    loss, _, _ = annealed_kl_loss(logits, q, 0.6)
+    loss, _, _ = floored_kl(logits, q, 0.6 ** np.arange(2))
     assert loss == pytest.approx(kl[0] + 0.6 * kl[1], rel=1e-9)
     # numeric mirror of the constants: KL1=0.1, KL2=0.2 -> 0.22
     assert 0.1 + 0.6 * 0.2 == pytest.approx(0.22)
@@ -144,15 +143,15 @@ def test_kl_gamma_to_zero_keeps_first_position():
     rng = np.random.default_rng(5)
     logits = rng.standard_normal((3, 4))
     q = rng.dirichlet(np.ones(4), size=3)
-    lo, _, _ = annealed_kl_loss(logits, q, 1e-12)
-    only_first, _, _ = annealed_kl_loss(logits[:1], q[:1], 1.0)
+    lo, _, _ = floored_kl(logits, q, 1e-12 ** np.arange(3))
+    only_first, _, _ = floored_kl(logits[:1], q[:1], 1.0 ** np.arange(1))
     assert lo == pytest.approx(only_first, rel=1e-9)
 
 
 def test_kl_floor_flagged():
     logits = np.array([[0.0, -2000.0]])
     q = np.array([[0.5, 0.5]])
-    loss, grad, floored = annealed_kl_loss(logits, q, 0.6)
+    loss, grad, floored = floored_kl(logits, q, 0.6 ** np.arange(1))
     assert floored
     assert np.isfinite(loss) and np.all(np.isfinite(grad))
 
@@ -161,26 +160,28 @@ def test_kl_gradient_matches_central_difference():
     rng = np.random.default_rng(6)
     logits = rng.standard_normal((2, 6))
     q = rng.dirichlet(np.ones(6), size=2)
-    _, grad, _ = annealed_kl_loss(logits, q, 0.6)
+    weights = 0.6 ** np.arange(2)
+    _, grad, _ = floored_kl(logits, q, weights)
     h = 1e-5
     for idx in [(0, 0), (0, 3), (1, 5)]:
         bumped = logits.copy()
         bumped[idx] += h
-        up, _, _ = annealed_kl_loss(bumped, q, 0.6)
+        up, _, _ = floored_kl(bumped, q, weights)
         bumped[idx] -= 2 * h
-        down, _, _ = annealed_kl_loss(bumped, q, 0.6)
+        down, _, _ = floored_kl(bumped, q, weights)
         fd = (up - down) / (2 * h)
         assert grad[idx] == pytest.approx(fd, abs=1e-7)
 
 
-def test_kl_config_validation():
-    with pytest.raises(ConfigError):
-        AnnealedKLConfig(gamma=0.0)
-    with pytest.raises(ConfigError):
-        AnnealedKLConfig(gamma=1.5)
-    with pytest.raises(ConfigError):
-        annealed_kl_loss(np.zeros((2, 3)), np.zeros((3, 2)), 0.6)
-    assert list(AnnealedKLConfig(gamma=0.5, d=3).weights) == [1.0, 0.5, 0.25]
+def test_kl_config_validation(setup):
+    # The KL weighting's settings, gamma and d, are checked where the batch
+    # that carries the weights is built.
+    target, corpus, _ = setup
+    for gamma, d in ((0.0, 3), (1.5, 3), (float("nan"), 3), (True, 3), (0.6, 0), (0.6, 2.5)):
+        with pytest.raises(ConfigError):
+            build_training_batch(target, corpus, d, gamma)
+    batch = build_training_batch(target, corpus, 3, 0.5)
+    assert list(batch.slot_weights[:3]) == [1.0, 0.5, 0.25]
 
 
 # -- trainer -----------------------------------------------------------------------
@@ -242,7 +243,7 @@ def test_supervised_slot_count(setup):
     groups = L - d
     assert len(batch.slot_positions) == groups * d
     assert batch.labels.shape == (len(corpus), groups * d, 8)
-    lam = AnnealedKLConfig(gamma=0.6, d=d).weights
+    lam = 0.6 ** np.arange(d)
     assert np.allclose(batch.slot_weights[:d], lam)
     # each slot's weight matches its future-position index
     assert np.allclose(batch.slot_weights, np.tile(lam, groups))
@@ -299,9 +300,10 @@ def test_prefix_isolation(setup):
     assert np.array_equal(outs[0], outs[1])
 
 
-def test_gamma_zero_limit_trains_only_first_position():
+def test_gamma_zero_limit_trains_only_first_position(setup):
     # gamma -> 0+ drives the weights of t >= 2 to zero; check weights directly.
-    w = AnnealedKLConfig(gamma=1e-9, d=4).weights
+    target, corpus, _ = setup
+    w = build_training_batch(target, corpus, 4, 1e-9).slot_weights[:4]
     assert w[0] == 1.0 and np.all(w[1:] < 1e-8)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -62,24 +63,24 @@ def test_top_k_rejects_bad_k():
 
 
 def test_combine_reference_constants():
-    cfg = PruneConfig()
-    assert combine(-0.1, -0.2, 0, cfg) == pytest.approx(-0.2)
-    assert combine(-1.0, -1.0, 1, cfg) == pytest.approx(
+    assert (tree_module.W_NG, tree_module.LOGIT_DECAY, tree_module.LEVEL_EXPONENT) == \
+        (0.5, 0.9, 0.7)
+    assert combine(-0.1, -0.2, 0) == pytest.approx(-0.2)
+    assert combine(-1.0, -1.0, 1) == pytest.approx(
         (0.9 * -1 + 0.5 * -1) * 2 ** -0.7
     )
-    assert combine(-1.0, -1.0, 1, cfg) == pytest.approx(-0.8618, abs=1e-4)
-    assert combine(0.0, 0.0, 7, cfg) == 0.0
+    assert combine(-1.0, -1.0, 1) == pytest.approx(-0.8618, abs=1e-4)
+    assert combine(0.0, 0.0, 7) == 0.0
 
 
 def test_combine_clamps_positive():
-    cfg = PruneConfig()
     # log(p + eps) can be marginally positive at p ~ 1
-    assert combine(1e-9, 1e-9, 0, cfg) == 0.0
+    assert combine(1e-9, 1e-9, 0) == 0.0
 
 
 def test_combine_rejects_negative_level():
     with pytest.raises(ConfigError):
-        combine(-1.0, -1.0, -1, PruneConfig())
+        combine(-1.0, -1.0, -1)
 
 
 def test_prune_config_validation():
@@ -89,17 +90,12 @@ def test_prune_config_validation():
         PruneConfig(w=0)
     with pytest.raises(ConfigError):
         PruneConfig(theta=0)
-    with pytest.raises(ConfigError):
-        PruneConfig(logit_decay=0.0)
-    with pytest.raises(ConfigError):
-        PruneConfig(w_ng=-0.1)
+    # The operating point is all there is to set: the score is fixed.
+    assert [f.name for f in fields(PruneConfig)] == ["k", "w", "theta"]
 
 
 @pytest.mark.parametrize("field, value", [
-    ("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", math.nan), ("epsilon", math.inf),
-    ("w_ng", math.nan), ("w_ng", math.inf),
-    ("level_exponent", math.nan), ("level_exponent", math.inf),
-    ("k", True), ("theta", 2.5), ("w", "4"), ("logit_decay", "x"), ("w_ng", False),
+    ("k", True), ("theta", 2.5), ("w", "4"), ("k", math.nan), ("w", math.inf),
 ])
 def test_prune_config_rejects_non_finite_and_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -224,13 +220,13 @@ def test_beam_soundness():
 
     beams = {0: {()}}
     cur = [((), 0.0)]
-    floor = math.log(cfg.epsilon)
+    floor = math.log(EPSILON)
     for level in range(d):
         cands = list(zip(*(a.tolist() for a in top_k_candidates(rows[level], cfg.k))))
         new = []
         for path, sc in cur:
             for t, s_logit in cands:
-                new.append((path + (t,), sc + combine(s_logit, floor, level, cfg)))
+                new.append((path + (t,), sc + combine(s_logit, floor, level)))
         new.sort(key=lambda it: (-it[1], it[0][-1]))
         cur = new[: cfg.w]
         beams[level + 1] = {p for p, _ in new[: cfg.w]}
@@ -283,7 +279,7 @@ def test_prune_rejects_empty_prefix():
 def test_prune_refuses_a_child_that_outranks_its_parent(monkeypatch):
     # Without combine's <= 0 clamp a child could outscore its parent and be
     # picked without it; the tree's own checks refuse that result.
-    monkeypatch.setattr(tree_module, "combine", lambda s_logit, s_ng, level, cfg:
+    monkeypatch.setattr(tree_module, "combine", lambda s_logit, s_ng, level:
                         np.full_like(s_logit, 1.0 + level))
     with pytest.raises(InvalidTreeError):
         prune(ParallelLogits(np.zeros((2, 4))), None, PruneConfig(k=2, w=2, theta=3), [0])
