@@ -310,24 +310,43 @@ def cmd_bench_trie(args) -> int:
     miss = rng.random(args.queries) < 0.1
     V = max(trie.vocab_size, 1)
     miss_ctx = rng.integers(0, V, size=(args.queries, trie.order - 1))
+    queries = [tuple(miss_ctx[i].tolist()) if miss[i] else contexts[picks[i]]
+               for i in range(args.queries)]
+    # prune's query: one scores_at call for w beam contexts at a row's top-k
+    # tokens, most of which those contexts continue with. A batch's tokens are
+    # its contexts' continuations, topped up at random to k.
+    shape = PruneConfig()
+    width = min(shape.k, V)
+    batches = []
+    for lo in range(0, len(queries), shape.w):
+        ctxs = queries[lo:lo + shape.w]
+        seen = np.array(sorted({t for ctx in ctxs for t in trie.counts(ctx)}), dtype=np.int64)
+        others = np.setdiff1d(np.arange(V), seen)
+        tokens = np.concatenate([rng.permutation(seen), rng.permutation(others)])
+        batches.append((ctxs, tokens[:width]))
 
-    def run_queries(n: int) -> np.ndarray:
-        """Latency of each query, in us."""
-        out = np.empty(n)
-        for i in range(n):
-            ctx = tuple(miss_ctx[i]) if miss[i] else contexts[picks[i]]
-            t0 = time.perf_counter_ns()
-            trie.children_scores(ctx)
-            out[i] = (time.perf_counter_ns() - t0) / 1e3
-        return out
-
-    run_queries(min(args.queries, 2000))  # warm-up
-    lat = run_queries(args.queries)
+    for ctx in queries[:2000]:  # warm-up
+        trie.children_scores(ctx)
+    lat = np.empty(len(queries))
+    for i, ctx in enumerate(queries):
+        t0 = time.perf_counter_ns()
+        trie.children_scores(ctx)
+        lat[i] = (time.perf_counter_ns() - t0) / 1e3
+    batch_lat = np.empty(len(batches))
+    for i, (ctxs, tokens) in enumerate(batches):
+        t0 = time.perf_counter_ns()
+        trie.scores_at(ctxs, tokens)
+        batch_lat[i] = (time.perf_counter_ns() - t0) / 1e3
     summary = {"median_us": float(np.median(lat)), "p90_us": float(np.percentile(lat, 90)),
-               "mean_us": float(lat.mean()), "queries": int(lat.size)}
+               "mean_us": float(lat.mean()), "queries": int(lat.size),
+               "batch_median_us": float(np.median(batch_lat)),
+               "batch_p90_us": float(np.percentile(batch_lat, 90))}
     _emit(args, [summary],
           f"median {summary['median_us']:.2f} us | p90 {summary['p90_us']:.2f} us "
-          f"| mean {summary['mean_us']:.2f} us over {summary['queries']} queries")
+          f"| mean {summary['mean_us']:.2f} us over {summary['queries']} queries; "
+          f"scores_at of {shape.w} contexts x {width} tokens (their continuations "
+          f"first): median "
+          f"{summary['batch_median_us']:.2f} us | p90 {summary['batch_p90_us']:.2f} us")
     return EXIT_OK
 
 

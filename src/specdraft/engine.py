@@ -2,17 +2,18 @@
 
 Each cycle runs three stages: one drafting forward producing parallel logits,
 tree pruning, and tree verification against the target model. Verification
-walks the tree from the root; at every node the offered children are tested
-one after another by rejection against the running residual of the target
-conditional (each rejected sibling's mass is removed and the residual
-renormalized), and when all siblings are rejected the bonus token is sampled
-from what remains. Because each sibling's acceptance probability equals
-exactly its residual target mass, the joint law of (accepted path, bonus
-token) is identical to ancestral sampling from the target -- for any draft
-tree whatsoever. The same walk runs at temperature 0: the target conditional
-is then one-hot, so every non-argmax sibling has zero residual mass and is
-rejected, the argmax child is accepted with probability 1, and the bonus is
-the argmax.
+takes the conditionals at the root and at every tree node from one
+`tree_dists` call on the target, then walks the tree from the root; at every
+node the offered children are tested one after another by rejection against
+the running residual of the target conditional (each rejected sibling's mass
+is removed and the residual renormalized), and when all siblings are
+rejected the bonus token is sampled from what remains. Because each
+sibling's acceptance probability equals exactly its residual target mass,
+the joint law of (accepted path, bonus token) is identical to ancestral
+sampling from the target -- for any draft tree whatsoever. The same walk
+runs at temperature 0: the target conditional is then one-hot, so every
+non-argmax sibling has zero residual mass and is rejected, the argmax child
+is accepted with probability 1, and the bonus is the argmax.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ class TargetModel(Protocol):
     vocab_size: int
 
     def next_dist(self, prefix, temperature: float = 1.0) -> np.ndarray: ...
+
+    def tree_dists(self, prefix, tree: DraftTree, temperature: float = 1.0) -> np.ndarray:
+        """(1 + len(tree), V): row 0 is next_dist(prefix), row i + 1 is
+        next_dist of the prefix followed by node i's path."""
 
     def features(self, prefix, start: int = 0) -> TargetFeatures:
         """Feature rows for positions start .. len(prefix)-1 and the
@@ -127,38 +132,32 @@ def verify(
 ) -> tuple[list[int], int]:
     """Walk the draft tree against the target; returns (accepted path, bonus).
 
-    The target conditional is computed once for the root and once per tree
-    node, read straight from the tree's arrays: the stand-in for one batched
-    tree-attention forward under `tree.attention_mask()`. The children of the
-    current node are tried in tree order: each is accepted with probability
-    equal to its mass under the residual target conditional, and on rejection
-    that mass is removed and the residual renormalized. The bonus token comes
-    from the final residual, so the output distribution is exactly the
-    target's regardless of the drafter. The same walk runs at temperature 0,
-    where the one-hot conditional makes it follow the argmax child and emit
-    the argmax as bonus.
+    The target conditionals at the root and at every tree node come from one
+    `target.tree_dists` call, the stand-in for one batched tree-attention
+    forward under `tree.attention_mask()`. The children of the current node
+    are tried in tree order: each is accepted with probability equal to its
+    mass under the residual target conditional, and on rejection that mass is
+    removed and the residual renormalized. The bonus token comes from the
+    final residual, so the output distribution is exactly the target's
+    regardless of the drafter. The same walk runs at temperature 0, where the
+    one-hot conditional makes it follow the argmax child and emit the argmax
+    as bonus.
     """
     if len(tree) == 0:
         raise ConfigError("cannot verify an empty tree")
-    parent = tree.parent.tolist()
+    dists = target.tree_dists(prefix, tree, temperature)
     token = tree.token.tolist()
-
-    # Slot 0 is the root and slot i+1 is node i. A node's context is its
-    # parent's plus its own token: the prefix, its ancestors and itself, which
-    # is what its `attention_mask()` row admits in a tree-attention forward.
-    contexts = [list(prefix)]
+    # Slot 0 is the root and slot i+1 is node i, as in the rows of `dists`.
     children: list[list[int]] = [[] for _ in range(len(token) + 1)]
-    for i, (p, t) in enumerate(zip(parent, token)):
-        contexts.append(contexts[p + 1] + [t])
+    for i, p in enumerate(tree.parent.tolist()):
         children[p + 1].append(i)
-    dists = [target.next_dist(context, temperature) for context in contexts]
 
     accepted: list[int] = []
     current = ROOT_ID
     while True:
         dist = dists[current + 1]
         offered = children[current + 1]
-        residual = dist.astype(np.float64).copy()
+        residual = dist.copy()
         total = float(residual.sum())
         chosen = None
         for child in offered:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ModelFormatError
-from .tree import ParallelLogits
+from .tree import DraftTree, ParallelLogits
 
 FEAT_WIDTH = 8       # width of each of the three feature vectors
 PROJ_WIDTH = 16      # feature projection output
@@ -33,18 +33,20 @@ MODEL_FILE_VERSION = 1
 
 
 def temperature_adjust(dist: np.ndarray, temperature: float) -> np.ndarray:
-    """p^(1/T) renormalized; T = 0 collapses to argmax (lowest ID on ties)."""
+    """p^(1/T) renormalized over the last axis; T = 0 collapses each row to its
+    argmax (lowest ID on ties). An (n, V) matrix gives the same bits per row
+    as n calls on its rows."""
     if temperature < 0:
         raise ConfigError(f"temperature must be >= 0, got {temperature}")
     if temperature == 0:
         out = np.zeros_like(dist)
-        out[int(np.argmax(dist))] = 1.0
+        np.put_along_axis(out, np.argmax(dist, axis=-1)[..., None], 1.0, axis=-1)
         return out
     if temperature == 1.0:
-        return dist / dist.sum()
+        return dist / dist.sum(axis=-1, keepdims=True)
     # Scaling by the max first keeps small temperatures from underflowing to 0/0.
-    powed = (dist / dist.max()) ** (1.0 / temperature)
-    return powed / powed.sum()
+    powed = (dist / dist.max(axis=-1, keepdims=True)) ** (1.0 / temperature)
+    return powed / powed.sum(axis=-1, keepdims=True)
 
 
 def sample_from(dist: np.ndarray, rng: np.random.Generator) -> int:
@@ -121,6 +123,18 @@ class MarkovTarget:
 
     def next_dist(self, prefix, temperature: float = 1.0) -> np.ndarray:
         return temperature_adjust(self._row(self._context(prefix)), temperature)
+
+    def tree_dists(self, prefix, tree: DraftTree, temperature: float = 1.0) -> np.ndarray:
+        """(1 + len(tree), V): row 0 is next_dist(prefix), row i + 1 is
+        next_dist of the prefix followed by node i's path, bit for bit.
+
+        A node's context is its parent's shifted by its own token, so the
+        prefix is never copied.
+        """
+        contexts = [self._context(prefix)]
+        for parent, token in zip(tree.parent.tolist(), tree.token.tolist()):
+            contexts.append(contexts[parent + 1][1:] + (token,))
+        return temperature_adjust(np.array([self._row(ctx) for ctx in contexts]), temperature)
 
     def features(self, prefix, start: int = 0) -> TargetFeatures:
         """Feature rows for positions start .. n-1, each from the trailing

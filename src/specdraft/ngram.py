@@ -8,7 +8,9 @@ tokens that follow it in some window. The conditional probability of a
 continuation is its count divided by the context's total. Scores are
 ``log(p + eps)`` so that unseen continuations degrade to a finite floor
 instead of -inf. Queries go through one dict built from the table, mapping
-each context tuple to ``(total, tokens, counts)``.
+each context tuple to ``(total, tokens, counts)``. `children_scores` answers
+one context as a dict and `scores_at` a batch of contexts as a matrix; both
+score through one helper, so they agree bit for bit.
 
 File format, version 2, little-endian: a 32-byte header holding the magic
 ``NGTR``, a u16 version, two zero bytes, then order, vocab_size and the row
@@ -26,6 +28,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -89,8 +92,33 @@ class NgramTrie:
         if entry is None:
             return {}
         total, tokens, counts = entry
-        log = math.log
-        return {tok: log(count / total + eps) for tok, count in zip(tokens, counts)}
+        return dict(zip(tokens, _log_scores(counts, repeat(total), eps)))
+
+    def scores_at(self, contexts: Sequence[Sequence[int]], tokens) -> np.ndarray:
+        """(len(contexts), len(tokens)) float64 matrix whose entry (i, j) is
+        children_scores(contexts[i]).get(tokens[j], LOG_FLOOR), bit for bit.
+
+        Each context is looked up once, and only the continuations whose token
+        is among `tokens` are scored; every other entry, including a token
+        outside the trie's vocabulary, stays at LOG_FLOOR.
+        """
+        token_list = np.asarray(tokens, dtype=np.int64).tolist()
+        # A repeated token is scored in its last column and copied to the others.
+        column = {tok: j for j, tok in enumerate(token_list)}
+        keep = self.order - 1
+        hits = []
+        for i, context in enumerate(contexts):
+            entry = self._query.get(tuple(context[-keep:]))
+            if entry is not None:
+                total, toks, counts = entry
+                hits += [(i, column[t], c, total) for t, c in zip(toks, counts) if t in column]
+        out = np.full((len(contexts), len(token_list)), LOG_FLOOR)
+        if hits:
+            rows, cols, counts, totals = zip(*hits)
+            out[rows, cols] = _log_scores(counts, totals, EPSILON)
+        if len(column) < len(token_list):
+            out = out[:, [column[t] for t in token_list]]
+        return out
 
     def counts(self, context: Sequence[int]) -> dict[int, int]:
         """{token: count} for the continuations of `context` (trailing order-1 tokens)."""
@@ -106,6 +134,13 @@ class NgramTrie:
         distinct window prefix."""
         node_count = 1 + sum(len(tokens) for _, tokens, _ in self._query.values())
         return TrieStats(node_count, len(self.contexts()))
+
+
+def _log_scores(counts: Iterable[int], totals: Iterable[int], eps: float) -> list[float]:
+    """log(count / total + eps) for each pair: the one score formula. It uses
+    math.log, since np.log differs from it by an ulp on some inputs."""
+    log = math.log
+    return [log(count / total + eps) for count, total in zip(counts, totals)]
 
 
 def _group_starts(rows: np.ndarray) -> np.ndarray:

@@ -172,7 +172,9 @@ def prune(
     The active beam starts as the bare prefix with score 0. At future position
     i (level i-1) every active candidate expands by the row's top-k tokens;
     `combine` scores the level's (beam, k) expansions from the logit scores
-    and the trie's continuity scores for each candidate's trailing context.
+    and the trie's continuity scores, which one `trie.scores_at` call gives
+    for every beam entry's trailing context at the row's top-k tokens (a
+    token outside the trie's vocabulary scores the floor).
     Every expansion enters the pool, in beam order, then top-k order, and the
     top w become the next beam. The result is the top-theta pool nodes.
 
@@ -194,15 +196,7 @@ def prune(
     size = 0
     for depth in range(logits.d):
         row_tokens = top_tokens[depth]
-        s_ng = LOG_FLOOR
-        if trie is not None:
-            # One children_scores call per beam entry, scattered into a dense
-            # (beam, V) matrix and gathered at the top-k tokens.
-            found = [trie.children_scores(context) for context in contexts]
-            dense = np.full((len(contexts), logits.vocab_size), LOG_FLOOR)
-            beam_of = np.repeat(np.arange(len(found)), [len(f) for f in found])
-            dense[beam_of, [t for f in found for t in f]] = [v for f in found for v in f.values()]
-            s_ng = dense[:, row_tokens]
+        s_ng = LOG_FLOOR if trie is None else trie.scores_at(contexts, row_tokens)
         inc = combine(top_scores[depth], s_ng, depth)
         level_scores = (beam_scores[:, None] + inc).ravel()
         level_parents = np.repeat(beam_ids, cfg.k)

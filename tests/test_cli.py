@@ -260,6 +260,7 @@ def test_bench_trie_runs_and_reports(tmp_path, capsys):
     records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert records[-1]["queries"] == 5000
     assert records[-1]["median_us"] > 0
+    assert 0 < records[-1]["batch_median_us"] <= records[-1]["batch_p90_us"]
 
 
 def test_v1_trie_file_exits_3_with_rebuild_message(tmp_path, config_file, capsys):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from specdraft.models import (
     ToyDraft,
     UniformDrafter,
 )
-from specdraft.ngram import build_trie
+from specdraft.ngram import NgramTrie, build_trie
 from specdraft.tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, prune
 
 from oracles import argmax_rollout
@@ -325,6 +327,27 @@ def test_greedy_toy_draft_long_prompt_incremental_features():
     # The prompt's rows once, then only the rows of each cycle's emitted
     # tokens; the last cycle's tokens are never drafted from.
     assert target.rows == len(prompt) + len(tokens) - metrics.records[-1].emitted
+
+
+def test_decode_cycle_makes_one_target_call_and_one_trie_call_per_level(monkeypatch):
+    # Verify scores the whole tree in one tree_dists call and prune scores
+    # each of the d levels in one scores_at call; nothing in a cycle calls
+    # the per-node next_dist or children_scores.
+    calls = Counter()
+    for cls, name in ((MarkovTarget, "next_dist"), (MarkovTarget, "tree_dists"),
+                      (NgramTrie, "children_scores"), (NgramTrie, "scores_at")):
+        def counted(*args, _name=name, _method=getattr(cls, name), **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    target = MarkovTarget(21, 32, 2, concentration=0.3)
+    trie = build_trie([target.sample_sequence(np.random.default_rng(1), 500)], 3, 32)
+    cfg = small_cfg(d=5, max_tokens=40, prune=PruneConfig())
+    for drafter in (NoisyOracleDrafter(target, seed=2), UniformDrafter(32, seed=3)):
+        calls.clear()
+        _, metrics = decode([1, 2], target, drafter, trie, cfg, measure_base=False)
+        assert metrics.cycles > 1
+        assert calls == {"tree_dists": metrics.cycles, "scores_at": cfg.d * metrics.cycles}
 
 
 # -- speedup model -------------------------------------------------------------------

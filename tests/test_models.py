@@ -15,6 +15,7 @@ from specdraft.models import (
     positional_encoding,
     temperature_adjust,
 )
+from specdraft.tree import ROOT_ID, DraftTree
 
 from oracles import readout_attention
 
@@ -62,6 +63,53 @@ def test_temperature_adjust_small_temperature_stays_finite():
     assert np.all(np.isfinite(cold))
     assert abs(cold.sum() - 1.0) < 1e-12
     assert np.argmax(cold) == np.argmax(temperature_adjust(dist, 0.0))
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.001, 0.5, 1.0, 2.0])
+def test_temperature_adjust_rows_match_per_row_calls(temperature):
+    rng = np.random.default_rng(11)
+    dists = rng.dirichlet(np.full(256, 0.3), size=12)
+    dists[3, [7, 200]] = dists[3].max() + 0.1  # tied maxima: the lowest id wins at T=0
+    dists[5, :] = 1 / 256                      # all tied
+    dists[8, [0, 255]] = 0.5                   # tied at the ends
+    got = temperature_adjust(dists, temperature)
+    assert np.array_equal(got, np.stack([temperature_adjust(row, temperature) for row in dists]))
+    if temperature == 0:
+        assert got[3, 7] == 1.0 and got[5, 0] == 1.0 and got[8, 0] == 1.0
+        assert (got.sum(axis=1) == 1.0).all()
+
+
+def random_tree(rng, n):
+    """n nodes, each under ROOT_ID or an earlier node."""
+    parent = [int(rng.integers(ROOT_ID, i)) if i else ROOT_ID for i in range(n)]
+    level = []
+    for p in parent:
+        level.append(0 if p == ROOT_ID else level[p] + 1)
+    return DraftTree(parent, rng.integers(0, 9, size=n), level, np.zeros(n))
+
+
+def path_of(tree, i):
+    path = []
+    while i != ROOT_ID:
+        path.append(int(tree.token[i]))
+        i = int(tree.parent[i])
+    return path[::-1]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("temperature", [0.0, 0.5, 1.0])
+def test_tree_dists_match_next_dist_over_each_path(order, temperature):
+    t = MarkovTarget(13, 9, order)
+    rng = np.random.default_rng(order)
+    for prefix_len in (0, 1, 2, 3, 6):  # shorter than the order, and longer
+        for n in (1, 2, 7, 30):
+            tree = random_tree(rng, n)
+            prefix = [int(x) for x in rng.integers(0, 9, size=prefix_len)]
+            want = [t.next_dist(prefix, temperature)]
+            want += [t.next_dist(prefix + path_of(tree, i), temperature) for i in range(n)]
+            got = t.tree_dists(prefix, tree, temperature)
+            assert got.shape == (1 + n, 9)
+            assert np.array_equal(got, np.stack(want))
 
 
 def test_features_match_per_position_contexts():

@@ -169,6 +169,27 @@ def test_prune_oracle_equivalence(data):
     assert_matches_oracle(rows, corpus, cfg, prefix)
 
 
+@pytest.mark.parametrize("trie_vocab", [128, 16])
+def test_prune_with_a_trie_of_another_vocabulary(trie_vocab):
+    # V=64 logits. A trie of V=128 holds continuations (token 100) that no
+    # candidate can be, and one of V=16 has none for most candidates: both
+    # score like the flat counter, with no index out of bounds.
+    rng = np.random.default_rng(trie_vocab)
+    prefix = [1, 2]
+    corpus = [list(rng.integers(0, min(trie_vocab, 64), size=200)),
+              prefix + [100 % trie_vocab, 3] + prefix + [3, 1, 2]]
+    trie = build_trie(corpus, 3, vocab_size=trie_vocab)
+    assert trie.vocab_size == trie_vocab and 100 % trie_vocab in trie.counts(prefix)
+    rows = np.round(rng.standard_normal((3, 64)) * 4) / 2
+    cfg = PruneConfig(k=25, w=20, theta=59)
+    tree = prune(ParallelLogits(rows), trie, cfg, prefix)
+    want = oracle_prune(rows, WindowCounter(corpus, 3), cfg, prefix)
+    got = tree_to_paths(tree)
+    assert list(got) == list(want)
+    for path, (level, score) in want.items():
+        assert got[path][0] == level and abs(got[path][1] - score) < 1e-12
+
+
 def test_prune_oracle_with_exact_ties():
     # All-uniform rows make every expansion at a level score identically.
     # With theta = 12 the tree reaches the last level, so which tied
