@@ -26,7 +26,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigError, check_int, check_number
-from .models import TargetFeatures, sample_from
+from .models import DraftCache, TargetFeatures, sample_from
 from .ngram import NgramTrie
 from .tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, prune
 
@@ -49,9 +49,13 @@ class TargetModel(Protocol):
 
 class DraftPredictor(Protocol):
     def predict(self, prefix, feats, d: int, *, rng: np.random.Generator,
-                temperature: float = 0.0) -> ParallelLogits:
+                temperature: float = 0.0, cache: DraftCache | None = None) -> ParallelLogits:
         """d rows of future-position logits from one drafting forward. Any
-        randomness is drawn from `rng`, which decode shares with verify."""
+        randomness is drawn from `rng`, which decode shares with verify.
+        decode makes one `cache` per request and hands it to every cycle's
+        call, so a drafter may keep there what the next, longer prefix can
+        reuse; one cache serves one request of one target, and None stands
+        for a fresh one. A drafter with nothing to keep ignores it."""
 
 
 @dataclass(frozen=True)
@@ -230,10 +234,12 @@ def decode(
     """Run draft -> prune -> verify cycles until max_tokens or the end token.
 
     Target features cover the prompt after the first cycle's call; each later
-    cycle extends them by the tokens the previous one emitted. A missing trie
-    scores every continuation at the epsilon floor (the no-n-gram ablation
-    mode). Per-stage wall-clock latencies are recorded per cycle; medians
-    exclude the first (warmup) cycle when more than one ran.
+    cycle extends them by the tokens the previous one emitted, and the
+    drafter's cache, one per request, lets it project only those tokens'
+    positions. A missing trie scores every continuation at the epsilon floor
+    (the no-n-gram ablation mode). Per-stage wall-clock latencies are
+    recorded per cycle; medians exclude the first (warmup) cycle when more
+    than one ran.
     """
     if len(prompt) == 0:
         raise ConfigError("prompt must be nonempty")
@@ -243,6 +249,7 @@ def decode(
     records: list[CycleRecord] = []
     stop = False
     feats = None
+    cache = DraftCache()
 
     while not stop and len(out) < cfg.max_tokens:
         t0 = time.perf_counter_ns()
@@ -251,7 +258,7 @@ def decode(
         else:
             feats = feats.extended(target.features(prefix, start=len(prefix) - len(emitted)))
         logits = drafter.predict(prefix, feats, cfg.d,
-                                 temperature=cfg.temperature, rng=rng)
+                                 temperature=cfg.temperature, rng=rng, cache=cache)
         t1 = time.perf_counter_ns()
         tree = prune(logits, trie, cfg.prune, prefix)
         t2 = time.perf_counter_ns()

@@ -11,7 +11,10 @@ shifted token embeddings, a learned mask vector fills the future positions,
 and one causal attention layer plus an output head produces logits for all d
 future positions in a single forward pass (row 1 read from the last prefix
 position, the rest from mask positions). Drafting queries only those d
-read-out positions, so a forward costs O(n * d) attention in prefix length n.
+read-out positions, and a DraftCache keeps one request's keys and values
+between cycles, so a later cycle projects only the positions it adds: its
+cost is O(e + d) projections for e emitted tokens plus O(n * d) attention
+over the n cached keys, with no O(n) projection left.
 """
 
 from __future__ import annotations
@@ -180,6 +183,59 @@ def positional_encoding(position_ids) -> np.ndarray:
     return enc
 
 
+class DraftCache:
+    """One request's drafting keys and values, so that a later cycle
+    projects only the positions it adds.
+
+    `tokens` is the prefix of n tokens the rows were built from. Rows of the
+    key and value buffers for positions 0 .. n-2 (shifted drafter, whose
+    last prefix position embeds a freshly drawn token) or 0 .. n-1
+    (unshifted) are final: no later token changes their inputs. The rows
+    past them (that re-embedded position and the mask positions) are
+    rewritten by every call. A buffer that fills is replaced by one twice
+    the size it needs. A prefix that departs from `tokens`, or another
+    drafter, rebuilds the rows from the first difference on: a cache handed
+    the wrong prefix costs time but never changes a logit. One cache serves
+    one request of one target, whose feature rows for the tokens it holds
+    are taken as unchanged, and one drafter whose parameters stay fixed.
+    """
+
+    def __init__(self):
+        self.drafter = None
+        self.tokens: list[int] = []
+        self.keys = np.empty((0, MODEL_WIDTH))
+        self.values = np.empty((0, MODEL_WIDTH))
+
+    def kept(self, drafter, prefix) -> int:
+        """How many leading rows still hold for `drafter` on `prefix`: the
+        final rows whose tokens `prefix` shares."""
+        if drafter is not self.drafter:
+            return 0
+        m = min(len(self.tokens), len(prefix))
+        head, held = list(prefix[:m]), self.tokens[:m]
+        # Equal small ints are one object, so a match compares pointers.
+        same = m if head == held else int(np.argmax(np.asarray(head) != held))
+        # A shifted position i also embeds token i + 1.
+        return max(same - 1, 0) if drafter.shifted else same
+
+    def write(self, drafter, prefix, start: int, k: np.ndarray, v: np.ndarray):
+        """Store rows start .. start + len(k) - 1 for `drafter` on `prefix`,
+        whose tokens agree with the held ones up to `start`; returns the
+        keys and values of every position, 0 .. start + len(k) - 1."""
+        end = start + len(k)
+        if end > len(self.keys):
+            size = 2 * end
+            keys, values = np.empty((size, MODEL_WIDTH)), np.empty((size, MODEL_WIDTH))
+            keys[:start], values[:start] = self.keys[:start], self.values[:start]
+            self.keys, self.values = keys, values
+        self.keys[start:end] = k
+        self.values[start:end] = v
+        self.drafter = drafter
+        del self.tokens[start:]
+        self.tokens.extend(map(int, prefix[start:]))
+        return self.keys[:end], self.values[:end]
+
+
 class ToyDraft:
     """Single-layer parallel drafter.
 
@@ -189,8 +245,12 @@ class ToyDraft:
     positions; logits for future position t are read from input position
     n + t - 1 (shifted) or n + t (unshifted). Those d read-out positions are
     the last d of the sequence, and drafting computes queries, attention and
-    head rows for them alone: each attends to keys 0 .. its own position, so
-    a drafting forward costs O(n * d) rather than O(n^2) in prefix length n.
+    head rows for them alone: each attends to keys 0 .. its own position.
+    The keys and values of earlier positions come from the request's
+    DraftCache, so a cycle that follows e emitted tokens builds and projects
+    the e + d positions past the final ones (and never fewer than two prefix
+    positions), and its cost grows with n only through the O(n * d)
+    attention.
     """
 
     def __init__(self, vocab_size: int, embeddings: np.ndarray, seed: int = 0,
@@ -238,25 +298,30 @@ class ToyDraft:
             self._pe_table = positional_encoding(np.arange(size))
         return z + self._pe_table[ids][None, :, :]
 
-    def forward_core(self, z: np.ndarray, attn_mask: np.ndarray, rows=slice(None)):
+    def forward_core(self, z: np.ndarray, attn_mask: np.ndarray, rows=slice(None),
+                     kv: tuple[np.ndarray, np.ndarray] | None = None):
         """One masked attention layer with residual, then the head, for the
-        query rows `rows` of z over keys at every position of z.
+        query rows `rows` of z.
 
-        `rows` is a slice or an array of distinct positions; attn_mask has one
-        row per query row and one column per key. Returns (logits (B, R, V)
-        for the R query rows, cache for backward_core).
+        The keys and values are every position of z projected, or `kv` =
+        (k, v) projected already, as a DraftCache holds them; z then need
+        hold only the rows it queries, and backward_core does not apply.
+        `rows` is a slice or an array of distinct positions. attn_mask has one
+        row per query row and one column per key, or fewer columns, which
+        then cover the last keys: every query row sees the keys before them.
+        Returns (logits (B, R, V) for the R query rows, cache for
+        backward_core).
         """
         p = self.params
         scale = 1.0 / np.sqrt(MODEL_WIDTH)
         zq = z[:, rows]
         q = zq @ p["Wq"]
-        k = z @ p["Wk"]
-        v = z @ p["Wv"]
+        k, v = (z @ p["Wk"], z @ p["Wv"]) if kv is None else kv
         s = (q @ k.transpose(0, 2, 1)) * scale
-        s = np.where(attn_mask[None, :, :], s, -1e30)
+        np.copyto(s[..., s.shape[-1] - attn_mask.shape[-1]:], -1e30, where=~attn_mask)
         s -= s.max(axis=-1, keepdims=True)
-        e = np.exp(s)
-        attn = e / e.sum(axis=-1, keepdims=True)
+        attn = np.exp(s, out=s)
+        attn /= attn.sum(axis=-1, keepdims=True)
         ctx = attn @ v
         y = zq + ctx
         logits = y @ p["W_head"] + p["b_head"]
@@ -302,37 +367,44 @@ class ToyDraft:
 
     # -- inference ------------------------------------------------------------
 
-    def forward(self, feats: np.ndarray, emb_tokens, d: int) -> np.ndarray:
-        """Single-sequence drafting forward; returns (d, V) logits.
-
-        The read-out positions are the last d of the n + n_mask inputs; only
-        they are queried, each attending causally to keys 0 .. its position.
-        """
-        n = feats.shape[0]
-        if n < 1:
-            raise ConfigError("prefix must be nonempty")
-        n_mask = d - 1 if self.shifted else d
-        length = n + n_mask
-        z = self.build_inputs(feats[None, :, :], np.asarray(emb_tokens)[None, :], n_mask,
-                              np.arange(length))
-        read = np.arange(length - d, length)
-        mask = np.arange(length)[None, :] <= read[:, None]
-        logits, _ = self.forward_core(z, mask, slice(length - d, length))
-        return logits[0]
-
     def predict(self, prefix, feats: TargetFeatures, d: int, *,
-                rng: np.random.Generator, temperature: float = 0.0) -> ParallelLogits:
+                rng: np.random.Generator, temperature: float = 0.0,
+                cache: DraftCache | None = None) -> ParallelLogits:
         """One drafting forward: d rows of future-position logits.
 
         The shifted variant embeds at the last prefix position a token drawn
         from the tempered target conditional; at temperature 0 that
-        conditional is one-hot, so the draw is its argmax.
+        conditional is one-hot, so the draw is its argmax. Only the positions
+        past `cache`'s final rows are built and projected; None stands for a
+        fresh cache, which projects them all.
         """
-        tokens = np.asarray(prefix, dtype=np.int64)
+        n = len(prefix)
+        if n < 1:
+            raise ConfigError("prefix must be nonempty")
+        if len(feats.rows) != n:
+            raise ConfigError(f"{len(feats.rows)} feature rows for a prefix of {n} tokens")
+        cache = DraftCache() if cache is None else cache
+        n_mask = d - 1 if self.shifted else d
+        length = n + n_mask
+        # BLAS rounds a one-row product (its matrix-vector kernel) unlike a
+        # row of a taller one, so two prefix rows are rebuilt whenever there
+        # are two: a row's bits never depend on how many rows share its
+        # product, and a cached forward gives the fresh one's logits.
+        start = min(cache.kept(self, prefix), max(n - 2, 0))
         if self.shifted:
             nxt = sample_from(temperature_adjust(feats.next_dist, temperature), rng)
-            tokens = np.append(tokens[1:], nxt)
-        return ParallelLogits(self.forward(feats.rows, tokens, d))
+            emb = [*prefix[start + 1:n], nxt]
+        else:
+            emb = prefix[start:n]
+        z = self.build_inputs(feats.rows[None, start:n], np.asarray(emb, dtype=np.int64)[None],
+                              n_mask, np.arange(start, length))
+        keys, values = cache.write(self, prefix, start,
+                                   z[0] @ self.params["Wk"], z[0] @ self.params["Wv"])
+        # Read-out row j sits at position length - d + j: of the last d - 1
+        # keys it sees the first j, and it sees every key before them.
+        mask = np.tri(d, d - 1, -1, dtype=bool)
+        logits, _ = self.forward_core(z, mask, slice(-d, None), kv=(keys[None], values[None]))
+        return ParallelLogits(logits[0])
 
     # -- persistence ----------------------------------------------------------
 
@@ -400,7 +472,8 @@ class OracleDrafter:
     def __init__(self, target: MarkovTarget):
         self.target = target
 
-    def predict(self, prefix, feats, d, *, temperature=0.0, rng=None) -> ParallelLogits:
+    def predict(self, prefix, feats, d, *, temperature=0.0, rng=None,
+                cache=None) -> ParallelLogits:
         rows = np.zeros((d, self.target.vocab_size))
         for i, tok in enumerate(self.target.greedy_chain(prefix, d)):
             rows[i, tok] = CHAIN_LOGIT
@@ -413,7 +486,8 @@ class AdversarialDrafter:
     def __init__(self, target: MarkovTarget):
         self.target = target
 
-    def predict(self, prefix, feats, d, *, temperature=0.0, rng=None) -> ParallelLogits:
+    def predict(self, prefix, feats, d, *, temperature=0.0, rng=None,
+                cache=None) -> ParallelLogits:
         rows = np.zeros((d, self.target.vocab_size))
         for i, tok in enumerate(self.target.rollout(prefix, d, np.argmin)):
             rows[i, tok] = CHAIN_LOGIT
@@ -427,7 +501,8 @@ class UniformDrafter:
         self.vocab_size = vocab_size
         self.rng = np.random.Generator(np.random.PCG64(seed))
 
-    def predict(self, prefix, feats, d, *, temperature=0.0, rng=None) -> ParallelLogits:
+    def predict(self, prefix, feats, d, *, temperature=0.0, rng=None,
+                cache=None) -> ParallelLogits:
         return ParallelLogits(self.rng.random((d, self.vocab_size)))
 
 
@@ -442,7 +517,8 @@ class NoisyOracleDrafter:
         self.base = base
         self.rng = np.random.Generator(np.random.PCG64(seed))
 
-    def predict(self, prefix, feats, d, *, temperature=0.0, rng=None) -> ParallelLogits:
+    def predict(self, prefix, feats, d, *, temperature=0.0, rng=None,
+                cache=None) -> ParallelLogits:
         rows = self.rng.standard_normal((d, self.target.vocab_size)) * self.noise
         for i, tok in enumerate(self.target.greedy_chain(prefix, d)):
             rows[i, tok] += self.base

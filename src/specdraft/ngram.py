@@ -77,10 +77,6 @@ class NgramTrie:
 
     # -- queries ------------------------------------------------------------
 
-    def score(self, context: Sequence[int], token: int, eps: float = EPSILON) -> float:
-        """log(Pr(token | context) + eps); log(eps) for anything unseen."""
-        return self.children_scores(context, eps).get(token, math.log(eps))
-
     def children_scores(self, context: Sequence[int], eps: float = EPSILON) -> dict[int, float]:
         """Scores for every observed continuation of `context`, one lookup.
 

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from specdraft.errors import ConfigError, ModelFormatError
+from specdraft.engine import DecodeConfig, decode
 from specdraft.models import (
     FEAT_WIDTH,
     AdversarialDrafter,
+    DraftCache,
     MarkovTarget,
     NoisyOracleDrafter,
     OracleDrafter,
+    TargetFeatures,
     ToyDraft,
     UniformDrafter,
     positional_encoding,
@@ -204,10 +207,12 @@ def test_forward_matches_per_row_attention_oracle(shifted, d, n):
     target = MarkovTarget(9, 16, 2)
     model = ToyDraft(16, target.embeddings, seed=5, shifted=shifted)
     prefix = [int(x) for x in np.random.default_rng(n).integers(0, 16, size=n)]
-    feats = target.features(prefix).rows
+    # A one-hot conditional makes 3 the shifted token at any temperature.
+    feats = TargetFeatures(target.features(prefix).rows, np.eye(16)[3])
     emb_tokens = prefix[1:] + [3] if shifted else prefix
-    rows = model.forward(feats, emb_tokens, d)
-    expect = readout_attention(model.params, target.embeddings, feats, emb_tokens, d, shifted)
+    rows = model.predict(prefix, feats, d, rng=np.random.default_rng(0), cache=DraftCache()).rows
+    expect = readout_attention(model.params, target.embeddings, feats.rows, emb_tokens, d,
+                               shifted)
     assert rows.shape == (d, 16)
     assert np.max(np.abs(rows - expect)) < 1e-12
 
@@ -266,7 +271,9 @@ def test_shifted_read_position_alignment(target):
     feats = target.features(prefix)
     nxt = int(np.argmax(feats.next_dist))
     emb_tokens = prefix[1:] + [nxt]
-    rows = model.forward(feats.rows, emb_tokens, d)
+    rows = model.predict(prefix, feats, d, rng=np.random.default_rng(0), cache=DraftCache()).rows
+    oracle = readout_attention(model.params, target.embeddings, feats.rows, emb_tokens, d, True)
+    assert np.max(np.abs(rows - oracle)) < 1e-12
 
     g = feats.rows @ model.params["W_in"]
     e = target.embeddings[np.asarray(emb_tokens)]
@@ -309,10 +316,160 @@ def test_predict_requires_rng_when_sampling(target, model, rng):
         out = model.predict([1, 2], feats, 2, temperature=temperature, rng=rng)
         assert out.rows.shape == (2, 8)
     nxt = int(np.argmax(feats.next_dist))
-    greedy = model.forward(feats.rows, [2, nxt], 2)
+    greedy = model.predict([1, 2], feats, 2, rng=np.random.default_rng(99),
+                           cache=DraftCache()).rows
+    oracle = readout_attention(model.params, target.embeddings, feats.rows, [2, nxt], 2, True)
+    assert np.max(np.abs(greedy - oracle)) < 1e-12
     for seed in range(5):
         out = model.predict([1, 2], feats, 2, rng=np.random.default_rng(seed))
         assert np.array_equal(out.rows, greedy)
+
+
+# -- drafting cache ------------------------------------------------------------
+
+
+def _cycles(shifted, d, prompt_len, seed=0, vocab=16, n_cycles=None):
+    """A multi-cycle drafting run: (target, model, prefixes), the prefix
+    growing by 1, 2, .., d, 1, .. tokens from one cycle to the next."""
+    target = MarkovTarget(9, vocab, 2)
+    model = ToyDraft(vocab, target.embeddings, seed=5, shifted=shifted)
+    gen = np.random.default_rng(seed)
+    prefix = [int(x) for x in gen.integers(0, vocab, size=prompt_len)]
+    prefixes = [list(prefix)]
+    for c in range(n_cycles or 2 * d + 2):
+        prefix += [int(x) for x in gen.integers(0, vocab, size=1 + c % d)]
+        prefixes.append(list(prefix))
+    return target, model, prefixes
+
+
+CACHE_CASES = [(shifted, d, prompt_len)
+               for shifted in (True, False) for d in (1, 3, 8) for prompt_len in (1, 6)]
+
+
+@pytest.mark.parametrize("shifted, d, prompt_len", CACHE_CASES)
+def test_cached_logits_equal_fresh_cache_bit_for_bit(shifted, d, prompt_len):
+    target, model, prefixes = _cycles(shifted, d, prompt_len)
+    cache = DraftCache()
+    for i, prefix in enumerate(prefixes):
+        feats = target.features(prefix)
+        for temperature in (0.0, 1.0):
+            cached = model.predict(prefix, feats, d, rng=np.random.default_rng(i),
+                                   temperature=temperature, cache=cache).rows
+            fresh = model.predict(prefix, feats, d, rng=np.random.default_rng(i),
+                                  temperature=temperature).rows
+            assert np.array_equal(cached, fresh), (i, temperature)
+
+
+@pytest.mark.parametrize("shifted, d, prompt_len", CACHE_CASES)
+def test_cached_logits_match_readout_attention(shifted, d, prompt_len):
+    target, model, prefixes = _cycles(shifted, d, prompt_len, seed=1)
+    cache = DraftCache()
+    for prefix in prefixes:
+        feats = target.features(prefix)
+        rows = model.predict(prefix, feats, d, rng=np.random.default_rng(0), cache=cache).rows
+        emb_tokens = prefix[1:] + [int(np.argmax(feats.next_dist))] if shifted else prefix
+        expect = readout_attention(model.params, target.embeddings, feats.rows, emb_tokens, d,
+                                   shifted)
+        assert np.max(np.abs(rows - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+@pytest.mark.parametrize("d", [1, 4])
+def test_cache_reused_on_another_prefix_gives_the_fresh_result(shifted, d):
+    target, model, prefixes = _cycles(shifted, d, 20, seed=2)
+    long = prefixes[-1]
+    gen = np.random.default_rng(3)
+    others = [
+        [int(x) for x in gen.integers(0, 16, size=len(long))],  # unrelated
+        long[:7],                                                # shorter
+        long[:1],
+        long[:12] + [(long[12] + 1) % 16] + long[13:],           # departs midway
+        long[:-1] + [(long[-1] + 1) % 16],                       # departs at the end
+        long,                                                    # the same again
+    ]
+    for other in others:
+        cache = DraftCache()
+        model.predict(long, target.features(long), d, rng=np.random.default_rng(0), cache=cache)
+        feats = target.features(other)
+        reused = model.predict(other, feats, d, rng=np.random.default_rng(0), cache=cache).rows
+        fresh = model.predict(other, feats, d, rng=np.random.default_rng(0)).rows
+        assert np.array_equal(reused, fresh)
+    # A cache filled by another drafter starts over as well.
+    cache = DraftCache()
+    other_model = ToyDraft(16, target.embeddings, seed=6, shifted=shifted)
+    other_model.predict(long, target.features(long), d, rng=np.random.default_rng(0),
+                        cache=cache)
+    feats = target.features(long)
+    reused = model.predict(long, feats, d, rng=np.random.default_rng(0), cache=cache).rows
+    assert np.array_equal(reused, model.predict(long, feats, d,
+                                                rng=np.random.default_rng(0)).rows)
+
+
+@pytest.mark.parametrize("shifted, d, prompt_len", CACHE_CASES)
+def test_later_cycle_projects_only_its_new_positions(shifted, d, prompt_len, monkeypatch):
+    target, model, prefixes = _cycles(shifted, d, prompt_len, seed=4)
+    built = []
+    build_inputs = model.build_inputs
+
+    def counted(feats, emb_tokens, n_mask, position_ids):
+        z = build_inputs(feats, emb_tokens, n_mask, position_ids)
+        built.append(z.shape[1])
+        return z
+
+    monkeypatch.setattr(model, "build_inputs", counted)
+    n_mask = d - 1 if shifted else d
+    cache = DraftCache()
+    for i, prefix in enumerate(prefixes):
+        model.predict(prefix, target.features(prefix), d, rng=np.random.default_rng(0),
+                      cache=cache)
+        if i == 0:
+            assert built[-1] == len(prefix) + n_mask
+            continue
+        emitted = len(prefix) - len(prefixes[i - 1])
+        # Shifted: the emitted positions, the re-embedded last one and the
+        # masks. Unshifted: the emitted ones and the masks, but never fewer
+        # than two prefix positions.
+        expect = emitted + n_mask + 1 if shifted else max(emitted, 2) + n_mask
+        assert built[-1] == expect
+    assert built[-1] < len(prefixes[-1]) + n_mask
+
+
+def test_predict_rejects_feature_rows_of_another_length(target, model, rng):
+    feats = target.features([1, 2, 3])
+    with pytest.raises(ConfigError):
+        model.predict([1, 2, 3, 4], feats, 2, rng=rng)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_decode_transcripts_match_a_drafter_without_cache(temperature):
+    # Long-context shaped decodes: every cycle's logits, and therefore the
+    # tokens and the per-cycle acceptance, are those of a fresh-cache draft.
+    target = MarkovTarget(9, 64, 2)
+    model = ToyDraft(64, target.embeddings, seed=5)
+
+    class Recorded:
+        def __init__(self, keep_cache):
+            self.keep_cache, self.rows = keep_cache, []
+
+        def predict(self, prefix, feats, d, *, rng, temperature=0.0, cache=None):
+            out = model.predict(prefix, feats, d, rng=rng, temperature=temperature,
+                                cache=cache if self.keep_cache else None)
+            self.rows.append(out.rows)
+            return out
+
+    gen = np.random.default_rng(7)
+    for request in range(3):
+        prompt = [int(x) for x in gen.integers(0, 64, size=300 + 40 * request)]
+        cfg = DecodeConfig(d=8, temperature=temperature, max_tokens=24, seed=request)
+        runs = []
+        for keep_cache in (True, False):
+            drafter = Recorded(keep_cache)
+            out, metrics = decode(prompt, target, drafter, None, cfg, measure_base=False)
+            runs.append((out, [r.accepted for r in metrics.records], drafter.rows))
+        (out_a, acc_a, rows_a), (out_b, acc_b, rows_b) = runs
+        assert out_a == out_b and acc_a == acc_b
+        assert len(rows_a) == len(rows_b) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(rows_a, rows_b))
 
 
 def test_model_save_load_round_trip(tmp_path, target, model, rng):

@@ -1,5 +1,8 @@
-"""Smoke test: each experiment script in scripts/ runs to completion at toy size."""
+"""Smoke test: each experiment script in scripts/ runs to completion at toy
+size; the benchmark snapshot's JSON assembly, with perfbench stubbed out."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -22,3 +25,47 @@ def test_script_runs(script, args):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def _bench_snapshot():
+    spec = importlib.util.spec_from_file_location(
+        "bench_snapshot", ROOT / "scripts" / "bench_snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_snapshot_assembles_every_workload_and_trace(tmp_path):
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    calls = []
+
+    def stub(root, workload, seed, trace, seconds):
+        calls.append((workload, seed, trace, seconds))
+        names = [m["name"] for m in bench["per_layer" if trace else "end_to_end"]]
+        metrics = {name: {"value": float(i + trace), "unit": "x"} for i, name in enumerate(names)}
+        if trace:
+            metrics["runtime.machine_speed"]["value"] = {"train": 0.9}.get(workload, 1.2)
+        failed = int(workload == "train" and trace == 0)
+        return {"exit_code": failed, "correct": not failed, "attempted": 3, "failed": failed,
+                "metrics": metrics}
+
+    out = tmp_path / "snap.json"
+    code = _bench_snapshot().main(["--root", str(ROOT), "--seed", "1", "--seconds", "2",
+                                   "--out", str(out)], runner=stub)
+    assert code == 1  # one run failed, and the snapshot is written all the same
+    names = [w["name"] for w in bench["workloads"]]
+    assert calls == [(name, 1, trace, 2.0) for name in names for trace in (0, 1)]
+    snap = json.loads(out.read_text())
+    assert snap["seed"] == 1 and snap["seconds"] == 2.0
+    assert set(snap["machine"]) >= {"cores", "python", "numpy", "machine_speed"}
+    assert snap["machine"]["cores"] == os.cpu_count()
+    assert snap["machine"]["machine_speed"] == 1.2
+    assert sorted(snap["workloads"]) == sorted(names)
+    for name in names:
+        entry = snap["workloads"][name]
+        assert entry["end_to_end"] == {m["name"]: float(i)
+                                       for i, m in enumerate(bench["end_to_end"])}
+        assert sorted(entry["per_layer"]) == sorted(m["name"] for m in bench["per_layer"])
+        assert entry["status"]["trace1"] == {"exit_code": 0, "correct": True,
+                                             "attempted": 3, "failed": 0}
+    assert snap["workloads"]["train"]["status"]["trace0"]["exit_code"] == 1

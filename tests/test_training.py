@@ -235,6 +235,49 @@ def test_heldout_alpha_beats_uniform_5x(setup):
     assert alpha[0] > alpha[2]
 
 
+# Hit counts per future position from the per-prefix evaluation that
+# rebuilt each prefix's features and drafted with no cache: 270 held-out
+# prefixes of length 14 sequences, 165 of length 60 ones.
+ALPHA_HITS = {
+    (True, False, "heldout"): [232, 213, 206, 202],
+    (True, False, "long"): [150, 140, 143, 144],
+    (True, True, "heldout"): [260, 248, 250, 254],
+    (True, True, "long"): [164, 157, 161, 162],
+    (False, False, "heldout"): [224, 214, 208, 204],
+    (False, False, "long"): [134, 133, 135, 135],
+    (False, True, "heldout"): [250, 247, 252, 254],
+    (False, True, "long"): [150, 151, 152, 152],
+}
+
+
+def _alpha_per_prefix(drafter, target, sequences, d, vs_greedy):
+    """evaluate_alpha's contract, each prefix drafted from scratch."""
+    hits, total = np.zeros(d), 0
+    for seq in sequences:
+        for g in range(1, len(seq) - d):
+            prefix = seq[: g + 1]
+            rows = drafter.predict(prefix, target.features(prefix), d,
+                                   rng=np.random.default_rng(0)).rows
+            truth = target.greedy_chain(prefix, d) if vs_greedy else seq[g + 1: g + 1 + d]
+            hits += np.argmax(rows, axis=1) == truth
+            total += 1
+    return [float(h / total) for h in hits]
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_evaluate_alpha_with_one_cache_per_sequence_is_unchanged(setup, shifted):
+    target, corpus, heldout = setup
+    gen = np.random.default_rng(1)
+    long = [target.sample_sequence(gen, 60) for _ in range(3)]
+    model = train_toy_draft(target, corpus, 0.6, 4, steps=60, lr=0.1, seed=1, shifted=shifted)
+    for vs_greedy in (False, True):
+        for name, seqs in (("heldout", heldout), ("long", long)):
+            alpha = evaluate_alpha(model, target, seqs, 4, vs_greedy=vs_greedy)
+            total = sum(len(seq) - 5 for seq in seqs)
+            assert alpha == [h / total for h in ALPHA_HITS[shifted, vs_greedy, name]]
+            assert alpha == _alpha_per_prefix(model, target, seqs, 4, vs_greedy)
+
+
 def test_supervised_slot_count(setup):
     target, corpus, _ = setup
     d = 4
