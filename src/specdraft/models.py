@@ -213,7 +213,8 @@ class DraftCache:
             return 0
         m = min(len(self.tokens), len(prefix))
         head, held = list(prefix[:m]), self.tokens[:m]
-        # Equal small ints are one object, so a match compares pointers.
+        # The held tokens are the prefix's own int objects (int() returns an
+        # int as it is), so a list that matches compares pointers only.
         same = m if head == held else int(np.argmax(np.asarray(head) != held))
         # A shifted position i also embeds token i + 1.
         return max(same - 1, 0) if drafter.shifted else same
