@@ -39,8 +39,8 @@ def test_bench_snapshot_assembles_every_workload_and_trace(tmp_path):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     calls = []
 
-    def stub(root, workload, seed, trace, seconds):
-        calls.append((workload, seed, trace, seconds))
+    def stub(root, workload, trace, seconds):
+        calls.append((workload, trace, seconds))
         names = [m["name"] for m in bench["per_layer" if trace else "end_to_end"]]
         metrics = {name: {"value": float(i + trace), "unit": "x"} for i, name in enumerate(names)}
         if trace:
@@ -50,14 +50,14 @@ def test_bench_snapshot_assembles_every_workload_and_trace(tmp_path):
                 "metrics": metrics}
 
     out = tmp_path / "snap.json"
-    code = _bench_snapshot().main(["--root", str(ROOT), "--seed", "1", "--seconds", "2",
-                                   "--out", str(out)], runner=stub)
+    code = _bench_snapshot().main(["--root", str(ROOT), "--out", str(out)], runner=stub)
     assert code == 1  # one run failed, and the snapshot is written all the same
     names = [w["name"] for w in bench["workloads"]]
-    assert calls == [(name, 1, trace, 2.0) for name in names for trace in (0, 1)]
+    seconds = bench["run_seconds"]
+    assert calls == [(name, trace, seconds) for name in names for trace in (0, 1)]
     snap = json.loads(out.read_text())
-    assert snap["seed"] == 1 and snap["seconds"] == 2.0
-    assert set(snap["machine"]) >= {"cores", "python", "numpy", "machine_speed"}
+    assert snap["seed"] == 1 and snap["seconds"] == seconds
+    assert set(snap["machine"]) == {"cores", "python", "numpy", "machine_speed"}
     assert snap["machine"]["cores"] == os.cpu_count()
     assert snap["machine"]["machine_speed"] == 1.2
     assert sorted(snap["workloads"]) == sorted(names)
