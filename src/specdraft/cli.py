@@ -312,9 +312,9 @@ def cmd_bench_trie(args) -> int:
     miss_ctx = rng.integers(0, V, size=(args.queries, trie.order - 1))
     queries = [tuple(miss_ctx[i].tolist()) if miss[i] else contexts[picks[i]]
                for i in range(args.queries)]
-    # prune's query: one scores_at call for w beam contexts at a row's top-k
-    # tokens, most of which those contexts continue with. A batch's tokens are
-    # its contexts' continuations, topped up at random to k.
+    # prune's query: one key_scores call for the node keys of w beam contexts
+    # by a row's top-k tokens, most of which those contexts continue with. A
+    # batch's tokens are its contexts' continuations, topped up at random to k.
     shape = PruneConfig()
     width = min(shape.k, V)
     batches = []
@@ -322,8 +322,9 @@ def cmd_bench_trie(args) -> int:
         ctxs = queries[lo:lo + shape.w]
         seen = np.array(sorted({t for ctx in ctxs for t in trie.counts(ctx)}), dtype=np.int64)
         others = np.setdiff1d(np.arange(V), seen)
-        tokens = np.concatenate([rng.permutation(seen), rng.permutation(others)])
-        batches.append((ctxs, tokens[:width]))
+        tokens = np.concatenate([rng.permutation(seen), rng.permutation(others)])[:width]
+        context_keys = np.array([trie.context_key(ctx) for ctx in ctxs])
+        batches.append(context_keys[:, None] * trie.base + trie.digits(tokens))
 
     for ctx in queries[:2000]:  # warm-up
         trie.children_scores(ctx)
@@ -333,9 +334,9 @@ def cmd_bench_trie(args) -> int:
         trie.children_scores(ctx)
         lat[i] = (time.perf_counter_ns() - t0) / 1e3
     batch_lat = np.empty(len(batches))
-    for i, (ctxs, tokens) in enumerate(batches):
+    for i, keys in enumerate(batches):
         t0 = time.perf_counter_ns()
-        trie.scores_at(ctxs, tokens)
+        trie.key_scores(keys)
         batch_lat[i] = (time.perf_counter_ns() - t0) / 1e3
     summary = {"median_us": float(np.median(lat)), "p90_us": float(np.percentile(lat, 90)),
                "mean_us": float(lat.mean()), "queries": int(lat.size),
@@ -344,7 +345,7 @@ def cmd_bench_trie(args) -> int:
     _emit(args, [summary],
           f"median {summary['median_us']:.2f} us | p90 {summary['p90_us']:.2f} us "
           f"| mean {summary['mean_us']:.2f} us over {summary['queries']} queries; "
-          f"scores_at of {shape.w} contexts x {width} tokens (their continuations "
+          f"key_scores of {shape.w} contexts x {width} tokens (their continuations "
           f"first): median "
           f"{summary['batch_median_us']:.2f} us | p90 {summary['batch_p90_us']:.2f} us")
     return EXIT_OK

@@ -1,22 +1,26 @@
 """Count-based n-gram table used as the continuity scorer during draft-tree pruning.
 
-The trie stores exact window counts as one table: the distinct length-`order`
-windows of the corpus, sorted lexicographically, each with its count. A
-context (the trailing ``order - 1`` tokens of a sequence, or fewer at a
-sequence start) is any prefix of those windows; its continuations are the
-tokens that follow it in some window. The conditional probability of a
-continuation is its count divided by the context's total. Scores are
-``log(p + eps)`` so that unseen continuations degrade to a finite floor
-instead of -inf. Queries go through one dict built from the table, mapping
-each context tuple to ``(total, tokens, counts)``. `children_scores` answers
-one context as a dict and `scores_at` a batch of contexts as a matrix; both
-score through one helper, so they agree bit for bit.
+Its nodes are the root and the distinct prefixes (length 1 … order) of the
+corpus's length-`order` windows, each counting the windows it starts. A
+context, the trailing ``order - 1`` tokens or fewer at a sequence start,
+continues with its children's last tokens; a continuation scores
+``log(child count / context count + eps)``, so unseen ones sit at a finite
+floor. Scores use math.log, since np.log differs by an ulp on some inputs.
+
+Every query reads one sorted int64 array of node keys, beside each node's
+count and score, computed once. A key is the node's tokens in base
+B = vocab_size + 2, left-padded to `order` digits with vocab_size + 1, so the
+table sorts by level, full windows first and the root last; a token outside
+the vocabulary is the digit vocab_size, which no node holds. A context's
+children are one key span, and B^order < 2^63 bounds the order: at most 10
+at V = 64, 7 at V = 256 and 4 at V = 32k.
 
 File format, version 2, little-endian: a 32-byte header holding the magic
 ``NGTR``, a u16 version, two zero bytes, then order, vocab_size and the row
 count as int64; then the window tokens as a (rows, order) int64 array; then
-the counts as a (rows,) int64 array. Version 1 files (a varint node stream)
-are not read; rebuild them from their corpus with ``specdraft build-trie``.
+the counts as a (rows,) int64 array, summing below 2^53 so that every count
+and total is exact in float64. Version 1 files (a varint node stream) are not
+read; rebuild them from their corpus with ``specdraft build-trie``.
 
 After construction the trie is immutable and may be queried from any number of
 threads without synchronization.
@@ -28,7 +32,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,8 +52,6 @@ LOG_FLOOR = math.log(EPSILON)  # the score of an unseen continuation
 MAGIC = b"NGTR"
 FORMAT_VERSION = 2
 HEADER = struct.Struct("<4sHHqqq")  # magic, version, padding, order, vocab_size, rows
-# An (rows, order) int64 array must stay addressable even with zero rows.
-MAX_ORDER = 2 ** 16
 
 
 @dataclass
@@ -60,121 +61,129 @@ class TrieStats:
 
 
 class NgramTrie:
-    """Immutable window-count table of one `order`, with its context query dict.
+    """Immutable node table of one `order`: sorted `keys`, with `node_counts`
+    and `node_scores`. build_trie and load_trie check the order and pass the
+    distinct full windows' keys, increasing, and their counts."""
 
-    `windows` is a (rows, order) int64 array of distinct windows in strictly
-    increasing lexicographic order; `window_counts` holds each row's count.
-    Made by build_trie or load_trie, which check the order and the table.
-    """
-
-    def __init__(self, order: int, vocab_size: int, windows: np.ndarray,
+    def __init__(self, order: int, vocab_size: int, window_keys: np.ndarray,
                  window_counts: np.ndarray):
         self.order = order
         self.vocab_size = vocab_size
-        self.windows = windows
-        self.window_counts = window_counts
-        self._query = _context_table(windows, window_counts)
+        self.base = vocab_size + 2
+        self.context_limit = self.base ** (order - 1)  # every context key is below it
+        self.keys, self.node_counts, self.node_scores = _node_table(
+            order, self.base, window_keys, window_counts)
 
     # -- queries ------------------------------------------------------------
 
-    def children_scores(self, context: Sequence[int], eps: float = EPSILON) -> dict[int, float]:
-        """Scores for every observed continuation of `context`, one lookup.
+    def digits(self, tokens) -> np.ndarray:
+        """Each token's key digit: the token, or vocab_size for one outside the vocabulary."""
+        tokens = np.asarray(tokens, dtype=np.int64)
+        return np.where((tokens >= 0) & (tokens < self.vocab_size), tokens, self.vocab_size)
 
-        Only the trailing order-1 tokens count; shorter contexts (sequence
-        start) are looked up as they are. Tokens absent from the returned map
-        are implicitly at log(eps).
-        """
-        entry = self._query.get(tuple(context[-(self.order - 1):]))
-        if entry is None:
-            return {}
-        total, tokens, counts = entry
-        return dict(zip(tokens, _log_scores(counts, repeat(total), eps)))
+    def context_key(self, context: Sequence[int]) -> int:
+        """The key of the trailing order-1 tokens of `context`. Folding m
+        digits into -1 gives their value - B^m, so adding B^(order-1) supplies
+        the order-1-m leading pad digits."""
+        key, base, V = -1, self.base, self.vocab_size
+        for tok in context[-(self.order - 1):]:
+            key = key * base + (tok if 0 <= tok < V else V)
+        return int(key) + self.context_limit
+
+    def key_scores(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's node score, or LOG_FLOOR where no node has the key, by one
+        searchsorted. Query keys, context_key * base + digit, sort below the root's."""
+        at = self.keys.searchsorted(keys)
+        return np.where(self.keys[at] == keys, self.node_scores[at], LOG_FLOOR)
 
     def scores_at(self, contexts: Sequence[Sequence[int]], tokens) -> np.ndarray:
         """(len(contexts), len(tokens)) float64 matrix whose entry (i, j) is
         children_scores(contexts[i]).get(tokens[j], LOG_FLOOR), bit for bit.
+        A token outside the trie's vocabulary scores LOG_FLOOR."""
+        context_keys = np.array([self.context_key(c) for c in contexts], dtype=np.int64)
+        return self.key_scores(context_keys[:, None] * self.base + self.digits(tokens))
 
-        Each context is looked up once, and only the continuations whose token
-        is among `tokens` are scored; every other entry, including a token
-        outside the trie's vocabulary, stays at LOG_FLOOR.
-        """
-        token_list = np.asarray(tokens, dtype=np.int64).tolist()
-        # A repeated token is scored in its last column and copied to the others.
-        column = {tok: j for j, tok in enumerate(token_list)}
-        keep = self.order - 1
-        hits = []
-        for i, context in enumerate(contexts):
-            entry = self._query.get(tuple(context[-keep:]))
-            if entry is not None:
-                total, toks, counts = entry
-                hits += [(i, column[t], c, total) for t, c in zip(toks, counts) if t in column]
-        out = np.full((len(contexts), len(token_list)), LOG_FLOOR)
-        if hits:
-            rows, cols, counts, totals = zip(*hits)
-            out[rows, cols] = _log_scores(counts, totals, EPSILON)
-        if len(column) < len(token_list):
-            out = out[:, [column[t] for t in token_list]]
-        return out
+    def children_scores(self, context: Sequence[int], eps: float = EPSILON) -> dict[int, float]:
+        """Scores for every observed continuation of `context`, one span. Only
+        its trailing order-1 tokens count, or all of a shorter one (sequence
+        start); tokens absent from the returned map are implicitly at log(eps)."""
+        tokens, span = self._children(context)
+        if eps == EPSILON:
+            return dict(zip(tokens, self.node_scores[span].tolist()))
+        counts = self.node_counts[span]
+        return dict(zip(tokens, [math.log(r + eps) for r in (counts / counts.sum()).tolist()]))
 
     def counts(self, context: Sequence[int]) -> dict[int, int]:
         """{token: count} for the continuations of `context` (trailing order-1 tokens)."""
-        entry = self._query.get(tuple(context[-(self.order - 1):]))
-        return {} if entry is None else dict(zip(entry[1], entry[2]))
+        tokens, span = self._children(context)
+        return dict(zip(tokens, self.node_counts[span].tolist()))
 
     def contexts(self) -> list[tuple[int, ...]]:
         """Every full-length (order-1) context with a continuation, in sorted order."""
-        return [ctx for ctx in self._query if len(ctx) == self.order - 1]
+        return list(map(tuple, self._level(self.order - 1)[0].tolist()))
+
+    def _level(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes of `length` tokens, in sorted order: their tokens as a
+        (nodes, length) int64 array, and their counts."""
+        span = self._level_span(length)  # the pad digits sit above the last `length`
+        return (self.keys[span, None] // _place_values(self.base, length) % self.base,
+                self.node_counts[span])
 
     def stats(self) -> TrieStats:
-        """Node counts of the equivalent prefix trie: the root plus one node per
-        distinct window prefix."""
-        node_count = 1 + sum(len(tokens) for _, tokens, _ in self._query.values())
-        return TrieStats(node_count, len(self.contexts()))
+        """Node counts of the prefix trie: the root plus one node per distinct
+        window prefix. Two binary searches, no scan."""
+        span = self._level_span(self.order - 1)
+        return TrieStats(len(self.keys), span.stop - span.start)
+
+    def _level_span(self, length: int) -> slice:
+        top = self.base ** self.order
+        return slice(*self.keys.searchsorted((top - self.base ** length,
+                                              top - self.base ** (length - 1))).tolist())
+
+    def _children(self, context: Sequence[int]) -> tuple[list[int], slice]:
+        """The children of `context`: their tokens, and their span of the table."""
+        first = self.context_key(context) * self.base
+        lo, hi = self.keys.searchsorted((first, first + self.vocab_size)).tolist()
+        return [key - first for key in self.keys[lo:hi].tolist()], slice(lo, hi)
 
 
-def _log_scores(counts: Iterable[int], totals: Iterable[int], eps: float) -> list[float]:
-    """log(count / total + eps) for each pair: the one score formula. It uses
-    math.log, since np.log differs from it by an ulp on some inputs."""
-    log = math.log
-    return [log(count / total + eps) for count, total in zip(counts, totals)]
+def _node_table(order: int, base: int, window_keys: np.ndarray,
+                window_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, counts, scores) of every node, in key order. A prefix one token
+    shorter has its node's key value over the base, and is a run of the sorted
+    level below, so no level needs a sort. Scores are computed once per distinct
+    count / parent count ratio; the root's ratio is 0, so it scores LOG_FLOOR."""
+    top = base ** order
+    keys, counts, ratios, values = [window_keys], [window_counts], [], window_keys
+    for length in range(order - 1, 0, -1):
+        values = values // base
+        starts = np.flatnonzero(np.diff(values, prepend=-1))
+        level_counts = np.add.reduceat(counts[-1], starts)
+        ratios.append(counts[-1] / np.repeat(level_counts, np.diff(starts, append=len(values))))
+        values = values[starts]
+        keys.append(values + (top - base ** length))
+        counts.append(level_counts)
+    total = counts[-1].sum()
+    ratios += [counts[-1] / total, [0.0]]
+    keys.append([top - 1])
+    counts.append([total])
+    ratio = np.concatenate(ratios)
+    distinct = np.unique(ratio)
+    scores = np.array([math.log(r + EPSILON) for r in distinct.tolist()])
+    return np.concatenate(keys), np.concatenate(counts), scores[distinct.searchsorted(ratio)]
 
 
-def _group_starts(rows: np.ndarray) -> np.ndarray:
-    """Indices of the rows of a sorted (n, k) array that differ from the row before."""
-    return np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))))
+def _place_values(base: int, length: int) -> np.ndarray:
+    """base^(length-1), …, base, 1: a window row times these is its key."""
+    return base ** np.arange(length - 1, -1, -1, dtype=np.int64)
 
 
-def _context_table(windows: np.ndarray, counts: np.ndarray) -> dict:
-    """{context: (total, tokens, counts)} for every context length 0 … order-1.
-
-    The full-length contexts come from groups of table rows; each shorter
-    context's continuations are the next longer contexts, counted by their
-    totals. Values are tuples of ints, never dicts, so that the garbage
-    collector untracks them: a tuple holding a dict stays tracked, and every
-    full collection would walk all of them.
-    """
-    if len(windows) == 0:
-        return {}
-    ctx = windows[:, :-1]
-    starts = _group_starts(ctx)
-    bounds = starts.tolist() + [len(windows)]
-    tokens = windows[:, -1].tolist()
-    cnts = counts.tolist()
-    level = {}
-    for key, lo, hi in zip(ctx[starts].tolist(), bounds, bounds[1:]):
-        c = tuple(cnts[lo:hi])
-        level[tuple(key)] = (sum(c), tuple(tokens[lo:hi]), c)
-    query = dict(level)
-    for _ in range(windows.shape[1] - 1):
-        parents: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for key, (total, _, _) in level.items():
-            parents.setdefault(key[:-1], []).append((key[-1], total))
-        level = {}
-        for key, children in parents.items():
-            toks, totals = zip(*children)
-            level[key] = (sum(totals), toks, totals)
-        query.update(level)
-    return query
+def _check_order(order: int, vocab_size: int, error: type[Exception], where: str = "") -> None:
+    """Raise `error` unless 2 <= order and the node keys of `order` fit in int64."""
+    highest = next(n for n in range(1, 64) if (max(vocab_size, 0) + 2) ** (n + 1) >= 2 ** 63)
+    if not 2 <= order <= highest:
+        raise error(f"{where}n-gram order must be in [2, {highest}] at vocab_size {vocab_size}, "
+                    f"where node keys fit in int64; got {order}")
 
 
 def build_trie(
@@ -186,10 +195,10 @@ def build_trie(
 
     vocab_size=None infers V as max token + 1; a negative token, or when
     vocab_size is given any token >= V, raises OutOfVocabularyError naming
-    the offending sequence.
+    the offending sequence. An order whose node keys overflow int64 raises
+    ConfigError.
     """
-    if not 2 <= order <= MAX_ORDER:
-        raise ConfigError(f"n-gram order must be in [2, {MAX_ORDER}], got {order}")
+    _check_order(order, vocab_size or 0, ConfigError)
     parts = []
     max_token = -1
     for seq_index, seq in enumerate(corpus):
@@ -204,14 +213,10 @@ def build_trie(
             parts.append(sliding_window_view(arr, order))
     if vocab_size is None:
         vocab_size = max_token + 1
-    if not parts:
-        return NgramTrie(order, vocab_size, np.empty((0, order), np.int64),
-                         np.empty(0, np.int64))
-    windows = np.concatenate(parts)
-    windows = windows[np.lexsort(windows.T[::-1])]
-    starts = _group_starts(windows)
-    counts = np.diff(np.append(starts, len(windows)))
-    return NgramTrie(order, vocab_size, windows[starts], counts)
+    _check_order(order, vocab_size, ConfigError)
+    windows = np.concatenate(parts) if parts else np.empty((0, order), np.int64)
+    keys, counts = np.unique(windows @ _place_values(vocab_size + 2, order), return_counts=True)
+    return NgramTrie(order, vocab_size, keys, counts.astype(np.int64))
 
 
 # -- serialization ------------------------------------------------------------
@@ -219,19 +224,16 @@ def build_trie(
 
 def save_trie(trie: NgramTrie, path: str | os.PathLike) -> int:
     """Write the v2 file to `path`; returns bytes written."""
+    windows, counts = trie._level(trie.order)
     with open(path, "wb") as f:
-        f.write(HEADER.pack(MAGIC, FORMAT_VERSION, 0, trie.order, trie.vocab_size,
-                            len(trie.window_counts)))
-        f.write(np.ascontiguousarray(trie.windows, dtype="<i8"))
-        f.write(np.ascontiguousarray(trie.window_counts, dtype="<i8"))
+        f.write(HEADER.pack(MAGIC, FORMAT_VERSION, 0, trie.order, trie.vocab_size, len(counts)))
+        f.write(np.ascontiguousarray(windows, dtype="<i8"))
+        f.write(np.ascontiguousarray(counts, dtype="<i8"))
         return f.tell()
 
 
 def load_trie(path: str | os.PathLike) -> NgramTrie:
-    """Read and validate a v2 file; any malformed content raises TrieFormatError.
-
-    The arrays are views of the one buffer read from the file.
-    """
+    """Read and validate a v2 file; any malformed content raises TrieFormatError."""
     with open(path, "rb") as f:
         head = f.read(HEADER.size)
         if len(head) < len(MAGIC) + 2:
@@ -249,10 +251,9 @@ def load_trie(path: str | os.PathLike) -> NgramTrie:
         _, _, padding, order, vocab_size, rows = HEADER.unpack(head)
         if padding:
             raise TrieFormatError(f"{path}: nonzero header padding")
-        if not 2 <= order <= MAX_ORDER:
-            raise TrieFormatError(f"{path}: order must be in [2, {MAX_ORDER}], got {order}")
         if vocab_size < 0 or rows < 0:
             raise TrieFormatError(f"{path}: negative vocab_size or row count")
+        _check_order(order, vocab_size, TrieFormatError, f"{path}: ")
         expected = HEADER.size + 8 * rows * (order + 1)
         size = os.fstat(f.fileno()).st_size
         if size < expected:
@@ -260,28 +261,26 @@ def load_trie(path: str | os.PathLike) -> NgramTrie:
                 f"{path}: header gives {rows} rows ({expected} bytes), file has {size}")
         if size > expected:
             raise TruncatedFileError(f"{path}: {size - expected} trailing bytes")
-        data = f.read()
-    if len(data) != expected - HEADER.size:
-        raise TruncatedFileError(f"{path}: file changed size while being read")
-    windows = np.frombuffer(data, "<i8", count=rows * order).reshape(rows, order)
-    counts = np.frombuffer(data, "<i8", offset=8 * rows * order)
+        windows = np.empty((rows, order), dtype="<i8")
+        counts = np.empty(rows, dtype="<i8")
+        if f.readinto(windows) + f.readinto(counts) != expected - HEADER.size:
+            raise TruncatedFileError(f"{path}: file changed size while being read")
     if rows:
         if windows.min() < 0 or windows.max() >= vocab_size:
             raise TrieFormatError(f"{path}: a token outside [0, {vocab_size})")
         if counts.min() < 1:
             raise TrieFormatError(f"{path}: a window count below 1")
-    # Row i+1 > row i lexicographically: at the first column where they differ.
-    undecided = np.ones(max(rows - 1, 0), dtype=bool)
-    for j in range(order):
-        if not undecided.any():
-            break
-        prev, nxt = windows[:-1, j], windows[1:, j]
-        if (undecided & (nxt < prev)).any():
-            raise TrieFormatError(f"{path}: rows are not in increasing order")
-        undecided &= nxt == prev
-    if undecided.any():
+        if int(counts.max()) * rows >= 2 ** 53 and sum(counts.tolist()) >= 2 ** 53:
+            raise TrieFormatError(f"{path}: the window counts sum to 2 ** 53 or more")
+    # With every token below the base, the keys order the rows as their tokens do.
+    keys = windows @ _place_values(vocab_size + 2, order)
+    del windows  # the largest array read: free it before the node table is built
+    steps = np.diff(keys)
+    if (steps < 0).any():
+        raise TrieFormatError(f"{path}: rows are not in increasing order")
+    if (steps == 0).any():
         raise TrieFormatError(f"{path}: duplicate rows")
-    return NgramTrie(order, vocab_size, windows, counts)
+    return NgramTrie(order, vocab_size, keys, counts)
 
 
 # -- corpus ingestion ----------------------------------------------------------

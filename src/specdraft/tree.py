@@ -169,41 +169,41 @@ def prune(
 ) -> DraftTree:
     """Continuity-aware pruning of the implicit candidate tree.
 
-    The active beam starts as the bare prefix with score 0. At future position
-    i (level i-1) every active candidate expands by the row's top-k tokens;
-    `combine` scores the level's (beam, k) expansions from the logit scores
-    and the trie's continuity scores, which one `trie.scores_at` call gives
-    for every beam entry's trailing context at the row's top-k tokens (a
-    token outside the trie's vocabulary scores the floor).
-    Every expansion enters the pool, in beam order, then top-k order, and the
-    top w become the next beam. The result is the top-theta pool nodes.
-
-    A beam entry is (pool id, trailing context, score). The trie reads only
-    the last order-1 tokens of a context, so that is all an entry keeps, and
-    pruning costs the same for any prefix length. Ties everywhere break as
-    (higher score, lower level, lower token, lower parent id, pool order).
+    The beam starts as the bare prefix with score 0. At level l every beam
+    entry expands by row l's top-k tokens, and `combine` scores the level's
+    (beam, k) expansions from their logit scores and their trie scores, which
+    one `trie.key_scores` call gives (the floor without a trie, or for a token
+    outside its vocabulary). Every expansion enters the pool, in beam order,
+    then top-k order; the top w become the next beam, and the top-theta pool
+    nodes form the tree. A beam entry is (pool id, context key, score): its
+    trailing order-1 tokens as one int64 key, which is all the trie reads, so
+    pruning costs the same for any prefix length. An expansion's node key is
+    key * base + digit, and that modulo `trie.context_limit` is its own
+    context key. Ties everywhere break as (higher score, lower level, lower
+    token, lower parent id, pool order).
     """
     if len(prefix) == 0:
         raise ConfigError("prefix must be nonempty")
-    keep = trie.order - 1 if trie is not None else 0
-    tail = tuple(int(t) for t in prefix[-keep:]) if keep else ()
     top_tokens, top_scores = top_k_candidates(logits.rows, cfg.k)
+    if trie is not None:
+        top_digits = trie.digits(top_tokens)
+        beam_keys = np.array([trie.context_key(prefix)])
 
     beam_ids = np.array([ROOT_ID])
     beam_scores = np.zeros(1)
-    contexts = [tail]
     pool = []  # per level: (parent, token, level, score) arrays of its expansions
     size = 0
     for depth in range(logits.d):
-        row_tokens = top_tokens[depth]
-        s_ng = LOG_FLOOR if trie is None else trie.scores_at(contexts, row_tokens)
+        if trie is not None:
+            node_keys = beam_keys[:, None] * trie.base + top_digits[depth]
+        s_ng = LOG_FLOOR if trie is None else trie.key_scores(node_keys)
         inc = combine(top_scores[depth], s_ng, depth)
         level_scores = (beam_scores[:, None] + inc).ravel()
         level_parents = np.repeat(beam_ids, cfg.k)
-        level_tokens = row_tokens[None, :].repeat(len(contexts), axis=0).ravel()
+        level_tokens = top_tokens[depth][None, :].repeat(len(beam_ids), axis=0).ravel()
         best = _ranked(cfg.w, level_scores, level_tokens, level_parents)[: cfg.w]
-        contexts = [(contexts[b] + (t,))[-keep:] if keep else ()
-                    for b, t in zip((best // cfg.k).tolist(), level_tokens[best].tolist())]
+        if trie is not None:
+            beam_keys = node_keys.ravel()[best] % trie.context_limit
         beam_ids = size + best
         beam_scores = level_scores[best]
         size += len(level_scores)

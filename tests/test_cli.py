@@ -60,6 +60,25 @@ def test_build_trie_order_one_rejected(tmp_path, demo_corpus):
     assert rc == EXIT_CONFIG
 
 
+def test_order_above_the_key_bound_exits_2_to_build_and_3_to_load(tmp_path, capsys):
+    # Byte-level text has V = 256, whose node keys fit in int64 up to order 7.
+    src = tmp_path / "corpus.txt"
+    src.write_text("an order-8 window needs more than 63 bits\n", encoding="utf-8")
+    out = tmp_path / "t.bin"
+    argv = ["build-trie", "--corpus", str(src), "--format", "text", "--out", str(out)]
+    assert main(argv + ["--order", "7"]) == EXIT_OK
+    assert main(["bench-trie", "--trie", str(out), "--queries", "10"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv + ["--order", "8"]) == EXIT_CONFIG
+    assert "[2, 7]" in capsys.readouterr().err
+    data = bytearray(out.read_bytes())
+    data[8:16] = (8).to_bytes(8, "little")  # the header's order field
+    out.write_bytes(bytes(data))
+    assert main(["bench-trie", "--trie", str(out), "--queries", "10"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert "[2, 7]" in err and "Traceback" not in err
+
+
 def test_build_trie_missing_corpus(tmp_path):
     rc = main(["build-trie", "--corpus", str(tmp_path / "nope.txt"),
                "--order", "3", "--out", str(tmp_path / "t.bin")])

@@ -331,11 +331,13 @@ def test_greedy_toy_draft_long_prompt_incremental_features():
 
 def test_decode_cycle_makes_one_target_call_and_one_trie_call_per_level(monkeypatch):
     # Verify scores the whole tree in one tree_dists call and prune scores
-    # each of the d levels in one scores_at call; nothing in a cycle calls
-    # the per-node next_dist or children_scores.
+    # each of the d levels in one key_scores call on its node keys; nothing
+    # in a cycle calls the per-node next_dist or children_scores, or the
+    # per-context scores_at.
     calls = Counter()
     for cls, name in ((MarkovTarget, "next_dist"), (MarkovTarget, "tree_dists"),
-                      (NgramTrie, "children_scores"), (NgramTrie, "scores_at")):
+                      (NgramTrie, "children_scores"), (NgramTrie, "scores_at"),
+                      (NgramTrie, "key_scores")):
         def counted(*args, _name=name, _method=getattr(cls, name), **kwargs):
             calls[_name] += 1
             return _method(*args, **kwargs)
@@ -347,7 +349,7 @@ def test_decode_cycle_makes_one_target_call_and_one_trie_call_per_level(monkeypa
         calls.clear()
         _, metrics = decode([1, 2], target, drafter, trie, cfg, measure_base=False)
         assert metrics.cycles > 1
-        assert calls == {"tree_dists": metrics.cycles, "scores_at": cfg.d * metrics.cycles}
+        assert calls == {"tree_dists": metrics.cycles, "key_scores": cfg.d * metrics.cycles}
 
 
 # -- speedup model -------------------------------------------------------------------

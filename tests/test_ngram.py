@@ -57,6 +57,23 @@ def test_order_below_two_rejected():
         build_trie([[1, 2, 3]], order=1)
 
 
+@pytest.mark.parametrize("vocab_size, highest", [(64, 10), (256, 7), (32000, 4)])
+def test_order_is_bounded_by_int64_node_keys(tmp_path, vocab_size, highest):
+    # A node key has `order` digits in base vocab_size + 2, and must stay
+    # below 2^63: 66^10, 258^7 and 32002^4 do, one more digit does not.
+    corpus = [list(range(20))]
+    trie = build_trie(corpus, highest, vocab_size=vocab_size)
+    assert trie.counts(range(1, highest)) == {highest: 1}
+    p = tmp_path / "t.bin"
+    save_trie(trie, p)
+    assert load_trie(p).counts(range(highest - 1)) == {highest - 1: 1}
+    with pytest.raises(ConfigError, match=rf"\[2, {highest}\]"):
+        build_trie(corpus, highest + 1, vocab_size=vocab_size)
+    p.write_bytes(_v2_bytes(highest + 1, vocab_size, [list(range(highest + 1))], [1]))
+    with pytest.raises(TrieFormatError, match=rf"\[2, {highest}\]"):
+        load_trie(p)
+
+
 def test_out_of_vocabulary_names_sequence():
     with pytest.raises(OutOfVocabularyError) as exc:
         build_trie([[0, 1], [0, 9, 1]], order=2, vocab_size=4)
@@ -309,6 +326,8 @@ def test_v2_layout_loads_and_writes_back(tmp_path):
     (dict(windows=[[-1, 1, 2], [0, 1, 3], [1, 2, 0]]), "outside"),
     (dict(counts=[2, 0, 1]), "below 1"),
     (dict(counts=[2, 1, -7]), "below 1"),
+    (dict(counts=[2 ** 52, 2 ** 52 - 1, 1]), "sum to 2 \\*\\* 53"),
+    (dict(order=2 ** 40, windows=[]), "order"),
     (dict(windows=[[0, 1, 3], [0, 1, 2], [1, 2, 0]]), "increasing"),
     (dict(windows=[[0, 1, 2], [0, 1, 2], [1, 2, 0]]), "duplicate"),
     (dict(padding=1), "padding"),

@@ -119,9 +119,10 @@ def test_prune_reads_only_the_trailing_context():
 # -- prune vs exhaustive oracle --------------------------------------------------
 
 
-def assert_matches_oracle(rows, corpus, cfg, prefix):
-    trie = build_trie(corpus, 3, vocab_size=rows.shape[1]) if corpus else None
-    counter = WindowCounter(corpus, 3) if corpus else None
+def assert_matches_oracle(rows, corpus, cfg, prefix, order=3, trie_vocab=None):
+    trie_vocab = rows.shape[1] if trie_vocab is None else trie_vocab
+    trie = build_trie(corpus, order, vocab_size=trie_vocab) if corpus else None
+    counter = WindowCounter(corpus, order) if corpus else None
     tree = prune(ParallelLogits(rows), trie, cfg, prefix)
     got = tree_to_paths(tree)
     want = oracle_prune(rows, counter, cfg, prefix)
@@ -167,6 +168,29 @@ def test_prune_oracle_equivalence(data):
     prefix = list(rng.integers(0, V, size=3))
     cfg = PruneConfig(k=k, w=w, theta=theta)
     assert_matches_oracle(rows, corpus, cfg, prefix)
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_prune_oracle_with_padded_contexts_and_another_trie_vocabulary(data):
+    # A prompt shorter than order-1 gives padded context keys; a trie
+    # vocabulary below the logits' lets out-of-vocabulary candidates slide
+    # into a beam entry's key and, order-1 levels later, out of it again,
+    # and one above it holds continuations no candidate can be.
+    V = data.draw(st.integers(3, 8))
+    trie_vocab = data.draw(st.integers(2, 12))
+    order = data.draw(st.integers(2, 4))
+    d = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, V))
+    cfg = PruneConfig(k=k, w=data.draw(st.integers(1, 30)), theta=data.draw(st.integers(1, 80)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+    # A small alphabet makes windows repeat, so continuations hit the trie.
+    alphabet = rng.choice(trie_vocab, size=min(trie_vocab, 4), replace=False)
+    corpus = [list(rng.choice(alphabet, size=60))]
+    prefix = list(rng.choice(np.append(alphabet, [V - 1]), size=data.draw(st.integers(1, 4))))
+    rows = rng.standard_normal((d, V)) * 2
+    rows[:, alphabet[alphabet < V]] += 1.5
+    assert_matches_oracle(rows, corpus, cfg, prefix, order, trie_vocab)
 
 
 @pytest.mark.parametrize("trie_vocab", [128, 16])
