@@ -171,16 +171,15 @@ def prune(
 
     The beam starts as the bare prefix with score 0. At level l every beam
     entry expands by row l's top-k tokens, and `combine` scores the level's
-    (beam, k) expansions from their logit scores and their trie scores, which
-    one `trie.key_scores` call gives (the floor without a trie, or for a token
-    outside its vocabulary). Every expansion enters the pool, in beam order,
-    then top-k order; the top w become the next beam, and the top-theta pool
-    nodes form the tree. A beam entry is (pool id, context key, score): its
-    trailing order-1 tokens as one int64 key, which is all the trie reads, so
-    pruning costs the same for any prefix length. An expansion's node key is
-    key * base + digit, and that modulo `trie.context_limit` is its own
-    context key. Ties everywhere break as (higher score, lower level, lower
-    token, lower parent id, pool order).
+    (beam, k) expansions from their logit scores and the trie scores of one
+    `trie.key_scores` call (the floor without a trie, or for a token outside
+    its vocabulary). Every expansion enters the pool, in beam order, then
+    top-k order; the top w become the next beam, and the top-theta pool nodes
+    form the tree. A beam entry is (pool id, context key, score): its trailing
+    order-1 tokens as one int64 key, all that the trie reads, so pruning costs
+    the same for any prefix length. An expansion's node key is key * base +
+    digit; modulo `trie.context_limit` it is the expansion's context key. Ties
+    break as (higher score, lower level, lower token, lower parent id, pool order).
     """
     if len(prefix) == 0:
         raise ConfigError("prefix must be nonempty")
