@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""One SHA-256 over a fixed set of decodes and over evaluate_alpha.
+
+A refactor that must not change any output prints the same digest before
+and after it. The decodes cover a V=64 target with short prompts, a V=256
+target with short prompts and the V=64 target with prompts of about
+--long-prompt tokens. Each runs at T=0 and T=1, with a seeded ToyDraft
+(trained a few steps) and with NoisyOracleDrafter, over an order-3 trie at
+the reference operating point (k=25, w=20, theta=59, d=8). The digest
+covers every draft tree's parent, token, level and score arrays, every
+transcript, every non-timing CycleRecord field, the drafters' trained
+parameters, the training batch's features and evaluate_alpha against the
+data and against the greedy chain. Targets, tries and drafters are built in
+process, so nothing needs preparing.
+
+    PYTHONPATH=src python scripts/transcript_digest.py --seed 1
+"""
+
+import argparse
+import hashlib
+
+import numpy as np
+
+from specdraft import engine
+from specdraft.engine import DecodeConfig
+from specdraft.models import MarkovTarget, NoisyOracleDrafter
+from specdraft.ngram import build_trie
+from specdraft.training import build_training_batch, evaluate_alpha, train_toy_draft
+from specdraft.tree import PruneConfig
+
+D = 8
+PRUNE = PruneConfig(k=25, w=20, theta=59)
+MAX_TOKENS = 48
+
+
+class Digest:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.trees = 0
+
+    def ints(self, values):
+        self.sha.update(np.asarray(values, dtype=np.int64).tobytes())
+
+    def floats(self, values):
+        self.sha.update(np.asarray(values, dtype=np.float64).tobytes())
+
+
+def decode_all(digest, target, trie, drafters, prompts, seed):
+    """Decode every prompt with every drafter at T=0 and T=1, hashing the
+    trees verify walks, the transcripts and the cycle records."""
+    verify = engine.verify
+
+    def hashed(tree, *args, **kwargs):
+        digest.ints([len(tree)])
+        for arr in (tree.parent, tree.token, tree.level):
+            digest.ints(arr)
+        digest.floats(tree.score)
+        digest.trees += 1
+        return verify(tree, *args, **kwargs)
+
+    engine.verify = hashed
+    try:
+        for temperature in (0.0, 1.0):
+            for name, make in drafters:
+                for i, prompt in enumerate(prompts):
+                    cfg = DecodeConfig(d=D, temperature=temperature, max_tokens=MAX_TOKENS,
+                                       seed=seed + i, prune=PRUNE)
+                    out, metrics = engine.decode(prompt, target, make(seed + i), trie, cfg,
+                                                 measure_base=False)
+                    digest.sha.update(name.encode())
+                    digest.ints(out)
+                    for r in metrics.records:
+                        digest.ints([r.cycle, r.accepted, r.emitted, *r.nodes_per_level])
+                    digest.floats([metrics.tau, *metrics.accept_rates])
+    finally:
+        engine.verify = verify
+
+
+def system(digest, seed, vocab_size):
+    """(target, trie, trained toy drafter, held-out sequences) of one vocabulary."""
+    target = MarkovTarget(seed, vocab_size, 2, concentration=0.3)
+    rng = np.random.default_rng([seed, vocab_size])
+    trie = build_trie([target.sample_sequence(rng, 300) for _ in range(10)], 3, vocab_size)
+    corpus = [target.sample_sequence(rng, 24) for _ in range(8)]
+    digest.floats(build_training_batch(target, corpus, D, 0.6).feats)
+    model = train_toy_draft(target, corpus, 0.6, D, steps=10, lr=0.1, seed=seed)
+    for name in sorted(model.params):
+        digest.floats(model.params[name])
+    heldout = [target.sample_sequence(rng, 20) for _ in range(3)]
+    return target, trie, model, heldout
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--requests", type=int, default=2, help="prompts per shape")
+    ap.add_argument("--long-prompt", type=int, default=1024,
+                    help="length of the long-context prompts")
+    args = ap.parse_args(argv)
+
+    digest = Digest()
+    for vocab_size in (64, 256):
+        target, trie, model, heldout = system(digest, args.seed, vocab_size)
+        drafters = [("toy", lambda s: model),
+                    ("noisy-oracle", lambda s: NoisyOracleDrafter(target, seed=s))]
+        rng = np.random.default_rng([args.seed, vocab_size, 1])
+        lengths = [int(rng.integers(4, 17)) for _ in range(args.requests)]
+        if vocab_size == 64:
+            lengths += [args.long_prompt + 8 * i for i in range(args.requests)]
+        prompts = [target.sample_sequence(rng, n) for n in lengths]
+        decode_all(digest, target, trie, drafters, prompts, args.seed)
+        for vs_greedy in (False, True):
+            digest.floats(evaluate_alpha(model, target, heldout, D, vs_greedy=vs_greedy))
+    print(f"{digest.sha.hexdigest()}  ({digest.trees} trees)")
+
+
+if __name__ == "__main__":
+    main()

@@ -26,7 +26,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigError, check_int, check_number
-from .models import DraftCache, TargetFeatures, sample_from
+from .models import DraftCache, sample_from
 from .ngram import NgramTrie
 from .tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, prune
 
@@ -40,22 +40,21 @@ class TargetModel(Protocol):
         """(1 + len(tree), V): row 0 is next_dist(prefix), row i + 1 is
         next_dist of the prefix followed by node i's path."""
 
-    def features(self, prefix, start: int = 0) -> TargetFeatures:
-        """Feature rows for positions start .. len(prefix)-1 and the
-        conditional at the prefix end. decode asks for the whole prompt once
-        per request and then for the rows of the tokens each cycle emitted,
-        extending what it holds with them."""
+    def features(self, prefix, start: int = 0) -> np.ndarray:
+        """The feature rows of positions start .. len(prefix)-1, one per row."""
 
 
 class DraftPredictor(Protocol):
-    def predict(self, prefix, feats, d: int, *, rng: np.random.Generator,
+    def predict(self, prefix, target: TargetModel, d: int, *, rng: np.random.Generator,
                 temperature: float = 0.0, cache: DraftCache | None = None) -> ParallelLogits:
-        """d rows of future-position logits from one drafting forward. Any
-        randomness is drawn from `rng`, which decode shares with verify.
-        decode makes one `cache` per request and hands it to every cycle's
-        call, so a drafter may keep there what the next, longer prefix can
-        reuse; one cache serves one request of one target, and None stands
-        for a fresh one. A drafter with nothing to keep ignores it."""
+        """d rows of future-position logits from one drafting forward. The
+        drafter asks `target` for what it reads of the prefix, such as the
+        feature rows of the positions it builds. Any randomness is drawn
+        from `rng`, which decode shares with verify. decode makes one
+        `cache` per request and hands it to every cycle's call, so a drafter
+        may keep there what the next, longer prefix can reuse; one cache
+        serves one request of one target, and None stands for a fresh one. A
+        drafter with nothing to keep ignores it."""
 
 
 @dataclass(frozen=True)
@@ -183,11 +182,20 @@ def verify(
         current = chosen
 
 
-def _check_prompt(prompt: Sequence[int], vocab_size: int) -> list[int]:
+def _check_tokens(prompt: Sequence[int], eos_token: int | None, vocab_size: int) -> list[int]:
+    """The prompt as a list of ints. A prompt token or an end token that is
+    not an integer in [0, vocab_size) raises ConfigError."""
+    for t in prompt:
+        if type(t) is not int:  # plain ints skip check_int's slower test
+            check_int("prompt tokens", t)
     tokens = [int(t) for t in prompt]
     bad = [t for t in tokens if not 0 <= t < vocab_size]
     if bad:
         raise ConfigError(f"prompt tokens must lie in [0, {vocab_size}), got {bad[:5]}")
+    if eos_token is not None:
+        check_int("eos_token", eos_token)
+        if not 0 <= eos_token < vocab_size:
+            raise ConfigError(f"eos_token must lie in [0, {vocab_size}), got {eos_token}")
     return tokens
 
 
@@ -201,7 +209,7 @@ def baseline_decode(
 ) -> list[int]:
     """Plain autoregressive decoding (the reference for losslessness checks)."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    prefix = _check_prompt(prompt, target.vocab_size)
+    prefix = _check_tokens(prompt, eos_token, target.vocab_size)
     out: list[int] = []
     while len(out) < max_tokens:
         tok = sample_from(target.next_dist(prefix, temperature), rng)
@@ -233,31 +241,24 @@ def decode(
 ) -> tuple[list[int], DecodeMetrics]:
     """Run draft -> prune -> verify cycles until max_tokens or the end token.
 
-    Target features cover the prompt after the first cycle's call; each later
-    cycle extends them by the tokens the previous one emitted, and the
-    drafter's cache, one per request, lets it project only those tokens'
-    positions. A missing trie scores every continuation at the epsilon floor
-    (the no-n-gram ablation mode). Per-stage wall-clock latencies are
-    recorded per cycle; medians exclude the first (warmup) cycle when more
-    than one ran.
+    The drafter's cache, one per request, lets a later cycle build only the
+    positions of the tokens the previous one emitted. A missing trie scores
+    every continuation at the epsilon floor (the no-n-gram ablation mode).
+    Per-stage wall-clock latencies are recorded per cycle; medians exclude
+    the first (warmup) cycle when more than one ran.
     """
     if len(prompt) == 0:
         raise ConfigError("prompt must be nonempty")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    prefix = _check_prompt(prompt, target.vocab_size)
+    prefix = _check_tokens(prompt, cfg.eos_token, target.vocab_size)
     out: list[int] = []
     records: list[CycleRecord] = []
     stop = False
-    feats = None
     cache = DraftCache()
 
     while not stop and len(out) < cfg.max_tokens:
         t0 = time.perf_counter_ns()
-        if feats is None:
-            feats = target.features(prefix)
-        else:
-            feats = feats.extended(target.features(prefix, start=len(prefix) - len(emitted)))
-        logits = drafter.predict(prefix, feats, cfg.d,
+        logits = drafter.predict(prefix, target, cfg.d,
                                  temperature=cfg.temperature, rng=rng, cache=cache)
         t1 = time.perf_counter_ns()
         tree = prune(logits, trie, cfg.prune, prefix)

@@ -12,15 +12,15 @@ and one causal attention layer plus an output head produces logits for all d
 future positions in a single forward pass (row 1 read from the last prefix
 position, the rest from mask positions). Drafting queries only those d
 read-out positions, and a DraftCache keeps one request's keys and values
-between cycles, so a later cycle projects only the positions it adds: its
-cost is O(e + d) projections for e emitted tokens plus O(n * d) attention
-over the n cached keys, with no O(n) projection left.
+between cycles, so a later cycle builds only the positions it adds: it asks
+the target for their feature rows alone, and its cost is O(e + d) rows for
+e emitted tokens plus O(n * d) attention over the n cached keys, with no
+O(n) step left.
 """
 
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,24 +56,6 @@ def sample_from(dist: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF draw of one token from unnormalized mass `dist`."""
     cum = np.cumsum(dist)
     return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-
-
-@dataclass
-class TargetFeatures:
-    """Per-position target features plus the target's conditional at the
-    prefix end (used to form the shifted embedding of the next position).
-
-    Row i holds position i's low, mid and high feature vectors side by side,
-    FEAT_WIDTH columns each: the fused EAGLE-3-style input the drafter reads.
-    """
-
-    rows: np.ndarray       # (n, 3 * FEAT_WIDTH)
-    next_dist: np.ndarray  # (V,), untempered
-
-    def extended(self, more: "TargetFeatures") -> "TargetFeatures":
-        """These rows followed by `more`'s, with `more`'s next_dist: the
-        features of the longer prefix whose tail rows `more` holds."""
-        return TargetFeatures(np.concatenate([self.rows, more.rows]), more.next_dist)
 
 
 class MarkovTarget:
@@ -139,11 +121,13 @@ class MarkovTarget:
             contexts.append(contexts[parent + 1][1:] + (token,))
         return temperature_adjust(np.array([self._row(ctx) for ctx in contexts]), temperature)
 
-    def features(self, prefix, start: int = 0) -> TargetFeatures:
-        """Feature rows for positions start .. n-1, each from the trailing
-        `order` tokens up to and including its own position, plus the
-        conditional at the prefix end. Extending features(prefix[:start]) by
-        features(prefix, start) gives features(prefix)."""
+    def features(self, prefix, start: int = 0) -> np.ndarray:
+        """(n - start, 3 * FEAT_WIDTH) feature rows of positions start .. n-1
+        of a prefix of n tokens, each from the trailing `order` tokens up to
+        and including its own position. Row i holds position i's low, mid and
+        high feature vectors side by side, FEAT_WIDTH columns each: the fused
+        EAGLE-3-style input the drafter reads. The rows of
+        features(prefix[:start]) followed by these are features(prefix)."""
         n = len(prefix)
         if not 0 <= start <= n:
             raise ConfigError(f"features start must be in [0, {n}], got {start}")
@@ -153,8 +137,7 @@ class MarkovTarget:
         padded = np.concatenate([np.zeros(self.order - 1 - (start - lo), np.int64),
                                  np.asarray(prefix[lo:n], dtype=np.int64)])
         windows = padded[np.arange(n - start)[:, None] + np.arange(self.order)].tolist()
-        rows = np.array([self._feat(tuple(w)) for w in windows]).reshape(-1, 3 * FEAT_WIDTH)
-        return TargetFeatures(rows, self._row(self._context(prefix)))
+        return np.array([self._feat(tuple(w)) for w in windows]).reshape(-1, 3 * FEAT_WIDTH)
 
     def rollout(self, prefix, length: int, pick) -> list[int]:
         """`length` tokens past `prefix`, each `pick(row)` of the untempered
@@ -368,22 +351,21 @@ class ToyDraft:
 
     # -- inference ------------------------------------------------------------
 
-    def predict(self, prefix, feats: TargetFeatures, d: int, *,
+    def predict(self, prefix, target, d: int, *,
                 rng: np.random.Generator, temperature: float = 0.0,
                 cache: DraftCache | None = None) -> ParallelLogits:
         """One drafting forward: d rows of future-position logits.
 
-        The shifted variant embeds at the last prefix position a token drawn
-        from the tempered target conditional; at temperature 0 that
-        conditional is one-hot, so the draw is its argmax. Only the positions
-        past `cache`'s final rows are built and projected; None stands for a
-        fresh cache, which projects them all.
+        Only the positions past `cache`'s final rows are built and projected,
+        and `target` is asked for the feature rows of those alone; None
+        stands for a fresh cache, which builds them all. The shifted variant
+        embeds at the last prefix position a token drawn from
+        target.next_dist(prefix, temperature); at temperature 0 that
+        conditional is one-hot, so the draw is its argmax.
         """
         n = len(prefix)
         if n < 1:
             raise ConfigError("prefix must be nonempty")
-        if len(feats.rows) != n:
-            raise ConfigError(f"{len(feats.rows)} feature rows for a prefix of {n} tokens")
         cache = DraftCache() if cache is None else cache
         n_mask = d - 1 if self.shifted else d
         length = n + n_mask
@@ -393,12 +375,13 @@ class ToyDraft:
         # product, and a cached forward gives the fresh one's logits.
         start = min(cache.kept(self, prefix), max(n - 2, 0))
         if self.shifted:
-            nxt = sample_from(temperature_adjust(feats.next_dist, temperature), rng)
+            nxt = sample_from(target.next_dist(prefix, temperature), rng)
             emb = [*prefix[start + 1:n], nxt]
         else:
             emb = prefix[start:n]
-        z = self.build_inputs(feats.rows[None, start:n], np.asarray(emb, dtype=np.int64)[None],
-                              n_mask, np.arange(start, length))
+        z = self.build_inputs(target.features(prefix, start)[None],
+                              np.asarray(emb, dtype=np.int64)[None], n_mask,
+                              np.arange(start, length))
         keys, values = cache.write(self, prefix, start,
                                    z[0] @ self.params["Wk"], z[0] @ self.params["Wv"])
         # Read-out row j sits at position length - d + j: of the last d - 1
@@ -473,7 +456,7 @@ class OracleDrafter:
     def __init__(self, target: MarkovTarget):
         self.target = target
 
-    def predict(self, prefix, feats, d, *, temperature=0.0, rng=None,
+    def predict(self, prefix, target, d, *, temperature=0.0, rng=None,
                 cache=None) -> ParallelLogits:
         rows = np.zeros((d, self.target.vocab_size))
         for i, tok in enumerate(self.target.greedy_chain(prefix, d)):
@@ -487,7 +470,7 @@ class AdversarialDrafter:
     def __init__(self, target: MarkovTarget):
         self.target = target
 
-    def predict(self, prefix, feats, d, *, temperature=0.0, rng=None,
+    def predict(self, prefix, target, d, *, temperature=0.0, rng=None,
                 cache=None) -> ParallelLogits:
         rows = np.zeros((d, self.target.vocab_size))
         for i, tok in enumerate(self.target.rollout(prefix, d, np.argmin)):
@@ -502,7 +485,7 @@ class UniformDrafter:
         self.vocab_size = vocab_size
         self.rng = np.random.Generator(np.random.PCG64(seed))
 
-    def predict(self, prefix, feats, d, *, temperature=0.0, rng=None,
+    def predict(self, prefix, target, d, *, temperature=0.0, rng=None,
                 cache=None) -> ParallelLogits:
         return ParallelLogits(self.rng.random((d, self.vocab_size)))
 
@@ -518,7 +501,7 @@ class NoisyOracleDrafter:
         self.base = base
         self.rng = np.random.Generator(np.random.PCG64(seed))
 
-    def predict(self, prefix, feats, d, *, temperature=0.0, rng=None,
+    def predict(self, prefix, target, d, *, temperature=0.0, rng=None,
                 cache=None) -> ParallelLogits:
         rows = self.rng.standard_normal((d, self.target.vocab_size)) * self.noise
         for i, tok in enumerate(self.target.greedy_chain(prefix, d)):

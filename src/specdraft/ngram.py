@@ -96,13 +96,6 @@ class NgramTrie:
         at = self.keys.searchsorted(keys)
         return np.where(self.keys[at] == keys, self.node_scores[at], LOG_FLOOR)
 
-    def scores_at(self, contexts: Sequence[Sequence[int]], tokens) -> np.ndarray:
-        """(len(contexts), len(tokens)) float64 matrix whose entry (i, j) is
-        children_scores(contexts[i]).get(tokens[j], LOG_FLOOR), bit for bit.
-        A token outside the trie's vocabulary scores LOG_FLOOR."""
-        context_keys = np.array([self.context_key(c) for c in contexts], dtype=np.int64)
-        return self.key_scores(context_keys[:, None] * self.base + self.digits(tokens))
-
     def children_scores(self, context: Sequence[int], eps: float = EPSILON) -> dict[int, float]:
         """Scores for every observed continuation of `context`, one span. Only
         its trailing order-1 tokens count, or all of a shorter one (sequence

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError, check_int, check_number
-from .models import DraftCache, MarkovTarget, TargetFeatures, ToyDraft
+from .models import DraftCache, MarkovTarget, ToyDraft
 from .ngram import LOG_FLOOR
 from .tree import log_softmax
 
@@ -151,7 +151,7 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
         emb_tokens[:, -1] = 0  # inert: the last prompt position is seen by no slot
     M = P + G * m
     return TrainingBatch(
-        feats=np.stack([target.features(seq).rows for seq in sequences]),
+        feats=np.stack([target.features(seq) for seq in sequences]),
         emb_tokens=emb_tokens,
         mask=build_training_mask(P, m)[:M, :M],
         position_ids=build_position_ids(P, m)[:M],
@@ -254,10 +254,10 @@ def evaluate_alpha(drafter, target: MarkovTarget,
     quantity that controls greedy-decode acceptance). Works with anything
     exposing the predict() drafting interface; drafting runs at temperature 0,
     so the seeded generator it is handed never changes a row. A sequence's
-    prefixes grow one token at a time, so they share one drafting cache, and
-    their feature rows are sliced from the whole sequence's: each position
-    is featurized and projected once per sequence, not once per prefix, and
-    only the d read-out rows' attention still grows with the prefix.
+    prefixes grow one token at a time, so they share one drafting cache: a
+    drafter that keeps its rows there builds each prefix's new positions
+    alone, and only the d read-out rows' attention still grows with the
+    prefix.
     """
     check_int("d", d, minimum=1)
     rng = np.random.Generator(np.random.PCG64(0))
@@ -265,13 +265,9 @@ def evaluate_alpha(drafter, target: MarkovTarget,
     total = 0
     for seq in sequences:
         cache = DraftCache()
-        seq_rows = target.features(seq).rows
         for g in range(1, len(seq) - d):
             prefix = seq[: g + 1]
-            # start = g + 1 builds no row, only the conditional at the end.
-            next_dist = target.features(prefix, start=g + 1).next_dist
-            feats = TargetFeatures(seq_rows[: g + 1], next_dist)
-            rows = drafter.predict(prefix, feats, d, rng=rng, cache=cache).rows
+            rows = drafter.predict(prefix, target, d, rng=rng, cache=cache).rows
             preds = np.argmax(rows, axis=1)
             truth = target.greedy_chain(prefix, d) if vs_greedy else seq[g + 1: g + 1 + d]
             for t in range(d):

@@ -107,7 +107,7 @@ def test_decode_out_of_vocab_prompt_exits_2(config_file, capsys, tokens, baselin
 
 
 @pytest.mark.parametrize("override", [
-    "decode.temperature=NaN", "decode.temperature=-1", "prune.k=0",
+    "decode.temperature=NaN", "decode.temperature=-1", "prune.k=0", "decode.eos_token=64",
 ])
 def test_decode_non_finite_or_out_of_range_config_exits_2(config_file, capsys, override):
     rc = main(["decode", "--config", config_file(), "--prompt-tokens", "1 2",

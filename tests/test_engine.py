@@ -182,13 +182,23 @@ def test_decode_requires_prompt(target):
         decode([], target, OracleDrafter(target), None, small_cfg())
 
 
-@pytest.mark.parametrize("bad", [8, 99, -3])
+@pytest.mark.parametrize("bad", [8, 99, -3, 1.7, "3", True])
 def test_decode_and_baseline_reject_out_of_vocab_prompt(target, bad):
-    # V = 8: any prompt token outside [0, 8) is a configuration error.
+    # V = 8: any prompt token that is not an integer in [0, 8) is a
+    # configuration error, never truncated or converted.
     with pytest.raises(ConfigError, match="prompt tokens"):
         decode([1, bad], target, OracleDrafter(target), None, small_cfg())
     with pytest.raises(ConfigError, match="prompt tokens"):
         baseline_decode([bad], target, 5)
+
+
+@pytest.mark.parametrize("eos", [-5, 8, 1000])
+def test_decode_and_baseline_reject_out_of_vocab_eos(target, eos):
+    # V = 8: such an end token could never be emitted, so it would never stop a decode.
+    with pytest.raises(ConfigError, match="eos_token"):
+        decode([1, 2], target, OracleDrafter(target), None, small_cfg(eos_token=eos))
+    with pytest.raises(ConfigError, match="eos_token"):
+        baseline_decode([1, 2], target, 20, eos_token=eos)
 
 
 def test_concurrent_sessions_share_target_and_trie(target):
@@ -308,36 +318,51 @@ def test_greedy_losslessness_with_trie(target):
 
 
 class RowCountingTarget(MarkovTarget):
-    """Counts the feature rows asked of it."""
+    """Records how many feature rows each features call asks for."""
 
-    rows = 0
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rows = []
 
     def features(self, prefix, start=0):
-        self.rows += len(prefix) - start
+        self.rows.append(len(prefix) - start)
         return super().features(prefix, start)
 
 
 def test_greedy_toy_draft_long_prompt_incremental_features():
+    for shifted in (True, False):
+        target = RowCountingTarget(21, 16, 2, concentration=0.3)
+        drafter = ToyDraft(16, target.embeddings, seed=1, shifted=shifted)
+        prompt = target.sample_sequence(np.random.default_rng(4), 300)
+        tokens, metrics = decode(prompt, target, drafter, None, small_cfg(d=4, max_tokens=60))
+        assert tokens == argmax_rollout(target, prompt, 60)
+        assert metrics.cycles >= 20
+        # One call per cycle: the prompt's rows once, then at most the rows
+        # of the e tokens the previous cycle emitted plus the two last ones
+        # that the drafter rebuilds.
+        assert len(target.rows) == metrics.cycles
+        assert target.rows[0] == len(prompt)
+        for asked, previous in zip(target.rows[1:], metrics.records):
+            assert asked <= previous.emitted + 2
+
+
+@pytest.mark.parametrize("drafter_class", [OracleDrafter, NoisyOracleDrafter])
+def test_decode_asks_no_features_of_a_drafter_that_reads_none(drafter_class):
     target = RowCountingTarget(21, 16, 2, concentration=0.3)
-    drafter = ToyDraft(16, target.embeddings, seed=1)
     prompt = target.sample_sequence(np.random.default_rng(4), 300)
-    tokens, metrics = decode(prompt, target, drafter, None, small_cfg(d=4, max_tokens=60))
-    assert tokens == argmax_rollout(target, prompt, 60)
-    assert metrics.cycles >= 20
-    # The prompt's rows once, then only the rows of each cycle's emitted
-    # tokens; the last cycle's tokens are never drafted from.
-    assert target.rows == len(prompt) + len(tokens) - metrics.records[-1].emitted
+    _, metrics = decode(prompt, target, drafter_class(target), None,
+                        small_cfg(temperature=1.0, max_tokens=40))
+    assert metrics.cycles > 1
+    assert target.rows == []
 
 
 def test_decode_cycle_makes_one_target_call_and_one_trie_call_per_level(monkeypatch):
     # Verify scores the whole tree in one tree_dists call and prune scores
     # each of the d levels in one key_scores call on its node keys; nothing
-    # in a cycle calls the per-node next_dist or children_scores, or the
-    # per-context scores_at.
+    # in a cycle calls the per-node next_dist or children_scores.
     calls = Counter()
     for cls, name in ((MarkovTarget, "next_dist"), (MarkovTarget, "tree_dists"),
-                      (NgramTrie, "children_scores"), (NgramTrie, "scores_at"),
-                      (NgramTrie, "key_scores")):
+                      (NgramTrie, "children_scores"), (NgramTrie, "key_scores")):
         def counted(*args, _name=name, _method=getattr(cls, name), **kwargs):
             calls[_name] += 1
             return _method(*args, **kwargs)

@@ -12,7 +12,6 @@ from specdraft.models import (
     MarkovTarget,
     NoisyOracleDrafter,
     OracleDrafter,
-    TargetFeatures,
     ToyDraft,
     UniformDrafter,
     positional_encoding,
@@ -31,8 +30,7 @@ def test_same_seed_identical_tables():
     b = MarkovTarget(7, 4, 2)
     for ctx in [(0, 0), (1, 3), (2, 2)]:
         assert np.array_equal(a.next_dist(ctx), b.next_dist(ctx))
-        fa, fb = a.features(list(ctx)), b.features(list(ctx))
-        assert np.array_equal(fa.rows, fb.rows)
+        assert np.array_equal(a.features(list(ctx)), b.features(list(ctx)))
     assert np.array_equal(a.embeddings, b.embeddings)
 
 
@@ -121,11 +119,11 @@ def test_features_match_per_position_contexts():
     feats = t.features(prefix)
     for i in range(len(prefix)):
         ref = t.features(prefix[: i + 1])
-        assert np.array_equal(feats.rows[i], ref.rows[i])
+        assert np.array_equal(feats[i], ref[i])
         # Row i, one position at a time: the low, mid and high vectors of the
         # trailing `order` tokens up to i, left-padded with token 0.
         block = t._feat(t._context(prefix[max(0, i + 1 - t.order): i + 1]))
-        assert np.array_equal(feats.rows[i], block)
+        assert np.array_equal(feats[i], block)
 
 
 def test_features_extend_to_the_full_prefix():
@@ -137,12 +135,11 @@ def test_features_extend_to_the_full_prefix():
     for n in (0, 1, 2, 5, 17):
         prefix = [int(x) for x in rng.integers(0, 8, size=n)]
         full = t.features(prefix)
+        assert full.shape == (n, 3 * FEAT_WIDTH)
         for start in range(n + 1):
             tail = t.features(prefix, start)
-            assert tail.rows.shape == (n - start, 3 * FEAT_WIDTH)
-            joined = t.features(prefix[:start]).extended(tail)
-            for name in ("rows", "next_dist"):
-                assert np.array_equal(getattr(joined, name), getattr(full, name))
+            assert tail.shape == (n - start, 3 * FEAT_WIDTH)
+            assert np.array_equal(np.concatenate([t.features(prefix[:start]), tail]), full)
 
 
 def test_features_start_out_of_range():
@@ -185,7 +182,6 @@ def model(target):
 
 
 def test_single_forward_per_predict(target, model, monkeypatch, rng):
-    feats = target.features([1, 2, 3])
     calls = []
     forward_core = model.forward_core
 
@@ -196,7 +192,7 @@ def test_single_forward_per_predict(target, model, monkeypatch, rng):
     monkeypatch.setattr(model, "forward_core", counted)
     for d in (1, 4):
         calls.clear()
-        model.predict([1, 2, 3], feats, d, rng=rng)
+        model.predict([1, 2, 3], target, d, rng=rng)
         assert len(calls) == 1
 
 
@@ -204,15 +200,19 @@ def test_single_forward_per_predict(target, model, monkeypatch, rng):
 @pytest.mark.parametrize("d", [1, 8])
 @pytest.mark.parametrize("n", [1, 2, 300])
 def test_forward_matches_per_row_attention_oracle(shifted, d, n):
-    target = MarkovTarget(9, 16, 2)
+    class OneHotTarget(MarkovTarget):
+        """A one-hot conditional makes 3 the shifted token at any temperature."""
+
+        def next_dist(self, prefix, temperature=1.0):
+            return np.eye(self.vocab_size)[3]
+
+    target = OneHotTarget(9, 16, 2)
     model = ToyDraft(16, target.embeddings, seed=5, shifted=shifted)
     prefix = [int(x) for x in np.random.default_rng(n).integers(0, 16, size=n)]
-    # A one-hot conditional makes 3 the shifted token at any temperature.
-    feats = TargetFeatures(target.features(prefix).rows, np.eye(16)[3])
     emb_tokens = prefix[1:] + [3] if shifted else prefix
-    rows = model.predict(prefix, feats, d, rng=np.random.default_rng(0), cache=DraftCache()).rows
-    expect = readout_attention(model.params, target.embeddings, feats.rows, emb_tokens, d,
-                               shifted)
+    rows = model.predict(prefix, target, d, rng=np.random.default_rng(0), cache=DraftCache()).rows
+    expect = readout_attention(model.params, target.embeddings, target.features(prefix),
+                               emb_tokens, d, shifted)
     assert rows.shape == (d, 16)
     assert np.max(np.abs(rows - expect)) < 1e-12
 
@@ -223,10 +223,9 @@ def test_predict_memory_stays_linear_in_prefix(rng):
     target = MarkovTarget(9, 64, 2)
     model = ToyDraft(64, target.embeddings, seed=2)
     prefix = [int(x) for x in np.random.default_rng(0).integers(0, 64, size=4096)]
-    feats = target.features(prefix)
     tracemalloc.start()
     try:
-        model.predict(prefix, feats, 8, rng=rng)
+        model.predict(prefix, target, 8, rng=rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -234,18 +233,16 @@ def test_predict_memory_stays_linear_in_prefix(rng):
 
 
 def test_predict_shape_and_d1_boundary(target, model, rng):
-    feats = target.features([1, 2, 3])
-    logits = model.predict([1, 2, 3], feats, 1, rng=rng)
+    logits = model.predict([1, 2, 3], target, 1, rng=rng)
     assert logits.rows.shape == (1, 8)
-    logits5 = model.predict([1, 2, 3], feats, 5, rng=rng)
+    logits5 = model.predict([1, 2, 3], target, 5, rng=rng)
     assert logits5.rows.shape == (5, 8)
 
 
 def test_causal_extension_leaves_earlier_rows_unchanged(target, model, rng):
     # Appending more mask positions must not change earlier output rows.
-    feats = target.features([1, 2, 3])
-    short = model.predict([1, 2, 3], feats, 2, rng=rng).rows
-    long = model.predict([1, 2, 3], feats, 5, rng=rng).rows
+    short = model.predict([1, 2, 3], target, 2, rng=rng).rows
+    long = model.predict([1, 2, 3], target, 5, rng=rng).rows
     assert np.allclose(short, long[:2], atol=1e-12)
 
 
@@ -253,9 +250,8 @@ def test_prefix_perturbation_does_not_leak_backwards(target, model, rng):
     # Changing the prefix changes outputs only through attention over visible
     # positions: with d masks appended, the mask rows may change, but an
     # identical shared prefix forward is bitwise reproducible.
-    feats = target.features([1, 2, 3])
-    a = model.predict([1, 2, 3], feats, 3, rng=rng).rows
-    b = model.predict([1, 2, 3], feats, 3, rng=rng).rows
+    a = model.predict([1, 2, 3], target, 3, rng=rng).rows
+    b = model.predict([1, 2, 3], target, 3, rng=rng).rows
     assert np.array_equal(a, b)
 
 
@@ -269,13 +265,13 @@ def test_shifted_read_position_alignment(target):
     n = len(prefix)
     d = 3
     feats = target.features(prefix)
-    nxt = int(np.argmax(feats.next_dist))
+    nxt = int(np.argmax(target.next_dist(prefix)))
     emb_tokens = prefix[1:] + [nxt]
-    rows = model.predict(prefix, feats, d, rng=np.random.default_rng(0), cache=DraftCache()).rows
-    oracle = readout_attention(model.params, target.embeddings, feats.rows, emb_tokens, d, True)
+    rows = model.predict(prefix, target, d, rng=np.random.default_rng(0), cache=DraftCache()).rows
+    oracle = readout_attention(model.params, target.embeddings, feats, emb_tokens, d, True)
     assert np.max(np.abs(rows - oracle)) < 1e-12
 
-    g = feats.rows @ model.params["W_in"]
+    g = feats @ model.params["W_in"]
     e = target.embeddings[np.asarray(emb_tokens)]
     z = np.concatenate([
         np.concatenate([g, e], axis=-1),
@@ -292,9 +288,8 @@ def test_unshifted_reads_mask_positions(target, rng):
     model.params["Wv"][:] = 0.0
     prefix = [1, 2, 3]
     n, d = len(prefix), 2
-    feats = target.features(prefix)
-    rows = model.predict(prefix, feats, d, rng=rng).rows
-    g = feats.rows @ model.params["W_in"]
+    rows = model.predict(prefix, target, d, rng=rng).rows
+    g = target.features(prefix) @ model.params["W_in"]
     e = target.embeddings[np.asarray(prefix)]
     z = np.concatenate([
         np.concatenate([g, e], axis=-1),
@@ -309,19 +304,19 @@ def test_unshifted_reads_mask_positions(target, rng):
 def test_predict_requires_rng_when_sampling(target, model, rng):
     # The shifted token is drawn at every temperature; at 0 the draw is the
     # argmax of the target conditional whatever the generator yields.
-    feats = target.features([1, 2])
     for temperature in (0.0, 1.0):
         with pytest.raises(TypeError):
-            model.predict([1, 2], feats, 2, temperature=temperature)
-        out = model.predict([1, 2], feats, 2, temperature=temperature, rng=rng)
+            model.predict([1, 2], target, 2, temperature=temperature)
+        out = model.predict([1, 2], target, 2, temperature=temperature, rng=rng)
         assert out.rows.shape == (2, 8)
-    nxt = int(np.argmax(feats.next_dist))
-    greedy = model.predict([1, 2], feats, 2, rng=np.random.default_rng(99),
+    nxt = int(np.argmax(target.next_dist([1, 2])))
+    greedy = model.predict([1, 2], target, 2, rng=np.random.default_rng(99),
                            cache=DraftCache()).rows
-    oracle = readout_attention(model.params, target.embeddings, feats.rows, [2, nxt], 2, True)
+    oracle = readout_attention(model.params, target.embeddings, target.features([1, 2]),
+                               [2, nxt], 2, True)
     assert np.max(np.abs(greedy - oracle)) < 1e-12
     for seed in range(5):
-        out = model.predict([1, 2], feats, 2, rng=np.random.default_rng(seed))
+        out = model.predict([1, 2], target, 2, rng=np.random.default_rng(seed))
         assert np.array_equal(out.rows, greedy)
 
 
@@ -351,11 +346,10 @@ def test_cached_logits_equal_fresh_cache_bit_for_bit(shifted, d, prompt_len):
     target, model, prefixes = _cycles(shifted, d, prompt_len)
     cache = DraftCache()
     for i, prefix in enumerate(prefixes):
-        feats = target.features(prefix)
         for temperature in (0.0, 1.0):
-            cached = model.predict(prefix, feats, d, rng=np.random.default_rng(i),
+            cached = model.predict(prefix, target, d, rng=np.random.default_rng(i),
                                    temperature=temperature, cache=cache).rows
-            fresh = model.predict(prefix, feats, d, rng=np.random.default_rng(i),
+            fresh = model.predict(prefix, target, d, rng=np.random.default_rng(i),
                                   temperature=temperature).rows
             assert np.array_equal(cached, fresh), (i, temperature)
 
@@ -365,11 +359,10 @@ def test_cached_logits_match_readout_attention(shifted, d, prompt_len):
     target, model, prefixes = _cycles(shifted, d, prompt_len, seed=1)
     cache = DraftCache()
     for prefix in prefixes:
-        feats = target.features(prefix)
-        rows = model.predict(prefix, feats, d, rng=np.random.default_rng(0), cache=cache).rows
-        emb_tokens = prefix[1:] + [int(np.argmax(feats.next_dist))] if shifted else prefix
-        expect = readout_attention(model.params, target.embeddings, feats.rows, emb_tokens, d,
-                                   shifted)
+        rows = model.predict(prefix, target, d, rng=np.random.default_rng(0), cache=cache).rows
+        emb_tokens = prefix[1:] + [int(np.argmax(target.next_dist(prefix)))] if shifted else prefix
+        expect = readout_attention(model.params, target.embeddings, target.features(prefix),
+                                   emb_tokens, d, shifted)
         assert np.max(np.abs(rows - expect)) < 1e-12
 
 
@@ -389,19 +382,16 @@ def test_cache_reused_on_another_prefix_gives_the_fresh_result(shifted, d):
     ]
     for other in others:
         cache = DraftCache()
-        model.predict(long, target.features(long), d, rng=np.random.default_rng(0), cache=cache)
-        feats = target.features(other)
-        reused = model.predict(other, feats, d, rng=np.random.default_rng(0), cache=cache).rows
-        fresh = model.predict(other, feats, d, rng=np.random.default_rng(0)).rows
+        model.predict(long, target, d, rng=np.random.default_rng(0), cache=cache)
+        reused = model.predict(other, target, d, rng=np.random.default_rng(0), cache=cache).rows
+        fresh = model.predict(other, target, d, rng=np.random.default_rng(0)).rows
         assert np.array_equal(reused, fresh)
     # A cache filled by another drafter starts over as well.
     cache = DraftCache()
     other_model = ToyDraft(16, target.embeddings, seed=6, shifted=shifted)
-    other_model.predict(long, target.features(long), d, rng=np.random.default_rng(0),
-                        cache=cache)
-    feats = target.features(long)
-    reused = model.predict(long, feats, d, rng=np.random.default_rng(0), cache=cache).rows
-    assert np.array_equal(reused, model.predict(long, feats, d,
+    other_model.predict(long, target, d, rng=np.random.default_rng(0), cache=cache)
+    reused = model.predict(long, target, d, rng=np.random.default_rng(0), cache=cache).rows
+    assert np.array_equal(reused, model.predict(long, target, d,
                                                 rng=np.random.default_rng(0)).rows)
 
 
@@ -420,8 +410,7 @@ def test_later_cycle_projects_only_its_new_positions(shifted, d, prompt_len, mon
     n_mask = d - 1 if shifted else d
     cache = DraftCache()
     for i, prefix in enumerate(prefixes):
-        model.predict(prefix, target.features(prefix), d, rng=np.random.default_rng(0),
-                      cache=cache)
+        model.predict(prefix, target, d, rng=np.random.default_rng(0), cache=cache)
         if i == 0:
             assert built[-1] == len(prefix) + n_mask
             continue
@@ -432,12 +421,6 @@ def test_later_cycle_projects_only_its_new_positions(shifted, d, prompt_len, mon
         expect = emitted + n_mask + 1 if shifted else max(emitted, 2) + n_mask
         assert built[-1] == expect
     assert built[-1] < len(prefixes[-1]) + n_mask
-
-
-def test_predict_rejects_feature_rows_of_another_length(target, model, rng):
-    feats = target.features([1, 2, 3])
-    with pytest.raises(ConfigError):
-        model.predict([1, 2, 3, 4], feats, 2, rng=rng)
 
 
 @pytest.mark.parametrize("temperature", [0.0, 1.0])
@@ -451,8 +434,8 @@ def test_decode_transcripts_match_a_drafter_without_cache(temperature):
         def __init__(self, keep_cache):
             self.keep_cache, self.rows = keep_cache, []
 
-        def predict(self, prefix, feats, d, *, rng, temperature=0.0, cache=None):
-            out = model.predict(prefix, feats, d, rng=rng, temperature=temperature,
+        def predict(self, prefix, target, d, *, rng, temperature=0.0, cache=None):
+            out = model.predict(prefix, target, d, rng=rng, temperature=temperature,
                                 cache=cache if self.keep_cache else None)
             self.rows.append(out.rows)
             return out
@@ -477,9 +460,8 @@ def test_model_save_load_round_trip(tmp_path, target, model, rng):
     model.save(p)
     loaded = ToyDraft.load(p)
     assert loaded.shifted == model.shifted
-    feats = target.features([1, 2, 3])
-    assert np.array_equal(model.predict([1, 2, 3], feats, 3, rng=rng).rows,
-                          loaded.predict([1, 2, 3], feats, 3, rng=rng).rows)
+    assert np.array_equal(model.predict([1, 2, 3], target, 3, rng=rng).rows,
+                          loaded.predict([1, 2, 3], target, 3, rng=rng).rows)
 
 
 def test_model_load_rejects_other_version(tmp_path, target, model):

@@ -143,8 +143,15 @@ def test_oracle_equivalence_random(corpus, order):
             assert _score(trie, ctx, tok) == counter.score(ctx, tok)
 
 
+def _key_score_matrix(trie, contexts, tokens):
+    """key_scores of every (context, token) pair, keyed as prune keys them:
+    the context's key times the base plus the token's digit."""
+    context_keys = np.array([trie.context_key(c) for c in contexts], dtype=np.int64)
+    return trie.key_scores(context_keys[:, None] * trie.base + trie.digits(tokens))
+
+
 def _gathered(trie, contexts, tokens):
-    """scores_at's contract, one children_scores call per context."""
+    """The key score matrix's contract, one children_scores call per context."""
     rows = [[trie.children_scores(ctx).get(tok, LOG_FLOOR) for tok in tokens]
             for ctx in contexts]
     return np.array(rows, dtype=np.float64).reshape(len(contexts), len(tokens))
@@ -152,7 +159,7 @@ def _gathered(trie, contexts, tokens):
 
 @pytest.mark.parametrize("order", [2, 3, 4])
 @pytest.mark.parametrize("seed", range(4))
-def test_scores_at_equals_gathered_children_scores(order, seed):
+def test_key_scores_equal_gathered_children_scores(order, seed):
     rng = np.random.default_rng(seed)
     V = 10
     corpus = [list(rng.integers(0, V, size=int(rng.integers(1, 120)))) for _ in range(4)]
@@ -163,27 +170,27 @@ def test_scores_at_equals_gathered_children_scores(order, seed):
     contexts += [(V + 3,) * (order - 1), (), contexts[0], contexts[0]]  # misses, duplicates
     for tokens in (rng.permutation(V + 4)[:7], np.arange(V), np.array([], np.int64),
                    np.array([2, 2, V + 5, 2, 0])):
-        got = trie.scores_at(contexts, tokens)
+        got = _key_score_matrix(trie, contexts, tokens)
         assert got.dtype == np.float64 and got.shape == (len(contexts), len(tokens))
         assert (got == _gathered(trie, contexts, tokens)).all()
 
 
-def test_scores_at_without_windows_or_contexts():
+def test_key_scores_without_windows_or_contexts():
     empty = build_trie([[1, 2]], 3, vocab_size=8)
-    assert (empty.scores_at([(1, 2), (), (1,)], [1, 2, 9]) == LOG_FLOOR).all()
+    assert (_key_score_matrix(empty, [(1, 2), (), (1,)], [1, 2, 9]) == LOG_FLOOR).all()
     trie = build_trie([[0, 1, 2, 0, 1, 3]], 3, vocab_size=4)
-    assert trie.scores_at([], [1, 2]).shape == (0, 2)
-    assert (trie.scores_at([(0, 1)], [3, 2]) == [[math.log(1 / 2 + EPSILON)] * 2]).all()
+    assert _key_score_matrix(trie, [], [1, 2]).shape == (0, 2)
+    assert (_key_score_matrix(trie, [(0, 1)], [3, 2]) == [[math.log(1 / 2 + EPSILON)] * 2]).all()
 
 
 @given(corpora, st.integers(2, 4), st.lists(st.integers(0, 20), max_size=30))
-def test_scores_at_matches_the_flat_counter(corpus, order, tokens):
+def test_key_scores_match_the_flat_counter(corpus, order, tokens):
     trie = build_trie(corpus, order, vocab_size=16)
     counter = WindowCounter(corpus, order)
     contexts = [tuple(seq[i:i + order - 1]) for seq in corpus for i in range(len(seq))]
     want = np.reshape([[counter.score(ctx, tok) for tok in tokens] for ctx in contexts],
                       (len(contexts), len(tokens)))
-    assert (trie.scores_at(contexts, tokens) == want).all()
+    assert (_key_score_matrix(trie, contexts, tokens) == want).all()
 
 
 def _all_contexts(trie):

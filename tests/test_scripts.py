@@ -13,18 +13,31 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run(script, args):
+    """The standard output of a successful run of scripts/<script>."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.parametrize("script, args", [
     ("gamma_sweep.py", ["--gammas", "0.6", "--seeds", "1", "--steps", "5", "--d", "3"]),
     ("shifted_ablation.py", ["--seeds", "1", "--steps", "5", "--d", "3"]),
     ("ngram_ablation.py", ["--runs", "2", "--max-tokens", "10"]),
 ])
 def test_script_runs(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert _run(script, args).strip()
+
+
+def test_transcript_digest_repeats():
+    # The digest is the bit-identity check for refactors, so two runs agree.
+    args = ["--requests", "1", "--long-prompt", "64"]
+    first = _run("transcript_digest.py", args).split()
+    assert first == _run("transcript_digest.py", args).split()
+    assert len(first[0]) == 64
 
 
 def _bench_snapshot():

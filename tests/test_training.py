@@ -256,8 +256,7 @@ def _alpha_per_prefix(drafter, target, sequences, d, vs_greedy):
     for seq in sequences:
         for g in range(1, len(seq) - d):
             prefix = seq[: g + 1]
-            rows = drafter.predict(prefix, target.features(prefix), d,
-                                   rng=np.random.default_rng(0)).rows
+            rows = drafter.predict(prefix, target, d, rng=np.random.default_rng(0)).rows
             truth = target.greedy_chain(prefix, d) if vs_greedy else seq[g + 1: g + 1 + d]
             hits += np.argmax(rows, axis=1) == truth
             total += 1
@@ -397,7 +396,7 @@ def _layout(target, corpus, model, case):
     if case == "drafting":
         prefix, d = corpus[0], 4
         n, n_mask = len(prefix), d - 1
-        feats = target.features(prefix).rows[None]
+        feats = target.features(prefix)[None]
         z = model.build_inputs(feats, np.asarray(prefix[1:] + [0])[None], n_mask,
                                np.arange(n + n_mask))
         mask = np.tril(np.ones((n + n_mask, n + n_mask), dtype=bool))
