@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""One SHA-256 over a fixed set of decodes and over evaluate_alpha.
+"""Two SHA-256 digests over a fixed set of decodes and over evaluate_alpha.
 
-A refactor that must not change any output prints the same digest before
+A refactor that must not change any output prints the same digests before
 and after it. The decodes cover a V=64 target with short prompts, a V=256
 target with short prompts and the V=64 target with prompts of about
 --long-prompt tokens. Each runs at T=0 and T=1, with a seeded ToyDraft
 (trained a few steps) and with NoisyOracleDrafter, over an order-3 trie at
-the reference operating point (k=25, w=20, theta=59, d=8). The digest
+the reference operating point (k=25, w=20, theta=59, d=8). The first digest
 covers every draft tree's parent, token, level and score arrays, every
 transcript, every non-timing CycleRecord field, the drafters' trained
 parameters, the training batch's features and evaluate_alpha against the
-data and against the greedy chain. Targets, tries and drafters are built in
-process, so nothing needs preparing.
+data and against the greedy chain. The second digest covers the same
+decodes with the reference drafters: OracleDrafter, AdversarialDrafter and
+UniformDrafter. Targets, tries and drafters are built in process, so nothing
+needs preparing.
 
     PYTHONPATH=src python scripts/transcript_digest.py --seed 1
 """
@@ -23,7 +25,13 @@ import numpy as np
 
 from specdraft import engine
 from specdraft.engine import DecodeConfig
-from specdraft.models import MarkovTarget, NoisyOracleDrafter
+from specdraft.models import (
+    AdversarialDrafter,
+    MarkovTarget,
+    NoisyOracleDrafter,
+    OracleDrafter,
+    UniformDrafter,
+)
 from specdraft.ngram import build_trie
 from specdraft.training import build_training_batch, evaluate_alpha, train_toy_draft
 from specdraft.tree import PruneConfig
@@ -98,7 +106,7 @@ def main(argv=None):
                     help="length of the long-context prompts")
     args = ap.parse_args(argv)
 
-    digest = Digest()
+    digest, reference = Digest(), Digest()
     for vocab_size in (64, 256):
         target, trie, model, heldout = system(digest, args.seed, vocab_size)
         drafters = [("toy", lambda s: model),
@@ -109,9 +117,14 @@ def main(argv=None):
             lengths += [args.long_prompt + 8 * i for i in range(args.requests)]
         prompts = [target.sample_sequence(rng, n) for n in lengths]
         decode_all(digest, target, trie, drafters, prompts, args.seed)
+        references = [("oracle", lambda s: OracleDrafter(target)),
+                      ("adversarial", lambda s: AdversarialDrafter(target)),
+                      ("uniform", lambda s: UniformDrafter(vocab_size, seed=s))]
+        decode_all(reference, target, trie, references, prompts, args.seed)
         for vs_greedy in (False, True):
             digest.floats(evaluate_alpha(model, target, heldout, D, vs_greedy=vs_greedy))
     print(f"{digest.sha.hexdigest()}  ({digest.trees} trees)")
+    print(f"{reference.sha.hexdigest()}  ({reference.trees} trees, reference drafters)")
 
 
 if __name__ == "__main__":
