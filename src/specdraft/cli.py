@@ -81,7 +81,7 @@ _SECTION_KEYS = {
     "decode": {f.name for f in fields(DecodeConfig)} - {"seed", "prune"},
     "target": set(_TARGET_DEFAULTS),
     "training": set(_TRAINING_DEFAULTS),
-    "paths": {"trie", "model", "corpus", "train_log"},
+    "paths": {"trie", "model"},
 }
 
 
@@ -155,15 +155,13 @@ def load_config(path: str | None, overrides: list[str] | None = None,
     for key, p in paths.items():
         if p is not None and not isinstance(p, str):
             raise ConfigError(f"paths.{key} must be a string or null, got {p!r}")
-        if key in output_paths or key == "train_log":
-            continue
-        if p is not None and not Path(p).exists():
+        if key not in output_paths and p is not None and not Path(p).exists():
             raise ConfigError(f"paths.{key} does not exist: {p}")
     return RunConfig(seed=seed, decode=decode_cfg, target=target, training=training, paths=paths)
 
 
 def _emit(args, records: list[dict], text: str) -> None:
-    if getattr(args, "jsonl", False):
+    if args.jsonl:
         for rec in records:
             print(json.dumps(rec))
     else:
@@ -194,46 +192,41 @@ def cmd_build_trie(args) -> int:
     return EXIT_OK
 
 
-def _make_drafter(name: str, cfg: RunConfig, seed: int):
-    target = cfg.target
-    if name == "oracle":
-        return OracleDrafter(target)
-    if name == "adversarial":
-        return AdversarialDrafter(target)
-    if name == "uniform":
-        return UniformDrafter(target.vocab_size, seed=seed)
-    if name == "noisy-oracle":
-        return NoisyOracleDrafter(target, seed=seed)
-    if name == "toy":
-        model_path = cfg.paths.get("model")
-        if model_path is None:
-            raise ConfigError("drafter 'toy' needs paths.model in the config")
-        model = ToyDraft.load(model_path)
-        if model.vocab_size != target.vocab_size:
-            raise ConfigError(
-                f"model at {model_path} has vocab {model.vocab_size}, "
-                f"target has {target.vocab_size}"
-            )
-        return model
-    raise ConfigError(f"unknown drafter {name!r}")
+def _load_toy(cfg: RunConfig) -> ToyDraft:
+    model_path = cfg.paths.get("model")
+    if model_path is None:
+        raise ConfigError("drafter 'toy' needs paths.model in the config")
+    model = ToyDraft.load(model_path)
+    if model.vocab_size != cfg.target.vocab_size:
+        raise ConfigError(
+            f"model at {model_path} has vocab {model.vocab_size}, "
+            f"target has {cfg.target.vocab_size}"
+        )
+    return model
+
+
+# The --drafter choices of decode and eval, each built from the run's config.
+DRAFTERS = {
+    "oracle": lambda cfg: OracleDrafter(cfg.target),
+    "uniform": lambda cfg: UniformDrafter(cfg.target.vocab_size, seed=cfg.seed),
+    "adversarial": lambda cfg: AdversarialDrafter(cfg.target),
+    "noisy-oracle": lambda cfg: NoisyOracleDrafter(cfg.target, seed=cfg.seed),
+    "toy": _load_toy,
+}
 
 
 def _parse_prompt(args, cfg: RunConfig) -> list[int]:
     if args.prompt_tokens is not None:
         try:
-            tokens = [int(t) for t in args.prompt_tokens.replace(",", " ").split()]
+            return [int(t) for t in args.prompt_tokens.replace(",", " ").split()]
         except ValueError:
             raise ConfigError(
                 f"prompt tokens must be integers, got {args.prompt_tokens!r}") from None
-    elif args.prompt is not None:
+    if args.prompt is not None:
         if cfg.target.vocab_size != 256:
             raise ConfigError("text prompts need target.vocab_size = 256 (byte tokens)")
-        tokens = tokenize_bytes(args.prompt)
-    else:
-        return [0]
-    if not tokens:
-        raise ConfigError("prompt must be nonempty")
-    return tokens
+        return tokenize_bytes(args.prompt)
+    return [0]
 
 
 def _load_optional_trie(args, cfg: RunConfig) -> NgramTrie | None:
@@ -268,19 +261,14 @@ def cmd_decode(args) -> int:
         _write_transcript(args, cfg, tokens)
         return EXIT_OK
     trie = _load_optional_trie(args, cfg)
-    drafter = _make_drafter(args.drafter, cfg, cfg.seed)
+    drafter = DRAFTERS[args.drafter](cfg)
     tokens, metrics = decode(prompt, cfg.target, drafter, trie, cfg.decode)
     _write_transcript(args, cfg, tokens)
-    if args.jsonl:
-        for rec in metrics.to_records():
-            print(json.dumps(rec))
-        print(json.dumps({"tau": metrics.tau, "cycles": metrics.cycles,
-                          "tokens_out": metrics.tokens_out,
-                          "accept_rates": metrics.accept_rates,
-                          "modeled_speedup": metrics.modeled_speedup,
-                          "draft_ratio": metrics.draft_ratio}))
-    else:
-        print(metrics.report())
+    summary = {"tau": metrics.tau, "cycles": metrics.cycles,
+               "tokens_out": metrics.tokens_out, "accept_rates": metrics.accept_rates,
+               "modeled_speedup": metrics.modeled_speedup,
+               "draft_ratio": metrics.draft_ratio}
+    _emit(args, [*metrics.to_records(), summary], metrics.report())
     return EXIT_OK
 
 
@@ -366,7 +354,7 @@ def cmd_train_toy(args) -> int:
     cfg = load_config(args.config, args.override, output_paths={"model"})
     tr = cfg.training
     model_path = cfg.paths.get("model") or "toy_draft.npz"
-    log_path = cfg.paths.get("train_log") or args.log or f"{model_path}.log.jsonl"
+    log_path = args.log or f"{model_path}.log.jsonl"
     corpus, heldout = _training_corpora(cfg)
     log: list[TrainingLogRecord] = []
     model = train_toy_draft(
@@ -391,7 +379,7 @@ def cmd_eval(args) -> int:
     tr = cfg.training
     d = tr["d"]
     _, heldout = _training_corpora(cfg)
-    drafter = _make_drafter(args.drafter, cfg, cfg.seed)
+    drafter = DRAFTERS[args.drafter](cfg)
     alpha = evaluate_alpha(drafter, cfg.target, heldout, d,
                            vs_greedy=args.alpha_vs == "greedy")
 
@@ -472,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE",
                        help="override a config value (repeatable)")
-        p.add_argument("--jsonl", action="store_true",
-                       help="machine-readable line-delimited JSON output")
 
     p = sub.add_parser("build-trie", help="count n-gram windows into a trie file")
     p.add_argument("--corpus", required=True)
@@ -487,8 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="run the draft-prune-verify loop")
     add_common(p)
-    p.add_argument("--drafter", default="oracle",
-                   choices=["oracle", "uniform", "adversarial", "noisy-oracle", "toy"])
+    p.add_argument("--jsonl", action="store_true",
+                   help="machine-readable line-delimited JSON output")
+    p.add_argument("--drafter", default="oracle", choices=DRAFTERS)
     p.add_argument("--prompt", default=None, help="text prompt (byte tokenizer, V=256)")
     p.add_argument("--prompt-tokens", default=None, help="integer token ids")
     p.add_argument("--no-ngram", action="store_true",
@@ -513,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="held-out per-position accuracy and tau")
     add_common(p)
-    p.add_argument("--drafter", default="toy",
-                   choices=["oracle", "uniform", "adversarial", "noisy-oracle", "toy"])
+    p.add_argument("--jsonl", action="store_true")
+    p.add_argument("--drafter", default="toy", choices=DRAFTERS)
     p.add_argument("--alpha-vs", choices=["data", "greedy"], default="data",
                    help="score argmax hits against held-out tokens or the "
                         "target's greedy continuation")

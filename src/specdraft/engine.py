@@ -183,8 +183,10 @@ def verify(
 
 
 def _check_tokens(prompt: Sequence[int], eos_token: int | None, vocab_size: int) -> list[int]:
-    """The prompt as a list of ints. A prompt token or an end token that is
-    not an integer in [0, vocab_size) raises ConfigError."""
+    """The prompt as a list of ints. An empty prompt, or a prompt token or an
+    end token that is not an integer in [0, vocab_size), raises ConfigError."""
+    if len(prompt) == 0:
+        raise ConfigError("prompt must be nonempty")
     for t in prompt:
         if type(t) is not int:  # plain ints skip check_int's slower test
             check_int("prompt tokens", t)
@@ -247,8 +249,6 @@ def decode(
     Per-stage wall-clock latencies are recorded per cycle; medians exclude
     the first (warmup) cycle when more than one ran.
     """
-    if len(prompt) == 0:
-        raise ConfigError("prompt must be nonempty")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     prefix = _check_tokens(prompt, cfg.eos_token, target.vocab_size)
     out: list[int] = []

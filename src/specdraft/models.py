@@ -450,34 +450,6 @@ class ToyDraft:
 CHAIN_LOGIT = 12.0
 
 
-class OracleDrafter:
-    """Row-i argmax equals the target's greedy token i steps ahead."""
-
-    def __init__(self, target: MarkovTarget):
-        self.target = target
-
-    def predict(self, prefix, target, d, *, temperature=0.0, rng=None,
-                cache=None) -> ParallelLogits:
-        rows = np.zeros((d, self.target.vocab_size))
-        for i, tok in enumerate(self.target.greedy_chain(prefix, d)):
-            rows[i, tok] = CHAIN_LOGIT
-        return ParallelLogits(rows)
-
-
-class AdversarialDrafter:
-    """Dominant logits on the target's least likely continuation chain."""
-
-    def __init__(self, target: MarkovTarget):
-        self.target = target
-
-    def predict(self, prefix, target, d, *, temperature=0.0, rng=None,
-                cache=None) -> ParallelLogits:
-        rows = np.zeros((d, self.target.vocab_size))
-        for i, tok in enumerate(self.target.rollout(prefix, d, np.argmin)):
-            rows[i, tok] = CHAIN_LOGIT
-        return ParallelLogits(rows)
-
-
 class UniformDrafter:
     """Uniform random logits; a fresh row set per cycle from a seeded stream."""
 
@@ -491,9 +463,13 @@ class UniformDrafter:
 
 
 class NoisyOracleDrafter:
-    """Greedy-chain drafter with the dominant logit damped and Gaussian noise
-    added, so the true continuation usually survives in the top-k but is often
-    not the top-ranked candidate. Used by the n-gram ablation."""
+    """Row i adds `base` at the i-th token of the target's argmax rollout, on
+    top of seeded Gaussian noise of scale `noise`. By default the dominant
+    logit is damped and noisy, so the true continuation usually survives in
+    the top-k but is often not the top-ranked candidate (the n-gram ablation's
+    drafter)."""
+
+    pick = staticmethod(np.argmax)
 
     def __init__(self, target: MarkovTarget, noise: float = 1.0, base: float = 1.2, seed: int = 0):
         self.target = target
@@ -504,6 +480,19 @@ class NoisyOracleDrafter:
     def predict(self, prefix, target, d, *, temperature=0.0, rng=None,
                 cache=None) -> ParallelLogits:
         rows = self.rng.standard_normal((d, self.target.vocab_size)) * self.noise
-        for i, tok in enumerate(self.target.greedy_chain(prefix, d)):
+        for i, tok in enumerate(self.target.rollout(prefix, d, self.pick)):
             rows[i, tok] += self.base
         return ParallelLogits(rows)
+
+
+class OracleDrafter(NoisyOracleDrafter):
+    """Row-i argmax equals the target's greedy token i steps ahead."""
+
+    def __init__(self, target: MarkovTarget):
+        super().__init__(target, noise=0.0, base=CHAIN_LOGIT)
+
+
+class AdversarialDrafter(OracleDrafter):
+    """Dominant logits on the target's least likely continuation chain."""
+
+    pick = staticmethod(np.argmin)

@@ -24,32 +24,25 @@ from .ngram import LOG_FLOOR
 from .tree import log_softmax
 
 
-def build_training_mask(prompt_len: int, block_len: int,
-                        valid_len: int | None = None) -> np.ndarray:
+def build_training_mask(prompt_len: int, block_len: int) -> np.ndarray:
     """Boolean attention mask over the packed layout of P*(block_len+1) slots.
 
     OR of three predicates: causal attention inside the prompt, each mask
     block viewing prompt positions up to its own group index, and causal
-    attention inside a block. Prompt positions and block groups at or beyond
-    valid_len are masked out entirely.
+    attention inside a block.
     """
     P, m = prompt_len, block_len
     if P < 1 or m < 1:
         raise ConfigError(f"prompt_len and block_len must be >= 1, got {P}, {m}")
-    if valid_len is None:
-        valid_len = P
-    if not 0 <= valid_len <= P:
-        raise ConfigError(f"valid_len must be in [0, {P}], got {valid_len}")
     M = P * (m + 1)
     q = np.arange(M)[:, None]
     kv = np.arange(M)[None, :]
     q_group = (q - P) // m
     kv_group = (kv - P) // m
 
-    prompt_causal = (q < P) & (kv < P) & (q >= kv) & (q < valid_len) & (kv < valid_len)
-    draft_view_prompt = (q >= P) & (kv < P) & (q_group < valid_len) & (kv <= q_group)
-    draft_internal = ((q >= P) & (kv >= P) & (q_group == kv_group)
-                      & (q >= kv) & (q_group < valid_len))
+    prompt_causal = (q < P) & (kv < P) & (q >= kv)
+    draft_view_prompt = (q >= P) & (kv < P) & (kv <= q_group)
+    draft_internal = (q >= P) & (kv >= P) & (q_group == kv_group) & (q >= kv)
     return prompt_causal | draft_view_prompt | draft_internal
 
 

@@ -39,10 +39,6 @@ class ParallelLogits:
     def d(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def vocab_size(self) -> int:
-        return self.rows.shape[1]
-
 
 @dataclass(frozen=True)
 class PruneConfig:

@@ -176,15 +176,13 @@ def test_06_training_mask_exhaustive():
     entries = 0
     for P in range(1, 9):
         for d in range(1, 9):
-            for valid in range(P + 1):
-                got = build_training_mask(P, d, valid)
-                want = predicate_mask(P, d, valid)
-                assert np.array_equal(got, want), (P, d, valid)
-                entries += got.size
+            got = build_training_mask(P, d)
+            assert np.array_equal(got, predicate_mask(P, d, P)), (P, d)
+            entries += got.size
     elapsed = time.perf_counter() - start
     report("6 training-mask exhaustive check",
            elapsed < 10,
-           f"all P,d <= 8 with every valid_len: {entries} entries, {elapsed:.1f}s")
+           f"all P,d <= 8: {entries} entries, {elapsed:.1f}s")
 
 
 def test_07_gradient_check():

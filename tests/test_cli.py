@@ -118,11 +118,13 @@ def test_decode_non_finite_or_out_of_range_config_exits_2(config_file, capsys, o
 
 @pytest.mark.parametrize("override", [
     "prune.epsilon=0", "prune.epsilon=-1", "prune.w_ng=NaN", "prune.level_exponent=NaN",
-    "prune.logit_decay=0.9", "decode.prune=3", "decode.seed=1",
+    "prune.logit_decay=0.9", "decode.prune=3", "decode.seed=1", "paths.corpus=x",
+    "paths.train_log=x",
 ])
 def test_unsettable_key_is_unknown(config_file, capsys, override):
     # The pruning score's weights and floor are constants, and decode's seed
-    # and prune come from the config's top-level seed and prune section.
+    # and prune come from the config's top-level seed and prune section. No
+    # command reads a corpus path, and train-toy --log names the training log.
     rc = main(["decode", "--config", config_file(), "--prompt-tokens", "1 2",
                "--override", override])
     assert rc == EXIT_CONFIG
@@ -346,6 +348,15 @@ def test_train_log_byte_identical_across_runs(train_config, capsys):
     assert first == second
 
 
+def test_train_toy_has_no_jsonl_flag(train_config, capsys):
+    # train-toy writes its records to the --log file and prints no JSON.
+    cfg, _ = train_config
+    with pytest.raises(SystemExit) as exc:
+        main(["train-toy", "--config", cfg, "--jsonl"])
+    assert exc.value.code == 2
+    assert "--jsonl" in capsys.readouterr().err
+
+
 def test_train_divergence_exit_code(train_config, capsys):
     cfg, _ = train_config
     rc = main(["train-toy", "--config", cfg, "--override", "training.lr=50",
@@ -402,6 +413,8 @@ _SPEEDUP_ARGS = ["--t-draft", "0", "--t-prune", "0", "--t-base", "10"]
 @pytest.mark.parametrize("argv, blamed", [
     (["decode", "--config", "{cfg}", "--prompt-tokens", "abc"], "prompt tokens"),
     (["decode", "--config", "{cfg}", "--prompt-tokens", ""], "prompt must be nonempty"),
+    (["decode", "--config", "{cfg}", "--baseline", "--prompt-tokens", ""],
+     "prompt must be nonempty"),
     (["bench-trie", "--trie", "{trie}", "--queries", "-5"], "--queries"),
     (["bench-trie", "--trie", "{trie}", "--seed", "-1"], "--seed"),
     (["eval", "--config", "{cfg}", "--drafter", "oracle", "--tau-prompts", "-1"],
@@ -412,7 +425,8 @@ _SPEEDUP_ARGS = ["--t-draft", "0", "--t-prune", "0", "--t-base", "10"]
      "--vocab-size"),
     (["estimate-speedup", "--tau", "nan", "--t-verify", "10", *_SPEEDUP_ARGS], "tau"),
     (["estimate-speedup", "--tau", "4", "--t-verify", "inf", *_SPEEDUP_ARGS], "t_verify"),
-], ids=["prompt-tokens-abc", "prompt-tokens-empty", "queries-negative", "seed-negative",
+], ids=["prompt-tokens-abc", "prompt-tokens-empty", "baseline-prompt-tokens-empty",
+        "queries-negative", "seed-negative",
         "tau-prompts-negative", "eval-every-negative", "every-negative",
         "vocab-size-negative", "tau-nan", "t-verify-inf"])
 def test_bad_flag_or_prompt_exits_2(train_config, capsys, argv, blamed):

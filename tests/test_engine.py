@@ -178,8 +178,11 @@ def test_oracle_never_below_corrupted_oracle(target):
 
 
 def test_decode_requires_prompt(target):
+    # The reference rejects what the system under test rejects.
     with pytest.raises(ConfigError):
         decode([], target, OracleDrafter(target), None, small_cfg())
+    with pytest.raises(ConfigError, match="prompt must be nonempty"):
+        baseline_decode([], target, 5)
 
 
 @pytest.mark.parametrize("bad", [8, 99, -3, 1.7, "3", True])

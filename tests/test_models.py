@@ -6,6 +6,7 @@ import pytest
 from specdraft.errors import ConfigError, ModelFormatError
 from specdraft.engine import DecodeConfig, decode
 from specdraft.models import (
+    CHAIN_LOGIT,
     FEAT_WIDTH,
     AdversarialDrafter,
     DraftCache,
@@ -522,18 +523,30 @@ def test_model_load_rejects_single_array(tmp_path):
 # -- reference drafters -----------------------------------------------------------
 
 
+def _chain_rows(chain, vocab_size, value, noise=None):
+    """The rows a chain drafter should give: `value` at each row's chain
+    token, added to `noise` (zeros if None)."""
+    rows = np.zeros((len(chain), vocab_size)) if noise is None else noise
+    rows[np.arange(len(chain)), chain] += value
+    return rows
+
+
 def test_oracle_argmax_matches_greedy_chain(target):
     drafter = OracleDrafter(target)
     prefix = [3, 1]
     rows = drafter.predict(prefix, None, 5).rows
-    assert list(np.argmax(rows, axis=1)) == target.greedy_chain(prefix, 5)
+    chain = target.greedy_chain(prefix, 5)
+    assert list(np.argmax(rows, axis=1)) == chain
+    assert np.array_equal(rows, _chain_rows(chain, target.vocab_size, CHAIN_LOGIT))
 
 
 def test_adversarial_argmax_matches_argmin_chain(target):
     drafter = AdversarialDrafter(target)
     prefix = [3, 1]
     rows = drafter.predict(prefix, None, 4).rows
-    assert list(np.argmax(rows, axis=1)) == target.rollout(prefix, 4, np.argmin)
+    chain = target.rollout(prefix, 4, np.argmin)
+    assert list(np.argmax(rows, axis=1)) == chain
+    assert np.array_equal(rows, _chain_rows(chain, target.vocab_size, CHAIN_LOGIT))
 
 
 def test_uniform_drafter_seeded_stream(target):
@@ -553,3 +566,5 @@ def test_noisy_oracle_keeps_chain_in_topk(target):
     for i, tok in enumerate(chain):
         top3 = np.argsort(-rows[i])[:3]
         assert tok in top3
+    noise = np.random.Generator(np.random.PCG64(0)).standard_normal((4, target.vocab_size)) * 0.5
+    assert np.array_equal(rows, _chain_rows(chain, target.vocab_size, 2.0, noise))

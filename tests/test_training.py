@@ -80,10 +80,8 @@ def test_mask_degenerate_block():
 def test_mask_matches_predicates_small():
     for P in range(1, 6):
         for d in range(1, 6):
-            for valid in range(P + 1):
-                got = build_training_mask(P, d, valid)
-                want = predicate_mask(P, d, valid)
-                assert np.array_equal(got, want), (P, d, valid)
+            got = build_training_mask(P, d)
+            assert np.array_equal(got, predicate_mask(P, d, P)), (P, d)
 
 
 def test_mask_structure_property():
@@ -100,8 +98,6 @@ def test_mask_structure_property():
 def test_mask_validation():
     with pytest.raises(ConfigError):
         build_training_mask(0, 2)
-    with pytest.raises(ConfigError):
-        build_training_mask(3, 2, valid_len=5)
 
 
 def test_position_ids_examples():
