@@ -4,7 +4,8 @@ One JSON configuration file drives every command; defaults equal the
 reference constants (k=25, w=20, theta=59, gamma=0.6, d=8) and any
 dotted key can be overridden on the command line with --override. Exit codes:
 0 success, 2 configuration errors, 3 I/O and file-format errors, 4 training
-divergence.
+divergence. A command opens only the files it uses, the config's `paths`
+included, and a missing one is an I/O error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,12 +105,10 @@ def _check_kinds(section: str, values: dict, defaults: dict) -> None:
             check_number(name, value)
 
 
-def load_config(path: str | None, overrides: list[str] | None = None,
-                output_paths: set[str] = frozenset()) -> RunConfig:
+def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
     """Parse the config file, apply dotted-key overrides, validate strictly.
 
-    Referenced files must exist, except paths named in `output_paths` (files
-    the invoking command will create).
+    The `paths` files are not opened here: each command opens those it reads.
     """
     raw: dict = {}
     if path is not None:
@@ -155,8 +154,6 @@ def load_config(path: str | None, overrides: list[str] | None = None,
     for key, p in paths.items():
         if p is not None and not isinstance(p, str):
             raise ConfigError(f"paths.{key} must be a string or null, got {p!r}")
-        if key not in output_paths and p is not None and not Path(p).exists():
-            raise ConfigError(f"paths.{key} does not exist: {p}")
     return RunConfig(seed=seed, decode=decode_cfg, target=target, training=training, paths=paths)
 
 
@@ -229,18 +226,12 @@ def _parse_prompt(args, cfg: RunConfig) -> list[int]:
     return [0]
 
 
-def _load_optional_trie(args, cfg: RunConfig) -> NgramTrie | None:
-    if getattr(args, "no_ngram", False):
-        return None
+def _load_trie(cfg: RunConfig) -> NgramTrie | None:
     path = cfg.paths.get("trie")
     if path is None:
         print("warning: no trie configured; continuity scores fall back to the "
               "epsilon floor (no-n-gram mode)", file=sys.stderr)
         return None
-    return _load_trie_for(path, cfg)
-
-
-def _load_trie_for(path, cfg: RunConfig) -> NgramTrie:
     trie = load_trie(path)
     if trie.vocab_size != cfg.target.vocab_size:
         raise ConfigError(
@@ -251,8 +242,7 @@ def _load_trie_for(path, cfg: RunConfig) -> NgramTrie:
 
 
 def cmd_decode(args) -> int:
-    unused = set() if args.drafter == "toy" else {"model"}
-    cfg = load_config(args.config, args.override, output_paths=unused)
+    cfg = load_config(args.config, args.override)
     prompt = _parse_prompt(args, cfg)
     if args.baseline:
         tokens = baseline_decode(prompt, cfg.target, cfg.decode.max_tokens,
@@ -260,7 +250,7 @@ def cmd_decode(args) -> int:
                                  eos_token=cfg.decode.eos_token)
         _write_transcript(args, cfg, tokens)
         return EXIT_OK
-    trie = _load_optional_trie(args, cfg)
+    trie = None if args.no_ngram else _load_trie(cfg)
     drafter = DRAFTERS[args.drafter](cfg)
     tokens, metrics = decode(prompt, cfg.target, drafter, trie, cfg.decode)
     _write_transcript(args, cfg, tokens)
@@ -351,7 +341,7 @@ def _training_corpora(cfg: RunConfig):
 
 def cmd_train_toy(args) -> int:
     check_int("--eval-every", args.eval_every, minimum=0)
-    cfg = load_config(args.config, args.override, output_paths={"model"})
+    cfg = load_config(args.config, args.override)
     tr = cfg.training
     model_path = cfg.paths.get("model") or "toy_draft.npz"
     log_path = args.log or f"{model_path}.log.jsonl"
@@ -374,26 +364,24 @@ def cmd_train_toy(args) -> int:
 
 def cmd_eval(args) -> int:
     check_int("--tau-prompts", args.tau_prompts, minimum=0)
-    unused = set() if args.drafter == "toy" else {"model"}
-    cfg = load_config(args.config, args.override, output_paths=unused)
-    tr = cfg.training
-    d = tr["d"]
+    cfg = load_config(args.config, args.override)
+    d = cfg.training["d"]
     _, heldout = _training_corpora(cfg)
     drafter = DRAFTERS[args.drafter](cfg)
+    trie = _load_trie(cfg)
     alpha = evaluate_alpha(drafter, cfg.target, heldout, d,
                            vs_greedy=args.alpha_vs == "greedy")
 
-    trie = _load_trie_for(cfg.paths["trie"], cfg) if cfg.paths.get("trie") else None
     taus = []
     for i, seq in enumerate(heldout[: args.tau_prompts]):
-        run = DecodeConfig(d=d, temperature=cfg.decode.temperature,
-                           max_tokens=48, seed=cfg.seed + i, prune=cfg.decode.prune)
+        run = replace(cfg.decode, d=d, max_tokens=48, seed=cfg.seed + i)
         _, metrics = decode(seq[:4], cfg.target, drafter, trie, run, measure_base=False)
         taus.append(metrics.tau)
-    tau = float(np.mean(taus)) if taus else float("nan")
+    tau = float(np.mean(taus)) if taus else None
 
     header = " ".join(f"{'a-' + str(t+1):>7}" for t in range(d)) + f" {'tau':>6}"
-    row = " ".join(f"{100 * a:>6.1f}%" for a in alpha) + f" {tau:>6.2f}"
+    row = " ".join(f"{100 * a:>6.1f}%" for a in alpha) + (
+        f" {'-':>6}" if tau is None else f" {tau:>6.2f}")
     _emit(args, [{"alpha": alpha, "tau": tau, "drafter": args.drafter}],
           header + "\n" + row)
     return EXIT_OK

@@ -207,7 +207,8 @@ def train_toy_draft(
 ) -> ToyDraft:
     """Full-batch gradient descent on the annealed KL objective.
 
-    Aborts with diagnostics if the loss exceeds 10x its initial value.
+    Aborts with diagnostics if the loss exceeds 10x its initial value or is
+    not finite; the overflow on the way there raises no RuntimeWarning.
     checkpoint_hook(step, model, batch) fires every eval_every steps, for
     gradient-audit instrumentation.
     """
@@ -218,21 +219,22 @@ def train_toy_draft(
         return model
     batch = build_training_batch(target, corpus, d, gamma, shifted=shifted)
     initial_loss = None
-    for step in range(steps):
-        loss, grads, _ = batch_loss(model, batch)
-        if initial_loss is None:
-            initial_loss = loss
-        if loss > 10 * initial_loss:
-            raise TrainingDivergedError(step, loss, initial_loss)
-        for name, g in grads.items():
-            model.params[name] -= lr * g
-        if log is not None:
-            alpha = None
-            if eval_every and eval_sequences and (step + 1) % eval_every == 0:
-                alpha = evaluate_alpha(model, target, eval_sequences, d)
-            log.append(TrainingLogRecord(step, loss, alpha))
-        if checkpoint_hook and eval_every and (step + 1) % eval_every == 0:
-            checkpoint_hook(step, model, batch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            loss, grads, _ = batch_loss(model, batch)
+            if initial_loss is None:
+                initial_loss = loss
+            if not loss <= 10 * initial_loss:  # NaN fails every comparison
+                raise TrainingDivergedError(step, loss, initial_loss)
+            for name, g in grads.items():
+                model.params[name] -= lr * g
+            if log is not None:
+                alpha = None
+                if eval_every and eval_sequences and (step + 1) % eval_every == 0:
+                    alpha = evaluate_alpha(model, target, eval_sequences, d)
+                log.append(TrainingLogRecord(step, loss, alpha))
+            if checkpoint_hook and eval_every and (step + 1) % eval_every == 0:
+                checkpoint_hook(step, model, batch)
     return model
 
 

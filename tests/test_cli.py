@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from specdraft.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, load_config, main
+from specdraft.cli import (
+    EXIT_CONFIG,
+    EXIT_DIVERGED,
+    EXIT_IO,
+    EXIT_OK,
+    _training_corpora,
+    load_config,
+    main,
+)
+from specdraft.engine import baseline_decode
 from specdraft.errors import ConfigError
 from specdraft.models import MarkovTarget, ToyDraft
 from specdraft.ngram import build_trie, save_trie
@@ -238,13 +247,6 @@ def test_unknown_config_key_rejected(tmp_path):
         load_config(str(p))
 
 
-def test_missing_referenced_file_rejected(tmp_path):
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"paths": {"trie": str(tmp_path / "nope.bin")}}))
-    with pytest.raises(ConfigError):
-        load_config(str(p))
-
-
 def test_override_parsing():
     cfg = load_config(None, ["prune.k=3", "decode.temperature=0.5", "seed=9"])
     assert cfg.decode.prune.k == 3
@@ -364,6 +366,44 @@ def test_train_divergence_exit_code(train_config, capsys):
     assert rc == EXIT_DIVERGED
 
 
+def test_train_nan_loss_exits_4_and_writes_no_model(train_config, capsys):
+    cfg, tmp_path = train_config
+    rc = main(["train-toy", "--config", cfg, "--override", "training.lr=1e308",
+               "--override", "training.steps=3"])
+    assert rc == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "loss nan" in err and "Warning" not in err
+    assert not (tmp_path / "toy.npz").exists()
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["decode", "--prompt-tokens", "1 2"], "trie"),
+    (["eval", "--drafter", "oracle", "--tau-prompts", "1"], "trie"),
+    (["decode", "--drafter", "toy", "--prompt-tokens", "1 2"], "model"),
+    (["eval", "--drafter", "toy", "--tau-prompts", "1"], "model"),
+    (["train-toy", "--override", "training.steps=2"], None),
+    (["decode", "--baseline", "--drafter", "toy", "--prompt-tokens", "1 2"], None),
+    (["decode", "--no-ngram", "--prompt-tokens", "1 2"], None),
+], ids=["decode-trie", "eval-trie", "decode-toy-model", "eval-toy-model",
+        "train-toy", "decode-baseline", "decode-no-ngram"])
+def test_command_opens_only_the_files_it_reads(train_config, capsys, argv, missing):
+    # A missing file that the command reads is an I/O error naming it; one
+    # that it does not read is no error at all.
+    cfg, tmp_path = train_config
+    nope = {"trie": tmp_path / "nope.trie", "model": tmp_path / "nope.npz"}
+    overrides = ["--override", f"paths.model={nope['model']}"]
+    if missing != "model":  # else decode would fail on the trie before the model
+        overrides += ["--override", f"paths.trie={nope['trie']}"]
+    rc = main([argv[0], "--config", cfg, *overrides, *argv[1:]])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if missing is None:
+        assert rc == EXIT_OK
+    else:
+        assert rc == EXIT_IO and f"i/o error: [Errno 2] No such file or directory: " \
+            f"'{nope[missing]}'" in err
+
+
 def test_eval_oracle_greedy_alpha_is_one(train_config, capsys):
     cfg, _ = train_config
     rc = main(["eval", "--config", cfg, "--drafter", "oracle",
@@ -371,6 +411,48 @@ def test_eval_oracle_greedy_alpha_is_one(train_config, capsys):
     assert rc == EXIT_OK
     rec = json.loads(capsys.readouterr().out.splitlines()[0])
     assert all(a == 1.0 for a in rec["alpha"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--drafter", "oracle", "--tau-prompts", "0"],
+    ["eval", "--drafter", "oracle", "--tau-prompts", "2"],
+    ["decode", "--drafter", "oracle", "--prompt-tokens", "1 2"],
+], ids=["eval-no-tau-prompts", "eval", "decode"])
+def test_jsonl_output_is_strict_json(train_config, capsys, argv):
+    cfg, _ = train_config
+    assert main([*argv, "--config", cfg, "--jsonl"]) == EXIT_OK
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("{")]
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    records = [json.loads(l, parse_constant=reject) for l in lines]
+    assert records
+    if argv[-1] == "0":
+        assert records[0]["tau"] is None
+
+
+def test_eval_without_tau_prompts_prints_a_dash(train_config, capsys):
+    cfg, _ = train_config
+    rc = main(["eval", "--config", cfg, "--drafter", "oracle", "--tau-prompts", "0"])
+    assert rc == EXIT_OK
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[-1] == "tau" and row.split()[-1] == "-"
+
+
+def test_eval_tau_runs_stop_at_eos_token(train_config, capsys):
+    # At T=0 the first tau run emits the target's greedy continuation of its
+    # prompt; with that continuation's first token as eos it stops after it.
+    cfg, _ = train_config
+    run = load_config(cfg)
+    _, heldout = _training_corpora(run)
+    eos = baseline_decode(heldout[0][:4], run.target, 1)[0]
+    argv = ["eval", "--config", cfg, "--drafter", "oracle", "--tau-prompts", "1", "--jsonl"]
+    taus = []
+    for extra in ([], ["--override", f"decode.eos_token={eos}"]):
+        assert main(argv + extra) == EXIT_OK
+        taus.append(json.loads(capsys.readouterr().out.splitlines()[0])["tau"])
+    assert taus[0] > 1.0 and taus[1] == 1.0
 
 
 def test_toy_drafter_vocab_mismatch_rejected(train_config, capsys):

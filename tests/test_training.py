@@ -221,6 +221,18 @@ def test_divergence_aborts():
     assert exc.value.loss > 10 * exc.value.initial_loss
 
 
+def test_non_finite_loss_aborts_without_warning(setup):
+    # An update of lr=1e308 overflows the next forward, whose loss is NaN:
+    # no threshold comparison holds for it, so the guard must ask for a
+    # finite loss, and the overflow must not surface as a RuntimeWarning.
+    target, corpus, _ = setup
+    log = []
+    with pytest.raises(TrainingDivergedError) as exc:
+        train_toy_draft(target, corpus, 0.6, 4, steps=3, lr=1e308, seed=1, log=log)
+    assert exc.value.step == 1 and np.isnan(exc.value.loss)
+    assert [r.step for r in log] == [0] and np.isfinite(log[0].loss)
+
+
 def test_heldout_alpha_beats_uniform_5x(setup):
     target, corpus, heldout = setup
     model = train_toy_draft(target, corpus, 0.6, 4, steps=400, lr=0.1, seed=1)
