@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -350,54 +350,3 @@ def estimate_speedup(
         raise ConfigError("t_draft and t_prune must be >= 0")
     cycle = t_verify + t_draft + t_prune
     return tau * t_base / cycle, (t_draft + t_prune) / cycle
-
-
-def exactness_check(
-    target: TargetModel,
-    drafter: DraftPredictor,
-    trie: NgramTrie | None,
-    cfg: DecodeConfig,
-    n_samples: int,
-    prompt: Sequence[int] = (0,),
-    horizon: int = 3,
-) -> float:
-    """Total-variation distance between decode outputs and exact ancestral
-    sampling over all length-`horizon` continuations.
-
-    Requires temperature > 0 and a vocabulary small enough to enumerate.
-    n_samples <= 0 returns the sentinel TV of 1.0 (nothing was measured).
-    """
-    if cfg.temperature <= 0:
-        raise ConfigError("exactness check requires temperature > 0")
-    if n_samples <= 0:
-        return 1.0
-    V = target.vocab_size
-    prompt = list(prompt)
-
-    exact: dict[tuple[int, ...], float] = {}
-
-    def enumerate_seqs(prefix: list[int], prob: float, depth: int):
-        if depth == horizon:
-            exact[tuple(prefix[len(prompt):])] = prob
-            return
-        dist = target.next_dist(prefix, cfg.temperature)
-        for tok in range(V):
-            p = float(dist[tok])
-            if p > 0:
-                enumerate_seqs(prefix + [tok], prob * p, depth + 1)
-
-    enumerate_seqs(prompt, 1.0, 0)
-
-    counts: dict[tuple[int, ...], int] = {}
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(n_samples, dtype=np.uint64)
-    run_cfg = replace(cfg, max_tokens=horizon)
-    for i in range(n_samples):
-        sample_cfg = replace(run_cfg, seed=int(seeds[i]))
-        tokens, _ = decode(prompt, target, drafter, trie, sample_cfg, measure_base=False)
-        key = tuple(tokens[:horizon])
-        counts[key] = counts.get(key, 0) + 1
-
-    tv = 0.0
-    for key in exact.keys() | counts.keys():
-        tv += abs(counts.get(key, 0) / n_samples - exact.get(key, 0.0))
-    return 0.5 * tv

@@ -121,6 +121,12 @@ class MarkovTarget:
             contexts.append(contexts[parent + 1][1:] + (token,))
         return temperature_adjust(np.array([self._row(ctx) for ctx in contexts]), temperature)
 
+    def next_dists(self, prefix, temperature: float = 1.0) -> np.ndarray:
+        """(n, V) for a prefix of n tokens: row i is
+        next_dist(prefix[:i + 1], temperature), bit for bit."""
+        rows = [self._row(ctx) for ctx in self._contexts(prefix, 0)]
+        return temperature_adjust(np.array(rows).reshape(-1, self.vocab_size), temperature)
+
     def features(self, prefix, start: int = 0) -> np.ndarray:
         """(n - start, 3 * FEAT_WIDTH) feature rows of positions start .. n-1
         of a prefix of n tokens, each from the trailing `order` tokens up to
@@ -131,13 +137,19 @@ class MarkovTarget:
         n = len(prefix)
         if not 0 <= start <= n:
             raise ConfigError(f"features start must be in [0, {n}], got {start}")
-        # Row i's context is the `order` tokens ending at i, in the prefix
-        # left-padded with token 0 as _context pads it.
+        feats = [self._feat(ctx) for ctx in self._contexts(prefix, start)]
+        return np.array(feats).reshape(-1, 3 * FEAT_WIDTH)
+
+    def _contexts(self, prefix, start: int) -> list[tuple[int, ...]]:
+        """The context of each position start .. n-1 of a prefix of n tokens:
+        the `order` tokens ending there, in the prefix left-padded with token
+        0 as _context pads it."""
+        n = len(prefix)
         lo = max(0, start + 1 - self.order)
         padded = np.concatenate([np.zeros(self.order - 1 - (start - lo), np.int64),
                                  np.asarray(prefix[lo:n], dtype=np.int64)])
         windows = padded[np.arange(n - start)[:, None] + np.arange(self.order)].tolist()
-        return np.array([self._feat(tuple(w)) for w in windows]).reshape(-1, 3 * FEAT_WIDTH)
+        return [tuple(w) for w in windows]
 
     def rollout(self, prefix, length: int, pick) -> list[int]:
         """`length` tokens past `prefix`, each `pick(row)` of the untempered
@@ -153,6 +165,18 @@ class MarkovTarget:
 
     def sample_sequence(self, rng: np.random.Generator, length: int, prompt=()) -> list[int]:
         return self.rollout(prompt, length, lambda row: sample_from(row, rng))
+
+
+def _step_buffer(work: dict | None, name: str, shape: tuple) -> np.ndarray:
+    """An array of `shape` for a result that overwrites all of it:
+    work[name] if it has that shape, else a new array, which work keeps
+    under `name` for the next call."""
+    buf = None if work is None else work.get(name)
+    if buf is None or buf.shape != shape:
+        buf = np.empty(shape)
+        if work is not None:
+            work[name] = buf
+    return buf
 
 
 def positional_encoding(position_ids) -> np.ndarray:
@@ -283,7 +307,8 @@ class ToyDraft:
         return z + self._pe_table[ids][None, :, :]
 
     def forward_core(self, z: np.ndarray, attn_mask: np.ndarray, rows=slice(None),
-                     kv: tuple[np.ndarray, np.ndarray] | None = None):
+                     kv: tuple[np.ndarray, np.ndarray] | None = None,
+                     work: dict | None = None):
         """One masked attention layer with residual, then the head, for the
         query rows `rows` of z.
 
@@ -293,24 +318,35 @@ class ToyDraft:
         `rows` is a slice or an array of distinct positions. attn_mask has one
         row per query row and one column per key, or fewer columns, which
         then cover the last keys: every query row sees the keys before them.
-        Returns (logits (B, R, V) for the R query rows, cache for
-        backward_core).
+        `work` is a dict that keeps the full-size attention arrays of this
+        call, and of the backward_core call on its cache, for the next call
+        handed the same dict, which rewrites them: the cache holds until
+        then. Without it each call makes its own. Returns (logits (B, R, V)
+        for the R query rows, cache for backward_core).
         """
         p = self.params
         scale = 1.0 / np.sqrt(MODEL_WIDTH)
         zq = z[:, rows]
         q = zq @ p["Wq"]
         k, v = (z @ p["Wk"], z @ p["Wv"]) if kv is None else kv
-        s = (q @ k.transpose(0, 2, 1)) * scale
-        np.copyto(s[..., s.shape[-1] - attn_mask.shape[-1]:], -1e30, where=~attn_mask)
+        s = np.matmul(q, k.transpose(0, 2, 1),
+                      out=_step_buffer(work, "scores", (*q.shape[:-1], k.shape[-2])))
+        s *= scale
+        # Hidden scores are -1e30 for the row max, then 0 through the exp and
+        # back to 0 after it: exp(-1e30) is 0 as well, but takes a slow path.
+        masked, keep = s[..., s.shape[-1] - attn_mask.shape[-1]:], attn_mask.astype(s.dtype)
+        np.copyto(masked, -1e30, where=~attn_mask)
         s -= s.max(axis=-1, keepdims=True)
+        masked *= keep
         attn = np.exp(s, out=s)
+        masked *= keep
         attn /= attn.sum(axis=-1, keepdims=True)
-        ctx = attn @ v
-        y = zq + ctx
-        logits = y @ p["W_head"] + p["b_head"]
-        cache = {"z": z, "rows": rows, "q": q, "k": k, "v": v, "attn": attn, "y": y,
-                 "scale": scale}
+        y = attn @ v
+        y += zq
+        logits = y @ p["W_head"]
+        logits += p["b_head"]
+        cache = {"z": z, "zq": zq, "rows": rows, "q": q, "k": k, "v": v, "attn": attn,
+                 "y": y, "scale": scale, "work": work}
         return logits, cache
 
     def backward_core(self, cache: dict, dlogits: np.ndarray,
@@ -323,25 +359,31 @@ class ToyDraft:
         residual.
         """
         p = self.params
-        z, rows, q, k, v = cache["z"], cache["rows"], cache["q"], cache["k"], cache["v"]
-        attn, y, scale = cache["attn"], cache["y"], cache["scale"]
+        z, zq, rows, q, k, v = (cache["z"], cache["zq"], cache["rows"],
+                                cache["q"], cache["k"], cache["v"])
+        attn, y, scale, work = cache["attn"], cache["y"], cache["scale"], cache["work"]
 
         grads = {}
         grads["W_head"] = np.tensordot(y, dlogits, axes=([0, 1], [0, 1]))
         grads["b_head"] = dlogits.sum(axis=(0, 1))
         dy = dlogits @ p["W_head"].T
         dctx = dy
-        dattn = dctx @ v.transpose(0, 2, 1)
         dv = attn.transpose(0, 2, 1) @ dctx
-        ds = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        ds = ds * scale
+        # ds = attn * (dattn - rowsum(dattn * attn)) * scale, built in dattn.
+        dattn = np.matmul(dctx, v.transpose(0, 2, 1), out=_step_buffer(work, "dattn", attn.shape))
+        dattn_attn = np.multiply(dattn, attn, out=_step_buffer(work, "dattn_attn", attn.shape))
+        dattn -= dattn_attn.sum(axis=-1, keepdims=True)
+        dattn *= attn
+        ds = np.multiply(dattn, scale, out=dattn)
         dq = ds @ k
         dk = ds.transpose(0, 2, 1) @ q
-        grads["Wq"] = np.tensordot(z[:, rows], dq, axes=([0, 1], [0, 1]))
+        grads["Wq"] = np.tensordot(zq, dq, axes=([0, 1], [0, 1]))
         grads["Wk"] = np.tensordot(z, dk, axes=([0, 1], [0, 1]))
         grads["Wv"] = np.tensordot(z, dv, axes=([0, 1], [0, 1]))
-        dz = dk @ p["Wk"].T + dv @ p["Wv"].T
-        dz[:, rows] += dy + dq @ p["Wq"].T  # rows are distinct
+        dz = dk @ p["Wk"].T
+        dz += dv @ p["Wv"].T
+        dy += dq @ p["Wq"].T
+        dz[:, rows] += dy  # rows are distinct
 
         dz_prefix = dz[:, :n_prefix, :]
         grads["mask_vec"] = dz[:, n_prefix:, :].sum(axis=(0, 1))

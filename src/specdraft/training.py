@@ -10,11 +10,17 @@ The objective is a position-annealed KL divergence (`floored_kl`) against the
 target model's exact conditionals, weighted gamma^(t-1) for the t-th future
 position. All arithmetic is float64 and gradients are written by hand, so
 they can be validated against central differences.
+
+The batch and the model width fix the shape of every array a training step
+makes, so a TrainingBatch owns its step buffers: each step writes its
+full-size attention arrays into the same memory rather than taking fresh
+pages from the allocator, and the label term of the KL is computed once,
+when the batch is built. A batch therefore serves one step at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,29 +75,43 @@ def floored_kl(logits: np.ndarray, q: np.ndarray,
     coordinate whose log-probability was clamped while carrying target mass.
     The gradient is exact for the clamped objective: clamped coordinates stop
     contributing their -q_v log p_v term. `weights` broadcasts against the
-    per-row KL values.
+    per-row KL values, which the loss adds up with their last axis outermost
+    (slot by slot for a batch's (B, S)).
     """
+    loss, floored, grad = _floored_kl(logits, q, weights, _safe_q_log_q(q))
+    return loss, grad(), floored
+
+
+def _floored_kl(logits, q, weights, q_log_q):
+    """floored_kl given the label term q_log_q = _safe_q_log_q(q), with its
+    gradient put off: (loss, floored, grad), where grad(), called at most
+    once, builds d loss / d logits in the arrays the loss was computed in."""
     logp = log_softmax(logits)
     unfloored = logp >= LOG_FLOOR
     floored = bool(np.any(~unfloored & (q > 0)))
-    logp_eff = np.maximum(logp, LOG_FLOOR)
-    kl = (_safe_q_log_q(q) - q * logp_eff).sum(axis=-1)
-    loss = float((weights * kl).sum())
+    summands = np.maximum(logp, LOG_FLOOR)
+    summands *= q
+    np.subtract(q_log_q, summands, out=summands)
+    loss = float(np.ascontiguousarray((weights * summands.sum(axis=-1)).T).sum())
 
-    # weights * (q_mass * p - q * unfloored), where q_mass is a row's target
-    # mass outside the clamp. Built in place: each full-size temporary costs
-    # every training step fresh pages from the allocator.
-    q_kept = q * unfloored
-    grad = np.exp(logp)
-    grad *= q_kept.sum(axis=-1, keepdims=True)
-    grad -= q_kept
-    grad *= weights[..., None]
-    return loss, grad, floored
+    def grad() -> np.ndarray:
+        # weights * (q_mass * p - q * unfloored), where q_mass is a row's
+        # target mass outside the clamp.
+        q_kept = np.multiply(q, unfloored, out=summands)
+        dlogits = np.exp(logp, out=logp)
+        dlogits *= q_kept.sum(axis=-1, keepdims=True)
+        dlogits -= q_kept
+        dlogits *= weights[..., None]
+        return dlogits
+
+    return loss, floored, grad
 
 
 @dataclass
 class TrainingBatch:
-    """One packed, fully materialized training batch (fixed-length sequences)."""
+    """One packed, fully materialized training batch (fixed-length sequences),
+    with the buffers its batch_loss calls write their full-size attention
+    arrays into: it serves one call at a time."""
 
     feats: np.ndarray          # (B, P, 3*FEAT_WIDTH)
     emb_tokens: np.ndarray     # (B, P)
@@ -101,7 +121,9 @@ class TrainingBatch:
     slot_positions: np.ndarray  # (S,) distinct packed positions carrying supervision
     slot_weights: np.ndarray    # (S,) annealing weight of each slot
     labels: np.ndarray          # (B, S, V) exact target conditionals
+    labels_log_labels: np.ndarray  # (B, S, V) the KL's label term q log q, 0 where q is 0
     norm: float                 # slots are averaged per (sequence, group)
+    buffers: dict = field(default_factory=dict, repr=False)  # the step's arrays by name
 
 
 def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
@@ -136,8 +158,7 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
     g, t = np.divmod(np.arange(G * d), d)
     slot_positions = np.where(shifted & (t == 0), g, P + g * m + t - int(shifted))
     # Its label is the target's conditional given the first g+t+1 tokens.
-    labels = np.stack([[target.next_dist(seq[:j], 1.0) for j in range(1, L)]
-                       for seq in sequences])[:, g + t]
+    dists = np.stack([target.next_dists(seq[:-1]) for seq in sequences])
     emb_tokens = np.array(sequences, dtype=np.int64)
     if shifted:
         emb_tokens = np.roll(emb_tokens, -1, axis=1)
@@ -151,7 +172,8 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
         n_prefix=P,
         slot_positions=slot_positions,
         slot_weights=np.tile(gamma ** np.arange(d, dtype=np.float64), G),
-        labels=labels,
+        labels=dists.take(g + t, axis=1),
+        labels_log_labels=_safe_q_log_q(dists).take(g + t, axis=1),
         norm=float(len(sequences) * G),
     )
 
@@ -161,20 +183,32 @@ def batch_loss(model: ToyDraft, batch: TrainingBatch,
     """Annealed KL over every supervised slot; returns (loss, grads, floored).
 
     The forward queries the slot positions alone; every other position of the
-    layout serves as a key and value only.
+    layout serves as a key and value only. The full-size attention arrays
+    live in the batch's buffers; the returned grads are new arrays.
     """
+    loss, floored, backward = _batch_forward(model, batch)
+    return loss, backward() if want_grads else None, floored
+
+
+def _batch_forward(model: ToyDraft, batch: TrainingBatch):
+    """batch_loss's forward: (loss, floored, backward), where backward(),
+    called at most once, returns the grads. The forward's state stays in the
+    batch's buffers until backward runs, so no other call may use the batch
+    in between."""
     M = batch.mask.shape[0]
     z = model.build_inputs(batch.feats, batch.emb_tokens,
                            M - batch.n_prefix, batch.position_ids)
     slots = batch.slot_positions
-    logits, cache = model.forward_core(z, batch.mask[slots], slots)
-    loss, dlogits, floored = floored_kl(logits, batch.labels, batch.slot_weights[None, :])
-    loss /= batch.norm
-    if not want_grads:
-        return loss, None, floored
-    dlogits /= batch.norm
-    grads = model.backward_core(cache, dlogits, batch.feats, batch.n_prefix)
-    return loss, grads, floored
+    logits, cache = model.forward_core(z, batch.mask[slots], slots, work=batch.buffers)
+    loss, floored, kl_grad = _floored_kl(logits, batch.labels, batch.slot_weights[None, :],
+                                         batch.labels_log_labels)
+
+    def backward() -> dict[str, np.ndarray]:
+        dlogits = kl_grad()
+        dlogits /= batch.norm
+        return model.backward_core(cache, dlogits, batch.feats, batch.n_prefix)
+
+    return loss / batch.norm, floored, backward
 
 
 @dataclass
@@ -209,8 +243,13 @@ def train_toy_draft(
 
     Aborts with diagnostics if the loss exceeds 10x its initial value or is
     not finite; the overflow on the way there raises no RuntimeWarning.
+    The loss of each update's weights is checked before anything reads them
+    (the log's evaluation, the hook, the caller), so diverged weights never
+    leave the loop. log[step] holds the loss of the weights that step
+    updated, and its alpha those of the updated ones.
     checkpoint_hook(step, model, batch) fires every eval_every steps, for
-    gradient-audit instrumentation.
+    gradient-audit instrumentation; it must leave the weights as it found
+    them.
     """
     if steps < 0:
         raise ConfigError(f"training steps must be >= 0, got {steps}")
@@ -218,24 +257,39 @@ def train_toy_draft(
     if steps == 0:
         return model
     batch = build_training_batch(target, corpus, d, gamma, shifted=shifted)
-    initial_loss = None
+    # The steps run on a copy of the batch with buffers of its own, which
+    # keep a step's forward while the hook, free to run steps on `batch`,
+    # reads the weights.
+    own = replace(batch, buffers={})
     with np.errstate(over="ignore", invalid="ignore"):
+        loss, _, backward = _batch_forward(model, own)
+        initial_loss = loss
+        _check_loss(0, loss, initial_loss)
         for step in range(steps):
-            loss, grads, _ = batch_loss(model, batch)
-            if initial_loss is None:
-                initial_loss = loss
-            if not loss <= 10 * initial_loss:  # NaN fails every comparison
-                raise TrainingDivergedError(step, loss, initial_loss)
-            for name, g in grads.items():
-                model.params[name] -= lr * g
             if log is not None:
-                alpha = None
-                if eval_every and eval_sequences and (step + 1) % eval_every == 0:
-                    alpha = evaluate_alpha(model, target, eval_sequences, d)
-                log.append(TrainingLogRecord(step, loss, alpha))
-            if checkpoint_hook and eval_every and (step + 1) % eval_every == 0:
-                checkpoint_hook(step, model, batch)
+                log.append(TrainingLogRecord(step, loss))
+            for name, g in backward().items():
+                model.params[name] -= lr * g
+            # The updated weights' loss, checked before anything reads them;
+            # its grads wait for the next step, so the last update's forward
+            # is the only extra work. The spent forward's arrays are let go
+            # only once the next forward is built: freed first, they would
+            # top the heap, which glibc hands back to the OS, and each step
+            # would fault them in again; freed after, the next step refills
+            # their place.
+            loss, _, backward = _batch_forward(model, own)
+            _check_loss(step + 1, loss, initial_loss)
+            if eval_every and (step + 1) % eval_every == 0:
+                if log is not None and eval_sequences:
+                    log[-1].alpha = evaluate_alpha(model, target, eval_sequences, d)
+                if checkpoint_hook:
+                    checkpoint_hook(step, model, batch)
     return model
+
+
+def _check_loss(step: int, loss: float, initial_loss: float) -> None:
+    if not loss <= 10 * initial_loss:  # NaN fails every comparison
+        raise TrainingDivergedError(step, loss, initial_loss)
 
 
 def evaluate_alpha(drafter, target: MarkovTarget,
@@ -271,30 +325,3 @@ def evaluate_alpha(drafter, target: MarkovTarget,
     if total == 0:
         raise ConfigError("no evaluation prefixes: sequences too short for d")
     return [float(h / total) for h in hits]
-
-
-def finite_diff_check(model: ToyDraft, batch: TrainingBatch, h: float,
-                      n_coords: int = 40, seed: int = 0) -> float:
-    """Max relative error between analytic and central-difference gradients
-    over a random subsample of parameter coordinates."""
-    if not 1e-6 <= h <= 1e-3:
-        raise ConfigError(f"step size must be in [1e-6, 1e-3], got {h}")
-    _, grads, _ = batch_loss(model, batch)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    worst = 0.0
-    names = sorted(model.params)
-    for _ in range(n_coords):
-        name = names[rng.integers(len(names))]
-        param = model.params[name]
-        idx = tuple(rng.integers(s) for s in param.shape)
-        orig = param[idx]
-        param[idx] = orig + h
-        plus, _, _ = batch_loss(model, batch, want_grads=False)
-        param[idx] = orig - h
-        minus, _, _ = batch_loss(model, batch, want_grads=False)
-        param[idx] = orig
-        fd = (plus - minus) / (2 * h)
-        a = grads[name][idx]
-        rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
-        worst = max(worst, rel)
-    return worst

@@ -4,12 +4,22 @@ These deliberately avoid the package's data structures: the window counter is
 a flat hash map, the pruning oracle enumerates candidate sequences as tuples
 with plain sorts, and the greedy rollout takes argmaxes by hand. They
 implement the same contracts (scoring formulas, tie-break order) independently.
+The training step is written out with a fresh array per intermediate, and the
+gradient and sampling checks compare the package against central differences
+and exact enumeration.
 """
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
+
+from specdraft.engine import decode
+from specdraft.errors import ConfigError
+from specdraft.ngram import LOG_FLOOR
+from specdraft.training import batch_loss
+from specdraft.tree import log_softmax
 
 
 class WindowCounter:
@@ -174,3 +184,130 @@ def readout_attention(params, embeddings, feats, emb_tokens, d, shifted):
         ctx = sum(w / total * (inputs[j] @ params["Wv"]) for j, w in enumerate(weights))
         rows.append((inputs[r] + ctx) @ params["W_head"] + params["b_head"])
     return np.array(rows)
+
+
+def allocating_batch_loss(model, batch, want_grads=True):
+    """The training step with a fresh array for every intermediate and no
+    buffer kept between calls: (loss, grads, floored) as batch_loss returns
+    them. The arithmetic, and the memory layout of every array whose layout
+    sets a summation order, are batch_loss's, so the two agree bit for bit."""
+    p = model.params
+    M = batch.mask.shape[0]
+    z = model.build_inputs(batch.feats, batch.emb_tokens, M - batch.n_prefix,
+                           batch.position_ids)
+    rows = batch.slot_positions
+    scale = 1.0 / np.sqrt(z.shape[-1])
+    zq = z[:, rows]
+    q = zq @ p["Wq"]
+    k = z @ p["Wk"]
+    v = z @ p["Wv"]
+    s = (q @ k.transpose(0, 2, 1)) * scale
+    s = np.where(batch.mask[rows], s, -1e30)
+    s = s - s.max(axis=-1, keepdims=True)
+    attn = np.exp(s)
+    attn = attn / attn.sum(axis=-1, keepdims=True)
+    y = zq + attn @ v
+    logits = y @ p["W_head"] + p["b_head"]
+
+    labels, weights = batch.labels, batch.slot_weights[None, :]
+    logp = log_softmax(logits)
+    unfloored = logp >= LOG_FLOOR
+    floored = bool(np.any(~unfloored & (labels > 0)))
+    label_term = np.where(labels > 0, labels * np.log(np.maximum(labels, 1e-300)), 0.0)
+    kl = (label_term - labels * np.maximum(logp, LOG_FLOOR)).sum(axis=-1)
+    # Added slot by slot, every sequence's term of a slot in turn, as
+    # batch_loss adds them.
+    loss = float(np.ascontiguousarray((weights * kl).T).sum()) / batch.norm
+    if not want_grads:
+        return loss, None, floored
+    q_kept = labels * unfloored
+    dlogits = (np.exp(logp) * q_kept.sum(axis=-1, keepdims=True) - q_kept) * weights[..., None]
+    dlogits = dlogits / batch.norm
+
+    grads = {"W_head": np.tensordot(y, dlogits, axes=([0, 1], [0, 1])),
+             "b_head": dlogits.sum(axis=(0, 1))}
+    dy = dlogits @ p["W_head"].T
+    dattn = dy @ v.transpose(0, 2, 1)
+    dv = attn.transpose(0, 2, 1) @ dy
+    ds = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    ds = ds * scale
+    dq = ds @ k
+    dk = ds.transpose(0, 2, 1) @ q
+    grads["Wq"] = np.tensordot(zq, dq, axes=([0, 1], [0, 1]))
+    grads["Wk"] = np.tensordot(z, dk, axes=([0, 1], [0, 1]))
+    grads["Wv"] = np.tensordot(z, dv, axes=([0, 1], [0, 1]))
+    dz = dk @ p["Wk"].T + dv @ p["Wv"].T
+    dz[:, rows] += dy + dq @ p["Wq"].T
+    grads["mask_vec"] = dz[:, batch.n_prefix:, :].sum(axis=(0, 1))
+    dg = dz[:, :batch.n_prefix, :model.params["W_in"].shape[1]]
+    grads["W_in"] = np.tensordot(batch.feats, dg, axes=([0, 1], [0, 1]))
+    return loss, grads, floored
+
+
+def exactness_check(target, drafter, trie, cfg, n_samples, prompt=(0,), horizon=3):
+    """Total-variation distance between decode outputs and exact ancestral
+    sampling over all length-`horizon` continuations.
+
+    Requires temperature > 0 and a vocabulary small enough to enumerate.
+    n_samples <= 0 returns the sentinel TV of 1.0 (nothing was measured).
+    """
+    if cfg.temperature <= 0:
+        raise ConfigError("exactness check requires temperature > 0")
+    if n_samples <= 0:
+        return 1.0
+    V = target.vocab_size
+    prompt = list(prompt)
+
+    exact: dict[tuple[int, ...], float] = {}
+
+    def enumerate_seqs(prefix: list[int], prob: float, depth: int):
+        if depth == horizon:
+            exact[tuple(prefix[len(prompt):])] = prob
+            return
+        dist = target.next_dist(prefix, cfg.temperature)
+        for tok in range(V):
+            p = float(dist[tok])
+            if p > 0:
+                enumerate_seqs(prefix + [tok], prob * p, depth + 1)
+
+    enumerate_seqs(prompt, 1.0, 0)
+
+    counts: dict[tuple[int, ...], int] = {}
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(n_samples, dtype=np.uint64)
+    run_cfg = replace(cfg, max_tokens=horizon)
+    for i in range(n_samples):
+        sample_cfg = replace(run_cfg, seed=int(seeds[i]))
+        tokens, _ = decode(prompt, target, drafter, trie, sample_cfg, measure_base=False)
+        key = tuple(tokens[:horizon])
+        counts[key] = counts.get(key, 0) + 1
+
+    tv = 0.0
+    for key in exact.keys() | counts.keys():
+        tv += abs(counts.get(key, 0) / n_samples - exact.get(key, 0.0))
+    return 0.5 * tv
+
+
+def finite_diff_check(model, batch, h, n_coords=40, seed=0):
+    """Max relative error between analytic and central-difference gradients
+    over a random subsample of parameter coordinates."""
+    if not 1e-6 <= h <= 1e-3:
+        raise ConfigError(f"step size must be in [1e-6, 1e-3], got {h}")
+    _, grads, _ = batch_loss(model, batch)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    worst = 0.0
+    names = sorted(model.params)
+    for _ in range(n_coords):
+        name = names[rng.integers(len(names))]
+        param = model.params[name]
+        idx = tuple(rng.integers(s) for s in param.shape)
+        orig = param[idx]
+        param[idx] = orig + h
+        plus, _, _ = batch_loss(model, batch, want_grads=False)
+        param[idx] = orig - h
+        minus, _, _ = batch_loss(model, batch, want_grads=False)
+        param[idx] = orig
+        fd = (plus - minus) / (2 * h)
+        a = grads[name][idx]
+        rel = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
+        worst = max(worst, rel)
+    return worst

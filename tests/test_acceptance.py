@@ -15,7 +15,6 @@ from specdraft.engine import (
     baseline_decode,
     decode,
     estimate_speedup,
-    exactness_check,
 )
 from specdraft.models import (
     AdversarialDrafter,
@@ -30,12 +29,18 @@ from specdraft.training import (
     build_training_batch,
     build_training_mask,
     evaluate_alpha,
-    finite_diff_check,
     train_toy_draft,
 )
 from specdraft.tree import ParallelLogits, PruneConfig, prune
 
-from oracles import WindowCounter, argmax_rollout, oracle_prune, tree_to_paths
+from oracles import (
+    WindowCounter,
+    argmax_rollout,
+    exactness_check,
+    finite_diff_check,
+    oracle_prune,
+    tree_to_paths,
+)
 from test_training import predicate_mask
 
 

@@ -376,6 +376,21 @@ def test_train_nan_loss_exits_4_and_writes_no_model(train_config, capsys):
     assert not (tmp_path / "toy.npz").exists()
 
 
+@pytest.mark.parametrize("extra", [["--override", "training.steps=1"],
+                                   ["--override", "training.steps=3", "--eval-every", "1"]],
+                         ids=["last-update", "evaluated-update"])
+def test_train_diverged_update_exits_4_and_writes_nothing(train_config, capsys, extra):
+    # A diverging last update, or one that an evaluation reads next, is
+    # caught before the weights are evaluated or written.
+    cfg, tmp_path = train_config
+    rc = main(["train-toy", "--config", cfg, "--override", "training.lr=1e308", *extra])
+    assert rc == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "loss nan" in err and "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "toy.npz").exists()
+    assert not (tmp_path / "toy.npz.log.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv, missing", [
     (["decode", "--prompt-tokens", "1 2"], "trie"),
     (["eval", "--drafter", "oracle", "--tau-prompts", "1"], "trie"),

@@ -9,7 +9,6 @@ from specdraft.engine import (
     baseline_decode,
     decode,
     estimate_speedup,
-    exactness_check,
     verify,
 )
 from specdraft.errors import ConfigError
@@ -24,7 +23,7 @@ from specdraft.models import (
 from specdraft.ngram import NgramTrie, build_trie
 from specdraft.tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, prune
 
-from oracles import argmax_rollout
+from oracles import argmax_rollout, exactness_check
 
 
 @pytest.fixture

@@ -114,6 +114,19 @@ def test_tree_dists_match_next_dist_over_each_path(order, temperature):
             assert np.array_equal(got, np.stack(want))
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("temperature", [0.0, 0.5, 1.0])
+def test_next_dists_match_next_dist_per_prefix(order, temperature):
+    t = MarkovTarget(13, 9, order)
+    rng = np.random.default_rng(order)
+    for n in (0, 1, 2, 3, 17):  # shorter than the order, and longer
+        prefix = [int(x) for x in rng.integers(0, 9, size=n)]
+        got = t.next_dists(prefix, temperature)
+        assert got.shape == (n, 9)
+        for i in range(n):
+            assert np.array_equal(got[i], t.next_dist(prefix[:i + 1], temperature))
+
+
 def test_features_match_per_position_contexts():
     t = MarkovTarget(9, 8, 3)
     prefix = [int(x) for x in np.random.default_rng(1).integers(0, 8, size=40)]

@@ -11,10 +11,11 @@ from specdraft.training import (
     build_training_batch,
     build_training_mask,
     evaluate_alpha,
-    finite_diff_check,
     floored_kl,
     train_toy_draft,
 )
+
+from oracles import allocating_batch_loss, finite_diff_check
 
 
 # -- scalar predicate oracle -------------------------------------------------------
@@ -233,6 +234,21 @@ def test_non_finite_loss_aborts_without_warning(setup):
     assert [r.step for r in log] == [0] and np.isfinite(log[0].loss)
 
 
+@pytest.mark.parametrize("steps, eval_every", [(1, 0), (3, 1)])
+def test_each_update_is_checked_before_its_weights_are_read(setup, steps, eval_every):
+    # The last update, and an update followed by an evaluation, are checked
+    # too: the blown-up weights reach neither evaluate_alpha nor the hook
+    # nor the caller.
+    target, corpus, heldout = setup
+    log, hooked = [], []
+    with pytest.raises(TrainingDivergedError) as exc:
+        train_toy_draft(target, corpus, 0.6, 4, steps=steps, lr=1e308, seed=1,
+                        eval_sequences=heldout, eval_every=eval_every, log=log,
+                        checkpoint_hook=lambda *args: hooked.append(args))
+    assert exc.value.step == 1 and np.isnan(exc.value.loss)
+    assert [(r.step, r.alpha) for r in log] == [(0, None)] and not hooked
+
+
 def test_heldout_alpha_beats_uniform_5x(setup):
     target, corpus, heldout = setup
     model = train_toy_draft(target, corpus, 0.6, 4, steps=400, lr=0.1, seed=1)
@@ -437,6 +453,63 @@ def test_row_subset_backward_matches_full_rows(setup, case):
         assert np.max(np.abs(grads[name] - g)) <= 1e-12 * max(1.0, np.max(np.abs(g))), name
 
 
+# -- the step's buffers --------------------------------------------------------------
+
+
+# (target seed, V, order, concentration, sequences, length, d): the shape the
+# benchmark and the CLI defaults train at, whose labels are 1 MB, and
+# test_07's, whose labels are 30 KB.
+STEP_SHAPES = {
+    "train": (7, 64, 2, 0.2, 16, 24, 8),
+    "test_07": (5, 8, 1, 0.05, 12, 14, 4),
+}
+
+
+def _step_setup(shape, shifted):
+    seed, V, order, concentration, n, length, d = STEP_SHAPES[shape]
+    target = MarkovTarget(seed, V, order, concentration=concentration)
+    rng = np.random.default_rng(0)
+    corpus = [target.sample_sequence(rng, length) for _ in range(n)]
+    batch = build_training_batch(target, corpus, d, 0.6, shifted=shifted)
+    return ToyDraft(V, target.embeddings, seed=4, shifted=shifted), batch
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+@pytest.mark.parametrize("shape", sorted(STEP_SHAPES))
+def test_batch_loss_matches_allocating_reference(shape, shifted):
+    # Writing the step's intermediates into the batch's buffers, in place,
+    # changes no bit of the loss or the grads, step after step.
+    model, batch = _step_setup(shape, shifted)
+    for _ in range(4):
+        loss, grads, floored = batch_loss(model, batch)
+        want_loss, want_grads, want_floored = allocating_batch_loss(model, batch)
+        assert loss == want_loss and floored == want_floored
+        assert batch_loss(model, batch, want_grads=False)[0] == want_loss
+        assert grads.keys() == want_grads.keys()
+        for name, g in want_grads.items():
+            assert np.array_equal(grads[name], g), name
+        for name, g in grads.items():
+            model.params[name] -= 0.1 * g
+
+
+def test_later_calls_leave_returned_results_unchanged():
+    # A caller may keep a step's loss and grads while it calls again on the
+    # same batch (the finite-difference check does): they are its own.
+    model, batch = _step_setup("train", True)
+    loss, grads, _ = batch_loss(model, batch)
+    kept = {name: g.copy() for name, g in grads.items()}
+    only_loss = batch_loss(model, batch, want_grads=False)[0]
+    model.params["Wv"] *= 1.5
+    later = batch_loss(model, batch, want_grads=False)
+    assert later[0] != loss and later[1] is None
+    later = batch_loss(model, batch)
+    assert only_loss == loss and later[0] != loss
+    for name, g in kept.items():
+        assert np.array_equal(grads[name], g), name
+        assert not np.array_equal(later[1][name], g), name
+        assert not np.shares_memory(grads[name], later[1][name])
+
+
 # -- finite differences --------------------------------------------------------------
 
 
@@ -476,6 +549,25 @@ def test_finite_diff_during_training_checkpoints(setup):
                     eval_every=50, checkpoint_hook=hook)
     assert len(worst) == 3
     assert max(worst) <= 1e-4
+
+
+def test_hook_that_runs_steps_leaves_training_unchanged(setup):
+    # The hook may run steps on the batch it is handed at other weights, as
+    # the gradient audit does, while the trainer holds a forward whose grads
+    # it has yet to take.
+    target, corpus, _ = setup
+
+    def audit(step, model, batch):
+        kept = model.params["Wq"].copy()
+        model.params["Wq"] *= 2.0
+        batch_loss(model, batch)
+        model.params["Wq"][...] = kept
+
+    plain = train_toy_draft(target, corpus, 0.6, 3, steps=20, lr=0.1, seed=4)
+    hooked = train_toy_draft(target, corpus, 0.6, 3, steps=20, lr=0.1, seed=4, eval_every=1,
+                             checkpoint_hook=audit)
+    for name, p in plain.params.items():
+        assert np.array_equal(hooked.params[name], p), name
 
 
 def test_finite_diff_h_bounds(setup):
