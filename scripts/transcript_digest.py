@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Two SHA-256 digests over a fixed set of decodes and over evaluate_alpha.
+"""Three SHA-256 digests over a fixed set of decodes and over evaluate_alpha.
 
 A refactor that must not change any output prints the same digests before
 and after it. The decodes cover a V=64 target with short prompts, a V=256
@@ -12,8 +12,9 @@ transcript, every non-timing CycleRecord field, the drafters' trained
 parameters, the training batch's features and evaluate_alpha against the
 data and against the greedy chain. The second digest covers the same
 decodes with the reference drafters: OracleDrafter, AdversarialDrafter and
-UniformDrafter. Targets, tries and drafters are built in process, so nothing
-needs preparing.
+UniformDrafter. The third covers baseline_decode's transcripts of the same
+prompts at T=0 and T=1, with the same seeds. Targets, tries and drafters are
+built in process, so nothing needs preparing.
 
     PYTHONPATH=src python scripts/transcript_digest.py --seed 1
 """
@@ -24,7 +25,7 @@ import hashlib
 import numpy as np
 
 from specdraft import engine
-from specdraft.engine import DecodeConfig
+from specdraft.engine import DecodeConfig, baseline_decode
 from specdraft.models import (
     AdversarialDrafter,
     MarkovTarget,
@@ -84,6 +85,14 @@ def decode_all(digest, target, trie, drafters, prompts, seed):
         engine.verify = verify
 
 
+def baseline_all(digest, target, prompts, seed):
+    """Plain decoding of every prompt at T=0 and T=1, hashing the transcripts."""
+    for temperature in (0.0, 1.0):
+        for i, prompt in enumerate(prompts):
+            digest.ints(baseline_decode(prompt, target, MAX_TOKENS,
+                                        temperature=temperature, seed=seed + i))
+
+
 def system(digest, seed, vocab_size):
     """(target, trie, trained toy drafter, held-out sequences) of one vocabulary."""
     target = MarkovTarget(seed, vocab_size, 2, concentration=0.3)
@@ -106,7 +115,7 @@ def main(argv=None):
                     help="length of the long-context prompts")
     args = ap.parse_args(argv)
 
-    digest, reference = Digest(), Digest()
+    digest, reference, baseline = Digest(), Digest(), Digest()
     for vocab_size in (64, 256):
         target, trie, model, heldout = system(digest, args.seed, vocab_size)
         drafters = [("toy", lambda s: model),
@@ -121,10 +130,12 @@ def main(argv=None):
                       ("adversarial", lambda s: AdversarialDrafter(target)),
                       ("uniform", lambda s: UniformDrafter(vocab_size, seed=s))]
         decode_all(reference, target, trie, references, prompts, args.seed)
+        baseline_all(baseline, target, prompts, args.seed)
         for vs_greedy in (False, True):
             digest.floats(evaluate_alpha(model, target, heldout, D, vs_greedy=vs_greedy))
     print(f"{digest.sha.hexdigest()}  ({digest.trees} trees)")
     print(f"{reference.sha.hexdigest()}  ({reference.trees} trees, reference drafters)")
+    print(f"{baseline.sha.hexdigest()}  (baseline_decode)")
 
 
 if __name__ == "__main__":

@@ -1,19 +1,20 @@
 """Draft-verify decode loop with lossless tree verification.
 
-Each cycle runs three stages: one drafting forward producing parallel logits,
-tree pruning, and tree verification against the target model. Verification
-takes the conditionals at the root and at every tree node from one
-`tree_dists` call on the target, then walks the tree from the root; at every
-node the offered children are tested one after another by rejection against
-the running residual of the target conditional (each rejected sibling's mass
-is removed and the residual renormalized), and when all siblings are
-rejected the bonus token is sampled from what remains. Because each
-sibling's acceptance probability equals exactly its residual target mass,
-the joint law of (accepted path, bonus token) is identical to ancestral
-sampling from the target -- for any draft tree whatsoever. The same walk
-runs at temperature 0: the target conditional is then one-hot, so every
-non-argmax sibling has zero residual mass and is rejected, the argmax child
-is accepted with probability 1, and the bonus is the argmax.
+A request is one target session, extended by the tokens each cycle emits.
+Each cycle runs three stages: one drafting forward on the session producing
+parallel logits, tree pruning, and tree verification against the target.
+Verification takes the conditionals at the root and at every tree node from
+one `tree_dists` call on the session, then walks the tree from the root; at
+every node the offered children are tested one after another by rejection
+against the running residual of the target conditional (each rejected
+sibling's mass is removed and the residual renormalized), and when all
+siblings are rejected the bonus token is sampled from what remains. Because
+each sibling's acceptance probability equals exactly its residual target
+mass, the joint law of (accepted path, bonus token) is identical to
+ancestral sampling from the target -- for any draft tree whatsoever. The
+same walk runs at temperature 0: the target conditional is then one-hot, so
+every non-argmax sibling has zero residual mass and is rejected, the argmax
+child is accepted with probability 1, and the bonus is the argmax.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigError, check_int, check_number
-from .models import DraftCache, sample_from
+from .models import Session, sample_from
 from .ngram import NgramTrie
 from .tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, prune
 
@@ -34,27 +35,20 @@ from .tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, prune
 class TargetModel(Protocol):
     vocab_size: int
 
-    def next_dist(self, prefix, temperature: float = 1.0) -> np.ndarray: ...
-
-    def tree_dists(self, prefix, tree: DraftTree, temperature: float = 1.0) -> np.ndarray:
-        """(1 + len(tree), V): row 0 is next_dist(prefix), row i + 1 is
-        next_dist of the prefix followed by node i's path."""
-
-    def features(self, prefix, start: int = 0) -> np.ndarray:
-        """The feature rows of positions start .. len(prefix)-1, one per row."""
+    def start(self, prompt: Sequence[int]) -> Session:
+        """One request's session, holding a copy of `prompt`."""
 
 
 class DraftPredictor(Protocol):
-    def predict(self, prefix, target: TargetModel, d: int, *, rng: np.random.Generator,
-                temperature: float = 0.0, cache: DraftCache | None = None) -> ParallelLogits:
+    def predict(self, session: Session, d: int, *, rng: np.random.Generator,
+                temperature: float = 0.0) -> ParallelLogits:
         """d rows of future-position logits from one drafting forward. The
-        drafter asks `target` for what it reads of the prefix, such as the
+        drafter asks `session` for what it reads of the prefix, such as the
         feature rows of the positions it builds. Any randomness is drawn
         from `rng`, which decode shares with verify. decode makes one
-        `cache` per request and hands it to every cycle's call, so a drafter
-        may keep there what the next, longer prefix can reuse; one cache
-        serves one request of one target, and None stands for a fresh one. A
-        drafter with nothing to keep ignores it."""
+        session per request and extends it by each cycle's tokens, so a
+        drafter may keep in `session.draft` what the next, longer prefix can
+        reuse. A drafter with nothing to keep leaves it alone."""
 
 
 @dataclass(frozen=True)
@@ -128,15 +122,14 @@ class DecodeMetrics:
 
 def verify(
     tree: DraftTree,
-    prefix: Sequence[int],
-    target: TargetModel,
+    session: Session,
     temperature: float,
     rng: np.random.Generator,
 ) -> tuple[list[int], int]:
-    """Walk the draft tree against the target; returns (accepted path, bonus).
+    """Walk the draft tree against the session; returns (accepted path, bonus).
 
     The target conditionals at the root and at every tree node come from one
-    `target.tree_dists` call, the stand-in for one batched tree-attention
+    `session.tree_dists` call, the stand-in for one batched tree-attention
     forward under `tree.attention_mask()`. The children of the current node
     are tried in tree order: each is accepted with probability equal to its
     mass under the residual target conditional, and on rejection that mass is
@@ -148,7 +141,7 @@ def verify(
     """
     if len(tree) == 0:
         raise ConfigError("cannot verify an empty tree")
-    dists = target.tree_dists(prefix, tree, temperature)
+    dists = session.tree_dists(tree, temperature)
     token = tree.token.tolist()
     # Slot 0 is the root and slot i+1 is node i, as in the rows of `dists`.
     children: list[list[int]] = [[] for _ in range(len(token) + 1)]
@@ -211,12 +204,12 @@ def baseline_decode(
 ) -> list[int]:
     """Plain autoregressive decoding (the reference for losslessness checks)."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    prefix = _check_tokens(prompt, eos_token, target.vocab_size)
+    session = target.start(_check_tokens(prompt, eos_token, target.vocab_size))
     out: list[int] = []
     while len(out) < max_tokens:
-        tok = sample_from(target.next_dist(prefix, temperature), rng)
+        tok = sample_from(session.next_dist(temperature), rng)
         out.append(tok)
-        prefix.append(tok)
+        session.extend((tok,))
         if eos_token is not None and tok == eos_token:
             break
     return out
@@ -243,27 +236,29 @@ def decode(
 ) -> tuple[list[int], DecodeMetrics]:
     """Run draft -> prune -> verify cycles until max_tokens or the end token.
 
-    The drafter's cache, one per request, lets a later cycle build only the
-    positions of the tokens the previous one emitted. A missing trie scores
-    every continuation at the epsilon floor (the no-n-gram ablation mode).
-    Per-stage wall-clock latencies are recorded per cycle; medians exclude
-    the first (warmup) cycle when more than one ran.
+    One session per request holds the prefix, and the drafter's state in it
+    lets a later cycle build only the positions of the tokens the previous
+    one emitted. A missing trie scores every continuation at the epsilon
+    floor (the no-n-gram ablation mode). Per-stage wall-clock latencies are
+    recorded per cycle; medians exclude the first (warmup) cycle when more
+    than one ran.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    prefix = _check_tokens(prompt, cfg.eos_token, target.vocab_size)
+    session = target.start(_check_tokens(prompt, cfg.eos_token, target.vocab_size))
     out: list[int] = []
     records: list[CycleRecord] = []
     stop = False
-    cache = DraftCache()
 
     while not stop and len(out) < cfg.max_tokens:
         t0 = time.perf_counter_ns()
-        logits = drafter.predict(prefix, target, cfg.d,
-                                 temperature=cfg.temperature, rng=rng, cache=cache)
+        logits = drafter.predict(session, cfg.d, temperature=cfg.temperature, rng=rng)
+        if logits.rows.shape[1] != target.vocab_size:
+            raise ConfigError(f"drafter logit rows are {logits.rows.shape[1]} wide, "
+                              f"not the target's vocab_size {target.vocab_size}")
         t1 = time.perf_counter_ns()
-        tree = prune(logits, trie, cfg.prune, prefix)
+        tree = prune(logits, trie, cfg.prune, session.tokens)
         t2 = time.perf_counter_ns()
-        accepted, bonus = verify(tree, prefix, target, cfg.temperature, rng)
+        accepted, bonus = verify(tree, session, cfg.temperature, rng)
         t3 = time.perf_counter_ns()
 
         emitted = accepted + [bonus]
@@ -275,7 +270,7 @@ def decode(
             emitted = emitted[:room]
             stop = True
         out.extend(emitted)
-        prefix.extend(emitted)
+        session.extend(emitted)
         records.append(CycleRecord(
             cycle=len(records),
             accepted=len(emitted) - 1,
@@ -296,11 +291,11 @@ def decode(
     draft_ratio = None
     if measure_base:
         for _ in range(2):  # warm the target's lazy caches
-            target.next_dist(prefix, cfg.temperature)
+            session.next_dist(cfg.temperature)
         samples = []
         for _ in range(5):
             b0 = time.perf_counter_ns()
-            target.next_dist(prefix, cfg.temperature)
+            session.next_dist(cfg.temperature)
             samples.append((time.perf_counter_ns() - b0) / 1e6)
         base_ms = _median(samples)
         tau = len(out) / len(records)

@@ -3,7 +3,7 @@
 MarkovTarget is an order-k Markov chain standing in for the target LM: exact
 conditional distributions, deterministic per-context feature rows standing in
 for low/middle/high hidden states side by side, and a frozen token embedding
-table.
+table. `start(prompt)` opens the Session that holds one request's prefix.
 
 ToyDraft realizes the parallel drafting architecture at toy scale: the fused
 feature rows are projected, the projection is joined with
@@ -11,11 +11,11 @@ shifted token embeddings, a learned mask vector fills the future positions,
 and one causal attention layer plus an output head produces logits for all d
 future positions in a single forward pass (row 1 read from the last prefix
 position, the rest from mask positions). Drafting queries only those d
-read-out positions, and a DraftCache keeps one request's keys and values
-between cycles, so a later cycle builds only the positions it adds: it asks
-the target for their feature rows alone, and its cost is O(e + d) rows for
-e emitted tokens plus O(n * d) attention over the n cached keys, with no
-O(n) step left.
+read-out positions, and a DraftCache in the session keeps the request's keys
+and values between cycles, so a later cycle builds only the positions it
+adds: it asks the session for their feature rows alone, and its cost is
+O(e + d) rows for e emitted tokens plus O(n * d) attention over the n cached
+keys, with no O(n) step left.
 """
 
 from __future__ import annotations
@@ -106,6 +106,10 @@ class MarkovTarget:
             self._feats[ctx] = feat
         return feat
 
+    def start(self, prompt) -> Session:
+        """A session on this target holding a copy of `prompt`."""
+        return Session(self, list(prompt))
+
     def next_dist(self, prefix, temperature: float = 1.0) -> np.ndarray:
         return temperature_adjust(self._row(self._context(prefix)), temperature)
 
@@ -167,6 +171,29 @@ class MarkovTarget:
         return self.rollout(prompt, length, lambda row: sample_from(row, rng))
 
 
+class Session:
+    """One request's prefix on a target. `extend` only appends to it, so
+    what the drafter keeps for the request in `draft` stays valid; the other
+    methods ask the target about the current prefix."""
+
+    def __init__(self, target, tokens: list[int]):
+        self.target = target
+        self.tokens = tokens
+        self.draft = None
+
+    def extend(self, tokens) -> None:
+        self.tokens.extend(tokens)
+
+    def features(self, start: int = 0) -> np.ndarray:
+        return self.target.features(self.tokens, start)
+
+    def next_dist(self, temperature: float = 1.0) -> np.ndarray:
+        return self.target.next_dist(self.tokens, temperature)
+
+    def tree_dists(self, tree: DraftTree, temperature: float = 1.0) -> np.ndarray:
+        return self.target.tree_dists(self.tokens, tree, temperature)
+
+
 def _step_buffer(work: dict | None, name: str, shape: tuple) -> np.ndarray:
     """An array of `shape` for a result that overwrites all of it:
     work[name] if it has that shape, else a new array, which work keeps
@@ -191,45 +218,27 @@ def positional_encoding(position_ids) -> np.ndarray:
 
 
 class DraftCache:
-    """One request's drafting keys and values, so that a later cycle
-    projects only the positions it adds.
+    """A ToyDraft's drafting keys and values in `session.draft`, so that a
+    later cycle projects only the positions it adds.
 
-    `tokens` is the prefix of n tokens the rows were built from. Rows of the
-    key and value buffers for positions 0 .. n-2 (shifted drafter, whose
-    last prefix position embeds a freshly drawn token) or 0 .. n-1
-    (unshifted) are final: no later token changes their inputs. The rows
-    past them (that re-embedded position and the mask positions) are
-    rewritten by every call. A buffer that fills is replaced by one twice
-    the size it needs. A prefix that departs from `tokens`, or another
-    drafter, rebuilds the rows from the first difference on: a cache handed
-    the wrong prefix costs time but never changes a logit. One cache serves
-    one request of one target, whose feature rows for the tokens it holds
-    are taken as unchanged, and one drafter whose parameters stay fixed.
+    The first `final` rows are final: positions 0 .. n-2 (shifted drafter,
+    whose last prefix position embeds a freshly drawn token) or 0 .. n-1
+    (unshifted) of the n-token prefix last written. They hold because the
+    session only appends and the drafter's parameters stay fixed. The rows
+    past them are rewritten by every call. A buffer that fills is replaced
+    by one twice the size it needs.
     """
 
-    def __init__(self):
-        self.drafter = None
-        self.tokens: list[int] = []
+    def __init__(self, drafter):
+        self.drafter = drafter
+        self.final = 0
         self.keys = np.empty((0, MODEL_WIDTH))
         self.values = np.empty((0, MODEL_WIDTH))
 
-    def kept(self, drafter, prefix) -> int:
-        """How many leading rows still hold for `drafter` on `prefix`: the
-        final rows whose tokens `prefix` shares."""
-        if drafter is not self.drafter:
-            return 0
-        m = min(len(self.tokens), len(prefix))
-        head, held = list(prefix[:m]), self.tokens[:m]
-        # The held tokens are the prefix's own int objects (int() returns an
-        # int as it is), so a list that matches compares pointers only.
-        same = m if head == held else int(np.argmax(np.asarray(head) != held))
-        # A shifted position i also embeds token i + 1.
-        return max(same - 1, 0) if drafter.shifted else same
-
-    def write(self, drafter, prefix, start: int, k: np.ndarray, v: np.ndarray):
-        """Store rows start .. start + len(k) - 1 for `drafter` on `prefix`,
-        whose tokens agree with the held ones up to `start`; returns the
-        keys and values of every position, 0 .. start + len(k) - 1."""
+    def write(self, start: int, final: int, k: np.ndarray, v: np.ndarray):
+        """Store rows start .. start + len(k) - 1, of which the first `final`
+        of all rows are now final; returns the keys and values of every
+        position, 0 .. start + len(k) - 1."""
         end = start + len(k)
         if end > len(self.keys):
             size = 2 * end
@@ -238,9 +247,7 @@ class DraftCache:
             self.keys, self.values = keys, values
         self.keys[start:end] = k
         self.values[start:end] = v
-        self.drafter = drafter
-        del self.tokens[start:]
-        self.tokens.extend(map(int, prefix[start:]))
+        self.final = final
         return self.keys[:end], self.values[:end]
 
 
@@ -254,11 +261,11 @@ class ToyDraft:
     n + t - 1 (shifted) or n + t (unshifted). Those d read-out positions are
     the last d of the sequence, and drafting computes queries, attention and
     head rows for them alone: each attends to keys 0 .. its own position.
-    The keys and values of earlier positions come from the request's
-    DraftCache, so a cycle that follows e emitted tokens builds and projects
-    the e + d positions past the final ones (and never fewer than two prefix
-    positions), and its cost grows with n only through the O(n * d)
-    attention.
+    The keys and values of earlier positions come from the DraftCache in the
+    request's session, so a cycle that follows e emitted tokens builds and
+    projects the e + d positions past the final ones (and never fewer than
+    two prefix positions), and its cost grows with n only through the
+    O(n * d) attention.
     """
 
     def __init__(self, vocab_size: int, embeddings: np.ndarray, seed: int = 0,
@@ -393,38 +400,40 @@ class ToyDraft:
 
     # -- inference ------------------------------------------------------------
 
-    def predict(self, prefix, target, d: int, *,
-                rng: np.random.Generator, temperature: float = 0.0,
-                cache: DraftCache | None = None) -> ParallelLogits:
+    def predict(self, session: Session, d: int, *,
+                rng: np.random.Generator, temperature: float = 0.0) -> ParallelLogits:
         """One drafting forward: d rows of future-position logits.
 
-        Only the positions past `cache`'s final rows are built and projected,
-        and `target` is asked for the feature rows of those alone; None
-        stands for a fresh cache, which builds them all. The shifted variant
-        embeds at the last prefix position a token drawn from
-        target.next_dist(prefix, temperature); at temperature 0 that
+        Only the positions past the final rows of this drafter's DraftCache
+        in `session.draft` are built and projected, and only their feature
+        rows are asked of the session; a fresh cache builds them all. The
+        shifted variant embeds at the last prefix position a token drawn
+        from session.next_dist(temperature); at temperature 0 that
         conditional is one-hot, so the draw is its argmax.
         """
+        prefix = session.tokens
         n = len(prefix)
         if n < 1:
             raise ConfigError("prefix must be nonempty")
-        cache = DraftCache() if cache is None else cache
+        cache = session.draft
+        if not isinstance(cache, DraftCache) or cache.drafter is not self:
+            cache = session.draft = DraftCache(self)
         n_mask = d - 1 if self.shifted else d
         length = n + n_mask
         # BLAS rounds a one-row product (its matrix-vector kernel) unlike a
         # row of a taller one, so two prefix rows are rebuilt whenever there
         # are two: a row's bits never depend on how many rows share its
         # product, and a cached forward gives the fresh one's logits.
-        start = min(cache.kept(self, prefix), max(n - 2, 0))
+        start = min(cache.final, max(n - 2, 0))
         if self.shifted:
-            nxt = sample_from(target.next_dist(prefix, temperature), rng)
+            nxt = sample_from(session.next_dist(temperature), rng)
             emb = [*prefix[start + 1:n], nxt]
         else:
             emb = prefix[start:n]
-        z = self.build_inputs(target.features(prefix, start)[None],
+        z = self.build_inputs(session.features(start)[None],
                               np.asarray(emb, dtype=np.int64)[None], n_mask,
                               np.arange(start, length))
-        keys, values = cache.write(self, prefix, start,
+        keys, values = cache.write(start, n - 1 if self.shifted else n,
                                    z[0] @ self.params["Wk"], z[0] @ self.params["Wv"])
         # Read-out row j sits at position length - d + j: of the last d - 1
         # keys it sees the first j, and it sees every key before them.
@@ -448,7 +457,8 @@ class ToyDraft:
     def load(cls, path) -> "ToyDraft":
         """Read a file written by save(). A file that is not an array archive,
         lacks an array, or holds one whose shape differs from a freshly built
-        model's, or carries another version, raises ModelFormatError."""
+        model's or that holds a NaN or an infinity, or carries another
+        version, raises ModelFormatError."""
         unreadable = (ValueError, EOFError, zipfile.BadZipFile)
         try:
             data = np.load(path)
@@ -469,6 +479,8 @@ class ToyDraft:
                         f"{path}: array {name!r} is {arr.dtype} of shape {arr.shape}, "
                         f"expected a number array of shape {shape}"
                     )
+                if not np.isfinite(arr).all():
+                    raise ModelFormatError(f"{path}: array {name!r} holds a NaN or an infinity")
                 return arr
 
             version = int(read("version", ()))
@@ -499,8 +511,7 @@ class UniformDrafter:
         self.vocab_size = vocab_size
         self.rng = np.random.Generator(np.random.PCG64(seed))
 
-    def predict(self, prefix, target, d, *, temperature=0.0, rng=None,
-                cache=None) -> ParallelLogits:
+    def predict(self, session, d, *, temperature=0.0, rng=None) -> ParallelLogits:
         return ParallelLogits(self.rng.random((d, self.vocab_size)))
 
 
@@ -519,10 +530,9 @@ class NoisyOracleDrafter:
         self.base = base
         self.rng = np.random.Generator(np.random.PCG64(seed))
 
-    def predict(self, prefix, target, d, *, temperature=0.0, rng=None,
-                cache=None) -> ParallelLogits:
+    def predict(self, session, d, *, temperature=0.0, rng=None) -> ParallelLogits:
         rows = self.rng.standard_normal((d, self.target.vocab_size)) * self.noise
-        for i, tok in enumerate(self.target.rollout(prefix, d, self.pick)):
+        for i, tok in enumerate(self.target.rollout(session.tokens, d, self.pick)):
             rows[i, tok] += self.base
         return ParallelLogits(rows)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError, check_int, check_number
-from .models import DraftCache, MarkovTarget, ToyDraft
+from .models import MarkovTarget, ToyDraft
 from .ngram import LOG_FLOOR
 from .tree import log_softmax
 
@@ -303,22 +303,22 @@ def evaluate_alpha(drafter, target: MarkovTarget,
     quantity that controls greedy-decode acceptance). Works with anything
     exposing the predict() drafting interface; drafting runs at temperature 0,
     so the seeded generator it is handed never changes a row. A sequence's
-    prefixes grow one token at a time, so they share one drafting cache: a
-    drafter that keeps its rows there builds each prefix's new positions
-    alone, and only the d read-out rows' attention still grows with the
-    prefix.
+    prefixes are one session, extended a token at a time: a drafter that
+    keeps its rows there builds each prefix's new positions alone, and only
+    the d read-out rows' attention still grows with the prefix.
     """
     check_int("d", d, minimum=1)
     rng = np.random.Generator(np.random.PCG64(0))
     hits = np.zeros(d)
     total = 0
     for seq in sequences:
-        cache = DraftCache()
+        session = target.start(seq[:1])
         for g in range(1, len(seq) - d):
-            prefix = seq[: g + 1]
-            rows = drafter.predict(prefix, target, d, rng=rng, cache=cache).rows
+            session.extend(seq[g:g + 1])
+            rows = drafter.predict(session, d, rng=rng).rows
             preds = np.argmax(rows, axis=1)
-            truth = target.greedy_chain(prefix, d) if vs_greedy else seq[g + 1: g + 1 + d]
+            truth = (target.greedy_chain(session.tokens, d) if vs_greedy
+                     else seq[g + 1: g + 1 + d])
             for t in range(d):
                 hits[t] += preds[t] == truth[t]
             total += 1

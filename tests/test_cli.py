@@ -493,6 +493,19 @@ def test_toy_drafter_misshapen_model_file_exits_3(tmp_path, config_file, capsys)
     assert "W_head" in err and "Traceback" not in err
 
 
+def test_toy_drafter_model_file_with_nan_weight_exits_3(tmp_path, config_file, capsys):
+    path = tmp_path / "toy.npz"
+    ToyDraft(16, MarkovTarget(7, 16, 2).embeddings).save(path)
+    data = dict(np.load(path))
+    data["Wq"][3, 5] = np.nan
+    np.savez(path, **data)
+    cfg = config_file(paths={"model": str(path)})
+    rc = main(["decode", "--config", cfg, "--drafter", "toy", "--prompt-tokens", "1 2"])
+    assert rc == EXIT_IO
+    err = capsys.readouterr().err
+    assert "'Wq'" in err and "NaN" in err and "Traceback" not in err
+
+
 def test_estimate_speedup_command(capsys):
     rc = main(["estimate-speedup", "--tau", "4", "--t-verify", "10",
                "--t-draft", "0", "--t-prune", "0", "--t-base", "10"])

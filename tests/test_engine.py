@@ -21,6 +21,7 @@ from specdraft.models import (
     UniformDrafter,
 )
 from specdraft.ngram import NgramTrie, build_trie
+from specdraft.training import evaluate_alpha
 from specdraft.tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, prune
 
 from oracles import argmax_rollout, exactness_check
@@ -44,9 +45,9 @@ def small_cfg(**kw):
 def test_verify_accepts_greedy_chain(target):
     prefix = [1, 2]
     cfg = small_cfg()
-    logits = OracleDrafter(target).predict(prefix, None, 3)
+    logits = OracleDrafter(target).predict(target.start(prefix), 3)
     tree = prune(logits, None, cfg.prune, prefix)
-    accepted, bonus = verify(tree, prefix, target, 0.0, np.random.default_rng(0))
+    accepted, bonus = verify(tree, target.start(prefix), 0.0, np.random.default_rng(0))
     chain = target.greedy_chain(prefix, 4)
     assert accepted == chain[:3]
     assert bonus == chain[3]
@@ -57,7 +58,7 @@ def test_verify_immediate_mismatch(target):
     best = int(np.argmax(target.next_dist(prefix, 0.0)))
     wrong = (best + 1) % target.vocab_size
     tree = DraftTree(parent=[ROOT_ID], token=[wrong], level=[0], score=[-0.5])
-    accepted, bonus = verify(tree, prefix, target, 0.0, np.random.default_rng(0))
+    accepted, bonus = verify(tree, target.start(prefix), 0.0, np.random.default_rng(0))
     assert accepted == []
     assert bonus == best
 
@@ -72,7 +73,7 @@ def test_verify_full_support_always_descends(target):
     tree = prune(ParallelLogits(rows), None, cfg, prefix)
     rng = np.random.default_rng(1)
     for _ in range(40):
-        accepted, bonus = verify(tree, prefix, target, 1.0, rng)
+        accepted, bonus = verify(tree, target.start(prefix), 1.0, rng)
         assert len(accepted) == 2
         assert 0 <= bonus < V
 
@@ -89,13 +90,14 @@ def test_verify_tries_children_in_tree_order(target):
                          score=[-0.1, -0.2])
         for seed in range(30):
             draw = np.random.default_rng(seed).random()
-            accepted, _ = verify(tree, prefix, target, 1.0, np.random.default_rng(seed))
+            accepted, _ = verify(tree, target.start(prefix), 1.0,
+                                 np.random.default_rng(seed))
             assert (accepted == [first]) == (draw < dist[first] / float(dist.sum()))
 
 
 def test_verify_rejects_empty_tree(target):
     with pytest.raises(ConfigError):
-        verify(DraftTree([], [], [], []), [0], target, 0.0, np.random.default_rng(0))
+        verify(DraftTree([], [], [], []), target.start([0]), 0.0, np.random.default_rng(0))
 
 
 # -- decode -----------------------------------------------------------------------
@@ -377,6 +379,43 @@ def test_decode_cycle_makes_one_target_call_and_one_trie_call_per_level(monkeypa
         _, metrics = decode([1, 2], target, drafter, trie, cfg, measure_base=False)
         assert metrics.cycles > 1
         assert calls == {"tree_dists": metrics.cycles, "key_scores": cfg.d * metrics.cycles}
+
+
+def test_one_session_per_request_or_sequence(monkeypatch):
+    # decode and baseline_decode start one session per request, and
+    # evaluate_alpha one per held-out sequence; every later call extends it.
+    starts = []
+    start = MarkovTarget.start
+
+    def counted(self, prompt):
+        starts.append(list(prompt))
+        return start(self, prompt)
+
+    monkeypatch.setattr(MarkovTarget, "start", counted)
+    target = MarkovTarget(21, 16, 2, concentration=0.3)
+    prompts = [[1, 2], [3], [4, 5, 6]]
+    for drafter in (NoisyOracleDrafter(target, seed=1), ToyDraft(16, target.embeddings, seed=1)):
+        starts.clear()
+        for prompt in prompts:
+            _, metrics = decode(prompt, target, drafter, None, small_cfg(max_tokens=20))
+            assert metrics.cycles > 1
+        assert starts == prompts
+    starts.clear()
+    for prompt in prompts:
+        baseline_decode(prompt, target, 20, temperature=1.0)
+    assert starts == prompts
+    starts.clear()
+    sequences = [target.sample_sequence(np.random.default_rng(i), 12) for i in range(3)]
+    evaluate_alpha(ToyDraft(16, target.embeddings, seed=1), target, sequences, 3)
+    assert starts == [seq[:1] for seq in sequences]
+
+
+@pytest.mark.parametrize("width", [7, 9, 100])
+def test_decode_rejects_a_drafter_of_another_width(target, width):
+    # V = 8: logit rows wider or narrower than the target's vocabulary
+    # are a configuration error, before any tree is pruned or verified.
+    with pytest.raises(ConfigError, match=f"{width} wide.*vocab_size 8"):
+        decode([1, 2], target, UniformDrafter(width, seed=0), None, small_cfg())
 
 
 # -- speedup model -------------------------------------------------------------------

@@ -9,7 +9,6 @@ from specdraft.models import (
     CHAIN_LOGIT,
     FEAT_WIDTH,
     AdversarialDrafter,
-    DraftCache,
     MarkovTarget,
     NoisyOracleDrafter,
     OracleDrafter,
@@ -206,7 +205,7 @@ def test_single_forward_per_predict(target, model, monkeypatch, rng):
     monkeypatch.setattr(model, "forward_core", counted)
     for d in (1, 4):
         calls.clear()
-        model.predict([1, 2, 3], target, d, rng=rng)
+        model.predict(target.start([1, 2, 3]), d, rng=rng)
         assert len(calls) == 1
 
 
@@ -224,7 +223,7 @@ def test_forward_matches_per_row_attention_oracle(shifted, d, n):
     model = ToyDraft(16, target.embeddings, seed=5, shifted=shifted)
     prefix = [int(x) for x in np.random.default_rng(n).integers(0, 16, size=n)]
     emb_tokens = prefix[1:] + [3] if shifted else prefix
-    rows = model.predict(prefix, target, d, rng=np.random.default_rng(0), cache=DraftCache()).rows
+    rows = model.predict(target.start(prefix), d, rng=np.random.default_rng(0)).rows
     expect = readout_attention(model.params, target.embeddings, target.features(prefix),
                                emb_tokens, d, shifted)
     assert rows.shape == (d, 16)
@@ -236,10 +235,10 @@ def test_predict_memory_stays_linear_in_prefix(rng):
     # matrix (134 MB); the d read-out rows need a few MB.
     target = MarkovTarget(9, 64, 2)
     model = ToyDraft(64, target.embeddings, seed=2)
-    prefix = [int(x) for x in np.random.default_rng(0).integers(0, 64, size=4096)]
+    session = target.start(int(x) for x in np.random.default_rng(0).integers(0, 64, size=4096))
     tracemalloc.start()
     try:
-        model.predict(prefix, target, 8, rng=rng)
+        model.predict(session, 8, rng=rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -247,16 +246,16 @@ def test_predict_memory_stays_linear_in_prefix(rng):
 
 
 def test_predict_shape_and_d1_boundary(target, model, rng):
-    logits = model.predict([1, 2, 3], target, 1, rng=rng)
+    logits = model.predict(target.start([1, 2, 3]), 1, rng=rng)
     assert logits.rows.shape == (1, 8)
-    logits5 = model.predict([1, 2, 3], target, 5, rng=rng)
+    logits5 = model.predict(target.start([1, 2, 3]), 5, rng=rng)
     assert logits5.rows.shape == (5, 8)
 
 
 def test_causal_extension_leaves_earlier_rows_unchanged(target, model, rng):
     # Appending more mask positions must not change earlier output rows.
-    short = model.predict([1, 2, 3], target, 2, rng=rng).rows
-    long = model.predict([1, 2, 3], target, 5, rng=rng).rows
+    short = model.predict(target.start([1, 2, 3]), 2, rng=rng).rows
+    long = model.predict(target.start([1, 2, 3]), 5, rng=rng).rows
     assert np.allclose(short, long[:2], atol=1e-12)
 
 
@@ -264,8 +263,8 @@ def test_prefix_perturbation_does_not_leak_backwards(target, model, rng):
     # Changing the prefix changes outputs only through attention over visible
     # positions: with d masks appended, the mask rows may change, but an
     # identical shared prefix forward is bitwise reproducible.
-    a = model.predict([1, 2, 3], target, 3, rng=rng).rows
-    b = model.predict([1, 2, 3], target, 3, rng=rng).rows
+    a = model.predict(target.start([1, 2, 3]), 3, rng=rng).rows
+    b = model.predict(target.start([1, 2, 3]), 3, rng=rng).rows
     assert np.array_equal(a, b)
 
 
@@ -281,7 +280,7 @@ def test_shifted_read_position_alignment(target):
     feats = target.features(prefix)
     nxt = int(np.argmax(target.next_dist(prefix)))
     emb_tokens = prefix[1:] + [nxt]
-    rows = model.predict(prefix, target, d, rng=np.random.default_rng(0), cache=DraftCache()).rows
+    rows = model.predict(target.start(prefix), d, rng=np.random.default_rng(0)).rows
     oracle = readout_attention(model.params, target.embeddings, feats, emb_tokens, d, True)
     assert np.max(np.abs(rows - oracle)) < 1e-12
 
@@ -302,7 +301,7 @@ def test_unshifted_reads_mask_positions(target, rng):
     model.params["Wv"][:] = 0.0
     prefix = [1, 2, 3]
     n, d = len(prefix), 2
-    rows = model.predict(prefix, target, d, rng=rng).rows
+    rows = model.predict(target.start(prefix), d, rng=rng).rows
     g = target.features(prefix) @ model.params["W_in"]
     e = target.embeddings[np.asarray(prefix)]
     z = np.concatenate([
@@ -320,17 +319,16 @@ def test_predict_requires_rng_when_sampling(target, model, rng):
     # argmax of the target conditional whatever the generator yields.
     for temperature in (0.0, 1.0):
         with pytest.raises(TypeError):
-            model.predict([1, 2], target, 2, temperature=temperature)
-        out = model.predict([1, 2], target, 2, temperature=temperature, rng=rng)
+            model.predict(target.start([1, 2]), 2, temperature=temperature)
+        out = model.predict(target.start([1, 2]), 2, temperature=temperature, rng=rng)
         assert out.rows.shape == (2, 8)
     nxt = int(np.argmax(target.next_dist([1, 2])))
-    greedy = model.predict([1, 2], target, 2, rng=np.random.default_rng(99),
-                           cache=DraftCache()).rows
+    greedy = model.predict(target.start([1, 2]), 2, rng=np.random.default_rng(99)).rows
     oracle = readout_attention(model.params, target.embeddings, target.features([1, 2]),
                                [2, nxt], 2, True)
     assert np.max(np.abs(greedy - oracle)) < 1e-12
     for seed in range(5):
-        out = model.predict([1, 2], target, 2, rng=np.random.default_rng(seed))
+        out = model.predict(target.start([1, 2]), 2, rng=np.random.default_rng(seed))
         assert np.array_equal(out.rows, greedy)
 
 
@@ -355,25 +353,36 @@ CACHE_CASES = [(shifted, d, prompt_len)
                for shifted in (True, False) for d in (1, 3, 8) for prompt_len in (1, 6)]
 
 
+def _grown(target, prefixes):
+    """One session extended through `prefixes`, by one or more tokens at a
+    time: yields (i, session) with session.tokens equal to prefixes[i]."""
+    session = target.start(prefixes[0])
+    for i, prefix in enumerate(prefixes):
+        session.extend(prefix[len(session.tokens):])
+        assert session.tokens == prefix
+        yield i, session
+
+
 @pytest.mark.parametrize("shifted, d, prompt_len", CACHE_CASES)
 def test_cached_logits_equal_fresh_cache_bit_for_bit(shifted, d, prompt_len):
+    # A session grown cycle by cycle drafts what a session started on its
+    # whole prefix drafts.
     target, model, prefixes = _cycles(shifted, d, prompt_len)
-    cache = DraftCache()
-    for i, prefix in enumerate(prefixes):
+    for i, session in _grown(target, prefixes):
         for temperature in (0.0, 1.0):
-            cached = model.predict(prefix, target, d, rng=np.random.default_rng(i),
-                                   temperature=temperature, cache=cache).rows
-            fresh = model.predict(prefix, target, d, rng=np.random.default_rng(i),
+            grown = model.predict(session, d, rng=np.random.default_rng(i),
                                   temperature=temperature).rows
-            assert np.array_equal(cached, fresh), (i, temperature)
+            fresh = model.predict(target.start(prefixes[i]), d, rng=np.random.default_rng(i),
+                                  temperature=temperature).rows
+            assert np.array_equal(grown, fresh), (i, temperature)
 
 
 @pytest.mark.parametrize("shifted, d, prompt_len", CACHE_CASES)
 def test_cached_logits_match_readout_attention(shifted, d, prompt_len):
     target, model, prefixes = _cycles(shifted, d, prompt_len, seed=1)
-    cache = DraftCache()
-    for prefix in prefixes:
-        rows = model.predict(prefix, target, d, rng=np.random.default_rng(0), cache=cache).rows
+    for _, session in _grown(target, prefixes):
+        rows = model.predict(session, d, rng=np.random.default_rng(0)).rows
+        prefix = session.tokens
         emb_tokens = prefix[1:] + [int(np.argmax(target.next_dist(prefix)))] if shifted else prefix
         expect = readout_attention(model.params, target.embeddings, target.features(prefix),
                                    emb_tokens, d, shifted)
@@ -383,30 +392,16 @@ def test_cached_logits_match_readout_attention(shifted, d, prompt_len):
 @pytest.mark.parametrize("shifted", [True, False])
 @pytest.mark.parametrize("d", [1, 4])
 def test_cache_reused_on_another_prefix_gives_the_fresh_result(shifted, d):
+    # Two drafters take turns on one growing session: each finds the other's
+    # cache in session.draft, starts its own, and drafts the fresh result.
     target, model, prefixes = _cycles(shifted, d, 20, seed=2)
-    long = prefixes[-1]
-    gen = np.random.default_rng(3)
-    others = [
-        [int(x) for x in gen.integers(0, 16, size=len(long))],  # unrelated
-        long[:7],                                                # shorter
-        long[:1],
-        long[:12] + [(long[12] + 1) % 16] + long[13:],           # departs midway
-        long[:-1] + [(long[-1] + 1) % 16],                       # departs at the end
-        long,                                                    # the same again
-    ]
-    for other in others:
-        cache = DraftCache()
-        model.predict(long, target, d, rng=np.random.default_rng(0), cache=cache)
-        reused = model.predict(other, target, d, rng=np.random.default_rng(0), cache=cache).rows
-        fresh = model.predict(other, target, d, rng=np.random.default_rng(0)).rows
-        assert np.array_equal(reused, fresh)
-    # A cache filled by another drafter starts over as well.
-    cache = DraftCache()
-    other_model = ToyDraft(16, target.embeddings, seed=6, shifted=shifted)
-    other_model.predict(long, target, d, rng=np.random.default_rng(0), cache=cache)
-    reused = model.predict(long, target, d, rng=np.random.default_rng(0), cache=cache).rows
-    assert np.array_equal(reused, model.predict(long, target, d,
-                                                rng=np.random.default_rng(0)).rows)
+    other = ToyDraft(16, target.embeddings, seed=6, shifted=shifted)
+    for i, session in _grown(target, prefixes):
+        for drafter in ((model, other) if i % 2 else (other, model)):
+            reused = drafter.predict(session, d, rng=np.random.default_rng(0)).rows
+            fresh = drafter.predict(target.start(prefixes[i]), d,
+                                    rng=np.random.default_rng(0)).rows
+            assert np.array_equal(reused, fresh), (i, drafter is model)
 
 
 @pytest.mark.parametrize("shifted, d, prompt_len", CACHE_CASES)
@@ -422,13 +417,12 @@ def test_later_cycle_projects_only_its_new_positions(shifted, d, prompt_len, mon
 
     monkeypatch.setattr(model, "build_inputs", counted)
     n_mask = d - 1 if shifted else d
-    cache = DraftCache()
-    for i, prefix in enumerate(prefixes):
-        model.predict(prefix, target, d, rng=np.random.default_rng(0), cache=cache)
+    for i, session in _grown(target, prefixes):
+        model.predict(session, d, rng=np.random.default_rng(0))
         if i == 0:
-            assert built[-1] == len(prefix) + n_mask
+            assert built[-1] == len(prefixes[0]) + n_mask
             continue
-        emitted = len(prefix) - len(prefixes[i - 1])
+        emitted = len(prefixes[i]) - len(prefixes[i - 1])
         # Shifted: the emitted positions, the re-embedded last one and the
         # masks. Unshifted: the emitted ones and the masks, but never fewer
         # than two prefix positions.
@@ -448,9 +442,10 @@ def test_decode_transcripts_match_a_drafter_without_cache(temperature):
         def __init__(self, keep_cache):
             self.keep_cache, self.rows = keep_cache, []
 
-        def predict(self, prefix, target, d, *, rng, temperature=0.0, cache=None):
-            out = model.predict(prefix, target, d, rng=rng, temperature=temperature,
-                                cache=cache if self.keep_cache else None)
+        def predict(self, session, d, *, rng, temperature=0.0):
+            if not self.keep_cache:
+                session = target.start(session.tokens)
+            out = model.predict(session, d, rng=rng, temperature=temperature)
             self.rows.append(out.rows)
             return out
 
@@ -474,8 +469,8 @@ def test_model_save_load_round_trip(tmp_path, target, model, rng):
     model.save(p)
     loaded = ToyDraft.load(p)
     assert loaded.shifted == model.shifted
-    assert np.array_equal(model.predict([1, 2, 3], target, 3, rng=rng).rows,
-                          loaded.predict([1, 2, 3], target, 3, rng=rng).rows)
+    assert np.array_equal(model.predict(target.start([1, 2, 3]), 3, rng=rng).rows,
+                          loaded.predict(target.start([1, 2, 3]), 3, rng=rng).rows)
 
 
 def test_model_load_rejects_other_version(tmp_path, target, model):
@@ -498,6 +493,19 @@ def _rewrite_model(path, **changes):
     np.savez(path, **data)
 
 
+def _with(arr, index, value):
+    arr[index] = value
+    return arr
+
+
+def _described(value):
+    if value is None:
+        return "missing"
+    if value.dtype.kind == "f" and not np.isfinite(value).all():
+        return "non-finite"
+    return value.shape
+
+
 @pytest.mark.parametrize("changes", [
     {"W_head": np.zeros((3, 3))},
     {"b_head": np.zeros(9)},
@@ -509,7 +517,10 @@ def _rewrite_model(path, **changes):
     {"vocab_size": np.int64(9)},
     {"Wk": np.array(["a"] * 24 * 24).reshape(24, 24)},
     {"Wv": np.empty((24, 24), dtype=object)},
-], ids=lambda c: ",".join(f"{k}={'missing' if v is None else v.shape}" for k, v in c.items()))
+    {"Wq": _with(np.zeros((24, 24)), (3, 5), np.nan)},
+    {"b_head": _with(np.zeros(8), 2, np.inf)},
+    {"embeddings": _with(np.zeros((8, 8)), (7, 0), np.nan)},
+], ids=lambda c: ",".join(f"{k}={_described(v)}" for k, v in c.items()))
 def test_model_load_rejects_malformed_arrays(tmp_path, model, changes):
     p = tmp_path / "m.npz"
     model.save(p)
@@ -547,7 +558,7 @@ def _chain_rows(chain, vocab_size, value, noise=None):
 def test_oracle_argmax_matches_greedy_chain(target):
     drafter = OracleDrafter(target)
     prefix = [3, 1]
-    rows = drafter.predict(prefix, None, 5).rows
+    rows = drafter.predict(target.start(prefix), 5).rows
     chain = target.greedy_chain(prefix, 5)
     assert list(np.argmax(rows, axis=1)) == chain
     assert np.array_equal(rows, _chain_rows(chain, target.vocab_size, CHAIN_LOGIT))
@@ -556,7 +567,7 @@ def test_oracle_argmax_matches_greedy_chain(target):
 def test_adversarial_argmax_matches_argmin_chain(target):
     drafter = AdversarialDrafter(target)
     prefix = [3, 1]
-    rows = drafter.predict(prefix, None, 4).rows
+    rows = drafter.predict(target.start(prefix), 4).rows
     chain = target.rollout(prefix, 4, np.argmin)
     assert list(np.argmax(rows, axis=1)) == chain
     assert np.array_equal(rows, _chain_rows(chain, target.vocab_size, CHAIN_LOGIT))
@@ -565,17 +576,17 @@ def test_adversarial_argmax_matches_argmin_chain(target):
 def test_uniform_drafter_seeded_stream(target):
     a = UniformDrafter(8, seed=5)
     b = UniformDrafter(8, seed=5)
-    assert np.array_equal(a.predict([0], None, 3).rows, b.predict([0], None, 3).rows)
+    session = target.start([0])
+    assert np.array_equal(a.predict(session, 3).rows, b.predict(session, 3).rows)
     # stream advances call to call
-    assert not np.array_equal(a.predict([0], None, 3).rows,
-                              b.predict([0], None, 3).rows[:0:-1])
+    assert not np.array_equal(a.predict(session, 3).rows, b.predict(session, 3).rows[:0:-1])
 
 
 def test_noisy_oracle_keeps_chain_in_topk(target):
     drafter = NoisyOracleDrafter(target, noise=0.5, base=2.0, seed=0)
     prefix = [2, 2]
     chain = target.greedy_chain(prefix, 4)
-    rows = drafter.predict(prefix, None, 4).rows
+    rows = drafter.predict(target.start(prefix), 4).rows
     for i, tok in enumerate(chain):
         top3 = np.argsort(-rows[i])[:3]
         assert tok in top3

@@ -35,9 +35,11 @@ def test_script_runs(script, args):
 def test_transcript_digest_repeats():
     # The digest is the bit-identity check for refactors, so two runs agree.
     args = ["--requests", "1", "--long-prompt", "64"]
-    first = _run("transcript_digest.py", args).split()
-    assert first == _run("transcript_digest.py", args).split()
-    assert len(first[0]) == 64
+    first = _run("transcript_digest.py", args).splitlines()
+    assert first == _run("transcript_digest.py", args).splitlines()
+    digests = [line.split()[0] for line in first]
+    assert len(digests) == 3
+    assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests)
 
 
 def _bench_snapshot():

@@ -280,7 +280,7 @@ def _alpha_per_prefix(drafter, target, sequences, d, vs_greedy):
     for seq in sequences:
         for g in range(1, len(seq) - d):
             prefix = seq[: g + 1]
-            rows = drafter.predict(prefix, target, d, rng=np.random.default_rng(0)).rows
+            rows = drafter.predict(target.start(prefix), d, rng=np.random.default_rng(0)).rows
             truth = target.greedy_chain(prefix, d) if vs_greedy else seq[g + 1: g + 1 + d]
             hits += np.argmax(rows, axis=1) == truth
             total += 1
