@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Three SHA-256 digests over a fixed set of decodes and over evaluate_alpha.
+"""Four SHA-256 digests over a fixed set of decodes, evaluate_alpha and training.
 
 A refactor that must not change any output prints the same digests before
 and after it. The decodes cover a V=64 target with short prompts, a V=256
@@ -13,8 +13,11 @@ parameters, the training batch's features and evaluate_alpha against the
 data and against the greedy chain. The second digest covers the same
 decodes with the reference drafters: OracleDrafter, AdversarialDrafter and
 UniformDrafter. The third covers baseline_decode's transcripts of the same
-prompts at T=0 and T=1, with the same seeds. Targets, tries and drafters are
-built in process, so nothing needs preparing.
+prompts at T=0 and T=1, with the same seeds. The fourth covers training at
+the benchmark's train shape (16 sequences of 24 tokens, V=64, d=8, 25
+steps), shifted and unshifted: every logged loss, the final parameters and
+one batch_loss's loss and grads on each trained model. Targets, tries and
+drafters are built in process, so nothing needs preparing.
 
     PYTHONPATH=src python scripts/transcript_digest.py --seed 1
 """
@@ -34,12 +37,18 @@ from specdraft.models import (
     UniformDrafter,
 )
 from specdraft.ngram import build_trie
-from specdraft.training import build_training_batch, evaluate_alpha, train_toy_draft
+from specdraft.training import (
+    batch_loss,
+    build_training_batch,
+    evaluate_alpha,
+    train_toy_draft,
+)
 from specdraft.tree import PruneConfig
 
 D = 8
 PRUNE = PruneConfig(k=25, w=20, theta=59)
 MAX_TOKENS = 48
+TRAIN_SEQUENCES, TRAIN_LENGTH, TRAIN_STEPS = 16, 24, 25
 
 
 class Digest:
@@ -93,6 +102,25 @@ def baseline_all(digest, target, prompts, seed):
                                         temperature=temperature, seed=seed + i))
 
 
+def training_all(digest, target, seed):
+    """Train on a fresh corpus at the benchmark's train shape, shifted and
+    unshifted, hashing the log, the final parameters and one batch_loss."""
+    rng = np.random.default_rng([seed, target.vocab_size, 2])
+    corpus = [target.sample_sequence(rng, TRAIN_LENGTH) for _ in range(TRAIN_SEQUENCES)]
+    for shifted in (True, False):
+        log = []
+        model = train_toy_draft(target, corpus, 0.6, D, steps=TRAIN_STEPS, lr=0.1, seed=seed,
+                                shifted=shifted, log=log)
+        digest.floats([r.loss for r in log])
+        batch = build_training_batch(target, corpus, D, 0.6, shifted=shifted)
+        loss, grads, floored = batch_loss(model, batch)
+        digest.floats([loss])
+        digest.ints([floored])
+        for name in sorted(model.params):
+            digest.floats(model.params[name])
+            digest.floats(grads[name])
+
+
 def system(digest, seed, vocab_size):
     """(target, trie, trained toy drafter, held-out sequences) of one vocabulary."""
     target = MarkovTarget(seed, vocab_size, 2, concentration=0.3)
@@ -115,7 +143,7 @@ def main(argv=None):
                     help="length of the long-context prompts")
     args = ap.parse_args(argv)
 
-    digest, reference, baseline = Digest(), Digest(), Digest()
+    digest, reference, baseline, training = Digest(), Digest(), Digest(), Digest()
     for vocab_size in (64, 256):
         target, trie, model, heldout = system(digest, args.seed, vocab_size)
         drafters = [("toy", lambda s: model),
@@ -131,11 +159,14 @@ def main(argv=None):
                       ("uniform", lambda s: UniformDrafter(vocab_size, seed=s))]
         decode_all(reference, target, trie, references, prompts, args.seed)
         baseline_all(baseline, target, prompts, args.seed)
+        if vocab_size == 64:
+            training_all(training, target, args.seed)
         for vs_greedy in (False, True):
             digest.floats(evaluate_alpha(model, target, heldout, D, vs_greedy=vs_greedy))
     print(f"{digest.sha.hexdigest()}  ({digest.trees} trees)")
     print(f"{reference.sha.hexdigest()}  ({reference.trees} trees, reference drafters)")
     print(f"{baseline.sha.hexdigest()}  (baseline_decode)")
+    print(f"{training.sha.hexdigest()}  (training)")
 
 
 if __name__ == "__main__":

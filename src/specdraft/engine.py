@@ -202,7 +202,9 @@ def baseline_decode(
     seed: int = 0,
     eos_token: int | None = None,
 ) -> list[int]:
-    """Plain autoregressive decoding (the reference for losslessness checks)."""
+    """Plain autoregressive decoding (the reference for losslessness checks).
+    Its arguments are checked as DecodeConfig checks them."""
+    DecodeConfig(max_tokens=max_tokens, temperature=temperature, seed=seed, eos_token=eos_token)
     rng = np.random.Generator(np.random.PCG64(seed))
     session = target.start(_check_tokens(prompt, eos_token, target.vocab_size))
     out: list[int] = []

@@ -24,7 +24,7 @@ import zipfile
 
 import numpy as np
 
-from .errors import ConfigError, ModelFormatError
+from .errors import ConfigError, ModelFormatError, check_number
 from .tree import DraftTree, ParallelLogits
 
 FEAT_WIDTH = 8       # width of each of the three feature vectors
@@ -39,6 +39,7 @@ def temperature_adjust(dist: np.ndarray, temperature: float) -> np.ndarray:
     """p^(1/T) renormalized over the last axis; T = 0 collapses each row to its
     argmax (lowest ID on ties). An (n, V) matrix gives the same bits per row
     as n calls on its rows."""
+    check_number("temperature", temperature)
     if temperature < 0:
         raise ConfigError(f"temperature must be >= 0, got {temperature}")
     if temperature == 0:
@@ -194,18 +195,6 @@ class Session:
         return self.target.tree_dists(self.tokens, tree, temperature)
 
 
-def _step_buffer(work: dict | None, name: str, shape: tuple) -> np.ndarray:
-    """An array of `shape` for a result that overwrites all of it:
-    work[name] if it has that shape, else a new array, which work keeps
-    under `name` for the next call."""
-    buf = None if work is None else work.get(name)
-    if buf is None or buf.shape != shape:
-        buf = np.empty(shape)
-        if work is not None:
-            work[name] = buf
-    return buf
-
-
 def positional_encoding(position_ids) -> np.ndarray:
     """Fixed sinusoidal encoding of the given (possibly repeated) position ids."""
     ids = np.asarray(position_ids, dtype=np.float64)[:, None]
@@ -314,8 +303,7 @@ class ToyDraft:
         return z + self._pe_table[ids][None, :, :]
 
     def forward_core(self, z: np.ndarray, attn_mask: np.ndarray, rows=slice(None),
-                     kv: tuple[np.ndarray, np.ndarray] | None = None,
-                     work: dict | None = None):
+                     kv: tuple[np.ndarray, np.ndarray] | None = None):
         """One masked attention layer with residual, then the head, for the
         query rows `rows` of z.
 
@@ -325,19 +313,15 @@ class ToyDraft:
         `rows` is a slice or an array of distinct positions. attn_mask has one
         row per query row and one column per key, or fewer columns, which
         then cover the last keys: every query row sees the keys before them.
-        `work` is a dict that keeps the full-size attention arrays of this
-        call, and of the backward_core call on its cache, for the next call
-        handed the same dict, which rewrites them: the cache holds until
-        then. Without it each call makes its own. Returns (logits (B, R, V)
-        for the R query rows, cache for backward_core).
+        Returns (logits (B, R, V) for the R query rows, cache for
+        backward_core).
         """
         p = self.params
         scale = 1.0 / np.sqrt(MODEL_WIDTH)
         zq = z[:, rows]
         q = zq @ p["Wq"]
         k, v = (z @ p["Wk"], z @ p["Wv"]) if kv is None else kv
-        s = np.matmul(q, k.transpose(0, 2, 1),
-                      out=_step_buffer(work, "scores", (*q.shape[:-1], k.shape[-2])))
+        s = q @ k.transpose(0, 2, 1)
         s *= scale
         # Hidden scores are -1e30 for the row max, then 0 through the exp and
         # back to 0 after it: exp(-1e30) is 0 as well, but takes a slow path.
@@ -353,7 +337,7 @@ class ToyDraft:
         logits = y @ p["W_head"]
         logits += p["b_head"]
         cache = {"z": z, "zq": zq, "rows": rows, "q": q, "k": k, "v": v, "attn": attn,
-                 "y": y, "scale": scale, "work": work}
+                 "y": y, "scale": scale}
         return logits, cache
 
     def backward_core(self, cache: dict, dlogits: np.ndarray,
@@ -368,7 +352,7 @@ class ToyDraft:
         p = self.params
         z, zq, rows, q, k, v = (cache["z"], cache["zq"], cache["rows"],
                                 cache["q"], cache["k"], cache["v"])
-        attn, y, scale, work = cache["attn"], cache["y"], cache["scale"], cache["work"]
+        attn, y, scale = cache["attn"], cache["y"], cache["scale"]
 
         grads = {}
         grads["W_head"] = np.tensordot(y, dlogits, axes=([0, 1], [0, 1]))
@@ -377,9 +361,8 @@ class ToyDraft:
         dctx = dy
         dv = attn.transpose(0, 2, 1) @ dctx
         # ds = attn * (dattn - rowsum(dattn * attn)) * scale, built in dattn.
-        dattn = np.matmul(dctx, v.transpose(0, 2, 1), out=_step_buffer(work, "dattn", attn.shape))
-        dattn_attn = np.multiply(dattn, attn, out=_step_buffer(work, "dattn_attn", attn.shape))
-        dattn -= dattn_attn.sum(axis=-1, keepdims=True)
+        dattn = dctx @ v.transpose(0, 2, 1)
+        dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
         dattn *= attn
         ds = np.multiply(dattn, scale, out=dattn)
         dq = ds @ k
@@ -457,8 +440,9 @@ class ToyDraft:
     def load(cls, path) -> "ToyDraft":
         """Read a file written by save(). A file that is not an array archive,
         lacks an array, or holds one whose shape differs from a freshly built
-        model's or that holds a NaN or an infinity, or carries another
-        version, raises ModelFormatError."""
+        model's or that holds a NaN or an infinity, or whose version,
+        vocab_size or shifted is not an integer, or that carries another
+        version or a shifted other than 0 or 1, raises ModelFormatError."""
         unreadable = (ValueError, EOFError, zipfile.BadZipFile)
         try:
             data = np.load(path)
@@ -467,33 +451,34 @@ class ToyDraft:
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ModelFormatError(f"{path}: a single array, not a model file")
         with data:
-            def read(name: str, shape: tuple) -> np.ndarray:
+            def read(name: str, shape: tuple, integer: bool = False) -> np.ndarray:
                 if name not in data.files:
                     raise ModelFormatError(f"{path}: missing array {name!r}")
                 try:
                     arr = data[name]
                 except unreadable as exc:  # e.g. a pickled object array
                     raise ModelFormatError(f"{path}: array {name!r} unreadable ({exc})") from exc
-                if arr.shape != shape or arr.dtype.kind not in "iuf":
+                kinds, what = ("iu", "an integer") if integer else ("iuf", "a number")
+                if arr.shape != shape or arr.dtype.kind not in kinds:
                     raise ModelFormatError(
                         f"{path}: array {name!r} is {arr.dtype} of shape {arr.shape}, "
-                        f"expected a number array of shape {shape}"
+                        f"expected {what} array of shape {shape}"
                     )
                 if not np.isfinite(arr).all():
                     raise ModelFormatError(f"{path}: array {name!r} holds a NaN or an infinity")
                 return arr
 
-            version = int(read("version", ()))
+            version = int(read("version", (), integer=True))
             if version != MODEL_FILE_VERSION:
                 raise ModelFormatError(
                     f"{path}: model file version {version}, expected {MODEL_FILE_VERSION}"
                 )
-            vocab_size = int(read("vocab_size", ()))
-            model = cls(
-                vocab_size,
-                read("embeddings", (vocab_size, EMB_WIDTH)),
-                shifted=bool(int(read("shifted", ()))),
-            )
+            vocab_size = int(read("vocab_size", (), integer=True))
+            shifted = int(read("shifted", (), integer=True))
+            if shifted not in (0, 1):
+                raise ModelFormatError(f"{path}: array 'shifted' is {shifted}, expected 0 or 1")
+            model = cls(vocab_size, read("embeddings", (vocab_size, EMB_WIDTH)),
+                        shifted=bool(shifted))
             for name, fresh in model.params.items():
                 model.params[name] = read(name, fresh.shape)
         return model

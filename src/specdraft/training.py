@@ -11,16 +11,13 @@ target model's exact conditionals, weighted gamma^(t-1) for the t-th future
 position. All arithmetic is float64 and gradients are written by hand, so
 they can be validated against central differences.
 
-The batch and the model width fix the shape of every array a training step
-makes, so a TrainingBatch owns its step buffers: each step writes its
-full-size attention arrays into the same memory rather than taking fresh
-pages from the allocator, and the label term of the KL is computed once,
-when the batch is built. A batch therefore serves one step at a time.
+A TrainingBatch is plain data that no step writes to: each step makes its
+own arrays, so steps on one batch may overlap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,9 +106,7 @@ def _floored_kl(logits, q, weights, q_log_q):
 
 @dataclass
 class TrainingBatch:
-    """One packed, fully materialized training batch (fixed-length sequences),
-    with the buffers its batch_loss calls write their full-size attention
-    arrays into: it serves one call at a time."""
+    """One packed, fully materialized training batch (fixed-length sequences)."""
 
     feats: np.ndarray          # (B, P, 3*FEAT_WIDTH)
     emb_tokens: np.ndarray     # (B, P)
@@ -123,7 +118,6 @@ class TrainingBatch:
     labels: np.ndarray          # (B, S, V) exact target conditionals
     labels_log_labels: np.ndarray  # (B, S, V) the KL's label term q log q, 0 where q is 0
     norm: float                 # slots are averaged per (sequence, group)
-    buffers: dict = field(default_factory=dict, repr=False)  # the step's arrays by name
 
 
 def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
@@ -183,8 +177,7 @@ def batch_loss(model: ToyDraft, batch: TrainingBatch,
     """Annealed KL over every supervised slot; returns (loss, grads, floored).
 
     The forward queries the slot positions alone; every other position of the
-    layout serves as a key and value only. The full-size attention arrays
-    live in the batch's buffers; the returned grads are new arrays.
+    layout serves as a key and value only.
     """
     loss, floored, backward = _batch_forward(model, batch)
     return loss, backward() if want_grads else None, floored
@@ -192,14 +185,13 @@ def batch_loss(model: ToyDraft, batch: TrainingBatch,
 
 def _batch_forward(model: ToyDraft, batch: TrainingBatch):
     """batch_loss's forward: (loss, floored, backward), where backward(),
-    called at most once, returns the grads. The forward's state stays in the
-    batch's buffers until backward runs, so no other call may use the batch
-    in between."""
+    called at most once, returns the grads, whatever else ran on the batch
+    since."""
     M = batch.mask.shape[0]
     z = model.build_inputs(batch.feats, batch.emb_tokens,
                            M - batch.n_prefix, batch.position_ids)
     slots = batch.slot_positions
-    logits, cache = model.forward_core(z, batch.mask[slots], slots, work=batch.buffers)
+    logits, cache = model.forward_core(z, batch.mask[slots], slots)
     loss, floored, kl_grad = _floored_kl(logits, batch.labels, batch.slot_weights[None, :],
                                          batch.labels_log_labels)
 
@@ -257,12 +249,8 @@ def train_toy_draft(
     if steps == 0:
         return model
     batch = build_training_batch(target, corpus, d, gamma, shifted=shifted)
-    # The steps run on a copy of the batch with buffers of its own, which
-    # keep a step's forward while the hook, free to run steps on `batch`,
-    # reads the weights.
-    own = replace(batch, buffers={})
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, _, backward = _batch_forward(model, own)
+        loss, _, backward = _batch_forward(model, batch)
         initial_loss = loss
         _check_loss(0, loss, initial_loss)
         for step in range(steps):
@@ -271,13 +259,11 @@ def train_toy_draft(
             for name, g in backward().items():
                 model.params[name] -= lr * g
             # The updated weights' loss, checked before anything reads them;
-            # its grads wait for the next step, so the last update's forward
-            # is the only extra work. The spent forward's arrays are let go
-            # only once the next forward is built: freed first, they would
-            # top the heap, which glibc hands back to the OS, and each step
-            # would fault them in again; freed after, the next step refills
-            # their place.
-            loss, _, backward = _batch_forward(model, own)
+            # its grads wait for the next step. The spent forward is let go
+            # only once this one is built: freed first, its arrays would top
+            # the heap, which glibc hands back to the OS, and every step would
+            # fault them in again.
+            loss, _, backward = _batch_forward(model, batch)
             _check_loss(step + 1, loss, initial_loss)
             if eval_every and (step + 1) % eval_every == 0:
                 if log is not None and eval_sequences:

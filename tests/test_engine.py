@@ -205,6 +205,21 @@ def test_decode_and_baseline_reject_out_of_vocab_eos(target, eos):
         baseline_decode([1, 2], target, 20, eos_token=eos)
 
 
+@pytest.mark.parametrize("bad", [
+    {"temperature": float("nan")}, {"temperature": float("inf")}, {"temperature": -0.5},
+    {"max_tokens": -3}, {"max_tokens": 0}, {"max_tokens": 2.5}, {"max_tokens": True},
+    {"seed": -1}, {"seed": 1.5}, {"eos_token": 2.0},
+], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_baseline_rejects_what_decode_config_rejects(target, bad):
+    # The reference checks its arguments as DecodeConfig does: a NaN
+    # temperature would emit tokens outside the vocabulary, and a negative
+    # max_tokens an empty transcript.
+    with pytest.raises(ConfigError):
+        DecodeConfig(**bad)
+    with pytest.raises(ConfigError):
+        baseline_decode([1, 2], target, **{"max_tokens": 5, **bad})
+
+
 def test_concurrent_sessions_share_target_and_trie(target):
     # Sessions own their RNGs; the trie and target are shared read-only.
     from concurrent.futures import ThreadPoolExecutor

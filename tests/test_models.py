@@ -58,6 +58,16 @@ def test_temperature_adjust():
         temperature_adjust(dist, -1.0)
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -1e-9, "1", None, True])
+def test_temperature_adjust_rejects_non_temperatures(temperature):
+    # A NaN temperature would otherwise give a NaN row, from which
+    # sampling draws a token outside the vocabulary.
+    with pytest.raises(ConfigError, match="temperature"):
+        temperature_adjust(np.array([0.2, 0.5, 0.3]), temperature)
+    with pytest.raises(ConfigError, match="temperature"):
+        MarkovTarget(7, 4, 2).next_dist([1, 2], temperature)
+
+
 def test_temperature_adjust_small_temperature_stays_finite():
     dist = MarkovTarget(4, 256, 2).next_dist([1, 2])
     cold = temperature_adjust(dist, 0.001)
@@ -520,6 +530,11 @@ def _described(value):
     {"Wq": _with(np.zeros((24, 24)), (3, 5), np.nan)},
     {"b_head": _with(np.zeros(8), 2, np.inf)},
     {"embeddings": _with(np.zeros((8, 8)), (7, 0), np.nan)},
+    # Header scalars are integers, never truncated, and shifted is 0 or 1.
+    pytest.param({"version": np.float64(1.9)}, id="version=1.9"),
+    pytest.param({"vocab_size": np.float64(8.7)}, id="vocab_size=8.7"),
+    pytest.param({"shifted": np.float64(0.6)}, id="shifted=0.6"),
+    pytest.param({"shifted": np.int64(7)}, id="shifted=7"),
 ], ids=lambda c: ",".join(f"{k}={_described(v)}" for k, v in c.items()))
 def test_model_load_rejects_malformed_arrays(tmp_path, model, changes):
     p = tmp_path / "m.npz"

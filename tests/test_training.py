@@ -6,6 +6,7 @@ from specdraft.errors import ConfigError, TrainingDivergedError
 from specdraft.models import MarkovTarget, ToyDraft
 from specdraft.training import (
     TrainingLogRecord,
+    _batch_forward,
     batch_loss,
     build_position_ids,
     build_training_batch,
@@ -453,7 +454,7 @@ def test_row_subset_backward_matches_full_rows(setup, case):
         assert np.max(np.abs(grads[name] - g)) <= 1e-12 * max(1.0, np.max(np.abs(g))), name
 
 
-# -- the step's buffers --------------------------------------------------------------
+# -- the training step against its reference -----------------------------------------
 
 
 # (target seed, V, order, concentration, sequences, length, d): the shape the
@@ -477,8 +478,8 @@ def _step_setup(shape, shifted):
 @pytest.mark.parametrize("shifted", [True, False])
 @pytest.mark.parametrize("shape", sorted(STEP_SHAPES))
 def test_batch_loss_matches_allocating_reference(shape, shifted):
-    # Writing the step's intermediates into the batch's buffers, in place,
-    # changes no bit of the loss or the grads, step after step.
+    # Building the step's intermediates in place, in the arrays each call
+    # makes, changes no bit of the loss or the grads, step after step.
     model, batch = _step_setup(shape, shifted)
     for _ in range(4):
         loss, grads, floored = batch_loss(model, batch)
@@ -508,6 +509,22 @@ def test_later_calls_leave_returned_results_unchanged():
         assert np.array_equal(grads[name], g), name
         assert not np.array_equal(later[1][name], g), name
         assert not np.shares_memory(grads[name], later[1][name])
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_two_forwards_in_flight_on_one_batch(shifted):
+    # A second forward on the batch, at other weights, before the first one's
+    # backward runs, changes no bit of the first one's grads.
+    m1, batch = _step_setup("train", shifted)
+    m2 = ToyDraft(m1.vocab_size, m1.embeddings, seed=5, shifted=shifted)
+    loss1, _, backward1 = _batch_forward(m1, batch)
+    loss2, _, backward2 = _batch_forward(m2, batch)
+    grads = backward1()
+    want_loss, want_grads, _ = batch_loss(m1, batch)
+    assert loss1 == want_loss and loss2 != loss1
+    for name, g in want_grads.items():
+        assert np.array_equal(grads[name], g), name
+    assert np.array_equal(backward2()["Wq"], batch_loss(m2, batch)[1]["Wq"])
 
 
 # -- finite differences --------------------------------------------------------------
