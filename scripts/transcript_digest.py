@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Four SHA-256 digests over a fixed set of decodes, evaluate_alpha and training.
+"""Five SHA-256 digests over a fixed set of decodes, evaluate_alpha, training and the CLI.
 
 A refactor that must not change any output prints the same digests before
 and after it. The decodes cover a V=64 target with short prompts, a V=256
@@ -16,18 +16,28 @@ UniformDrafter. The third covers baseline_decode's transcripts of the same
 prompts at T=0 and T=1, with the same seeds. The fourth covers training at
 the benchmark's train shape (16 sequences of 24 tokens, V=64, d=8, 25
 steps), shifted and unshifted: every logged loss, the final parameters and
-one batch_loss's loss and grads on each trained model. Targets, tries and
-drafters are built in process, so nothing needs preparing.
+one batch_loss's loss and grads on each trained model. The fifth covers the
+command line's training path, run in a temporary directory on a config that
+sets no draft length, so d is the default 8: the training log of `train-toy
+--eval-every 10` (V=64, 8 corpus and 4 held-out sequences of 16 tokens, 20
+steps), the saved model's arrays and the output of `eval --drafter toy
+--jsonl --tau-prompts 2` without a trie. Targets, tries and drafters are
+built in process, so nothing needs preparing.
 
     PYTHONPATH=src python scripts/transcript_digest.py --seed 1
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from specdraft import engine
+from specdraft import cli, engine
 from specdraft.engine import DecodeConfig, baseline_decode
 from specdraft.models import (
     AdversarialDrafter,
@@ -121,6 +131,40 @@ def training_all(digest, target, seed):
             digest.floats(grads[name])
 
 
+def run_cli(*argv) -> str:
+    """cli.main's standard output for argv; a failed command ends the script."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"{argv[0]} exited {code}: {err.getvalue()}")
+    return out.getvalue()
+
+
+def cli_all(digest, seed):
+    """train-toy then eval through cli.main, hashing the training log, the
+    saved model's arrays and eval's output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, log_path, config = (Path(tmp) / name
+                                        for name in ("toy.npz", "log.jsonl", "cfg.json"))
+        config.write_text(json.dumps({
+            "seed": seed,
+            "target": {"seed": seed, "vocab_size": 64, "order": 2, "concentration": 0.3},
+            "training": {"steps": 20, "sequence_length": 16, "corpus_sequences": 8,
+                         "heldout_sequences": 4},
+            "paths": {"model": str(model_path)},
+        }))
+        run_cli("train-toy", "--config", str(config), "--log", str(log_path),
+                "--eval-every", "10")
+        digest.sha.update(log_path.read_bytes())
+        with np.load(model_path) as arrays:
+            for name in sorted(arrays.files):
+                digest.sha.update(name.encode())
+                digest.sha.update(arrays[name].tobytes())
+        digest.sha.update(run_cli("eval", "--config", str(config), "--drafter", "toy",
+                                  "--jsonl", "--tau-prompts", "2").encode())
+
+
 def system(digest, seed, vocab_size):
     """(target, trie, trained toy drafter, held-out sequences) of one vocabulary."""
     target = MarkovTarget(seed, vocab_size, 2, concentration=0.3)
@@ -143,7 +187,7 @@ def main(argv=None):
                     help="length of the long-context prompts")
     args = ap.parse_args(argv)
 
-    digest, reference, baseline, training = Digest(), Digest(), Digest(), Digest()
+    digest, reference, baseline, training, command_line = (Digest() for _ in range(5))
     for vocab_size in (64, 256):
         target, trie, model, heldout = system(digest, args.seed, vocab_size)
         drafters = [("toy", lambda s: model),
@@ -167,6 +211,8 @@ def main(argv=None):
     print(f"{reference.sha.hexdigest()}  ({reference.trees} trees, reference drafters)")
     print(f"{baseline.sha.hexdigest()}  (baseline_decode)")
     print(f"{training.sha.hexdigest()}  (training)")
+    cli_all(command_line, args.seed)
+    print(f"{command_line.sha.hexdigest()}  (train-toy and eval)")
 
 
 if __name__ == "__main__":

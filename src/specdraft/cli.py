@@ -68,7 +68,6 @@ class RunConfig:
 
 _TRAINING_DEFAULTS = {
     "gamma": 0.6,
-    "d": 8,
     "steps": 500,
     "lr": 0.1,
     "shifted": True,
@@ -146,7 +145,6 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
 
     seed = raw.get("seed", 0)
     check_int("seed", seed, minimum=0)
-    _check_kinds("target", target_raw, _TARGET_DEFAULTS)
     _check_kinds("training", training, _TRAINING_DEFAULTS)
     decode_cfg = DecodeConfig(seed=seed, prune=PruneConfig(**sections["prune"]),
                               **sections["decode"])
@@ -331,6 +329,9 @@ def cmd_bench_trie(args) -> int:
 
 def _training_corpora(cfg: RunConfig):
     tr = cfg.training
+    for key, minimum in (("corpus_sequences", 1), ("sequence_length", 1),
+                         ("heldout_sequences", 0)):
+        check_int(f"training.{key}", tr[key], minimum=minimum)
     rng = np.random.default_rng(cfg.seed)
     corpus = [cfg.target.sample_sequence(rng, tr["sequence_length"])
               for _ in range(tr["corpus_sequences"])]
@@ -345,12 +346,17 @@ def cmd_train_toy(args) -> int:
     tr = cfg.training
     model_path = cfg.paths.get("model") or "toy_draft.npz"
     log_path = args.log or f"{model_path}.log.jsonl"
+    d = cfg.decode.d
     corpus, heldout = _training_corpora(cfg)
     log: list[TrainingLogRecord] = []
+
+    def record_alpha(step, model, batch):
+        log[-1].alpha = evaluate_alpha(model, cfg.target, heldout, d)
+
     model = train_toy_draft(
-        cfg.target, corpus, tr["gamma"], tr["d"], tr["steps"],
-        tr["lr"], cfg.seed, shifted=tr["shifted"],
-        eval_sequences=heldout, eval_every=args.eval_every, log=log,
+        cfg.target, corpus, tr["gamma"], d, tr["steps"],
+        tr["lr"], cfg.seed, shifted=tr["shifted"], eval_every=args.eval_every, log=log,
+        checkpoint_hook=record_alpha if heldout else None,
     )
     model.save(model_path)
     with open(log_path, "w", encoding="utf-8") as f:
@@ -365,7 +371,7 @@ def cmd_train_toy(args) -> int:
 def cmd_eval(args) -> int:
     check_int("--tau-prompts", args.tau_prompts, minimum=0)
     cfg = load_config(args.config, args.override)
-    d = cfg.training["d"]
+    d = cfg.decode.d
     _, heldout = _training_corpora(cfg)
     drafter = DRAFTERS[args.drafter](cfg)
     trie = _load_trie(cfg)
@@ -374,7 +380,7 @@ def cmd_eval(args) -> int:
 
     taus = []
     for i, seq in enumerate(heldout[: args.tau_prompts]):
-        run = replace(cfg.decode, d=d, max_tokens=48, seed=cfg.seed + i)
+        run = replace(cfg.decode, max_tokens=48, seed=cfg.seed + i)
         _, metrics = decode(seq[:4], cfg.target, drafter, trie, run, measure_base=False)
         taus.append(metrics.tau)
     tau = float(np.mean(taus)) if taus else None

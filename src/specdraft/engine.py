@@ -26,7 +26,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, check_int, check_number
+from .errors import ConfigError, check_int, check_number, check_tokens
 from .models import Session, sample_from
 from .ngram import NgramTrie
 from .tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, prune
@@ -44,11 +44,13 @@ class DraftPredictor(Protocol):
                 temperature: float = 0.0) -> ParallelLogits:
         """d rows of future-position logits from one drafting forward. The
         drafter asks `session` for what it reads of the prefix, such as the
-        feature rows of the positions it builds. Any randomness is drawn
-        from `rng`, which decode shares with verify. decode makes one
-        session per request and extends it by each cycle's tokens, so a
-        drafter may keep in `session.draft` what the next, longer prefix can
-        reuse. A drafter with nothing to keep leaves it alone."""
+        feature rows of the positions it builds. `rng` is decode's
+        generator, which it shares with verify; a drafter that samples may
+        draw from it, or from a seeded stream of its own, as UniformDrafter
+        and NoisyOracleDrafter do. decode makes one session per request and
+        extends it by each cycle's tokens, so a drafter may keep in
+        `session.draft` what the next, longer prefix can reuse. A drafter
+        with nothing to keep leaves it alone."""
 
 
 @dataclass(frozen=True)
@@ -141,18 +143,15 @@ def verify(
     """
     if len(tree) == 0:
         raise ConfigError("cannot verify an empty tree")
+    # Row 0 is the root and row i+1 is node i.
     dists = session.tree_dists(tree, temperature)
     token = tree.token.tolist()
-    # Slot 0 is the root and slot i+1 is node i, as in the rows of `dists`.
-    children: list[list[int]] = [[] for _ in range(len(token) + 1)]
-    for i, p in enumerate(tree.parent.tolist()):
-        children[p + 1].append(i)
 
     accepted: list[int] = []
     current = ROOT_ID
     while True:
         dist = dists[current + 1]
-        offered = children[current + 1]
+        offered = np.flatnonzero(tree.parent == current).tolist()
         residual = dist.copy()
         total = float(residual.sum())
         chosen = None
@@ -175,22 +174,14 @@ def verify(
         current = chosen
 
 
-def _check_tokens(prompt: Sequence[int], eos_token: int | None, vocab_size: int) -> list[int]:
-    """The prompt as a list of ints. An empty prompt, or a prompt token or an
-    end token that is not an integer in [0, vocab_size), raises ConfigError."""
+def _check_prompt(prompt: Sequence[int], eos_token: int | None, vocab_size: int) -> list[int]:
+    """The prompt as a list of ints. An empty prompt, a prompt token that is not
+    an integer in [0, vocab_size) or an end token outside it raises ConfigError."""
     if len(prompt) == 0:
         raise ConfigError("prompt must be nonempty")
-    for t in prompt:
-        if type(t) is not int:  # plain ints skip check_int's slower test
-            check_int("prompt tokens", t)
-    tokens = [int(t) for t in prompt]
-    bad = [t for t in tokens if not 0 <= t < vocab_size]
-    if bad:
-        raise ConfigError(f"prompt tokens must lie in [0, {vocab_size}), got {bad[:5]}")
-    if eos_token is not None:
-        check_int("eos_token", eos_token)
-        if not 0 <= eos_token < vocab_size:
-            raise ConfigError(f"eos_token must lie in [0, {vocab_size}), got {eos_token}")
+    tokens = check_tokens("prompt tokens", prompt, vocab_size)
+    if eos_token is not None and not 0 <= eos_token < vocab_size:
+        raise ConfigError(f"eos_token must lie in [0, {vocab_size}), got {eos_token}")
     return tokens
 
 
@@ -206,7 +197,7 @@ def baseline_decode(
     Its arguments are checked as DecodeConfig checks them."""
     DecodeConfig(max_tokens=max_tokens, temperature=temperature, seed=seed, eos_token=eos_token)
     rng = np.random.Generator(np.random.PCG64(seed))
-    session = target.start(_check_tokens(prompt, eos_token, target.vocab_size))
+    session = target.start(_check_prompt(prompt, eos_token, target.vocab_size))
     out: list[int] = []
     while len(out) < max_tokens:
         tok = sample_from(session.next_dist(temperature), rng)
@@ -246,7 +237,7 @@ def decode(
     than one ran.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    session = target.start(_check_tokens(prompt, cfg.eos_token, target.vocab_size))
+    session = target.start(_check_prompt(prompt, cfg.eos_token, target.vocab_size))
     out: list[int] = []
     records: list[CycleRecord] = []
     stop = False

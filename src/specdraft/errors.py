@@ -24,6 +24,19 @@ def check_number(name: str, value) -> None:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
+def check_tokens(name: str, tokens, vocab_size: int) -> list[int]:
+    """`tokens` as a list of ints; raise ConfigError unless each is an
+    integer (not a bool) in [0, vocab_size)."""
+    for t in tokens:
+        if type(t) is not int:  # plain ints skip check_int's slower test
+            check_int(name, t)
+    out = [int(t) for t in tokens]
+    bad = [t for t in out if not 0 <= t < vocab_size]
+    if bad:
+        raise ConfigError(f"{name} must lie in [0, {vocab_size}), got {bad[:5]}")
+    return out
+
+
 class OutOfVocabularyError(ConfigError):
     """A corpus token lies outside [0, vocab_size)."""
 

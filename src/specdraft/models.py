@@ -24,7 +24,7 @@ import zipfile
 
 import numpy as np
 
-from .errors import ConfigError, ModelFormatError, check_number
+from .errors import ConfigError, ModelFormatError, check_int, check_number
 from .tree import DraftTree, ParallelLogits
 
 FEAT_WIDTH = 8       # width of each of the three feature vectors
@@ -64,16 +64,17 @@ class MarkovTarget:
 
     Transition rows and feature vectors are generated lazily per context from
     (seed, context), so two targets with the same construction arguments agree
-    on every row. Contexts shorter than k are left-padded with token 0.
+    on every row. Contexts shorter than k are left-padded with token 0. seed
+    >= 0, vocab_size >= 2 and order >= 1 must be integers, and concentration,
+    the Dirichlet parameter of every row, a finite number > 0; anything else
+    raises ConfigError.
     """
 
     def __init__(self, seed: int, vocab_size: int, order: int, concentration: float = 0.3):
-        if seed < 0:
-            raise ConfigError(f"target seed must be >= 0, got {seed}")
-        if vocab_size < 2:
-            raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
-        if order < 1:
-            raise ConfigError(f"markov order must be >= 1, got {order}")
+        check_int("target seed", seed, minimum=0)
+        check_int("vocab_size", vocab_size, minimum=2)
+        check_int("markov order", order, minimum=1)
+        check_number("concentration", concentration)
         if concentration <= 0:
             raise ConfigError(f"concentration must be > 0, got {concentration}")
         self.seed = seed
@@ -159,17 +160,18 @@ class MarkovTarget:
     def rollout(self, prefix, length: int, pick) -> list[int]:
         """`length` tokens past `prefix`, each `pick(row)` of the untempered
         conditional given everything before it."""
-        seq = list(prefix)
+        seq = list(prefix[-self.order:])  # all that _context reads
+        start = len(seq)
         for _ in range(length):
             seq.append(int(pick(self._row(self._context(seq)))))
-        return seq[len(prefix):]
+        return seq[start:]
 
     def greedy_chain(self, prefix, length: int) -> list[int]:
         """Argmax rollout of `length` tokens past `prefix`."""
         return self.rollout(prefix, length, np.argmax)
 
-    def sample_sequence(self, rng: np.random.Generator, length: int, prompt=()) -> list[int]:
-        return self.rollout(prompt, length, lambda row: sample_from(row, rng))
+    def sample_sequence(self, rng: np.random.Generator, length: int) -> list[int]:
+        return self.rollout((), length, lambda row: sample_from(row, rng))
 
 
 class Session:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDivergedError, check_int, check_number
+from .errors import ConfigError, TrainingDivergedError, check_int, check_number, check_tokens
 from .models import MarkovTarget, ToyDraft
 from .ngram import LOG_FLOOR
 from .tree import log_softmax
@@ -138,6 +138,8 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
         raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
     if not sequences:
         raise ConfigError("need at least one training sequence")
+    sequences = [check_tokens(f"training sequence {i} tokens", seq, target.vocab_size)
+                 for i, seq in enumerate(sequences)]
     L = len(sequences[0])
     if any(len(s) != L for s in sequences):
         raise ConfigError("training sequences must share one length")
@@ -226,25 +228,28 @@ def train_toy_draft(
     seed: int,
     *,
     shifted: bool = True,
-    eval_sequences: list[list[int]] | None = None,
     eval_every: int = 0,
     checkpoint_hook=None,
     log: list[TrainingLogRecord] | None = None,
 ) -> ToyDraft:
     """Full-batch gradient descent on the annealed KL objective.
 
+    steps and eval_every must be integers >= 0 and lr a finite number > 0.
     Aborts with diagnostics if the loss exceeds 10x its initial value or is
     not finite; the overflow on the way there raises no RuntimeWarning.
     The loss of each update's weights is checked before anything reads them
-    (the log's evaluation, the hook, the caller), so diverged weights never
-    leave the loop. log[step] holds the loss of the weights that step
-    updated, and its alpha those of the updated ones.
-    checkpoint_hook(step, model, batch) fires every eval_every steps, for
-    gradient-audit instrumentation; it must leave the weights as it found
-    them.
+    (the hook or the caller), so diverged weights never leave the loop.
+    log[step] holds the loss of the weights that step updated.
+    checkpoint_hook(step, model, batch) fires after every eval_every-th step
+    (never when eval_every is 0) with the updated weights, once log[-1] is
+    that step's record, so a hook may set log[-1].alpha; it must leave the
+    weights as it found them.
     """
-    if steps < 0:
-        raise ConfigError(f"training steps must be >= 0, got {steps}")
+    check_int("training steps", steps, minimum=0)
+    check_int("eval_every", eval_every, minimum=0)
+    check_number("lr", lr)
+    if lr <= 0:
+        raise ConfigError(f"lr must be > 0, got {lr}")
     model = ToyDraft(target.vocab_size, target.embeddings, seed=seed, shifted=shifted)
     if steps == 0:
         return model
@@ -265,11 +270,8 @@ def train_toy_draft(
             # fault them in again.
             loss, _, backward = _batch_forward(model, batch)
             _check_loss(step + 1, loss, initial_loss)
-            if eval_every and (step + 1) % eval_every == 0:
-                if log is not None and eval_sequences:
-                    log[-1].alpha = evaluate_alpha(model, target, eval_sequences, d)
-                if checkpoint_hook:
-                    checkpoint_hook(step, model, batch)
+            if checkpoint_hook and eval_every and (step + 1) % eval_every == 0:
+                checkpoint_hook(step, model, batch)
     return model
 
 
@@ -294,6 +296,8 @@ def evaluate_alpha(drafter, target: MarkovTarget,
     the d read-out rows' attention still grows with the prefix.
     """
     check_int("d", d, minimum=1)
+    sequences = [check_tokens(f"evaluation sequence {i} tokens", seq, target.vocab_size)
+                 for i, seq in enumerate(sequences)]
     rng = np.random.Generator(np.random.PCG64(0))
     hits = np.zeros(d)
     total = 0

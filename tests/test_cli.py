@@ -117,6 +117,7 @@ def test_decode_out_of_vocab_prompt_exits_2(config_file, capsys, tokens, baselin
 
 @pytest.mark.parametrize("override", [
     "decode.temperature=NaN", "decode.temperature=-1", "prune.k=0", "decode.eos_token=64",
+    "target.concentration=NaN", "target.concentration=0", "target.order=2.0",
 ])
 def test_decode_non_finite_or_out_of_range_config_exits_2(config_file, capsys, override):
     rc = main(["decode", "--config", config_file(), "--prompt-tokens", "1 2",
@@ -128,7 +129,7 @@ def test_decode_non_finite_or_out_of_range_config_exits_2(config_file, capsys, o
 @pytest.mark.parametrize("override", [
     "prune.epsilon=0", "prune.epsilon=-1", "prune.w_ng=NaN", "prune.level_exponent=NaN",
     "prune.logit_decay=0.9", "decode.prune=3", "decode.seed=1", "paths.corpus=x",
-    "paths.train_log=x",
+    "paths.train_log=x", "training.d=3",
 ])
 def test_unsettable_key_is_unknown(config_file, capsys, override):
     # The pruning score's weights and floor are constants, and decode's seed
@@ -302,8 +303,9 @@ def train_config(tmp_path):
     cfg = {
         "seed": 5,
         "target": {"seed": 5, "vocab_size": 8, "order": 1, "concentration": 0.05},
+        "decode": {"d": 3},
         "prune": {"k": 6, "w": 6, "theta": 12},
-        "training": {"gamma": 0.6, "d": 3, "steps": 60, "lr": 0.1,
+        "training": {"gamma": 0.6, "steps": 60, "lr": 0.1,
                      "sequence_length": 12, "corpus_sequences": 8,
                      "heldout_sequences": 10},
         "paths": {"model": str(tmp_path / "toy.npz")},
@@ -563,14 +565,30 @@ def test_bad_flag_or_prompt_exits_2(train_config, capsys, argv, blamed):
     (["decode", "--config", "{cfg}", "--drafter", "toy", "--override", "paths.model=[1]"],
      "paths.model"),
     (["decode", "--config", "{latin1}"], "{latin1}"),
-    (["eval", "--config", "{cfg}", "--drafter", "oracle", "--override", "training.d=-1"],
+    (["eval", "--config", "{cfg}", "--drafter", "oracle", "--override", "decode.d=-1"],
      "d must be >= 1"),
+    (["train-toy", "--config", "{cfg}", "--override", "training.d=3"],
+     "unknown config key(s) in training: ['d']"),
+    (["train-toy", "--config", "{cfg}", "--override", "training.lr=-1"], "lr must be > 0"),
+    (["train-toy", "--config", "{cfg}", "--override", "training.lr=0"], "lr must be > 0"),
+    (["train-toy", "--config", "{cfg}", "--override", "training.steps=2.5"], "training.steps"),
+    (["train-toy", "--config", "{cfg}", "--override", "training.sequence_length=-3"],
+     "training.sequence_length must be >= 1"),
+    (["train-toy", "--config", "{cfg}", "--override", "training.corpus_sequences=0"],
+     "training.corpus_sequences must be >= 1"),
+    (["train-toy", "--config", "{cfg}", "--override", "training.heldout_sequences=-5"],
+     "training.heldout_sequences must be >= 0"),
+    (["eval", "--config", "{cfg}", "--drafter", "oracle", "--override",
+      "training.heldout_sequences=-5"], "training.heldout_sequences must be >= 0"),
     (["report", "--log", "{not_json}"], "{not_json}:2"),
     (["report", "--log", "{not_object}"], "{not_object}:2"),
     (["report", "--log", "{no_loss}"], "{no_loss}:2"),
     (["report", "--log", "{latin1}"], "{latin1}"),
 ], ids=["prune-not-object", "paths-not-object", "target-not-object", "trie-path-not-string",
-        "model-path-not-string", "config-not-utf8", "eval-d-negative", "log-line-not-json",
+        "model-path-not-string", "config-not-utf8", "eval-d-negative", "train-d-unknown",
+        "lr-negative", "lr-zero", "steps-not-integer", "sequence-length-negative",
+        "corpus-sequences-zero", "heldout-sequences-negative", "eval-heldout-negative",
+        "log-line-not-json",
         "log-record-not-object", "log-record-without-loss", "log-not-utf8"])
 def test_bad_config_or_log_exits_2(train_config, capsys, argv, blamed):
     cfg, tmp_path = train_config

@@ -15,6 +15,7 @@ from specdraft.models import (
     ToyDraft,
     UniformDrafter,
     positional_encoding,
+    sample_from,
     temperature_adjust,
 )
 from specdraft.tree import ROOT_ID, DraftTree
@@ -177,6 +178,33 @@ def test_target_validation():
         MarkovTarget(0, 1, 1)
     with pytest.raises(ConfigError):
         MarkovTarget(0, 4, 0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"concentration": float("nan")}, {"concentration": float("inf")},
+    {"concentration": 0.0}, {"concentration": -1.0}, {"concentration": "0.3"},
+    {"seed": 1.0}, {"seed": True}, {"seed": -1}, {"vocab_size": 8.0}, {"vocab_size": True},
+    {"order": 2.0}, {"order": True},
+], ids=lambda c: ",".join(f"{k}={v!r}" for k, v in c.items()))
+def test_target_rejects_what_it_cannot_build(bad):
+    # A NaN concentration built NaN rows, from which baseline_decode sampled
+    # tokens outside the vocabulary.
+    with pytest.raises(ConfigError):
+        MarkovTarget(**{"seed": 1, "vocab_size": 8, "order": 2, **bad})
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_rollout_from_a_long_prefix_equals_one_from_its_last_order_tokens(order):
+    t = MarkovTarget(5, 8, order)
+    prefix = t.sample_sequence(np.random.default_rng(2), 500)
+
+    def sampled(start):
+        rng = np.random.default_rng(6)
+        return t.rollout(start, 12, lambda row: sample_from(row, rng))
+
+    assert sampled(prefix) == sampled(prefix[-order:])
+    assert t.greedy_chain(prefix, 12) == t.greedy_chain(prefix[-order:], 12)
+    assert t.greedy_chain([3], 4) == t.greedy_chain([0] * order + [3], 4)
 
 
 def test_short_prefix_padded():

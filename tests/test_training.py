@@ -3,7 +3,7 @@ import pytest
 from scipy.special import rel_entr
 
 from specdraft.errors import ConfigError, TrainingDivergedError
-from specdraft.models import MarkovTarget, ToyDraft
+from specdraft.models import MarkovTarget, NoisyOracleDrafter, ToyDraft
 from specdraft.training import (
     TrainingLogRecord,
     _batch_forward,
@@ -242,10 +242,14 @@ def test_each_update_is_checked_before_its_weights_are_read(setup, steps, eval_e
     # nor the caller.
     target, corpus, heldout = setup
     log, hooked = [], []
+
+    def hook(step, model, batch):
+        hooked.append(step)
+        log[-1].alpha = evaluate_alpha(model, target, heldout, 4)
+
     with pytest.raises(TrainingDivergedError) as exc:
         train_toy_draft(target, corpus, 0.6, 4, steps=steps, lr=1e308, seed=1,
-                        eval_sequences=heldout, eval_every=eval_every, log=log,
-                        checkpoint_hook=lambda *args: hooked.append(args))
+                        eval_every=eval_every, log=log, checkpoint_hook=hook)
     assert exc.value.step == 1 and np.isnan(exc.value.loss)
     assert [(r.step, r.alpha) for r in log] == [(0, None)] and not hooked
 
@@ -382,6 +386,34 @@ def test_unshifted_batch_supervises_mask_positions_only(setup):
     shifted = build_training_batch(target, corpus, d, 0.6, shifted=True)
     groups = len(corpus[0]) - d
     assert (shifted.slot_positions < shifted.n_prefix).sum() == groups
+
+
+@pytest.mark.parametrize("bad", [8, -1, 2.5, True, "3"])
+def test_training_and_evaluation_reject_tokens_outside_the_vocabulary(setup, bad):
+    # V = 8: token 8 raised IndexError, -1 numpy's ValueError, 2.5 was read
+    # as 2, and evaluate_alpha scored an out-of-range token without a word.
+    target, corpus, heldout = setup
+    corpus = corpus[:-1] + [corpus[-1][:5] + [bad] + corpus[-1][6:]]
+    heldout = [heldout[0][:5] + [bad] + heldout[0][6:]]
+    with pytest.raises(ConfigError, match="training sequence 11 tokens"):
+        build_training_batch(target, corpus, 3, 0.6)
+    with pytest.raises(ConfigError, match="training sequence 11 tokens"):
+        train_toy_draft(target, corpus, 0.6, 3, steps=2, lr=0.1, seed=1)
+    with pytest.raises(ConfigError, match="evaluation sequence 0 tokens"):
+        evaluate_alpha(NoisyOracleDrafter(target), target, heldout, 3)
+
+
+@pytest.mark.parametrize("bad", [
+    {"steps": 2.5}, {"steps": -1}, {"steps": True}, {"eval_every": -1}, {"eval_every": 1.5},
+    {"lr": -1.0}, {"lr": 0.0}, {"lr": float("nan")}, {"lr": float("inf")}, {"lr": "0.1"},
+], ids=lambda c: ",".join(f"{k}={v!r}" for k, v in c.items()))
+def test_trainer_rejects_bad_numbers(setup, bad):
+    # lr=-1 climbed the loss and lr=0 wrote an untrained model; eval_every=-1
+    # fired the hook every step.
+    target, corpus, _ = setup
+    with pytest.raises(ConfigError):
+        train_toy_draft(target, corpus, 0.6, 3, seed=1,
+                        **{"steps": 3, "lr": 0.1, "eval_every": 1, **bad})
 
 
 def test_training_batch_validation(setup):
@@ -600,8 +632,12 @@ def test_finite_diff_h_bounds(setup):
 def test_log_records_shape(setup):
     target, corpus, heldout = setup
     log: list[TrainingLogRecord] = []
+
+    def hook(step, model, batch):
+        log[-1].alpha = evaluate_alpha(model, target, heldout, 3)
+
     train_toy_draft(target, corpus, 0.6, 3, steps=40, lr=0.1, seed=5,
-                    eval_sequences=heldout, eval_every=20, log=log)
+                    eval_every=20, log=log, checkpoint_hook=hook)
     assert len(log) == 40
     assert log[19].alpha is not None and len(log[19].alpha) == 3
     assert log[0].alpha is None
