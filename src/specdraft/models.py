@@ -81,6 +81,7 @@ class MarkovTarget:
         self.vocab_size = vocab_size
         self.order = order
         self.concentration = concentration
+        self._alpha = np.full(vocab_size, concentration)  # every row's Dirichlet parameter
         self._rows: dict[tuple[int, ...], np.ndarray] = {}
         self._feats: dict[tuple[int, ...], np.ndarray] = {}
         emb_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
@@ -96,7 +97,7 @@ class MarkovTarget:
         row = self._rows.get(ctx)
         if row is None:
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, 1, *ctx])))
-            row = rng.dirichlet(np.full(self.vocab_size, self.concentration))
+            row = rng.dirichlet(self._alpha)
             self._rows[ctx] = row
         return row
 
@@ -208,6 +209,31 @@ def positional_encoding(position_ids) -> np.ndarray:
     return enc
 
 
+def group_keys(x: np.ndarray, groups: int, n_keys: int) -> np.ndarray:
+    """The keys of each group of training query rows, from the packed
+    layout: x (B, M, ...) gives (B, G, K, ...). Group g's K keys are the
+    first G positions, which every group shares, then its own block, the
+    g-th of the G blocks of K - G positions that end the layout.
+    `group_keys(np.arange(M)[None], G, K)[0]` is each group's positions."""
+    B, M = x.shape[:2]
+    m = n_keys - groups
+    shared = np.broadcast_to(x[:, None, :groups], (B, groups, groups, *x.shape[2:]))
+    blocks = x[:, M - groups * m:].reshape(B, groups, m, *x.shape[2:])
+    return np.concatenate([shared, blocks], axis=2)
+
+
+def ungroup_keys(dx: np.ndarray, n_positions: int) -> np.ndarray:
+    """group_keys' adjoint: each packed position's sum over the groups'
+    (B, G, K, W) rows it was copied to, (B, M, W) with M = n_positions; a
+    position no group sees gets 0."""
+    B, G, K, W = dx.shape
+    m = K - G
+    out = np.zeros((B, n_positions, W))
+    dx[:, :, :G].sum(axis=1, out=out[:, :G])
+    out[:, n_positions - G * m:] = dx[:, :, G:].reshape(B, G * m, W)
+    return out
+
+
 class DraftCache:
     """A ToyDraft's drafting keys and values in `session.draft`, so that a
     later cycle projects only the positions it adds.
@@ -304,26 +330,32 @@ class ToyDraft:
             self._pe_table = positional_encoding(np.arange(size))
         return z + self._pe_table[ids][None, :, :]
 
-    def forward_core(self, z: np.ndarray, attn_mask: np.ndarray, rows=slice(None),
+    def forward_core(self, z: np.ndarray, attn_mask: np.ndarray, rows,
                      kv: tuple[np.ndarray, np.ndarray] | None = None):
-        """One masked attention layer with residual, then the head, for the
-        query rows `rows` of z.
+        """One masked attention layer with residual, then the head, for query
+        rows of z in groups that each attend their own keys.
 
-        The keys and values are every position of z projected, or `kv` =
-        (k, v) projected already, as a DraftCache holds them; z then need
-        hold only the rows it queries, and backward_core does not apply.
-        `rows` is a slice or an array of distinct positions. attn_mask has one
-        row per query row and one column per key, or fewer columns, which
-        then cover the last keys: every query row sees the keys before them.
-        Returns (logits (B, R, V) for the R query rows, cache for
-        backward_core).
+        Drafting is one group: `rows` is a slice of z, its R query rows
+        attend every key of `kv` = (k, v), projected already as a DraftCache
+        holds them, and backward_core does not apply. Training is G groups:
+        `rows` is a (G, R) array of distinct positions of the packed layout
+        z, and group g attends the K positions that `group_keys` gives it,
+        projected here. attn_mask is (R, K') for one group or (G, R, K')
+        for G, over the last K' keys: every query row sees the keys before
+        them. So the scores are (B, G, R, K): G * R * K per sequence, not
+        one per query row and position. Returns (logits (B, R, V) or
+        (B, G, R, V), cache for backward_core).
         """
         p = self.params
         scale = 1.0 / np.sqrt(MODEL_WIDTH)
         zq = z[:, rows]
         q = zq @ p["Wq"]
-        k, v = (z @ p["Wk"], z @ p["Wv"]) if kv is None else kv
-        s = q @ k.transpose(0, 2, 1)
+        if kv is None:
+            G, _, K = attn_mask.shape
+            k, v = group_keys(z @ p["Wk"], G, K), group_keys(z @ p["Wv"], G, K)
+        else:
+            k, v = kv
+        s = q @ np.swapaxes(k, -1, -2)
         s *= scale
         # Hidden scores are -1e30 for the row max, then 0 through the exp and
         # back to 0 after it: exp(-1e30) is 0 as well, but takes a slow path.
@@ -344,32 +376,38 @@ class ToyDraft:
 
     def backward_core(self, cache: dict, dlogits: np.ndarray,
                       feats: np.ndarray, n_prefix: int) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss given d(loss)/d(logits) for the rows
-        that the forward_core call behind `cache` queried.
+        """Gradients of a scalar loss given d(loss)/d(logits) (B, G, R, V) for
+        the groups of query rows that the forward_core call behind `cache`
+        queried.
 
-        Rows not queried are keys and values only: they take gradient through
-        k and v, while the queried rows also take it through q and the
-        residual.
+        Each group's key and value gradients go back to the packed positions
+        they came from (`ungroup_keys`): the shared prompt keys' summed over
+        the groups, each block's as they are. Positions that are not queried
+        are keys and values only; the queried ones also take gradient
+        through q and the residual.
         """
         p = self.params
         z, zq, rows, q, k, v = (cache["z"], cache["zq"], cache["rows"],
                                 cache["q"], cache["k"], cache["v"])
         attn, y, scale = cache["attn"], cache["y"], cache["scale"]
+        per_row = [0, 1, 2]  # sequence, group and row of each query row
 
         grads = {}
-        grads["W_head"] = np.tensordot(y, dlogits, axes=([0, 1], [0, 1]))
-        grads["b_head"] = dlogits.sum(axis=(0, 1))
+        grads["W_head"] = np.tensordot(y, dlogits, axes=(per_row, per_row))
+        grads["b_head"] = dlogits.sum(axis=(0, 1, 2))
         dy = dlogits @ p["W_head"].T
         dctx = dy
-        dv = attn.transpose(0, 2, 1) @ dctx
+        dv = np.swapaxes(attn, -1, -2) @ dctx
         # ds = attn * (dattn - rowsum(dattn * attn)) * scale, built in dattn.
-        dattn = dctx @ v.transpose(0, 2, 1)
+        dattn = dctx @ np.swapaxes(v, -1, -2)
         dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
         dattn *= attn
         ds = np.multiply(dattn, scale, out=dattn)
         dq = ds @ k
-        dk = ds.transpose(0, 2, 1) @ q
-        grads["Wq"] = np.tensordot(zq, dq, axes=([0, 1], [0, 1]))
+        dk = np.swapaxes(ds, -1, -2) @ q
+        M = z.shape[1]
+        dk, dv = ungroup_keys(dk, M), ungroup_keys(dv, M)
+        grads["Wq"] = np.tensordot(zq, dq, axes=(per_row, per_row))
         grads["Wk"] = np.tensordot(z, dk, axes=([0, 1], [0, 1]))
         grads["Wv"] = np.tensordot(z, dv, axes=([0, 1], [0, 1]))
         dz = dk @ p["Wk"].T

@@ -6,6 +6,15 @@ sees only its own prompt prefix and itself (causally), and different blocks
 never see each other. Every supervised prompt position therefore contributes
 d future-position predictions to a single forward pass.
 
+The forward attends in groups: group g is the d query rows of prefix g
+(prompt row g and block g in shifted mode, block g alone unshifted), and it
+scores only the K = G + m packed positions it can see, for G supervised
+prefixes and blocks of m: prompt positions 0 .. G-1, which every group
+shares, and its own block. Its mask is the (d, K) slice of
+`build_training_mask`, so a sequence costs G * d * K scores (2,944 at L=24,
+d=8) where attending every position would cost one per supervised slot and
+position (17,408).
+
 The objective is a position-annealed KL divergence (`floored_kl`) against the
 target model's exact conditionals, weighted gamma^(t-1) for the t-th future
 position. All arithmetic is float64 and gradients are written by hand, so
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError, check_int, check_number, check_tokens
-from .models import MarkovTarget, ToyDraft
+from .models import MarkovTarget, ToyDraft, group_keys
 from .ngram import LOG_FLOOR
 from .tree import log_softmax
 
@@ -110,10 +119,10 @@ class TrainingBatch:
 
     feats: np.ndarray          # (B, P, 3*FEAT_WIDTH)
     emb_tokens: np.ndarray     # (B, P)
-    mask: np.ndarray           # (M, M) bool, the leading M positions of the layout
-    position_ids: np.ndarray   # (M,)
+    mask: np.ndarray           # (G, d, K) bool, each group's slots over its keys
+    position_ids: np.ndarray   # (M,) the leading M positions of the layout
     n_prefix: int
-    slot_positions: np.ndarray  # (S,) distinct packed positions carrying supervision
+    slot_positions: np.ndarray  # (S,) = (G*d,) distinct supervised positions, group by group
     slot_weights: np.ndarray    # (S,) annealing weight of each slot
     labels: np.ndarray          # (B, S, V) exact target conditionals
     labels_log_labels: np.ndarray  # (B, S, V) the KL's label term q log q, 0 where q is 0
@@ -127,10 +136,12 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
     Shifted mode uses mask blocks of length d-1 (the first future position is
     read from the prompt position itself); unshifted uses blocks of length d
     read entirely from mask positions. Group g is supervised when all d
-    future tokens fall inside the sequence, i.e. for g < L-d. Blocks never see
-    each other and prompt rows never see blocks, so the batch keeps only the
-    leading P + (L-d)*m positions of the layout: the prompt and the
-    supervised blocks, which are all that any supervised slot sees.
+    future tokens fall inside the sequence, i.e. for g < G = L-d. Blocks never
+    see each other and prompt rows never see blocks, so the batch keeps only
+    the leading M = P + G*m positions of the layout: the prompt and the
+    supervised blocks, which are all that any supervised slot sees. Group g's
+    d slots see only its K = G + m keys (`group_keys`), and `mask` holds
+    their rows and columns of `build_training_mask`.
     """
     check_int("d", d, minimum=1)
     check_number("gamma", gamma)
@@ -159,11 +170,13 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
     if shifted:
         emb_tokens = np.roll(emb_tokens, -1, axis=1)
         emb_tokens[:, -1] = 0  # inert: the last prompt position is seen by no slot
-    M = P + G * m
+    M, K = P + G * m, G + m
+    keys = group_keys(np.arange(M)[None], G, K)[0]
+    queries = slot_positions.reshape(G, d)
     return TrainingBatch(
         feats=np.stack([target.features(seq) for seq in sequences]),
         emb_tokens=emb_tokens,
-        mask=build_training_mask(P, m)[:M, :M],
+        mask=build_training_mask(P, m)[queries[:, :, None], keys[:, None, :]],
         position_ids=build_position_ids(P, m)[:M],
         n_prefix=P,
         slot_positions=slot_positions,
@@ -178,8 +191,9 @@ def batch_loss(model: ToyDraft, batch: TrainingBatch,
                want_grads: bool = True):
     """Annealed KL over every supervised slot; returns (loss, grads, floored).
 
-    The forward queries the slot positions alone; every other position of the
-    layout serves as a key and value only.
+    The forward queries the slot positions alone, group by group, each over
+    the keys its group sees; every other position of the layout serves as a
+    key and value only.
     """
     loss, floored, backward = _batch_forward(model, batch)
     return loss, backward() if want_grads else None, floored
@@ -189,18 +203,20 @@ def _batch_forward(model: ToyDraft, batch: TrainingBatch):
     """batch_loss's forward: (loss, floored, backward), where backward(),
     called at most once, returns the grads, whatever else ran on the batch
     since."""
-    M = batch.mask.shape[0]
+    M = len(batch.position_ids)
     z = model.build_inputs(batch.feats, batch.emb_tokens,
                            M - batch.n_prefix, batch.position_ids)
-    slots = batch.slot_positions
-    logits, cache = model.forward_core(z, batch.mask[slots], slots)
-    loss, floored, kl_grad = _floored_kl(logits, batch.labels, batch.slot_weights[None, :],
-                                         batch.labels_log_labels)
+    queries = batch.slot_positions.reshape(batch.mask.shape[:2])
+    logits, cache = model.forward_core(z, batch.mask, queries)
+    grouped = logits.shape
+    loss, floored, kl_grad = _floored_kl(logits.reshape(batch.labels.shape), batch.labels,
+                                         batch.slot_weights[None, :], batch.labels_log_labels)
 
     def backward() -> dict[str, np.ndarray]:
         dlogits = kl_grad()
         dlogits /= batch.norm
-        return model.backward_core(cache, dlogits, batch.feats, batch.n_prefix)
+        return model.backward_core(cache, dlogits.reshape(grouped), batch.feats,
+                                   batch.n_prefix)
 
     return loss / batch.norm, floored, backward
 
@@ -235,6 +251,8 @@ def train_toy_draft(
     """Full-batch gradient descent on the annealed KL objective.
 
     steps and eval_every must be integers >= 0 and lr a finite number > 0.
+    The batch is built, and so checked, before any step, even when steps is
+    0 and the fresh model is returned.
     Aborts with diagnostics if the loss exceeds 10x its initial value or is
     not finite; the overflow on the way there raises no RuntimeWarning.
     The loss of each update's weights is checked before anything reads them
@@ -250,10 +268,10 @@ def train_toy_draft(
     check_number("lr", lr)
     if lr <= 0:
         raise ConfigError(f"lr must be > 0, got {lr}")
+    batch = build_training_batch(target, corpus, d, gamma, shifted=shifted)
     model = ToyDraft(target.vocab_size, target.embeddings, seed=seed, shifted=shifted)
     if steps == 0:
         return model
-    batch = build_training_batch(target, corpus, d, gamma, shifted=shifted)
     with np.errstate(over="ignore", invalid="ignore"):
         loss, _, backward = _batch_forward(model, batch)
         initial_loss = loss

@@ -4,9 +4,10 @@ These deliberately avoid the package's data structures: the window counter is
 a flat hash map, the pruning oracle enumerates candidate sequences as tuples
 with plain sorts, and the greedy rollout takes argmaxes by hand. They
 implement the same contracts (scoring formulas, tie-break order) independently.
-The training step is written out with a fresh array per intermediate, and the
-gradient and sampling checks compare the package against central differences
-and exact enumeration.
+The training step is written out with a fresh array per intermediate, over
+the whole packed layout with a dense mask, and one supervised slot at a time;
+the gradient and sampling checks compare the package against central
+differences and exact enumeration.
 """
 
 import math
@@ -186,23 +187,75 @@ def readout_attention(params, embeddings, feats, emb_tokens, d, shifted):
     return np.array(rows)
 
 
-def allocating_batch_loss(model, batch, want_grads=True):
-    """The training step with a fresh array for every intermediate and no
-    buffer kept between calls: (loss, grads, floored) as batch_loss returns
-    them. The arithmetic, and the memory layout of every array whose layout
-    sets a summation order, are batch_loss's, so the two agree bit for bit."""
+def dense_forward(model, z, attn_mask, rows=slice(None)):
+    """The attention layer, residual and head over the whole packed layout:
+    query rows `rows` of z, each scored against every position of z and
+    masked by its (M,) row of attn_mask. (logits, cache) as forward_core
+    returns them for one group."""
     p = model.params
-    M = batch.mask.shape[0]
-    z = model.build_inputs(batch.feats, batch.emb_tokens, M - batch.n_prefix,
-                           batch.position_ids)
-    rows = batch.slot_positions
     scale = 1.0 / np.sqrt(z.shape[-1])
     zq = z[:, rows]
     q = zq @ p["Wq"]
     k = z @ p["Wk"]
     v = z @ p["Wv"]
     s = (q @ k.transpose(0, 2, 1)) * scale
-    s = np.where(batch.mask[rows], s, -1e30)
+    s = np.where(attn_mask, s, -1e30)
+    s = s - s.max(axis=-1, keepdims=True)
+    attn = np.exp(s)
+    attn = attn / attn.sum(axis=-1, keepdims=True)
+    y = zq + attn @ v
+    logits = y @ p["W_head"] + p["b_head"]
+    return logits, {"z": z, "zq": zq, "rows": rows, "q": q, "k": k, "v": v,
+                    "attn": attn, "y": y, "scale": scale}
+
+
+def dense_backward(model, cache, dlogits, feats, n_prefix):
+    """dense_forward's gradients given d(loss)/d(logits) for its query rows."""
+    p = model.params
+    z, zq, rows, q, k, v = (cache[name] for name in ("z", "zq", "rows", "q", "k", "v"))
+    attn, y, scale = cache["attn"], cache["y"], cache["scale"]
+    grads = {"W_head": np.tensordot(y, dlogits, axes=([0, 1], [0, 1])),
+             "b_head": dlogits.sum(axis=(0, 1))}
+    dy = dlogits @ p["W_head"].T
+    dattn = dy @ v.transpose(0, 2, 1)
+    dv = attn.transpose(0, 2, 1) @ dy
+    ds = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True)) * scale
+    dq = ds @ k
+    dk = ds.transpose(0, 2, 1) @ q
+    grads["Wq"] = np.tensordot(zq, dq, axes=([0, 1], [0, 1]))
+    grads["Wk"] = np.tensordot(z, dk, axes=([0, 1], [0, 1]))
+    grads["Wv"] = np.tensordot(z, dv, axes=([0, 1], [0, 1]))
+    dz = dk @ p["Wk"].T + dv @ p["Wv"].T
+    dz[:, rows] += dy + dq @ p["Wq"].T
+    grads["mask_vec"] = dz[:, n_prefix:, :].sum(axis=(0, 1))
+    dg = dz[:, :n_prefix, :p["W_in"].shape[1]]
+    grads["W_in"] = np.tensordot(feats, dg, axes=([0, 1], [0, 1]))
+    return grads
+
+
+def allocating_batch_loss(model, batch, want_grads=True):
+    """The training step with a fresh array for every intermediate and no
+    buffer kept between calls: (loss, grads, floored) as batch_loss returns
+    them. Each group's keys are gathered by position and their gradients
+    added back with np.add.at. The arithmetic, and the memory layout of
+    every array whose layout sets a summation order, are batch_loss's, so
+    the two agree bit for bit."""
+    p = model.params
+    M, P = len(batch.position_ids), batch.n_prefix
+    G, d, K = batch.mask.shape
+    z = model.build_inputs(batch.feats, batch.emb_tokens, M - P, batch.position_ids)
+    rows = batch.slot_positions.reshape(G, d)
+    # Group g's keys: prompt positions 0 .. G-1, then its own block.
+    m = K - G
+    keys = np.concatenate([np.tile(np.arange(G), (G, 1)),
+                           P + np.arange(G * m).reshape(G, m)], axis=1)
+    scale = 1.0 / np.sqrt(z.shape[-1])
+    zq = z[:, rows]
+    q = zq @ p["Wq"]
+    k = (z @ p["Wk"])[:, keys]
+    v = (z @ p["Wv"])[:, keys]
+    s = (q @ np.swapaxes(k, -1, -2)) * scale
+    s = np.where(batch.mask, s, -1e30)
     s = s - s.max(axis=-1, keepdims=True)
     attn = np.exp(s)
     attn = attn / attn.sum(axis=-1, keepdims=True)
@@ -210,7 +263,7 @@ def allocating_batch_loss(model, batch, want_grads=True):
     logits = y @ p["W_head"] + p["b_head"]
 
     labels, weights = batch.labels, batch.slot_weights[None, :]
-    logp = log_softmax(logits)
+    logp = log_softmax(logits.reshape(labels.shape))
     unfloored = logp >= LOG_FLOOR
     floored = bool(np.any(~unfloored & (labels > 0)))
     label_term = np.where(labels > 0, labels * np.log(np.maximum(labels, 1e-300)), 0.0)
@@ -222,26 +275,116 @@ def allocating_batch_loss(model, batch, want_grads=True):
         return loss, None, floored
     q_kept = labels * unfloored
     dlogits = (np.exp(logp) * q_kept.sum(axis=-1, keepdims=True) - q_kept) * weights[..., None]
-    dlogits = dlogits / batch.norm
+    dlogits = (dlogits / batch.norm).reshape(logits.shape)
 
-    grads = {"W_head": np.tensordot(y, dlogits, axes=([0, 1], [0, 1])),
-             "b_head": dlogits.sum(axis=(0, 1))}
+    per_row = ([0, 1, 2], [0, 1, 2])
+    grads = {"W_head": np.tensordot(y, dlogits, axes=per_row),
+             "b_head": dlogits.sum(axis=(0, 1, 2))}
     dy = dlogits @ p["W_head"].T
-    dattn = dy @ v.transpose(0, 2, 1)
-    dv = attn.transpose(0, 2, 1) @ dy
+    dattn = dy @ np.swapaxes(v, -1, -2)
+    dv_grouped = np.swapaxes(attn, -1, -2) @ dy
     ds = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
     ds = ds * scale
     dq = ds @ k
-    dk = ds.transpose(0, 2, 1) @ q
-    grads["Wq"] = np.tensordot(zq, dq, axes=([0, 1], [0, 1]))
+    dk_grouped = np.swapaxes(ds, -1, -2) @ q
+    dk, dv = np.zeros_like(z), np.zeros_like(z)
+    np.add.at(dk, (slice(None), keys), dk_grouped)
+    np.add.at(dv, (slice(None), keys), dv_grouped)
+    grads["Wq"] = np.tensordot(zq, dq, axes=per_row)
     grads["Wk"] = np.tensordot(z, dk, axes=([0, 1], [0, 1]))
     grads["Wv"] = np.tensordot(z, dv, axes=([0, 1], [0, 1]))
     dz = dk @ p["Wk"].T + dv @ p["Wv"].T
     dz[:, rows] += dy + dq @ p["Wq"].T
-    grads["mask_vec"] = dz[:, batch.n_prefix:, :].sum(axis=(0, 1))
-    dg = dz[:, :batch.n_prefix, :model.params["W_in"].shape[1]]
+    grads["mask_vec"] = dz[:, P:, :].sum(axis=(0, 1))
+    dg = dz[:, :P, :model.params["W_in"].shape[1]]
     grads["W_in"] = np.tensordot(batch.feats, dg, axes=([0, 1], [0, 1]))
     return loss, grads, floored
+
+
+def slot_by_slot_loss(model, target, sequences, d, gamma, shifted, visible):
+    """The training loss and its gradients, (loss, grads), one supervised
+    slot and one sequence at a time.
+
+    Slot (g, t) of a sequence of length P, g < P - d, sits at prompt
+    position g (shifted, t = 0) or at position t of mask block g, packed
+    after the prompt, and predicts token g + t + 1. It attends by hand to
+    the packed positions that its row of `visible`, the (P(m+1), P(m+1))
+    dense mask of the full layout, marks, with the inputs and sinusoids
+    written out per position, and its KL term against the target's
+    conditional, floored as floored_kl floors it, is weighted gamma^t. The
+    loss averages over (sequence, prefix) pairs. Every gradient is
+    accumulated by hand from each slot's forward."""
+    p = model.params
+    width = p["Wq"].shape[0]
+    half, proj = width // 2, p["W_in"].shape[1]
+    P, m = len(sequences[0]), d - 1 if shifted else d
+    G = P - d
+    grads = {name: np.zeros_like(w) for name, w in p.items()}
+    loss = 0.0
+    for seq in sequences:
+        feats = target.features(seq)
+        # Packed position -> (input vector, position id, prompt position or None).
+        inputs, prompt_of = [], []
+        for pos in range(P * (m + 1)):
+            if pos < P:
+                tok = (seq[pos + 1] if pos + 1 < P else 0) if shifted else seq[pos]
+                x = np.concatenate([feats[pos] @ p["W_in"], model.embeddings[tok]])
+                pid = pos
+                prompt_of.append(pos)
+            else:
+                g, j = divmod(pos - P, m)
+                x = np.array(p["mask_vec"], dtype=np.float64)
+                pid = g + 1 + j
+                prompt_of.append(None)
+            for i in range(half):
+                angle = pid * 10000.0 ** (-i / half)
+                x[2 * i] += math.sin(angle)
+                x[2 * i + 1] += math.cos(angle)
+            inputs.append(x)
+        dz = [np.zeros(width) for _ in inputs]
+        for g in range(G):
+            for t in range(d):
+                r = g if shifted and t == 0 else P + g * m + t - int(shifted)
+                seen = np.flatnonzero(visible[r])
+                xq = inputs[r]
+                qv = xq @ p["Wq"]
+                keys = [inputs[j] @ p["Wk"] for j in seen]
+                values = [inputs[j] @ p["Wv"] for j in seen]
+                scores = np.array([qv @ kj for kj in keys]) / math.sqrt(width)
+                a = np.exp(scores - scores.max())
+                a /= a.sum()
+                ctx = sum(aj * vj for aj, vj in zip(a, values))
+                yv = xq + ctx
+                logits = yv @ p["W_head"] + p["b_head"]
+                shifted_logits = logits - logits.max()
+                logp = shifted_logits - math.log(np.exp(shifted_logits).sum())
+                label = target.next_dist(seq[:g + t + 1])
+                weight = gamma ** t
+                kept = label * (logp >= LOG_FLOOR)
+                terms = [label[u] * (math.log(label[u]) - max(logp[u], LOG_FLOOR))
+                         for u in range(len(label)) if label[u] > 0]
+                loss += weight * sum(terms)
+                dlogits = weight * (np.exp(logp) * kept.sum() - kept)
+                grads["W_head"] += np.outer(yv, dlogits)
+                grads["b_head"] += dlogits
+                dy = p["W_head"] @ dlogits
+                da = np.array([dy @ vj for vj in values])
+                dscores = a * (da - (a * da).sum()) / math.sqrt(width)
+                dq = sum(dsj * kj for dsj, kj in zip(dscores, keys))
+                grads["Wq"] += np.outer(xq, dq)
+                dz[r] += dy + p["Wq"] @ dq
+                for j, aj, dsj in zip(seen, a, dscores):
+                    dk, dv = dsj * qv, aj * dy
+                    grads["Wk"] += np.outer(inputs[j], dk)
+                    grads["Wv"] += np.outer(inputs[j], dv)
+                    dz[j] += p["Wk"] @ dk + p["Wv"] @ dv
+        for pos, dx in enumerate(dz):
+            if prompt_of[pos] is None:
+                grads["mask_vec"] += dx
+            else:
+                grads["W_in"] += np.outer(feats[prompt_of[pos]], dx[:proj])
+    norm = len(sequences) * G
+    return loss / norm, {name: g / norm for name, g in grads.items()}
 
 
 def exactness_check(target, drafter, trie, cfg, n_samples, prompt=(0,), horizon=3):

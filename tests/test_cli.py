@@ -393,6 +393,19 @@ def test_train_diverged_update_exits_4_and_writes_nothing(train_config, capsys, 
     assert not (tmp_path / "toy.npz.log.jsonl").exists()
 
 
+def test_train_zero_steps_checks_the_batch_and_writes_nothing(train_config, capsys):
+    # With no step to run, the batch is still built, so a gamma outside
+    # (0, 1] is rejected rather than written as an untrained model.
+    cfg, tmp_path = train_config
+    rc = main(["train-toy", "--config", cfg, "--override", "training.steps=0",
+               "--override", "training.gamma=5"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "gamma" in err and "Traceback" not in err
+    assert not (tmp_path / "toy.npz").exists()
+    assert not (tmp_path / "toy.npz.log.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv, missing", [
     (["decode", "--prompt-tokens", "1 2"], "trie"),
     (["eval", "--drafter", "oracle", "--tau-prompts", "1"], "trie"),

@@ -35,6 +35,16 @@ def test_same_seed_identical_tables():
     assert np.array_equal(a.embeddings, b.embeddings)
 
 
+def test_rows_are_the_seeded_dirichlet_draws():
+    # A context's row is the draw of its own seeded generator from the
+    # Dirichlet with every parameter equal to the concentration.
+    t = MarkovTarget(7, 16, 2, concentration=0.4)
+    for ctx in [(0, 0), (3, 9), (15, 1), (3, 9)]:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([7, 1, *ctx])))
+        expect = temperature_adjust(rng.dirichlet(np.full(16, 0.4)), 1.0)
+        assert np.array_equal(t.next_dist(list(ctx)), expect)
+
+
 def test_rows_sum_to_one():
     t = MarkovTarget(3, 16, 2)
     rng = np.random.default_rng(0)

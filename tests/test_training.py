@@ -3,7 +3,7 @@ import pytest
 from scipy.special import rel_entr
 
 from specdraft.errors import ConfigError, TrainingDivergedError
-from specdraft.models import MarkovTarget, NoisyOracleDrafter, ToyDraft
+from specdraft.models import MarkovTarget, NoisyOracleDrafter, ToyDraft, group_keys
 from specdraft.training import (
     TrainingLogRecord,
     _batch_forward,
@@ -16,7 +16,13 @@ from specdraft.training import (
     train_toy_draft,
 )
 
-from oracles import allocating_batch_loss, finite_diff_check
+from oracles import (
+    allocating_batch_loss,
+    dense_backward,
+    dense_forward,
+    finite_diff_check,
+    slot_by_slot_loss,
+)
 
 
 # -- scalar predicate oracle -------------------------------------------------------
@@ -362,12 +368,12 @@ def test_prefix_isolation(setup):
     outs = []
     for seq in (seq_a, seq_b):
         batch = build_training_batch(target, [seq], d, 0.6)
-        M = batch.mask.shape[0]
+        M = len(batch.position_ids)
         z = model.build_inputs(batch.feats, batch.emb_tokens,
                                M - batch.n_prefix, batch.position_ids)
-        logits, _ = model.forward_core(z, batch.mask)
-        slots = batch.slot_positions[g * d:(g + 1) * d]
-        outs.append(logits[0, slots, :])
+        queries = batch.slot_positions.reshape(batch.mask.shape[:2])
+        logits, _ = model.forward_core(z, batch.mask, queries)
+        outs.append(logits[0, g])
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -439,17 +445,41 @@ def test_batch_keeps_every_position_a_slot_sees(setup, shifted):
     d = 3
     batch = build_training_batch(target, corpus, d, 0.6, shifted=shifted)
     P, m = len(corpus[0]), d - 1 if shifted else d
-    M = batch.mask.shape[0]
+    M = len(batch.position_ids)
     assert M == P + (P - d) * m
-    full = build_training_mask(P, m)
-    assert np.array_equal(batch.mask, full[:M, :M])
     assert np.array_equal(batch.position_ids, build_position_ids(P, m)[:M])
-    assert not full[batch.slot_positions, M:].any()
+    assert not build_training_mask(P, m)[batch.slot_positions, M:].any()
+
+
+# Every prompt length P and draft length d <= 8 that supervises a slot:
+# d < P, and d >= 2 for shifted training.
+SMALL_LAYOUTS = [(P, d, shifted) for P in range(2, 9) for d in range(1, P)
+                 for shifted in (True, False) if d >= 2 or not shifted]
+
+
+@pytest.mark.parametrize("P, d, shifted", SMALL_LAYOUTS)
+def test_group_keys_unmask_exactly_what_the_dense_layout_shows(P, d, shifted):
+    # Every position that the dense mask shows a slot is one of its group's
+    # unmasked keys, and no other key is unmasked.
+    target = MarkovTarget(5, 8, 1)
+    corpus = [target.sample_sequence(np.random.default_rng(P), P)]
+    batch = build_training_batch(target, corpus, d, 0.6, shifted=shifted)
+    m = d - 1 if shifted else d
+    dense = predicate_mask(P, m, P)
+    G, rows, K = batch.mask.shape
+    assert (G, rows, K) == (P - d, d, P - d + m)
+    keys = group_keys(np.arange(len(batch.position_ids))[None], G, K)[0]
+    for g in range(G):
+        assert len(set(keys[g].tolist())) == K
+        for r in range(d):
+            slot = batch.slot_positions[g * d + r]
+            assert sorted(keys[g][batch.mask[g, r]]) == list(np.flatnonzero(dense[slot])), \
+                (g, r)
 
 
 def _layout(target, corpus, model, case):
-    """(z, mask, query rows, feats, n_prefix) for a training batch or a
-    drafting forward."""
+    """(z, dense mask, query rows, feats, n_prefix), and the grouped forward's
+    (attn_mask, rows, kv), for a training batch or a drafting forward."""
     if case == "drafting":
         prefix, d = corpus[0], 4
         n, n_mask = len(prefix), d - 1
@@ -457,30 +487,41 @@ def _layout(target, corpus, model, case):
         z = model.build_inputs(feats, np.asarray(prefix[1:] + [0])[None], n_mask,
                                np.arange(n + n_mask))
         mask = np.tril(np.ones((n + n_mask, n + n_mask), dtype=bool))
-        return z, mask, slice(n + n_mask - d, n + n_mask), feats, n
-    batch = build_training_batch(target, corpus, 3, 0.6, shifted=case == "shifted")
-    z = model.build_inputs(batch.feats, batch.emb_tokens,
-                           batch.mask.shape[0] - batch.n_prefix, batch.position_ids)
-    return z, batch.mask, batch.slot_positions, batch.feats, batch.n_prefix
+        kv = (z @ model.params["Wk"], z @ model.params["Wv"])
+        rows = slice(n + n_mask - d, n + n_mask)
+        return (z, mask, rows, feats, n), (np.tri(d, d - 1, -1, dtype=bool), rows, kv)
+    d, shifted = 3, case == "shifted"
+    batch = build_training_batch(target, corpus, d, 0.6, shifted=shifted)
+    M = len(batch.position_ids)
+    z = model.build_inputs(batch.feats, batch.emb_tokens, M - batch.n_prefix,
+                           batch.position_ids)
+    mask = build_training_mask(batch.n_prefix, d - 1 if shifted else d)[:M, :M]
+    queries = batch.slot_positions.reshape(batch.mask.shape[:2])
+    return (z, mask, batch.slot_positions, batch.feats, batch.n_prefix), \
+        (batch.mask, queries, None)
 
 
 @pytest.mark.parametrize("case", ["shifted", "unshifted", "drafting"])
 def test_row_subset_backward_matches_full_rows(setup, case):
-    # Querying a subset of rows gives the full-rows forward's logits on those
-    # rows, and the gradients of the full-rows backward with d(loss)/d(logits)
-    # zero on every other row.
+    # The grouped forward gives the logits of the dense forward over every
+    # position of the layout on its query rows, and its backward the dense
+    # backward's gradients with d(loss)/d(logits) zero on every other row.
+    # Drafting is one group over every key, with no backward.
     target, corpus, _ = setup
     model = ToyDraft(8, target.embeddings, seed=9, shifted=case != "unshifted")
-    z, mask, rows, feats, n_prefix = _layout(target, corpus, model, case)
-    full_logits, full_cache = model.forward_core(z, mask)
-    logits, cache = model.forward_core(z, mask[rows], rows)
-    assert np.max(np.abs(logits - full_logits[:, rows])) <= 1e-12
+    (z, mask, rows, feats, n_prefix), (attn_mask, queries, kv) = _layout(
+        target, corpus, model, case)
+    full_logits, full_cache = dense_forward(model, z, mask)
+    logits, cache = model.forward_core(z, attn_mask, queries, kv=kv)
+    assert np.max(np.abs(logits - full_logits[:, queries])) <= 1e-12
+    if kv is not None:
+        return
 
     dlogits = np.random.default_rng(1).standard_normal(logits.shape)
     dfull = np.zeros_like(full_logits)
-    dfull[:, rows] = dlogits
+    dfull[:, queries] = dlogits
     grads = model.backward_core(cache, dlogits, feats, n_prefix)
-    expect = model.backward_core(full_cache, dfull, feats, n_prefix)
+    expect = dense_backward(model, full_cache, dfull, feats, n_prefix)
     assert grads.keys() == expect.keys()
     for name, g in expect.items():
         assert np.max(np.abs(grads[name] - g)) <= 1e-12 * max(1.0, np.max(np.abs(g))), name
@@ -557,6 +598,33 @@ def test_two_forwards_in_flight_on_one_batch(shifted):
     for name, g in want_grads.items():
         assert np.array_equal(grads[name], g), name
     assert np.array_equal(backward2()["Wq"], batch_loss(m2, batch)[1]["Wq"])
+
+
+@pytest.mark.parametrize("P, d, shifted", SMALL_LAYOUTS + [
+    pytest.param(None, None, True, id="train-shifted"),
+    pytest.param(None, None, False, id="train-unshifted"),
+])
+def test_batch_loss_matches_slot_by_slot_reference(P, d, shifted):
+    # Loss and every gradient agree with slots that attend by hand to what the
+    # dense mask shows them, to 1e-12 relative, at every small layout (three
+    # sequences of test_07's target) and at the train shape.
+    if P is None:
+        seed, V, order, concentration, n, length, d = STEP_SHAPES["train"]
+    else:
+        seed, V, order, concentration, n, length = 5, 8, 1, 0.05, 3, P
+    target = MarkovTarget(seed, V, order, concentration=concentration)
+    rng = np.random.default_rng(0)
+    corpus = [target.sample_sequence(rng, length) for _ in range(n)]
+    batch = build_training_batch(target, corpus, d, 0.6, shifted=shifted)
+    model = ToyDraft(V, target.embeddings, seed=4, shifted=shifted)
+    m = d - 1 if shifted else d
+    loss, grads, _ = batch_loss(model, batch)
+    want_loss, want_grads = slot_by_slot_loss(model, target, corpus, d, 0.6, shifted,
+                                              predicate_mask(length, m, length))
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert grads.keys() == want_grads.keys()
+    for name, g in want_grads.items():
+        assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
 
 
 # -- finite differences --------------------------------------------------------------
