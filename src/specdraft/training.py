@@ -13,7 +13,9 @@ prefixes and blocks of m: prompt positions 0 .. G-1, which every group
 shares, and its own block. Its mask is the (d, K) slice of
 `build_training_mask`, so a sequence costs G * d * K scores (2,944 at L=24,
 d=8) where attending every position would cost one per supervised slot and
-position (17,408).
+position (17,408). No key is copied per group: the shared keys are scored
+in one product for a sequence's G * d query rows, each block in one for its
+group.
 
 The objective is a position-annealed KL divergence (`floored_kl`) against the
 target model's exact conditionals, weighted gamma^(t-1) for the t-th future
@@ -33,7 +35,6 @@ import numpy as np
 from .errors import ConfigError, TrainingDivergedError, check_int, check_number, check_tokens
 from .models import MarkovTarget, ToyDraft, group_keys
 from .ngram import LOG_FLOOR
-from .tree import log_softmax
 
 
 def build_training_mask(prompt_len: int, block_len: int) -> np.ndarray:
@@ -82,32 +83,42 @@ def floored_kl(logits: np.ndarray, q: np.ndarray,
     The gradient is exact for the clamped objective: clamped coordinates stop
     contributing their -q_v log p_v term. `weights` broadcasts against the
     per-row KL values, which the loss adds up with their last axis outermost
-    (slot by slot for a batch's (B, S)).
+    (slot by slot for a batch's (B, S)). `logits` is left as it is.
     """
-    loss, floored, grad = _floored_kl(logits, q, weights, _safe_q_log_q(q))
+    loss, floored, grad = _floored_kl(np.array(logits, dtype=np.float64), q, weights,
+                                      _safe_q_log_q(q), 1.0)
     return loss, grad(), floored
 
 
-def _floored_kl(logits, q, weights, q_log_q):
-    """floored_kl given the label term q_log_q = _safe_q_log_q(q), with its
-    gradient put off: (loss, floored, grad), where grad(), called at most
-    once, builds d loss / d logits in the arrays the loss was computed in."""
-    logp = log_softmax(logits)
-    unfloored = logp >= LOG_FLOOR
-    floored = bool(np.any(~unfloored & (q > 0)))
-    summands = np.maximum(logp, LOG_FLOOR)
+def _floored_kl(logits, q, weights, q_log_q, norm):
+    """floored_kl / norm given the label term q_log_q = _safe_q_log_q(q),
+    with its gradient put off: (loss, floored, grad), where grad(), called
+    at most once, builds d loss / d logits in the softmax the loss computed.
+    Overwrites `logits`. Over the short last axis argmax finds the row max,
+    and a product with ones a row sum, faster than max and sum do."""
+    ones = np.ones(logits.shape[-1])
+    top = np.take_along_axis(logits, logits.argmax(axis=-1)[..., None], axis=-1)
+    logp = np.subtract(logits, top, out=logits)
+    p = np.exp(logp)
+    total = (p @ ones)[..., None]
+    logp -= np.log(total)
+    if logp.min() >= LOG_FLOOR:  # nothing to clamp; a NaN fails this test
+        floored, q_kept, summands = False, q, logp
+    else:
+        unfloored = logp >= LOG_FLOOR
+        floored = bool(np.any(~unfloored & (q > 0)))
+        q_kept = q * unfloored
+        summands = np.maximum(logp, LOG_FLOOR, out=logp)
     summands *= q
     np.subtract(q_log_q, summands, out=summands)
-    loss = float(np.ascontiguousarray((weights * summands.sum(axis=-1)).T).sum())
+    loss = float(np.ascontiguousarray((weights * (summands @ ones)).T).sum()) / norm
 
     def grad() -> np.ndarray:
-        # weights * (q_mass * p - q * unfloored), where q_mass is a row's
-        # target mass outside the clamp.
-        q_kept = np.multiply(q, unfloored, out=summands)
-        dlogits = np.exp(logp, out=logp)
-        dlogits *= q_kept.sum(axis=-1, keepdims=True)
+        # weights / norm * (q_mass * p - q_kept), where q_mass is a row's
+        # target mass outside the clamp and p the softmax, exp(logp) / total.
+        dlogits = np.multiply(p, (q_kept @ ones)[..., None] / total, out=p)
         dlogits -= q_kept
-        dlogits *= weights[..., None]
+        dlogits *= (weights / norm)[..., None]
         return dlogits
 
     return loss, floored, grad
@@ -171,7 +182,7 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
         emb_tokens = np.roll(emb_tokens, -1, axis=1)
         emb_tokens[:, -1] = 0  # inert: the last prompt position is seen by no slot
     M, K = P + G * m, G + m
-    keys = group_keys(np.arange(M)[None], G, K)[0]
+    keys = group_keys(M, G, K)
     queries = slot_positions.reshape(G, d)
     return TrainingBatch(
         feats=np.stack([target.features(seq) for seq in sequences]),
@@ -210,15 +221,14 @@ def _batch_forward(model: ToyDraft, batch: TrainingBatch):
     logits, cache = model.forward_core(z, batch.mask, queries)
     grouped = logits.shape
     loss, floored, kl_grad = _floored_kl(logits.reshape(batch.labels.shape), batch.labels,
-                                         batch.slot_weights[None, :], batch.labels_log_labels)
+                                         batch.slot_weights[None, :], batch.labels_log_labels,
+                                         batch.norm)
 
     def backward() -> dict[str, np.ndarray]:
-        dlogits = kl_grad()
-        dlogits /= batch.norm
-        return model.backward_core(cache, dlogits.reshape(grouped), batch.feats,
+        return model.backward_core(cache, kl_grad().reshape(grouped), batch.feats,
                                    batch.n_prefix)
 
-    return loss / batch.norm, floored, backward
+    return loss, floored, backward
 
 
 @dataclass

@@ -20,7 +20,6 @@ from specdraft.engine import decode
 from specdraft.errors import ConfigError
 from specdraft.ngram import LOG_FLOOR
 from specdraft.training import batch_loss
-from specdraft.tree import log_softmax
 
 
 class WindowCounter:
@@ -236,60 +235,79 @@ def dense_backward(model, cache, dlogits, feats, n_prefix):
 def allocating_batch_loss(model, batch, want_grads=True):
     """The training step with a fresh array for every intermediate and no
     buffer kept between calls: (loss, grads, floored) as batch_loss returns
-    them. Each group's keys are gathered by position and their gradients
-    added back with np.add.at. The arithmetic, and the memory layout of
-    every array whose layout sets a summation order, are batch_loss's, so
-    the two agree bit for bit."""
+    them. The shared prompt keys and each group's block are gathered by
+    position; every sequence's query rows are scored against the shared
+    keys in one product and each group against its block in another, and
+    the key and value gradients are put back by position. The arithmetic,
+    and the memory layout of every array whose layout sets a summation
+    order, are batch_loss's, so the two agree bit for bit."""
     p = model.params
     M, P = len(batch.position_ids), batch.n_prefix
     G, d, K = batch.mask.shape
+    B, W, m = len(batch.feats), model.params["Wq"].shape[0], K - G
     z = model.build_inputs(batch.feats, batch.emb_tokens, M - P, batch.position_ids)
     rows = batch.slot_positions.reshape(G, d)
-    # Group g's keys: prompt positions 0 .. G-1, then its own block.
-    m = K - G
-    keys = np.concatenate([np.tile(np.arange(G), (G, 1)),
-                           P + np.arange(G * m).reshape(G, m)], axis=1)
+    # Prompt positions 0 .. G-1 are every group's keys; block g follows them.
+    shared, blocks = np.arange(G), P + np.arange(G * m).reshape(G, m)
+
+    def transposed(x):
+        return np.ascontiguousarray(np.swapaxes(x, -1, -2))
+
+    def by_sequence(x):
+        return x.reshape(B, G * d, x.shape[-1])
+
     scale = 1.0 / np.sqrt(z.shape[-1])
     zq = z[:, rows]
     q = zq @ p["Wq"]
-    k = (z @ p["Wk"])[:, keys]
-    v = (z @ p["Wv"])[:, keys]
-    s = (q @ np.swapaxes(k, -1, -2)) * scale
+    k_all, v_all = z @ p["Wk"], z @ p["Wv"]
+    k_shared, k_block = k_all[:, shared], k_all[:, blocks]
+    v_shared, v_block = v_all[:, shared], v_all[:, blocks]
+    s_shared = (by_sequence(q) @ transposed(k_shared)).reshape(B, G, d, G)
+    s = np.concatenate([s_shared, q @ transposed(k_block)], axis=-1) * scale
     s = np.where(batch.mask, s, -1e30)
     s = s - s.max(axis=-1, keepdims=True)
     attn = np.exp(s)
     attn = attn / attn.sum(axis=-1, keepdims=True)
-    y = zq + attn @ v
+    a_shared, a_block = by_sequence(attn[..., :G]), attn[..., G:]
+    y = a_block @ v_block + (a_shared @ v_shared).reshape(B, G, d, W) + zq
     logits = y @ p["W_head"] + p["b_head"]
 
     labels, weights = batch.labels, batch.slot_weights[None, :]
-    logp = log_softmax(logits.reshape(labels.shape))
+    ones = np.ones(labels.shape[-1])  # a row sum is a product with ones
+    shifted = logits.reshape(labels.shape)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = (e @ ones)[..., None]
+    logp = shifted - np.log(total)
     unfloored = logp >= LOG_FLOOR
     floored = bool(np.any(~unfloored & (labels > 0)))
     label_term = np.where(labels > 0, labels * np.log(np.maximum(labels, 1e-300)), 0.0)
-    kl = (label_term - labels * np.maximum(logp, LOG_FLOOR)).sum(axis=-1)
+    kl = (label_term - np.maximum(logp, LOG_FLOOR) * labels) @ ones
     # Added slot by slot, every sequence's term of a slot in turn, as
     # batch_loss adds them.
     loss = float(np.ascontiguousarray((weights * kl).T).sum()) / batch.norm
     if not want_grads:
         return loss, None, floored
     q_kept = labels * unfloored
-    dlogits = (np.exp(logp) * q_kept.sum(axis=-1, keepdims=True) - q_kept) * weights[..., None]
-    dlogits = (dlogits / batch.norm).reshape(logits.shape)
+    dlogits = e * ((q_kept @ ones)[..., None] / total) - q_kept
+    dlogits = (dlogits * (weights / batch.norm)[..., None]).reshape(logits.shape)
 
     per_row = ([0, 1, 2], [0, 1, 2])
     grads = {"W_head": np.tensordot(y, dlogits, axes=per_row),
              "b_head": dlogits.sum(axis=(0, 1, 2))}
     dy = dlogits @ p["W_head"].T
-    dattn = dy @ np.swapaxes(v, -1, -2)
-    dv_grouped = np.swapaxes(attn, -1, -2) @ dy
+    dv_shared = np.swapaxes(a_shared, -1, -2) @ by_sequence(dy)
+    dv_block = np.swapaxes(a_block, -1, -2) @ dy
+    dattn = np.concatenate([(by_sequence(dy) @ transposed(v_shared)).reshape(B, G, d, G),
+                            dy @ transposed(v_block)], axis=-1)
     ds = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
     ds = ds * scale
-    dq = ds @ k
-    dk_grouped = np.swapaxes(ds, -1, -2) @ q
+    ds_shared, ds_block = by_sequence(ds[..., :G]), ds[..., G:]
+    dq = ds_block @ k_block + (ds_shared @ k_shared).reshape(B, G, d, W)
     dk, dv = np.zeros_like(z), np.zeros_like(z)
-    np.add.at(dk, (slice(None), keys), dk_grouped)
-    np.add.at(dv, (slice(None), keys), dv_grouped)
+    dk[:, shared] = np.swapaxes(ds_shared, -1, -2) @ by_sequence(q)
+    dk[:, blocks] = np.swapaxes(ds_block, -1, -2) @ q
+    dv[:, shared], dv[:, blocks] = dv_shared, dv_block
     grads["Wq"] = np.tensordot(zq, dq, axes=per_row)
     grads["Wk"] = np.tensordot(z, dk, axes=([0, 1], [0, 1]))
     grads["Wv"] = np.tensordot(z, dv, axes=([0, 1], [0, 1]))

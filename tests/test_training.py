@@ -468,7 +468,7 @@ def test_group_keys_unmask_exactly_what_the_dense_layout_shows(P, d, shifted):
     dense = predicate_mask(P, m, P)
     G, rows, K = batch.mask.shape
     assert (G, rows, K) == (P - d, d, P - d + m)
-    keys = group_keys(np.arange(len(batch.position_ids))[None], G, K)[0]
+    keys = group_keys(len(batch.position_ids), G, K)
     for g in range(G):
         assert len(set(keys[g].tolist())) == K
         for r in range(d):
@@ -477,9 +477,10 @@ def test_group_keys_unmask_exactly_what_the_dense_layout_shows(P, d, shifted):
                 (g, r)
 
 
-def _layout(target, corpus, model, case):
+def _layout(target, corpus, model, case, d=3):
     """(z, dense mask, query rows, feats, n_prefix), and the grouped forward's
-    (attn_mask, rows, kv), for a training batch or a drafting forward."""
+    (attn_mask, rows, kv), for a training batch of draft length d or a
+    drafting forward of 4 rows."""
     if case == "drafting":
         prefix, d = corpus[0], 4
         n, n_mask = len(prefix), d - 1
@@ -490,7 +491,7 @@ def _layout(target, corpus, model, case):
         kv = (z @ model.params["Wk"], z @ model.params["Wv"])
         rows = slice(n + n_mask - d, n + n_mask)
         return (z, mask, rows, feats, n), (np.tri(d, d - 1, -1, dtype=bool), rows, kv)
-    d, shifted = 3, case == "shifted"
+    shifted = case == "shifted"
     batch = build_training_batch(target, corpus, d, 0.6, shifted=shifted)
     M = len(batch.position_ids)
     z = model.build_inputs(batch.feats, batch.emb_tokens, M - batch.n_prefix,
@@ -501,16 +502,12 @@ def _layout(target, corpus, model, case):
         (batch.mask, queries, None)
 
 
-@pytest.mark.parametrize("case", ["shifted", "unshifted", "drafting"])
-def test_row_subset_backward_matches_full_rows(setup, case):
-    # The grouped forward gives the logits of the dense forward over every
-    # position of the layout on its query rows, and its backward the dense
-    # backward's gradients with d(loss)/d(logits) zero on every other row.
-    # Drafting is one group over every key, with no backward.
-    target, corpus, _ = setup
-    model = ToyDraft(8, target.embeddings, seed=9, shifted=case != "unshifted")
-    (z, mask, rows, feats, n_prefix), (attn_mask, queries, kv) = _layout(
-        target, corpus, model, case)
+def _assert_grouped_matches_dense(model, dense, grouped):
+    """The grouped forward gives the logits of the dense forward over every
+    position of the layout on its query rows, to 1e-12, and its backward the
+    dense backward's gradients with d(loss)/d(logits) zero on every other
+    row. Drafting is one group over every key, with no backward."""
+    (z, mask, rows, feats, n_prefix), (attn_mask, queries, kv) = dense, grouped
     full_logits, full_cache = dense_forward(model, z, mask)
     logits, cache = model.forward_core(z, attn_mask, queries, kv=kv)
     assert np.max(np.abs(logits - full_logits[:, queries])) <= 1e-12
@@ -525,6 +522,25 @@ def test_row_subset_backward_matches_full_rows(setup, case):
     assert grads.keys() == expect.keys()
     for name, g in expect.items():
         assert np.max(np.abs(grads[name] - g)) <= 1e-12 * max(1.0, np.max(np.abs(g))), name
+
+
+@pytest.mark.parametrize("case", ["shifted", "unshifted", "drafting"])
+def test_row_subset_backward_matches_full_rows(setup, case):
+    target, corpus, _ = setup
+    model = ToyDraft(8, target.embeddings, seed=9, shifted=case != "unshifted")
+    _assert_grouped_matches_dense(model, *_layout(target, corpus, model, case))
+
+
+@pytest.mark.parametrize("P, d, shifted", SMALL_LAYOUTS)
+def test_grouped_attention_matches_dense_at_every_small_layout(P, d, shifted):
+    # The shared keys, scored once per sequence, and each group's block give
+    # the dense logits and gradients at every small layout, also where G = 1
+    # or m = 1 leaves one part a single key wide.
+    target = MarkovTarget(5, 8, 1, concentration=0.05)
+    corpus = [target.sample_sequence(np.random.default_rng(P), P) for _ in range(3)]
+    model = ToyDraft(8, target.embeddings, seed=9, shifted=shifted)
+    case = "shifted" if shifted else "unshifted"
+    _assert_grouped_matches_dense(model, *_layout(target, corpus, model, case, d))
 
 
 # -- the training step against its reference -----------------------------------------
@@ -625,6 +641,43 @@ def test_batch_loss_matches_slot_by_slot_reference(P, d, shifted):
     assert grads.keys() == want_grads.keys()
     for name, g in want_grads.items():
         assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_training_step_in_the_clamped_regime(shifted):
+    # Head weights scaled tenfold push some label-carrying log-probabilities
+    # below the floor, so the step clamps: it still matches the slot-by-slot
+    # reference and, bit for bit, the allocating one, and floored_kl leaves
+    # the logits it is handed as they were.
+    seed, V, order, concentration, n, length, d = STEP_SHAPES["test_07"]
+    target = MarkovTarget(seed, V, order, concentration=concentration)
+    rng = np.random.default_rng(0)
+    corpus = [target.sample_sequence(rng, length) for _ in range(n)]
+    batch = build_training_batch(target, corpus, d, 0.6, shifted=shifted)
+    model = ToyDraft(V, target.embeddings, seed=4, shifted=shifted)
+    model.params["W_head"] *= 10.0
+    loss, grads, floored = batch_loss(model, batch)
+    assert floored
+
+    m = d - 1 if shifted else d
+    want_loss, want_grads = slot_by_slot_loss(model, target, corpus, d, 0.6, shifted,
+                                              predicate_mask(length, m, length))
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    for name, g in want_grads.items():
+        assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+    same_loss, same_grads, same_floored = allocating_batch_loss(model, batch)
+    assert loss == same_loss and same_floored
+    for name, g in same_grads.items():
+        assert np.array_equal(grads[name], g), name
+
+    M = len(batch.position_ids)
+    z = model.build_inputs(batch.feats, batch.emb_tokens, M - batch.n_prefix,
+                           batch.position_ids)
+    queries = batch.slot_positions.reshape(batch.mask.shape[:2])
+    logits = model.forward_core(z, batch.mask, queries)[0].reshape(batch.labels.shape)
+    kept = logits.copy()
+    assert floored_kl(logits, batch.labels, batch.slot_weights[None, :])[2]
+    assert np.array_equal(logits, kept)
 
 
 # -- finite differences --------------------------------------------------------------
