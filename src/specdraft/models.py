@@ -2,8 +2,9 @@
 
 MarkovTarget is an order-k Markov chain standing in for the target LM: exact
 conditional distributions, deterministic per-context feature rows standing in
-for low/middle/high hidden states side by side, and a frozen token embedding
-table. `start(prompt)` opens the Session that holds one request's prefix.
+for low/middle/high hidden states side by side, kept in one table by context
+id so a prompt's rows are one gather, and a frozen token embedding table.
+`start(prompt)` opens the Session that holds one request's prefix.
 
 ToyDraft realizes the parallel drafting architecture at toy scale: the fused
 feature rows are projected, the projection is joined with
@@ -21,6 +22,7 @@ keys, with no O(n) step left.
 from __future__ import annotations
 
 import zipfile
+from itertools import repeat
 
 import numpy as np
 
@@ -62,18 +64,25 @@ def sample_from(dist: np.ndarray, rng: np.random.Generator) -> int:
 class MarkovTarget:
     """Order-k Markov chain with exact conditionals and deterministic features.
 
-    Transition rows and feature vectors are generated lazily per context from
-    (seed, context), so two targets with the same construction arguments agree
-    on every row. Contexts shorter than k are left-padded with token 0. seed
-    >= 0, vocab_size >= 2 and order >= 1 must be integers, and concentration,
-    the Dirichlet parameter of every row, a finite number > 0; anything else
-    raises ConfigError.
+    Transition rows and feature rows are drawn from (seed, context) when a
+    context is first met, so two targets with the same construction arguments
+    agree on every row, whatever order they meet contexts in. A feature row
+    is appended to one table, found by the context's int64 id: its window
+    read as a base-V number. Contexts shorter than k are left-padded with
+    token 0. seed >= 0, vocab_size >= 2 and order >= 1 must be integers, with
+    vocab_size ** order below 2 ** 63 so that ids fit in int64, and
+    concentration, the Dirichlet parameter of every row, a finite number > 0;
+    anything else raises ConfigError.
     """
 
     def __init__(self, seed: int, vocab_size: int, order: int, concentration: float = 0.3):
         check_int("target seed", seed, minimum=0)
         check_int("vocab_size", vocab_size, minimum=2)
         check_int("markov order", order, minimum=1)
+        highest = next(n for n in range(1, 64) if vocab_size ** (n + 1) >= 2 ** 63)
+        if order > highest:
+            raise ConfigError(f"markov order must be in [1, {highest}] at vocab_size {vocab_size}, "
+                              f"where context ids fit in int64; got {order}")
         check_number("concentration", concentration)
         if concentration <= 0:
             raise ConfigError(f"concentration must be > 0, got {concentration}")
@@ -83,7 +92,9 @@ class MarkovTarget:
         self.concentration = concentration
         self._alpha = np.full(vocab_size, concentration)  # every row's Dirichlet parameter
         self._rows: dict[tuple[int, ...], np.ndarray] = {}
-        self._feats: dict[tuple[int, ...], np.ndarray] = {}
+        self._place = vocab_size ** np.arange(order - 1, -1, -1, dtype=np.int64)
+        self._slot: dict[int, int] = {}
+        self._table = np.empty((64, 3 * FEAT_WIDTH))
         emb_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
         self.embeddings = emb_rng.standard_normal((vocab_size, EMB_WIDTH))
 
@@ -102,12 +113,9 @@ class MarkovTarget:
         return row
 
     def _feat(self, ctx: tuple[int, ...]) -> np.ndarray:
-        feat = self._feats.get(ctx)
-        if feat is None:
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, 2, *ctx])))
-            feat = rng.standard_normal(3 * FEAT_WIDTH)  # low | mid | high
-            self._feats[ctx] = feat
-        return feat
+        """A context's feature row, drawn afresh from (seed, context)."""
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, 2, *ctx])))
+        return rng.standard_normal(3 * FEAT_WIDTH)  # low | mid | high
 
     def start(self, prompt) -> Session:
         """A session on this target holding a copy of `prompt`."""
@@ -131,7 +139,7 @@ class MarkovTarget:
     def next_dists(self, prefix, temperature: float = 1.0) -> np.ndarray:
         """(n, V) for a prefix of n tokens: row i is
         next_dist(prefix[:i + 1], temperature), bit for bit."""
-        rows = [self._row(ctx) for ctx in self._contexts(prefix, 0)]
+        rows = [self._row(tuple(w)) for w in self._contexts(prefix, 0).tolist()]
         return temperature_adjust(np.array(rows).reshape(-1, self.vocab_size), temperature)
 
     def features(self, prefix, start: int = 0) -> np.ndarray:
@@ -144,19 +152,31 @@ class MarkovTarget:
         n = len(prefix)
         if not 0 <= start <= n:
             raise ConfigError(f"features start must be in [0, {n}], got {start}")
-        feats = [self._feat(ctx) for ctx in self._contexts(prefix, start)]
-        return np.array(feats).reshape(-1, 3 * FEAT_WIDTH)
+        windows = self._contexts(prefix, start)
+        ids = windows.dot(self._place).tolist()
+        slot = self._slot
+        try:
+            slots = np.fromiter(map(slot.__getitem__, ids), np.intp, len(ids))
+        except KeyError:  # draw each context met for the first time, once
+            slots = np.fromiter(map(slot.get, ids, repeat(-1)), np.intp, len(ids))
+            for i in np.flatnonzero(slots < 0).tolist():
+                if ids[i] not in slot:
+                    k = slot[ids[i]] = len(slot)
+                    if k == len(self._table):
+                        self._table = np.concatenate([self._table, np.empty_like(self._table)])
+                    self._table[k] = self._feat(tuple(windows[i].tolist()))
+                slots[i] = slot[ids[i]]
+        return self._table.take(slots, axis=0)
 
-    def _contexts(self, prefix, start: int) -> list[tuple[int, ...]]:
-        """The context of each position start .. n-1 of a prefix of n tokens:
-        the `order` tokens ending there, in the prefix left-padded with token
-        0 as _context pads it."""
+    def _contexts(self, prefix, start: int) -> np.ndarray:
+        """(n - start, order): the context of each position start .. n-1 of a
+        prefix of n tokens, the `order` tokens ending there, in the prefix
+        left-padded with token 0 as _context pads it."""
         n = len(prefix)
         lo = max(0, start + 1 - self.order)
         padded = np.concatenate([np.zeros(self.order - 1 - (start - lo), np.int64),
                                  np.asarray(prefix[lo:n], dtype=np.int64)])
-        windows = padded[np.arange(n - start)[:, None] + np.arange(self.order)].tolist()
-        return [tuple(w) for w in windows]
+        return padded[np.arange(n - start)[:, None] + np.arange(self.order)]
 
     def rollout(self, prefix, length: int, pick) -> list[int]:
         """`length` tokens past `prefix`, each `pick(row)` of the untempered
@@ -256,18 +276,19 @@ class DraftCache:
         self.keys = np.empty((0, MODEL_WIDTH))
         self.values = np.empty((0, MODEL_WIDTH))
 
-    def write(self, start: int, final: int, k: np.ndarray, v: np.ndarray):
-        """Store rows start .. start + len(k) - 1, of which the first `final`
-        of all rows are now final; returns the keys and values of every
-        position, 0 .. start + len(k) - 1."""
-        end = start + len(k)
+    def write(self, start: int, final: int, z: np.ndarray):
+        """Project the (L, MODEL_WIDTH) inputs z of positions start ..
+        start + L - 1 straight into their key and value rows, of which the
+        first `final` of all rows are now final; returns the keys and values
+        of every position, 0 .. start + L - 1."""
+        end = start + len(z)
         if end > len(self.keys):
             size = 2 * end
             keys, values = np.empty((size, MODEL_WIDTH)), np.empty((size, MODEL_WIDTH))
             keys[:start], values[:start] = self.keys[:start], self.values[:start]
             self.keys, self.values = keys, values
-        self.keys[start:end] = k
-        self.values[start:end] = v
+        np.matmul(z, self.drafter.params["Wk"], out=self.keys[start:end])
+        np.matmul(z, self.drafter.params["Wv"], out=self.values[start:end])
         self.final = final
         return self.keys[:end], self.values[:end]
 
@@ -322,17 +343,17 @@ class ToyDraft:
         embeddings occupy each prefix position.
         """
         B, n, _ = feats.shape
-        g = feats @ self.params["W_in"]
-        e = self.embeddings[emb_tokens]
-        z_prefix = np.concatenate([g, e], axis=-1)
-        z_mask = np.broadcast_to(self.params["mask_vec"], (B, n_mask, MODEL_WIDTH))
-        z = np.concatenate([z_prefix, z_mask], axis=1)
+        z = np.empty((B, n + n_mask, MODEL_WIDTH))
+        np.matmul(feats, self.params["W_in"], out=z[:, :n, :PROJ_WIDTH])
+        z[:, :n, PROJ_WIDTH:] = self.embeddings[emb_tokens]
+        z[:, n:] = self.params["mask_vec"]
         ids = np.asarray(position_ids, dtype=np.int64)
         if ids.size and ids.max() >= len(self._pe_table):
             # Rebuilt whole, never appended, so every row is computed alike.
             size = max(int(ids.max()) + 1, 2 * len(self._pe_table))
             self._pe_table = positional_encoding(np.arange(size))
-        return z + self._pe_table[ids][None, :, :]
+        z += self._pe_table[ids]
+        return z
 
     def forward_core(self, z: np.ndarray, attn_mask: np.ndarray, rows,
                      kv: tuple[np.ndarray, np.ndarray] | None = None):
@@ -480,8 +501,7 @@ class ToyDraft:
         z = self.build_inputs(session.features(start)[None],
                               np.asarray(emb, dtype=np.int64)[None], n_mask,
                               np.arange(start, length))
-        keys, values = cache.write(start, n - 1 if self.shifted else n,
-                                   z[0] @ self.params["Wk"], z[0] @ self.params["Wv"])
+        keys, values = cache.write(start, n - 1 if self.shifted else n, z[0])
         # Read-out row j sits at position length - d + j: of the last d - 1
         # keys it sees the first j, and it sees every key before them.
         mask = np.tri(d, d - 1, -1, dtype=bool)

@@ -18,6 +18,7 @@ import numpy as np
 
 from specdraft.engine import decode
 from specdraft.errors import ConfigError
+from specdraft.models import positional_encoding
 from specdraft.ngram import LOG_FLOOR
 from specdraft.training import batch_loss
 
@@ -184,6 +185,18 @@ def readout_attention(params, embeddings, feats, emb_tokens, d, shifted):
         ctx = sum(w / total * (inputs[j] @ params["Wv"]) for j, w in enumerate(weights))
         rows.append((inputs[r] + ctx) @ params["W_head"] + params["b_head"])
     return np.array(rows)
+
+
+def concat_inputs(model, feats, emb_tokens, n_mask, position_ids):
+    """The drafter's input z built from separate arrays: the projected
+    features and the embeddings joined along the width, the mask rows joined
+    after them, and the sinusoids of the position ids added to the result."""
+    B, n, _ = feats.shape
+    g = feats @ model.params["W_in"]
+    e = model.embeddings[np.asarray(emb_tokens)]
+    prefix = np.concatenate([g, e], axis=-1)
+    masks = np.broadcast_to(model.params["mask_vec"], (B, n_mask, prefix.shape[-1]))
+    return np.concatenate([prefix, masks], axis=1) + positional_encoding(position_ids)[None]
 
 
 def dense_forward(model, z, attn_mask, rows=slice(None)):

@@ -126,6 +126,16 @@ def test_decode_non_finite_or_out_of_range_config_exits_2(config_file, capsys, o
     assert "config error" in capsys.readouterr().err
 
 
+def test_markov_order_whose_context_ids_overflow_int64_exits_2(config_file, capsys):
+    target = {"seed": 7, "vocab_size": 64, "order": 2, "concentration": 0.1}
+    rc = main(["decode", "--config", config_file(target=target), "--prompt-tokens", "1 2",
+               "--override", "target.order=11"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "[1, 10]" in err and "int64" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("override", [
     "prune.epsilon=0", "prune.epsilon=-1", "prune.w_ng=NaN", "prune.level_exponent=NaN",
     "prune.logit_decay=0.9", "decode.prune=3", "decode.seed=1", "paths.corpus=x",

@@ -8,6 +8,7 @@ from specdraft.engine import DecodeConfig, decode
 from specdraft.models import (
     CHAIN_LOGIT,
     FEAT_WIDTH,
+    MODEL_WIDTH,
     AdversarialDrafter,
     MarkovTarget,
     NoisyOracleDrafter,
@@ -18,9 +19,10 @@ from specdraft.models import (
     sample_from,
     temperature_adjust,
 )
+from specdraft.training import build_training_batch
 from specdraft.tree import ROOT_ID, DraftTree
 
-from oracles import readout_attention
+from oracles import concat_inputs, readout_attention
 
 
 # -- markov target ---------------------------------------------------------------
@@ -181,6 +183,40 @@ def test_features_start_out_of_range():
     for start in (-1, 4):
         with pytest.raises(ConfigError):
             t.features([1, 2, 3], start)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_features_of_a_fresh_target_equal_the_cold_rows(order):
+    # The rows gathered from the table, which grows while the call fills it,
+    # are the rows _feat draws for each position's context, from every start.
+    prefix = [int(x) for x in np.random.default_rng(order).integers(0, 100, size=160)]
+    ref = MarkovTarget(9, 100, order)
+    expect = np.array([ref._feat(ref._context(prefix[:i + 1])) for i in range(len(prefix))])
+    contexts = {ref._context(prefix[:i + 1]) for i in range(len(prefix))}
+    assert len(contexts) > len(ref._table)  # more than the table's first capacity
+    for start in range(len(prefix) + 1):
+        assert np.array_equal(MarkovTarget(9, 100, order).features(prefix, start), expect[start:])
+
+
+def test_feature_rows_do_not_depend_on_the_order_contexts_were_met():
+    prefix = [int(x) for x in np.random.default_rng(3).integers(0, 40, size=300)]
+    a, b = MarkovTarget(9, 40, 2), MarkovTarget(9, 40, 2)
+    a.features(prefix)
+    b.features(prefix[::-1])
+    b.features(prefix[150:])
+    assert list(a._slot) != list(b._slot)
+    assert np.array_equal(a.features(prefix), b.features(prefix))
+    assert np.array_equal(a.features(prefix[::-1], 7), b.features(prefix[::-1], 7))
+
+
+@pytest.mark.parametrize("vocab_size, highest", [(2, 62), (64, 10), (256, 7)])
+def test_target_order_whose_context_ids_overflow_int64_is_rejected(vocab_size, highest):
+    # A context's id is its window read as a base-V number, so V ** order
+    # must stay below 2 ** 63.
+    t = MarkovTarget(1, vocab_size, highest)
+    assert t.features([vocab_size - 1] * (highest + 2)).shape == (highest + 2, 3 * FEAT_WIDTH)
+    with pytest.raises(ConfigError, match=rf"\[1, {highest}\] at vocab_size {vocab_size}.*int64"):
+        MarkovTarget(1, vocab_size, highest + 1)
 
 
 def test_target_validation():
@@ -477,6 +513,46 @@ def test_later_cycle_projects_only_its_new_positions(shifted, d, prompt_len, mon
         expect = emitted + n_mask + 1 if shifted else max(emitted, 2) + n_mask
         assert built[-1] == expect
     assert built[-1] < len(prefixes[-1]) + n_mask
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+@pytest.mark.parametrize("shape", ["n=1", "n=2", "n=1100", "train"])
+def test_build_inputs_equals_concatenated_inputs(shifted, shape):
+    target = MarkovTarget(7, 64, 2)
+    model = ToyDraft(64, target.embeddings, seed=5, shifted=shifted)
+    if shape == "train":
+        corpus = [target.sample_sequence(np.random.default_rng(i), 24) for i in range(16)]
+        batch = build_training_batch(target, corpus, 8, 0.6, shifted=shifted)
+        args = (batch.feats, batch.emb_tokens, len(batch.position_ids) - batch.n_prefix,
+                batch.position_ids)
+    else:
+        n = int(shape[2:])
+        prefix = target.sample_sequence(np.random.default_rng(n), n)
+        emb = prefix[1:] + [3] if shifted else prefix
+        n_mask = 7 if shifted else 8
+        args = (target.features(prefix)[None], np.asarray(emb)[None], n_mask,
+                np.arange(n + n_mask))
+    z = model.build_inputs(*args)
+    assert z.shape == (len(args[0]), len(args[3]), MODEL_WIDTH)
+    assert np.array_equal(z, concat_inputs(model, *args))
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_cached_predict_over_a_long_prompt_equals_a_fresh_drafter(shifted):
+    # The first cycle projects all 1,100 prompt positions straight into the
+    # cache's rows; two later cycles add to them.
+    target = MarkovTarget(7, 64, 2)
+    model = ToyDraft(64, target.embeddings, seed=5, shifted=shifted)
+    gen = np.random.default_rng(8)
+    session = target.start(target.sample_sequence(gen, 1100))
+    for extension in ([], [int(x) for x in gen.integers(0, 64, 3)], [int(gen.integers(64))]):
+        session.extend(extension)
+        fresh = ToyDraft(64, target.embeddings, seed=5, shifted=shifted)
+        got = model.predict(session, 8, rng=np.random.default_rng(1), temperature=1.0).rows
+        want = fresh.predict(target.start(session.tokens), 8, rng=np.random.default_rng(1),
+                             temperature=1.0).rows
+        assert np.array_equal(got, want)
+    assert session.draft.final == len(session.tokens) - shifted
 
 
 @pytest.mark.parametrize("temperature", [0.0, 1.0])
