@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Five SHA-256 digests over a fixed set of decodes, evaluate_alpha, training and the CLI.
+"""Six SHA-256 digests over decodes, evaluate_alpha, training, the CLI and cold target rows.
 
 A refactor that must not change any output prints the same digests before
 and after it. The decodes cover a V=64 target with short prompts, a V=256
@@ -21,8 +21,12 @@ command line's training path, run in a temporary directory on a config that
 sets no draft length, so d is the default 8: the training log of `train-toy
 --eval-every 10` (V=64, 8 corpus and 4 held-out sequences of 16 tokens, 20
 steps), the saved model's arrays and the output of `eval --drafter toy
---jsonl --tau-prompts 2` without a trie. Targets, tries and drafters are
-built in process, so nothing needs preparing.
+--jsonl --tau-prompts 2` without a trie. The sixth covers raw cold rows:
+the transition and feature rows of a V=64 and a V=256 target whose seed is
+2**32 + --seed, so that it is two seed words, met in a fixed order of calls
+that draws some contexts together and some one at a time, each in the order
+it was drawn. Targets, tries and drafters are built in process, so nothing
+needs preparing.
 
     PYTHONPATH=src python scripts/transcript_digest.py --seed 1
 """
@@ -53,7 +57,7 @@ from specdraft.training import (
     evaluate_alpha,
     train_toy_draft,
 )
-from specdraft.tree import PruneConfig
+from specdraft.tree import ROOT_ID, DraftTree, PruneConfig
 
 D = 8
 PRUNE = PruneConfig(k=25, w=20, theta=59)
@@ -165,6 +169,31 @@ def cli_all(digest, seed):
                                   "--jsonl", "--tau-prompts", "2").encode())
 
 
+def cold_rows(digest, seed):
+    """Draw cold rows of two targets by calls that meet many new contexts
+    (drawn together), few (drawn one at a time) and some seen already,
+    then hash every transition row and feature row in the order drawn."""
+    for vocab_size in (64, 256):
+        target = MarkovTarget(2 ** 32 + seed, vocab_size, 2, concentration=0.3)
+        rng = np.random.default_rng([seed, vocab_size, 3])
+        prompt = [int(t) for t in rng.integers(0, vocab_size, size=40)]
+        target.next_dist(prompt[:3])
+        target.next_dists(prompt[:24])
+        target.greedy_chain(prompt, 6)
+        target.next_dists(prompt[:28])
+        parent, level = [int(rng.integers(ROOT_ID, i)) if i else ROOT_ID for i in range(30)], []
+        for p in parent:
+            level.append(0 if p == ROOT_ID else level[p] + 1)
+        tree = DraftTree(parent, rng.integers(0, vocab_size, size=30), level, np.zeros(30))
+        target.tree_dists(prompt, tree)
+        target.features(prompt[:5])
+        target.features(prompt)
+        target.features(prompt + target.greedy_chain(prompt, 3), len(prompt))
+        for row in target._rows.values():
+            digest.floats(row)
+        digest.floats(target._table[:len(target._slot)])
+
+
 def system(digest, seed, vocab_size):
     """(target, trie, trained toy drafter, held-out sequences) of one vocabulary."""
     target = MarkovTarget(seed, vocab_size, 2, concentration=0.3)
@@ -187,7 +216,7 @@ def main(argv=None):
                     help="length of the long-context prompts")
     args = ap.parse_args(argv)
 
-    digest, reference, baseline, training, command_line = (Digest() for _ in range(5))
+    digest, reference, baseline, training, command_line, cold = (Digest() for _ in range(6))
     for vocab_size in (64, 256):
         target, trie, model, heldout = system(digest, args.seed, vocab_size)
         drafters = [("toy", lambda s: model),
@@ -213,6 +242,8 @@ def main(argv=None):
     print(f"{training.sha.hexdigest()}  (training)")
     cli_all(command_line, args.seed)
     print(f"{command_line.sha.hexdigest()}  (train-toy and eval)")
+    cold_rows(cold, args.seed)
+    print(f"{cold.sha.hexdigest()}  (cold target rows)")
 
 
 if __name__ == "__main__":

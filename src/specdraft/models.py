@@ -4,6 +4,8 @@ MarkovTarget is an order-k Markov chain standing in for the target LM: exact
 conditional distributions, deterministic per-context feature rows standing in
 for low/middle/high hidden states side by side, kept in one table by context
 id so a prompt's rows are one gather, and a frozen token embedding table.
+The contexts one call meets for the first time are seeded together, by one
+vectorized pass of numpy's SeedSequence hash, with every row's bits kept.
 `start(prompt)` opens the Session that holds one request's prefix.
 
 ToyDraft realizes the parallel drafting architecture at toy scale: the fused
@@ -21,10 +23,13 @@ keys, with no O(n) step left.
 
 from __future__ import annotations
 
+import functools
 import zipfile
+from collections.abc import Iterator
 from itertools import repeat
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, ModelFormatError, check_int, check_number
 from .tree import DraftTree, ParallelLogits
@@ -61,23 +66,119 @@ def sample_from(dist: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
 
 
+# From this many contexts met for the first time in one call, the target seeds
+# them with one vectorized pass of SeedSequence's hash instead of one
+# SeedSequence each: the pass has a fixed cost of some dozens of numpy calls.
+BATCH_SEEDING_MIN = 8
+
+# numpy's SeedSequence: its pool size, hash constants and mixing multipliers.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_OTHER_WORDS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values SeedSequence's running hash constant takes over n hashes,
+    (n, 1) uint32 each: the one each value is xored with and, one step on,
+    the one it is then multiplied by."""
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return np.array(h[:-1], np.uint32)[:, None], np.array(h[1:], np.uint32)[:, None]
+
+
+@functools.cache
+def _mix_constants(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_hash_constants` of mix_entropy on `length` entropy words: one hash
+    per pool word, one per ordered pair of pool words, and one per pool word
+    for each word past the pool."""
+    return _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * max(0, length - _POOL))
+
+
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    value = value ^ xor
+    value *= mul
+    value ^= value >> _XSHIFT
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x *= _MIX_L
+    x -= _MIX_R * y
+    x ^= x >> _XSHIFT
+    return x
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """(N, 4) uint64 from (N, L) uint32 entropy words: row i is
+    np.random.SeedSequence(entropy[i]).generate_state(4, np.uint64), bit for
+    bit, by one pass of numpy's algorithm over every row at once. Words are
+    kept one row per pool word, (4, N), so each step reads whole rows."""
+    n, length = entropy.shape
+    xor, mul = _mix_constants(length)
+    words = np.zeros((max(length, _POOL), n), np.uint32)  # a short entropy hashes zeros
+    words[:length] = entropy.T
+    pool = _hashmix(words[:_POOL], xor[:_POOL], mul[:_POOL])
+    for src, dst in enumerate(_OTHER_WORDS):  # every pool word into every other
+        step = slice(_POOL + (_POOL - 1) * src, _POOL + (_POOL - 1) * (src + 1))
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[step], mul[step]))
+    if length > _POOL:  # each word past the pool into every pool word
+        k = _POOL * _POOL
+        extra = _hashmix(words[_POOL:, None], xor[k:].reshape(-1, _POOL, 1),
+                         mul[k:].reshape(-1, _POOL, 1))
+        for hashed in extra:
+            pool = _mix(pool, hashed)
+    state = _hashmix(np.concatenate([pool, pool]), *_STATE_CONSTANTS)  # 8 words, pool cycled
+    return np.ascontiguousarray(state.T).astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """A seed whose state is already computed, one row of `_seed_states`:
+    PCG64 asks its seed for generate_state(4, np.uint64) and gets the row."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _int_words(n: int) -> list[int]:
+    """n >= 0 as SeedSequence splits an int: 32-bit words, least significant first."""
+    return [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
 class MarkovTarget:
     """Order-k Markov chain with exact conditionals and deterministic features.
 
     Transition rows and feature rows are drawn from (seed, context) when a
     context is first met, so two targets with the same construction arguments
-    agree on every row, whatever order they meet contexts in. A feature row
-    is appended to one table, found by the context's int64 id: its window
-    read as a base-V number. Contexts shorter than k are left-padded with
-    token 0. seed >= 0, vocab_size >= 2 and order >= 1 must be integers, with
-    vocab_size ** order below 2 ** 63 so that ids fit in int64, and
-    concentration, the Dirichlet parameter of every row, a finite number > 0;
-    anything else raises ConfigError.
+    agree on every row, whatever order they meet contexts in: a row is the
+    draw of np.random.SeedSequence([seed, tag, *context]) through PCG64, tag
+    1 for transitions and 2 for features. A call draws the contexts it meets
+    for the first time together: from BATCH_SEEDING_MIN of them, one
+    vectorized pass of SeedSequence's hash seeds them all, and the rows keep
+    their bits. A feature row is appended to one table, found by the
+    context's int64 id: its window read as a base-V number. Contexts shorter
+    than k are left-padded with token 0. seed >= 0, vocab_size >= 2 and
+    order >= 1 must be integers, with vocab_size at most 2 ** 32 so that each
+    token is one 32-bit seed word, vocab_size ** order below 2 ** 63 so that
+    ids fit in int64, and concentration, the Dirichlet parameter of every
+    row, a finite number > 0; anything else raises ConfigError.
     """
 
     def __init__(self, seed: int, vocab_size: int, order: int, concentration: float = 0.3):
         check_int("target seed", seed, minimum=0)
         check_int("vocab_size", vocab_size, minimum=2)
+        if vocab_size > 2 ** 32:
+            raise ConfigError(f"vocab_size must be <= 2**32 = {2 ** 32}, so that each token "
+                              f"is one 32-bit seed word; got {vocab_size}")
         check_int("markov order", order, minimum=1)
         highest = next(n for n in range(1, 64) if vocab_size ** (n + 1) >= 2 ** 63)
         if order > highest:
@@ -91,6 +192,7 @@ class MarkovTarget:
         self.order = order
         self.concentration = concentration
         self._alpha = np.full(vocab_size, concentration)  # every row's Dirichlet parameter
+        self._seed_words = _int_words(seed)
         self._rows: dict[tuple[int, ...], np.ndarray] = {}
         self._place = vocab_size ** np.arange(order - 1, -1, -1, dtype=np.int64)
         self._slot: dict[int, int] = {}
@@ -104,18 +206,49 @@ class MarkovTarget:
             ctx = (0,) * (self.order - len(ctx)) + ctx
         return ctx
 
+    def _generators(self, tag: int, contexts) -> Iterator[np.random.Generator]:
+        """A generator per context, a sequence of `order` Python ints (a
+        token outside [0, 2**32) raises OverflowError), seeded as
+        np.random.SeedSequence([seed, tag, *context]) seeds it: one
+        SeedSequence each below BATCH_SEEDING_MIN contexts, else one
+        `_seed_states` pass over all of them. Each is made as it is read,
+        so a long prompt's thousands of new contexts hold one at a time."""
+        words = len(self._seed_words)
+        entropy = np.empty((len(contexts), words + 1 + self.order), np.uint32)
+        entropy[:, :words] = self._seed_words
+        entropy[:, words] = tag
+        entropy[:, words + 1:] = contexts
+        if len(entropy) < BATCH_SEEDING_MIN:
+            seeds = map(np.random.SeedSequence, entropy)
+        else:
+            seeds = map(_SeedState, _seed_states(entropy))
+        return map(np.random.Generator, map(np.random.PCG64, seeds))
+
     def _row(self, ctx: tuple[int, ...]) -> np.ndarray:
         row = self._rows.get(ctx)
         if row is None:
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, 1, *ctx])))
-            row = rng.dirichlet(self._alpha)
-            self._rows[ctx] = row
+            row = self._rows[ctx] = next(self._generators(1, [ctx])).dirichlet(self._alpha)
         return row
+
+    def _dists(self, contexts: list[tuple[int, ...]]) -> np.ndarray:
+        """(len(contexts), V): the untempered row of each context, those met
+        for the first time drawn together."""
+        rows = self._rows
+        new = list({ctx: None for ctx in contexts if ctx not in rows})
+        if new:
+            for ctx, rng in zip(new, self._generators(1, new)):
+                rows[ctx] = rng.dirichlet(self._alpha)
+        return np.array([rows[ctx] for ctx in contexts]).reshape(-1, self.vocab_size)
+
+    def _feats(self, contexts) -> np.ndarray:
+        """(n, 3 * FEAT_WIDTH) feature rows of n contexts, drawn afresh from
+        (seed, context): low | mid | high."""
+        return np.array([rng.standard_normal(3 * FEAT_WIDTH)
+                         for rng in self._generators(2, contexts)])
 
     def _feat(self, ctx: tuple[int, ...]) -> np.ndarray:
         """A context's feature row, drawn afresh from (seed, context)."""
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, 2, *ctx])))
-        return rng.standard_normal(3 * FEAT_WIDTH)  # low | mid | high
+        return self._feats([ctx])[0]
 
     def start(self, prompt) -> Session:
         """A session on this target holding a copy of `prompt`."""
@@ -134,13 +267,13 @@ class MarkovTarget:
         contexts = [self._context(prefix)]
         for parent, token in zip(tree.parent.tolist(), tree.token.tolist()):
             contexts.append(contexts[parent + 1][1:] + (token,))
-        return temperature_adjust(np.array([self._row(ctx) for ctx in contexts]), temperature)
+        return temperature_adjust(self._dists(contexts), temperature)
 
     def next_dists(self, prefix, temperature: float = 1.0) -> np.ndarray:
         """(n, V) for a prefix of n tokens: row i is
         next_dist(prefix[:i + 1], temperature), bit for bit."""
-        rows = [self._row(tuple(w)) for w in self._contexts(prefix, 0).tolist()]
-        return temperature_adjust(np.array(rows).reshape(-1, self.vocab_size), temperature)
+        contexts = list(map(tuple, self._contexts(prefix, 0).tolist()))
+        return temperature_adjust(self._dists(contexts), temperature)
 
     def features(self, prefix, start: int = 0) -> np.ndarray:
         """(n - start, 3 * FEAT_WIDTH) feature rows of positions start .. n-1
@@ -157,15 +290,18 @@ class MarkovTarget:
         slot = self._slot
         try:
             slots = np.fromiter(map(slot.__getitem__, ids), np.intp, len(ids))
-        except KeyError:  # draw each context met for the first time, once
-            slots = np.fromiter(map(slot.get, ids, repeat(-1)), np.intp, len(ids))
-            for i in np.flatnonzero(slots < 0).tolist():
-                if ids[i] not in slot:
-                    k = slot[ids[i]] = len(slot)
-                    if k == len(self._table):
-                        self._table = np.concatenate([self._table, np.empty_like(self._table)])
-                    self._table[k] = self._feat(tuple(windows[i].tolist()))
-                slots[i] = slot[ids[i]]
+        except KeyError:  # draw the contexts met for the first time together, once
+            missing = np.flatnonzero(
+                np.fromiter(map(slot.get, ids, repeat(-1)), np.intp, len(ids)) < 0).tolist()
+            new = dict(zip([ids[i] for i in missing], missing))  # id: a position with it
+            k, size = len(slot), len(slot) + len(new)
+            if size > len(self._table):
+                table = np.empty((max(size, 2 * len(self._table)), 3 * FEAT_WIDTH))
+                table[:k] = self._table[:k]
+                self._table = table
+            self._table[k:size] = self._feats(windows[list(new.values())].tolist())
+            slot.update(zip(new, range(k, size)))
+            slots = np.fromiter(map(slot.__getitem__, ids), np.intp, len(ids))
         return self._table.take(slots, axis=0)
 
     def _contexts(self, prefix, start: int) -> np.ndarray:

@@ -136,6 +136,15 @@ def test_markov_order_whose_context_ids_overflow_int64_exits_2(config_file, caps
     assert "Traceback" not in err
 
 
+def test_vocab_size_past_2_to_the_32_exits_2(config_file, capsys):
+    rc = main(["decode", "--config", config_file(), "--prompt-tokens", "1 2",
+               "--override", "target.vocab_size=4294967297"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "2**32" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("override", [
     "prune.epsilon=0", "prune.epsilon=-1", "prune.w_ng=NaN", "prune.level_exponent=NaN",
     "prune.logit_decay=0.9", "decode.prune=3", "decode.seed=1", "paths.corpus=x",

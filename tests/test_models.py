@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdraft.errors import ConfigError, ModelFormatError
 from specdraft.engine import DecodeConfig, decode
 from specdraft.models import (
+    BATCH_SEEDING_MIN,
     CHAIN_LOGIT,
     FEAT_WIDTH,
     MODEL_WIDTH,
@@ -15,6 +18,8 @@ from specdraft.models import (
     OracleDrafter,
     ToyDraft,
     UniformDrafter,
+    _SeedState,
+    _seed_states,
     positional_encoding,
     sample_from,
     temperature_adjust,
@@ -263,6 +268,94 @@ def test_sample_sequence_seeded():
     s1 = t.sample_sequence(np.random.default_rng(3), 20)
     s2 = t.sample_sequence(np.random.default_rng(3), 20)
     assert s1 == s2 and len(s1) == 20
+
+
+@pytest.mark.parametrize("vocab_size", [2 ** 32 + 1, 2 ** 40])
+def test_target_vocab_past_2_to_the_32_is_rejected(vocab_size):
+    # Each token is one 32-bit word of a row's seed. Only values past the cap
+    # are built: a row at the cap itself would take 32 GB.
+    with pytest.raises(ConfigError, match=r"vocab_size must be <= 2\*\*32"):
+        MarkovTarget(1, vocab_size, 1)
+
+
+def test_a_token_that_is_no_seed_word_raises():
+    # Wrapped into 32 bits, -1 would silently draw the row of 2**32 - 1.
+    t = MarkovTarget(1, 16, 2)
+    for call in (t.next_dist, t.next_dists, t.features):
+        for prefix in ([3, -1], [3, -1] * BATCH_SEEDING_MIN, [3, 2 ** 32]):
+            with pytest.raises(OverflowError):
+                call(prefix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 2 ** 32 - 1), min_size=n, max_size=n), min_size=1, max_size=6)))
+def test_seed_states_are_seed_sequence_states(rows):
+    # Rows shorter than, as long as and longer than the pool of 4 words.
+    entropy = np.array(rows, dtype=np.uint32)
+    states = _seed_states(entropy)
+    assert states.shape == (len(rows), 4) and states.dtype == np.uint64
+    for row, state in zip(entropy, states):
+        seq = np.random.SeedSequence(row)
+        assert np.array_equal(state, seq.generate_state(4, np.uint64))
+        assert np.random.PCG64(_SeedState(state)).state == np.random.PCG64(seq).state
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1])
+def test_rows_of_any_seed_are_the_seeded_numpy_draws(seed):
+    # numpy splits a seed past 32 bits into several words, and so must the
+    # rows drawn together.
+    prefix = [int(x) for x in np.random.default_rng(4).integers(0, 16, size=3 * BATCH_SEEDING_MIN)]
+    t = MarkovTarget(seed, 16, 2, concentration=0.4)
+    dists, feats = t.next_dists(prefix), t.features(prefix)
+    assert len(t._rows) >= BATCH_SEEDING_MIN and len(t._slot) >= BATCH_SEEDING_MIN
+    one = MarkovTarget(seed, 16, 2, concentration=0.4)
+    for i in range(len(prefix)):
+        ctx = t._context(prefix[:i + 1])
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1, *ctx])))
+        expect = temperature_adjust(rng.dirichlet(np.full(16, 0.4)), 1.0)
+        assert np.array_equal(dists[i], expect)
+        assert np.array_equal(one.next_dist(prefix[:i + 1]), expect)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2, *ctx])))
+        expect = rng.standard_normal(3 * FEAT_WIDTH)
+        assert np.array_equal(feats[i], expect)
+        assert np.array_equal(one._feat(ctx), expect)
+
+
+# (seed, order): entropy of 3 words, shorter than the pool, then 5 and 6, longer.
+COLD_TARGETS = [(13, 1), (13, 3), (2 ** 64 + 1, 2)]
+NEW_CONTEXTS = [1, BATCH_SEEDING_MIN - 1, BATCH_SEEDING_MIN, 60]
+
+
+@pytest.mark.parametrize("seed, order", COLD_TARGETS)
+@pytest.mark.parametrize("m", NEW_CONTEXTS)
+def test_cold_tree_dists_equal_one_context_at_a_time(seed, order, m):
+    # A chain of m nodes with distinct tokens under a warm root context meets
+    # m new contexts in one call.
+    tokens = [int(x) for x in np.random.default_rng(m).permutation(97)[:m + 1]]
+    prefix = tokens[:1]
+    tree = DraftTree([ROOT_ID, *range(m - 1)], tokens[1:], list(range(m)), np.zeros(m))
+    t = MarkovTarget(seed, 97, order)
+    t.next_dist(prefix)
+    got = t.tree_dists(prefix, tree, 0.5)
+    assert len(t._rows) == 1 + m
+    ref = MarkovTarget(seed, 97, order)
+    want = [ref.next_dist(prefix, 0.5)] + [ref.next_dist(tokens[:i + 2], 0.5) for i in range(m)]
+    assert np.array_equal(got, np.stack(want))
+
+
+@pytest.mark.parametrize("seed, order", COLD_TARGETS)
+@pytest.mark.parametrize("m", NEW_CONTEXTS)
+def test_cold_next_dists_and_features_equal_one_context_at_a_time(seed, order, m):
+    # A prefix of m distinct tokens has m distinct contexts.
+    prefix = [int(x) for x in np.random.default_rng(m).permutation(97)[:m]]
+    t = MarkovTarget(seed, 97, order)
+    dists, feats = t.next_dists(prefix), t.features(prefix)
+    assert len(t._rows) == m and len(t._slot) == m
+    ref = MarkovTarget(seed, 97, order)
+    for i in range(m):
+        assert np.array_equal(dists[i], ref.next_dist(prefix[:i + 1]))
+        assert np.array_equal(feats[i], ref._feat(ref._context(prefix[:i + 1])))
 
 
 # -- toy draft -------------------------------------------------------------------
