@@ -281,11 +281,21 @@ class MarkovTarget:
         and including its own position. Row i holds position i's low, mid and
         high feature vectors side by side, FEAT_WIDTH columns each: the fused
         EAGLE-3-style input the drafter reads. The rows of
-        features(prefix[:start]) followed by these are features(prefix)."""
+        features(prefix[:start]) followed by these are features(prefix). A
+        token outside [0, vocab_size) that these rows read raises ConfigError."""
         n = len(prefix)
         if not 0 <= start <= n:
             raise ConfigError(f"features start must be in [0, {n}], got {start}")
-        windows = self._contexts(prefix, start)
+        try:
+            windows = self._contexts(prefix, start)
+        except OverflowError:  # a token past int64
+            windows = None
+        V = self.vocab_size
+        if windows is None or (windows.size and not 0 <= windows.min() <= windows.max() < V):
+            # Checked, as (3, 20) and (4, 4) would share an id at V=16.
+            lo = max(0, start + 1 - self.order)
+            i, bad = next((i, t) for i, t in enumerate(prefix[lo:], lo) if not 0 <= t < V)
+            raise ConfigError(f"token {bad} at position {i} is outside [0, {V})")
         ids = windows.dot(self._place).tolist()
         slot = self._slot
         try:

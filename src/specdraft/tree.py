@@ -4,9 +4,12 @@ One drafting forward yields d rows of logits, one per future position. Pruning
 walks the positions level by level and scores each level at once: the beam
 times the row's top-k tokens is one (beam, k) matrix of expansions, scored by
 `combine` from the draft logit score and the n-gram continuity score. Every
-expansion enters a pool of parallel arrays, the best w become the next beam,
-and the top-theta pool nodes form the DraftTree that verification walks: it
-checks its own structure and carries its own tree-attention mask.
+expansion enters a pool of parallel arrays and the best w become the next
+beam, but a beam entry scoring below the theta-th best pool score is not
+expanded, as none of its descendants can reach the tree, so pruning may end
+before level d. The top-theta pool nodes form the DraftTree that
+verification walks: it checks its own structure and carries its own
+tree-attention mask.
 """
 
 from __future__ import annotations
@@ -171,9 +174,13 @@ def prune(
     `trie.key_scores` call (the floor without a trie, or for a token outside
     its vocabulary). Every expansion enters the pool, in beam order, then
     top-k order; the top w become the next beam, and the top-theta pool nodes
-    form the tree. A beam entry is (pool id, context key, score): its trailing
-    order-1 tokens as one int64 key, all that the trie reads, so pruning costs
-    the same for any prefix length. An expansion's node key is key * base +
+    form the tree. Before every level but the first, once the pool holds
+    theta nodes, the beam keeps only its entries scoring at least the
+    theta-th best pool score, and an empty beam ends the loop before level
+    d: the tree is the same as if every entry were expanded. A beam entry
+    is (pool id, context key, score): its trailing order-1 tokens as one
+    int64 key, all that the trie reads, so pruning costs the same for any
+    prefix length. An expansion's node key is key * base +
     digit; modulo `trie.context_limit` it is the expansion's context key. Ties
     break as (higher score, lower level, lower token, lower parent id, pool order).
     """
@@ -186,6 +193,7 @@ def prune(
 
     beam_ids = np.array([ROOT_ID])
     beam_scores = np.zeros(1)
+    top = None  # the theta best pool scores, once the pool holds theta nodes
     pool = []  # per level: (parent, token, level, score) arrays of its expansions
     size = 0
     for depth in range(logits.d):
@@ -203,6 +211,28 @@ def prune(
         beam_scores = level_scores[best]
         size += len(level_scores)
         pool.append((level_parents, level_tokens, np.full(len(level_scores), depth), level_scores))
+        if depth + 1 == logits.d or size < cfg.theta:
+            continue
+        # Branch and bound: `top` holds the theta best pool scores so far,
+        # and `bound` is the least of them. Increments are clamped <= 0, so a
+        # node scores at most its parent, and a deeper node loses a score tie
+        # to a shallower one: every later node scoring at most `bound` ranks
+        # behind theta pool nodes, and so does every descendant of a beam
+        # entry below `bound`. Dropping such an entry frees beam slots at
+        # later levels; a node taking one ranks below the dropped entry's
+        # descendant it displaces, so it too scores at most `bound` and never
+        # reaches the tree. The beam is ranked by score, so the entries kept
+        # are a prefix, in their old order, and parent ids still compare as
+        # before.
+        seen = np.concatenate([top, level_scores] if top is not None else [a[3] for a in pool])
+        top = np.partition(seen, len(seen) - cfg.theta)[-cfg.theta:]
+        bound = top[0]
+        kept = np.count_nonzero(beam_scores >= bound)
+        if kept == 0:
+            break
+        beam_ids, beam_scores = beam_ids[:kept], beam_scores[:kept]
+        if trie is not None:
+            beam_keys = beam_keys[:kept]
     parent, token, level, score = (np.concatenate(a) for a in zip(*pool))
 
     # Top-theta selection. Increments are clamped <= 0, so a parent scores at

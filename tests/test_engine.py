@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specdraft import engine
+from specdraft import tree as tree_module
 from specdraft.engine import (
     DecodeConfig,
     baseline_decode,
@@ -376,24 +377,32 @@ def test_decode_asks_no_features_of_a_drafter_that_reads_none(drafter_class):
 
 
 def test_decode_cycle_makes_one_target_call_and_one_trie_call_per_level(monkeypatch):
-    # Verify scores the whole tree in one tree_dists call and prune scores
-    # each of the d levels in one key_scores call on its node keys; nothing
-    # in a cycle calls the per-node next_dist or children_scores.
+    # Verify scores the whole tree in one tree_dists call, and prune scores
+    # each level it expands in one key_scores call on its node keys and one
+    # combine call; nothing in a cycle calls the per-node next_dist or
+    # children_scores. Prune may stop before level d once no beam entry can
+    # reach the tree, and some cycle here does.
     calls = Counter()
-    for cls, name in ((MarkovTarget, "next_dist"), (MarkovTarget, "tree_dists"),
-                      (NgramTrie, "children_scores"), (NgramTrie, "key_scores")):
-        def counted(*args, _name=name, _method=getattr(cls, name), **kwargs):
+    for owner, name in ((MarkovTarget, "next_dist"), (MarkovTarget, "tree_dists"),
+                        (NgramTrie, "children_scores"), (NgramTrie, "key_scores"),
+                        (tree_module, "combine")):
+        def counted(*args, _name=name, _method=getattr(owner, name), **kwargs):
             calls[_name] += 1
             return _method(*args, **kwargs)
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     target = MarkovTarget(21, 32, 2, concentration=0.3)
     trie = build_trie([target.sample_sequence(np.random.default_rng(1), 500)], 3, 32)
     cfg = small_cfg(d=5, max_tokens=40, prune=PruneConfig())
+    stopped_early = []
     for drafter in (NoisyOracleDrafter(target, seed=2), UniformDrafter(32, seed=3)):
         calls.clear()
         _, metrics = decode([1, 2], target, drafter, trie, cfg, measure_base=False)
         assert metrics.cycles > 1
-        assert calls == {"tree_dists": metrics.cycles, "key_scores": cfg.d * metrics.cycles}
+        assert set(calls) == {"tree_dists", "key_scores", "combine"}
+        assert calls["tree_dists"] == metrics.cycles
+        assert calls["key_scores"] == calls["combine"] <= cfg.d * metrics.cycles
+        stopped_early.append(calls["key_scores"] < cfg.d * metrics.cycles)
+    assert any(stopped_early)
 
 
 def test_one_session_per_request_or_sequence(monkeypatch):

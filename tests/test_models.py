@@ -190,6 +190,27 @@ def test_features_start_out_of_range():
             t.features([1, 2, 3], start)
 
 
+@pytest.mark.parametrize("bad", [20, 16, -1, 2 ** 64])
+def test_features_reject_a_token_outside_the_vocabulary(bad):
+    # At V=16 and order 2 the window (3, 20) would read as id 3*16 + 20, the
+    # id of (4, 4), and return that context's row; a negative token or one
+    # past int64 would end in an OverflowError. Each names the token.
+    t = MarkovTarget(9, 16, 2)
+    row = t.features([4, 4])[1]
+    with pytest.raises(ConfigError, match=f"token {bad} at position 1 "):
+        t.features([3, bad])
+    with pytest.raises(ConfigError, match=f"token {bad} at position 0 "):
+        t.features([bad, 3], 1)  # row 1's window reads position 0
+    assert np.array_equal(t.features([4, 4])[1], row)
+
+
+def test_features_check_only_the_windows_of_the_rows_asked_for():
+    # Rows start .. n-1 read positions start - order + 1 .. n-1: a bad token
+    # before those is not read, so a cycle's check costs its new rows only.
+    t = MarkovTarget(9, 16, 2)
+    assert np.array_equal(t.features([20, 3, 4], 2), t.features([0, 3, 4], 2))
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_features_of_a_fresh_target_equal_the_cold_rows(order):
     # The rows gathered from the table, which grows while the call fills it,
@@ -280,10 +301,12 @@ def test_target_vocab_past_2_to_the_32_is_rejected(vocab_size):
 
 def test_a_token_that_is_no_seed_word_raises():
     # Wrapped into 32 bits, -1 would silently draw the row of 2**32 - 1.
+    # features checks its tokens against the vocabulary before any draw.
     t = MarkovTarget(1, 16, 2)
-    for call in (t.next_dist, t.next_dists, t.features):
+    for call, error in ((t.next_dist, OverflowError), (t.next_dists, OverflowError),
+                        (t.features, ConfigError)):
         for prefix in ([3, -1], [3, -1] * BATCH_SEEDING_MIN, [3, 2 ** 32]):
-            with pytest.raises(OverflowError):
+            with pytest.raises(error):
                 call(prefix)
 
 

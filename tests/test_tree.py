@@ -153,6 +153,42 @@ def test_prune_matches_oracle_at_reference_point(V):
         assert len(assert_matches_oracle(rows, [chain], cfg, prefix)) == cfg.theta
 
 
+@pytest.mark.parametrize("with_trie", [True, False])
+@pytest.mark.parametrize("theta", [8, 59])
+def test_prune_bound_matches_oracle(monkeypatch, theta, with_trie):
+    # Prune stops expanding a beam entry that scores below the theta-th best
+    # pool score, and stops the level loop once none is left. At the
+    # reference k, w and d, on 0.5-grid logits boosted along the trie's chain
+    # (increments clamp to 0, so scores tie at the bound), the tree must
+    # still match the oracle, and a counted combine must show that the bound
+    # cut beam entries or levels on some input: with a trie a level's
+    # increments are (beam, k), without one they are (k,) per level.
+    sizes = []
+
+    def counted(s_logit, s_ng, level):
+        sizes.append(np.broadcast(s_logit, s_ng).size)
+        return combine(s_logit, s_ng, level)
+
+    monkeypatch.setattr(tree_module, "combine", counted)
+    V, d = 64, 8
+    target = MarkovTarget(V, V, 2, concentration=0.1)
+    rng = np.random.default_rng(theta)
+    chain = target.sample_sequence(rng, 4000)
+    cfg = PruneConfig(k=25, w=20, theta=theta)
+    full = cfg.k * (1 + cfg.w * (d - 1)) if with_trie else cfg.k * d
+    cut = []
+    for boost in (4.0, 4.0, 30.0):
+        i = int(rng.integers(0, len(chain) - 6 - d))
+        prefix = chain[i:i + 6]
+        rows = np.round(rng.standard_normal((d, V)) * 4) / 2
+        rows[np.arange(d), chain[i + 6:i + 6 + d]] += boost
+        sizes.clear()
+        got = assert_matches_oracle(rows, [chain] if with_trie else [], cfg, prefix)
+        assert len(got) == cfg.theta
+        cut.append(sum(sizes) < full)
+    assert any(cut)
+
+
 @given(st.data())
 @settings(max_examples=120)
 def test_prune_oracle_equivalence(data):
