@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Six SHA-256 digests over decodes, evaluate_alpha, training, the CLI and cold target rows.
+"""Seven SHA-256 digests over decodes, evaluate_alpha, training, the CLI, cold target rows and tries.
 
 A refactor that must not change any output prints the same digests before
 and after it. The decodes cover a V=64 target with short prompts, a V=256
@@ -25,8 +25,13 @@ steps), the saved model's arrays and the output of `eval --drafter toy
 the transition and feature rows of a V=64 and a V=256 target whose seed is
 2**32 + --seed, so that it is two seed words, met in a fixed order of calls
 that draws some contexts together and some one at a time, each in the order
-it was drawn. Targets, tries and drafters are built in process, so nothing
-needs preparing.
+it was drawn. The seventh covers the node tables of order-3 tries built from
+seeded corpora of an order-1 V=64 and V=256 target at concentration 0.05:
+every node's key, count and score bits. Their near-deterministic rows give
+many count ratios just below 1, where np.log misses most often, and the
+line counts the nodes whose count ratio r has a vectorized np.log(r + 1e-9)
+that differs from math.log's: the scores a table must correct. Targets,
+tries and drafters are built in process, so nothing needs preparing.
 
     PYTHONPATH=src python scripts/transcript_digest.py --seed 1
 """
@@ -36,6 +41,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -194,6 +200,28 @@ def cold_rows(digest, seed):
         digest.floats(target._table[:len(target._slot)])
 
 
+def node_tables(digest, seed):
+    """Build order-3 tries from seeded corpora of two targets and hash every
+    node's key, count and score bits; returns how many nodes hold a count
+    ratio whose vectorized np.log differs from math.log."""
+    misses = 0
+    for vocab_size, sequences in ((64, 8), (256, 16)):
+        target = MarkovTarget(seed, vocab_size, 1, concentration=0.05)
+        rng = np.random.default_rng([seed, vocab_size, 4])
+        trie = build_trie([target.sample_sequence(rng, 1000) for _ in range(sequences)], 3,
+                          vocab_size)
+        digest.ints(trie.keys)
+        digest.ints(trie.node_counts)
+        digest.floats(trie.node_scores)
+        ratios = []
+        for ctx in {ctx[:n] for ctx in trie.contexts() for n in range(trie.order)}:
+            counts = list(trie.counts(ctx).values())
+            total = sum(counts)
+            ratios += [c / total + 1e-9 for c in counts]
+        misses += int((np.log(ratios) != [math.log(r) for r in ratios]).sum())
+    return misses
+
+
 def system(digest, seed, vocab_size):
     """(target, trie, trained toy drafter, held-out sequences) of one vocabulary."""
     target = MarkovTarget(seed, vocab_size, 2, concentration=0.3)
@@ -216,7 +244,8 @@ def main(argv=None):
                     help="length of the long-context prompts")
     args = ap.parse_args(argv)
 
-    digest, reference, baseline, training, command_line, cold = (Digest() for _ in range(6))
+    digest, reference, baseline, training, command_line, cold, tables = (Digest()
+                                                                         for _ in range(7))
     for vocab_size in (64, 256):
         target, trie, model, heldout = system(digest, args.seed, vocab_size)
         drafters = [("toy", lambda s: model),
@@ -244,6 +273,8 @@ def main(argv=None):
     print(f"{command_line.sha.hexdigest()}  (train-toy and eval)")
     cold_rows(cold, args.seed)
     print(f"{cold.sha.hexdigest()}  (cold target rows)")
+    misses = node_tables(tables, args.seed)
+    print(f"{tables.sha.hexdigest()}  (trie node tables, {misses} nodes where np.log misses math.log)")
 
 
 if __name__ == "__main__":

@@ -170,7 +170,9 @@ class MarkovTarget:
     order >= 1 must be integers, with vocab_size at most 2 ** 32 so that each
     token is one 32-bit seed word, vocab_size ** order below 2 ** 63 so that
     ids fit in int64, and concentration, the Dirichlet parameter of every
-    row, a finite number > 0; anything else raises ConfigError.
+    row, a finite number > 0; anything else raises ConfigError. A token
+    outside [0, vocab_size) that a call reads raises ConfigError before any
+    row is drawn.
     """
 
     def __init__(self, seed: int, vocab_size: int, order: int, concentration: float = 0.3):
@@ -201,14 +203,24 @@ class MarkovTarget:
         self.embeddings = emb_rng.standard_normal((vocab_size, EMB_WIDTH))
 
     def _context(self, prefix) -> tuple[int, ...]:
+        """The trailing `order` tokens of `prefix`, left-padded with token 0; a
+        token outside [0, vocab_size) among them raises ConfigError."""
         ctx = tuple(int(t) for t in prefix[-self.order:])
+        if ctx and not (min(ctx) >= 0 and max(ctx) < self.vocab_size):
+            raise self._token_error(prefix, len(prefix) - len(ctx))
         if len(ctx) < self.order:
             ctx = (0,) * (self.order - len(ctx)) + ctx
         return ctx
 
+    def _token_error(self, prefix, lo: int) -> ConfigError:
+        """The error naming the first token of prefix[lo:] outside [0, vocab_size)."""
+        V = self.vocab_size
+        i, bad = next((i, t) for i, t in enumerate(prefix[lo:], lo) if not 0 <= t < V)
+        return ConfigError(f"token {bad} at position {i} is outside [0, {V})")
+
     def _generators(self, tag: int, contexts) -> Iterator[np.random.Generator]:
-        """A generator per context, a sequence of `order` Python ints (a
-        token outside [0, 2**32) raises OverflowError), seeded as
+        """A generator per context, a sequence of `order` Python ints in
+        [0, vocab_size), which the callers check, seeded as
         np.random.SeedSequence([seed, tag, *context]) seeds it: one
         SeedSequence each below BATCH_SEEDING_MIN contexts, else one
         `_seed_states` pass over all of them. Each is made as it is read,
@@ -262,10 +274,15 @@ class MarkovTarget:
         next_dist of the prefix followed by node i's path, bit for bit.
 
         A node's context is its parent's shifted by its own token, so the
-        prefix is never copied.
+        prefix is never copied. A token outside [0, vocab_size) in the tree
+        or in the prefix's trailing `order` raises ConfigError.
         """
+        tokens, V = tree.token.tolist(), self.vocab_size
+        if tokens and not (min(tokens) >= 0 and max(tokens) < V):
+            i = next(i for i, t in enumerate(tokens) if not 0 <= t < V)
+            raise ConfigError(f"tree node {i}'s token {tokens[i]} is outside [0, {V})")
         contexts = [self._context(prefix)]
-        for parent, token in zip(tree.parent.tolist(), tree.token.tolist()):
+        for parent, token in zip(tree.parent.tolist(), tokens):
             contexts.append(contexts[parent + 1][1:] + (token,))
         return temperature_adjust(self._dists(contexts), temperature)
 
@@ -286,16 +303,7 @@ class MarkovTarget:
         n = len(prefix)
         if not 0 <= start <= n:
             raise ConfigError(f"features start must be in [0, {n}], got {start}")
-        try:
-            windows = self._contexts(prefix, start)
-        except OverflowError:  # a token past int64
-            windows = None
-        V = self.vocab_size
-        if windows is None or (windows.size and not 0 <= windows.min() <= windows.max() < V):
-            # Checked, as (3, 20) and (4, 4) would share an id at V=16.
-            lo = max(0, start + 1 - self.order)
-            i, bad = next((i, t) for i, t in enumerate(prefix[lo:], lo) if not 0 <= t < V)
-            raise ConfigError(f"token {bad} at position {i} is outside [0, {V})")
+        windows = self._contexts(prefix, start)  # checked: (3, 20) is (4, 4)'s id at V=16
         ids = windows.dot(self._place).tolist()
         slot = self._slot
         try:
@@ -317,17 +325,24 @@ class MarkovTarget:
     def _contexts(self, prefix, start: int) -> np.ndarray:
         """(n - start, order): the context of each position start .. n-1 of a
         prefix of n tokens, the `order` tokens ending there, in the prefix
-        left-padded with token 0 as _context pads it."""
+        left-padded with token 0 as _context pads it. A token outside
+        [0, vocab_size) that they read raises ConfigError."""
         n = len(prefix)
         lo = max(0, start + 1 - self.order)
-        padded = np.concatenate([np.zeros(self.order - 1 - (start - lo), np.int64),
-                                 np.asarray(prefix[lo:n], dtype=np.int64)])
+        try:
+            tokens = np.asarray(prefix[lo:n], dtype=np.int64)
+        except OverflowError:  # a token past int64
+            raise self._token_error(prefix, lo) from None
+        if tokens.size and not 0 <= tokens.min() <= tokens.max() < self.vocab_size:
+            raise self._token_error(prefix, lo)
+        padded = np.concatenate([np.zeros(self.order - 1 - (start - lo), np.int64), tokens])
         return padded[np.arange(n - start)[:, None] + np.arange(self.order)]
 
     def rollout(self, prefix, length: int, pick) -> list[int]:
         """`length` tokens past `prefix`, each `pick(row)` of the untempered
-        conditional given everything before it."""
-        seq = list(prefix[-self.order:])  # all that _context reads
+        conditional given everything before it. A token outside
+        [0, vocab_size) in the trailing `order` of `prefix` raises ConfigError."""
+        seq = list(self._context(prefix))  # all that later contexts read, checked
         start = len(seq)
         for _ in range(length):
             seq.append(int(pick(self._row(self._context(seq)))))

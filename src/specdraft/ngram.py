@@ -5,7 +5,9 @@ corpus's length-`order` windows, each counting the windows it starts. A
 context, the trailing ``order - 1`` tokens or fewer at a sequence start,
 continues with its children's last tokens; a continuation scores
 ``log(child count / context count + eps)``, so unseen ones sit at a finite
-floor. Scores use math.log, since np.log differs by an ulp on some inputs.
+floor. One vectorized np.log scores every node; where it differs from
+math.log by an ulp, as it does on a few ratios, the nodes of that distinct
+ratio take math.log's value, so every score is math.log's.
 
 Every query reads one sorted int64 array of node keys, beside each node's
 count and score, computed once. A key is the node's tokens in base
@@ -144,13 +146,18 @@ def _node_table(order: int, base: int, window_keys: np.ndarray,
                 window_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(keys, counts, scores) of every node, in key order. A prefix one token
     shorter has its node's key value over the base, and is a run of the sorted
-    level below, so no level needs a sort. Scores are computed once per distinct
-    count / parent count ratio; the root's ratio is 0, so it scores LOG_FLOOR."""
+    level below, so no level needs a sort. A node scores log(count / parent
+    count + EPSILON); the root's ratio is 0, so it scores LOG_FLOOR. np.log
+    scores the nodes in place, over their ratios, and the distinct ratios in
+    a second call of the same elementwise loop. It misses math.log by an ulp
+    on a few inputs, so the nodes of each distinct ratio whose np.log and
+    math.log differ, found by one equality pass each before the ratios are
+    overwritten, take math.log's value, and every score is math.log's."""
     top = base ** order
     keys, counts, ratios, values = [window_keys], [window_counts], [], window_keys
     for length in range(order - 1, 0, -1):
         values = values // base
-        starts = np.flatnonzero(np.diff(values, prepend=-1))
+        starts = np.flatnonzero(_run_starts(values))
         level_counts = np.add.reduceat(counts[-1], starts)
         ratios.append(counts[-1] / np.repeat(level_counts, np.diff(starts, append=len(values))))
         values = values[starts]
@@ -160,11 +167,25 @@ def _node_table(order: int, base: int, window_keys: np.ndarray,
     ratios += [counts[-1] / total, [0.0]]
     keys.append([top - 1])
     counts.append([total])
-    ratio = np.concatenate(ratios)
-    distinct = np.sort(ratio)  # not np.unique: its first call imports numpy.ma, ~10 ms
-    distinct = distinct[np.diff(distinct, prepend=-1.0) != 0]
-    scores = np.array([math.log(r + EPSILON) for r in distinct.tolist()])
-    return np.concatenate(keys), np.concatenate(counts), scores[distinct.searchsorted(ratio)]
+    scores = np.concatenate(ratios)  # each node's ratio, until its score replaces it
+    distinct = np.sort(scores)  # not np.unique: its first call imports numpy.ma, ~10 ms
+    distinct = distinct[_run_starts(distinct)]
+    exact = [math.log(r + EPSILON) for r in distinct.tolist()]
+    misses = np.flatnonzero(np.log(distinct + EPSILON) != exact).tolist()
+    fixes = [(np.flatnonzero(scores == distinct[i]), exact[i]) for i in misses]
+    scores += EPSILON
+    np.log(scores, out=scores)
+    for nodes, score in fixes:
+        scores[nodes] = score
+    return np.concatenate(keys), np.concatenate(counts), scores
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of `values` starts: one adjacent compare."""
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
 
 
 def _place_values(base: int, length: int) -> np.ndarray:
@@ -269,11 +290,9 @@ def load_trie(path: str | os.PathLike) -> NgramTrie:
     # With every token below the base, the keys order the rows as their tokens do.
     keys = windows @ _place_values(vocab_size + 2, order)
     del windows  # the largest array read: free it before the node table is built
-    steps = np.diff(keys)
-    if (steps < 0).any():
-        raise TrieFormatError(f"{path}: rows are not in increasing order")
-    if (steps == 0).any():
-        raise TrieFormatError(f"{path}: duplicate rows")
+    if (keys[1:] <= keys[:-1]).any():  # one pass; the fault is named only on failure
+        raise TrieFormatError(f"{path}: rows are not in increasing order"
+                              if (keys[1:] < keys[:-1]).any() else f"{path}: duplicate rows")
     return NgramTrie(order, vocab_size, keys, counts)
 
 

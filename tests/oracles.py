@@ -1,13 +1,14 @@
 """Independent reference implementations the package is tested against.
 
 These deliberately avoid the package's data structures: the window counter is
-a flat hash map, the pruning oracle enumerates candidate sequences as tuples
-with plain sorts, and the greedy rollout takes argmaxes by hand. They
-implement the same contracts (scoring formulas, tie-break order) independently.
-The training step is written out with a fresh array per intermediate, over
-the whole packed layout with a dense mask, and one supervised slot at a time;
-the gradient and sampling checks compare the package against central
-differences and exact enumeration.
+a flat hash map, the trie's node table scores each node by a binary search
+over its distinct ratios' math.log, the pruning oracle enumerates candidate
+sequences as tuples with plain sorts, and the greedy rollout takes argmaxes
+by hand. They implement the same contracts (scoring formulas, tie-break
+order) independently. The training step is written out with a fresh array
+per intermediate, over the whole packed layout with a dense mask, and one
+supervised slot at a time; the gradient and sampling checks compare the
+package against central differences and exact enumeration.
 """
 
 import math
@@ -66,6 +67,34 @@ class WindowCounter:
         if den == 0:
             return {}
         return {t: math.log(c / den + eps) for t, c in self.children(context).items()}
+
+
+def searchsorted_node_table(order, base, window_keys, window_counts):
+    """The reference for ngram's node table: (keys, counts, scores) of every
+    node, in key order, from the distinct full windows' increasing keys and
+    counts. Each level's groups start where the key over the base changes
+    (np.diff), and each node's score is math.log(ratio + 1e-9) of its count
+    over its parent's, computed once per distinct ratio and found per node by
+    a binary search over the sorted distinct ratios. The root's ratio is 0."""
+    top = base ** order
+    keys, counts, ratios, values = [window_keys], [window_counts], [], window_keys
+    for length in range(order - 1, 0, -1):
+        values = values // base
+        starts = np.flatnonzero(np.diff(values, prepend=-1))
+        level_counts = np.add.reduceat(counts[-1], starts)
+        ratios.append(counts[-1] / np.repeat(level_counts, np.diff(starts, append=len(values))))
+        values = values[starts]
+        keys.append(values + (top - base ** length))
+        counts.append(level_counts)
+    total = counts[-1].sum()
+    ratios += [counts[-1] / total, [0.0]]
+    keys.append([top - 1])
+    counts.append([total])
+    ratio = np.concatenate(ratios)
+    distinct = np.sort(ratio)
+    distinct = distinct[np.diff(distinct, prepend=-1.0) != 0]
+    scores = np.array([math.log(r + 1e-9) for r in distinct.tolist()])
+    return np.concatenate(keys), np.concatenate(counts), scores[distinct.searchsorted(ratio)]
 
 
 def oracle_prune(rows, counter, cfg, prefix):

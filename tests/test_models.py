@@ -299,15 +299,37 @@ def test_target_vocab_past_2_to_the_32_is_rejected(vocab_size):
         MarkovTarget(1, vocab_size, 1)
 
 
+def _reading_calls(t):
+    """Every MarkovTarget call that reads a prefix's tokens, as call(prefix)."""
+    one_node = DraftTree([ROOT_ID], [1], [0], [0.0])
+    return (t.next_dist, t.next_dists, t.features, lambda prefix: t.tree_dists(prefix, one_node),
+            lambda prefix: t.greedy_chain(prefix, 3))
+
+
 def test_a_token_that_is_no_seed_word_raises():
-    # Wrapped into 32 bits, -1 would silently draw the row of 2**32 - 1.
-    # features checks its tokens against the vocabulary before any draw.
+    # Wrapped into 32 bits, -1 would silently draw the row of 2**32 - 1, and
+    # 20 at V=16 would draw a row for a context no sequence holds.
     t = MarkovTarget(1, 16, 2)
-    for call, error in ((t.next_dist, OverflowError), (t.next_dists, OverflowError),
-                        (t.features, ConfigError)):
-        for prefix in ([3, -1], [3, -1] * BATCH_SEEDING_MIN, [3, 2 ** 32]):
-            with pytest.raises(error):
+    for call in _reading_calls(t):
+        for prefix in ([3, -1], [3, -1] * BATCH_SEEDING_MIN, [3, 2 ** 32], [3, 20], [3, 2 ** 70]):
+            with pytest.raises(ConfigError, match=r"outside \[0, 16\)"):
                 call(prefix)
+
+
+def test_a_rejected_call_draws_no_row():
+    t = MarkovTarget(1, 16, 2)
+    t.next_dists([1, 2, 3, 4])
+    t.features([1, 2, 3, 4])
+    rows, slots = dict(t._rows), dict(t._slot)
+    for call in _reading_calls(t):
+        with pytest.raises(ConfigError, match="token 20 at position 4"):
+            call([5, 6, 7, 8, 20])
+    for token in (16, -1):  # a tree token is checked too, once for the whole tree
+        tree = DraftTree([ROOT_ID, 0, 0], [1, 2, token], [0, 1, 1], [0.0] * 3)
+        with pytest.raises(ConfigError, match=f"tree node 2's token {token} is outside"):
+            t.tree_dists([5, 6], tree)
+    assert t._rows.keys() == rows.keys() and t._slot == slots
+    assert all(t._rows[ctx] is row for ctx, row in rows.items())
 
 
 @settings(max_examples=300, deadline=None)

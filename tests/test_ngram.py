@@ -2,6 +2,7 @@ import math
 import struct
 import tempfile
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from specdraft.ngram import (
     tokenize_bytes,
 )
 
-from oracles import WindowCounter
+from oracles import WindowCounter, searchsorted_node_table
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -141,6 +142,76 @@ def test_oracle_equivalence_random(corpus, order):
         assert trie.children_scores(ctx) == counter.children_scores(ctx)
         for tok in list(counter.children(ctx)) + [0, 15]:
             assert _score(trie, ctx, tok) == counter.score(ctx, tok)
+
+
+def _window_table(corpus, order, vocab_size):
+    """The distinct full windows' keys, increasing, and their counts, each key
+    the window's tokens in base vocab_size + 2."""
+    windows = Counter()
+    for seq in corpus:
+        for s in range(len(seq) - order + 1):
+            windows[_key(seq[s:s + order], vocab_size + 2)] += 1
+    keys = sorted(windows)
+    return (np.array(keys, dtype=np.int64),
+            np.array([windows[k] for k in keys], dtype=np.int64))
+
+
+def _key(window, base):
+    key = 0
+    for tok in window:
+        key = key * base + int(tok)
+    return key
+
+
+def _assert_reference_table(trie, corpus):
+    """The trie's keys, counts and scores equal the searchsorted reference's, bit for bit."""
+    want = searchsorted_node_table(trie.order, trie.base,
+                                   *_window_table(corpus, trie.order, trie.vocab_size))
+    for got, ref in zip((trie.keys, trie.node_counts, trie.node_scores), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()
+
+
+vocab_corpora = st.integers(2, 300).flatmap(lambda V: st.tuples(
+    st.just(V), st.lists(st.lists(st.integers(0, V - 1), max_size=60), min_size=1, max_size=8)))
+
+
+@given(vocab_corpora, st.integers(2, 4))
+def test_node_table_equals_the_searchsorted_reference(vocab_corpus, order):
+    vocab_size, corpus = vocab_corpus
+    _assert_reference_table(build_trie(corpus, order, vocab_size), corpus)
+
+
+@pytest.mark.parametrize("corpus", [[[]], [[1, 2]], [[1, 2], [3], [0, 1]]])
+def test_node_table_without_a_full_window(corpus):
+    trie = build_trie(corpus, 3, vocab_size=8)
+    assert len(trie.keys) == 1 and trie.node_scores.tolist() == [LOG_FLOOR]
+    _assert_reference_table(trie, corpus)
+
+
+def _ratio_where_np_log_misses():
+    """The first c / p, 1 <= c < p, whose vectorized np.log(c / p + EPSILON)
+    differs from math.log's, scanning small p."""
+    for p in range(2, 400):
+        for c in range(1, p):
+            r = c / p + EPSILON
+            if np.log(np.array([r]))[0] != math.log(r):
+                return c, p
+    pytest.skip("np.log equals math.log on every small ratio on this numpy build")
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_node_scores_keep_math_log_where_np_log_misses(tmp_path, order):
+    # Node (..., 0, 1) counts c of its parent's p windows; np.log misses that
+    # ratio's math.log, so only the per-ratio correction gives its bits.
+    c, p = _ratio_where_np_log_misses()
+    lead = [3] * (order - 2)
+    corpus = [lead + [0, 1]] * c + [lead + [0, 2]] * (p - c) + [[2, 3, 1, 2, 2, 1]]
+    trie = build_trie(corpus, order, vocab_size=4)
+    assert trie.children_scores(lead + [0])[1] == math.log(c / p + EPSILON)
+    _assert_reference_table(trie, corpus)
+    save_trie(trie, tmp_path / "t.bin")
+    _assert_reference_table(load_trie(tmp_path / "t.bin"), corpus)
 
 
 def _key_score_matrix(trie, contexts, tokens):

@@ -38,7 +38,7 @@ def test_transcript_digest_repeats():
     first = _run("transcript_digest.py", args).splitlines()
     assert first == _run("transcript_digest.py", args).splitlines()
     digests = [line.split()[0] for line in first]
-    assert len(digests) == 6
+    assert len(digests) == 7
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests)
 
 
