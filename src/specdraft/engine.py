@@ -64,6 +64,8 @@ class DecodeConfig:
 
     def __post_init__(self):
         check_int("draft length d", self.d, minimum=1)
+        if self.d > 4096:  # a drafter allocates (d, V) rows, ToyDraft a (d, d) mask
+            raise ConfigError(f"draft length d must be <= 4096, got {self.d}")
         check_int("max_tokens", self.max_tokens, minimum=1)
         check_int("seed", self.seed, minimum=0)
         if self.eos_token is not None:

@@ -18,10 +18,11 @@ def check_int(name: str, value, minimum: int | None = None) -> None:
 
 
 def check_number(name: str, value) -> None:
-    """Raise ConfigError unless `value` is a finite real number (not a bool)."""
+    """Raise ConfigError unless `value` is a finite real number (no bool; ints within +-2**53)."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            or not (abs(value) <= 2 ** 53 if isinstance(value, numbers.Integral)
+                    else math.isfinite(value))):
+        raise ConfigError(f"{name} must be a finite number (an integer within +-2**53): {value!r}")
 
 
 def check_tokens(name: str, tokens, vocab_size: int) -> list[int]:

@@ -167,12 +167,12 @@ class MarkovTarget:
     their bits. A feature row is appended to one table, found by the
     context's int64 id: its window read as a base-V number. Contexts shorter
     than k are left-padded with token 0. seed >= 0, vocab_size >= 2 and
-    order >= 1 must be integers, with vocab_size at most 2 ** 32 so that each
-    token is one 32-bit seed word, vocab_size ** order below 2 ** 63 so that
-    ids fit in int64, and concentration, the Dirichlet parameter of every
-    row, a finite number > 0; anything else raises ConfigError. A token
-    outside [0, vocab_size) that a call reads raises ConfigError before any
-    row is drawn.
+    order >= 1 must be integers, with vocab_size at most 2 ** 20 so that a row
+    takes at most 8 MiB (and a token is one 32-bit seed word), vocab_size **
+    order below 2 ** 63 so that ids fit in int64, and concentration, the
+    Dirichlet parameter of every row, a finite number > 0; anything else
+    raises ConfigError, before any array is built. A token outside
+    [0, vocab_size) that a call reads raises ConfigError before any row is drawn.
     """
 
     def __init__(self, seed: int, vocab_size: int, order: int, concentration: float = 0.3):
@@ -181,6 +181,8 @@ class MarkovTarget:
         if vocab_size > 2 ** 32:
             raise ConfigError(f"vocab_size must be <= 2**32 = {2 ** 32}, so that each token "
                               f"is one 32-bit seed word; got {vocab_size}")
+        if vocab_size > 2 ** 20:
+            raise ConfigError(f"vocab_size must be <= 2**20 (a row is <= 8 MiB); got {vocab_size}")
         check_int("markov order", order, minimum=1)
         highest = next(n for n in range(1, 64) if vocab_size ** (n + 1) >= 2 ** 63)
         if order > highest:
@@ -413,6 +415,13 @@ def _key_parts(x: np.ndarray, groups: int, n_keys: int, transposed: bool = False
     return xt[..., :groups], np.swapaxes(xt[..., tail:].reshape(B, W, groups, -1), 1, 2)
 
 
+def _key_major_max(s: np.ndarray) -> np.ndarray:
+    """s.max(axis=-1, keepdims=True) from a key-major copy, several times
+    faster over a short last axis. A max is exact: only a zero's sign may
+    differ, which leaves exp(s - max) unchanged."""
+    return np.ascontiguousarray(np.moveaxis(s, -1, 0)).max(axis=0)[..., None]
+
+
 def _score_parts(s: np.ndarray):
     """(B, G, R, K) scores' views: the shared keys' (B, G * R, G), the blocks'."""
     B, G, R, K = s.shape
@@ -554,11 +563,11 @@ class ToyDraft:
         # back to 0 after it: exp(-1e30) is 0 as well, but takes a slow path.
         masked, keep = s[..., s.shape[-1] - attn_mask.shape[-1]:], attn_mask.astype(s.dtype)
         np.copyto(masked, -1e30, where=~attn_mask)
-        s -= s.max(axis=-1, keepdims=True)
+        s -= _key_major_max(s) if kv is None else s.max(axis=-1, keepdims=True)
         masked *= keep
         attn = np.exp(s, out=s)
         masked *= keep
-        attn /= attn.sum(axis=-1, keepdims=True)
+        attn /= (attn @ np.ones(K))[..., None] if kv is None else attn.sum(axis=-1, keepdims=True)
         if kv is None:
             a_shared, a_block = _score_parts(attn)
             v_shared, v_block = _key_parts(v, G, K)
@@ -593,10 +602,9 @@ class ToyDraft:
         k_shared, k_block = _key_parts(k, G, K)
         vt_shared, vt_block = _key_parts(v, G, K, transposed=True)
         a_shared, a_block = _score_parts(attn)
-        per_row = [0, 1, 2]  # sequence, group and row of each query row
-
-        grads = {"W_head": np.tensordot(y, dlogits, axes=(per_row, per_row)),
-                 "b_head": dlogits.sum(axis=(0, 1, 2))}
+        n_rows, W = B * G * R, MODEL_WIDTH  # weight gradients are 2-D products over every row
+        grads = {"W_head": y.reshape(n_rows, W).T @ dlogits.reshape(n_rows, -1),
+                 "b_head": np.ones(n_rows) @ dlogits.reshape(n_rows, -1)}
         dy = dlogits @ p["W_head"].T
         dy_rows, q_rows = (x.reshape(B, G * R, -1) for x in (dy, q))
         dk, dv = np.empty_like(z), np.empty_like(z)
@@ -609,16 +617,15 @@ class ToyDraft:
         ds_shared, ds_block = _score_parts(dattn)
         np.matmul(dy_rows, vt_shared, out=ds_shared)
         np.matmul(dy, vt_block, out=ds_block)
-        dattn -= (dattn * attn).sum(axis=-1, keepdims=True)
+        dattn -= np.einsum("...k,...k->...", dattn, attn)[..., None]
         dattn *= attn
         dattn *= scale
         dq = ds_block @ k_block
         dq += (ds_shared @ k_shared).reshape(dq.shape)
         np.matmul(np.swapaxes(ds_shared, -1, -2), q_rows, out=dk_shared)
         np.matmul(np.swapaxes(ds_block, -1, -2), q, out=dk_block)
-        grads["Wq"] = np.tensordot(zq, dq, axes=(per_row, per_row))
-        grads["Wk"] = np.tensordot(z, dk, axes=([0, 1], [0, 1]))
-        grads["Wv"] = np.tensordot(z, dv, axes=([0, 1], [0, 1]))
+        grads["Wq"] = zq.reshape(n_rows, W).T @ dq.reshape(n_rows, W)
+        grads["Wk"], grads["Wv"] = (z.reshape(-1, W).T @ dx.reshape(-1, W) for dx in (dk, dv))
         dz = dk @ p["Wk"].T
         dz += dv @ p["Wv"].T
         dy += dq @ p["Wq"].T

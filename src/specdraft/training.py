@@ -20,7 +20,9 @@ group.
 The objective is a position-annealed KL divergence (`floored_kl`) against the
 target model's exact conditionals, weighted gamma^(t-1) for the t-th future
 position. All arithmetic is float64 and gradients are written by hand, so
-they can be validated against central differences.
+they can be validated against central differences. With the labels' row
+sums of q log q and q built once per batch, the KL makes one full-width pass
+besides its softmax, and its gradient two, unless a value may be clamped.
 
 A TrainingBatch is plain data that no step writes to: each step makes its
 own arrays, so steps on one batch may overlap.
@@ -85,40 +87,42 @@ def floored_kl(logits: np.ndarray, q: np.ndarray,
     per-row KL values, which the loss adds up with their last axis outermost
     (slot by slot for a batch's (B, S)). `logits` is left as it is.
     """
-    loss, floored, grad = _floored_kl(np.array(logits, dtype=np.float64), q, weights,
-                                      _safe_q_log_q(q), 1.0)
+    ones = np.ones(np.shape(q)[-1])
+    terms = _safe_q_log_q(q) @ ones, q @ ones, q * np.asarray(weights)[..., None]
+    loss, floored, grad = _floored_kl(np.array(logits, dtype=np.float64), weights, 1.0, q, terms)
     return loss, grad(), floored
 
 
-def _floored_kl(logits, q, weights, q_log_q, norm):
-    """floored_kl / norm given the label term q_log_q = _safe_q_log_q(q),
-    with its gradient put off: (loss, floored, grad), where grad(), called
-    at most once, builds d loss / d logits in the softmax the loss computed.
-    Overwrites `logits`. Over the short last axis argmax finds the row max,
-    and a product with ones a row sum, faster than max and sum do."""
-    ones = np.ones(logits.shape[-1])
+def _floored_kl(logits, weights, norm, q, label_terms):
+    """floored_kl / norm given the label terms (per row sum q log q and sum
+    q, and q * weights / norm), with its gradient put off: (loss, floored,
+    grad), where grad(), called at most once, builds d loss / d logits in
+    the softmax the loss computed. Overwrites `logits`. Unclamped, a row's KL
+    is sum q log q - q . (logits - top) + sum q * log total, for the row max
+    `top` (found by argmax, faster) and the softmax's total (a product)."""
+    (q_log_q, mass, q_scaled), ones = label_terms, np.ones(logits.shape[-1])
     top = np.take_along_axis(logits, logits.argmax(axis=-1)[..., None], axis=-1)
-    logp = np.subtract(logits, top, out=logits)
-    p = np.exp(logp)
-    total = (p @ ones)[..., None]
-    logp -= np.log(total)
-    if logp.min() >= LOG_FLOOR:  # nothing to clamp; a NaN fails this test
-        floored, q_kept, summands = False, q, logp
+    shifted = np.subtract(logits, top, out=logits)
+    p = np.exp(shifted)
+    total = p @ ones
+    log_total = np.log(total)
+    # logp >= min(shifted) - max(log total): nothing clamps. A NaN fails this test.
+    if shifted.min() >= LOG_FLOOR + log_total.max():
+        floored, kept, q_kept = False, mass, q_scaled
+        kl = q_log_q - np.einsum("...v,...v->...", q, shifted) + mass * log_total
     else:
+        logp = np.subtract(shifted, log_total[..., None], out=shifted)
         unfloored = logp >= LOG_FLOOR
         floored = bool(np.any(~unfloored & (q > 0)))
-        q_kept = q * unfloored
-        summands = np.maximum(logp, LOG_FLOOR, out=logp)
-    summands *= q
-    np.subtract(q_log_q, summands, out=summands)
-    loss = float(np.ascontiguousarray((weights * (summands @ ones)).T).sum()) / norm
+        kept, q_kept = (q * unfloored) @ ones, q_scaled * unfloored
+        kl = q_log_q - np.einsum("...v,...v->...", q, np.maximum(logp, LOG_FLOOR, out=logp))
+    loss = float(np.ascontiguousarray((weights * kl).T).sum()) / norm
 
     def grad() -> np.ndarray:
-        # weights / norm * (q_mass * p - q_kept), where q_mass is a row's
-        # target mass outside the clamp and p the softmax, exp(logp) / total.
-        dlogits = np.multiply(p, (q_kept @ ones)[..., None] / total, out=p)
+        # weights / norm * (kept * p - q_kept), where kept is a row's target
+        # mass outside the clamp and p the softmax, exp(shifted) / total.
+        dlogits = np.multiply(p, (weights / norm * kept / total)[..., None], out=p)
         dlogits -= q_kept
-        dlogits *= (weights / norm)[..., None]
         return dlogits
 
     return loss, floored, grad
@@ -136,8 +140,8 @@ class TrainingBatch:
     slot_positions: np.ndarray  # (S,) = (G*d,) distinct supervised positions, group by group
     slot_weights: np.ndarray    # (S,) annealing weight of each slot
     labels: np.ndarray          # (B, S, V) exact target conditionals
-    labels_log_labels: np.ndarray  # (B, S, V) the KL's label term q log q, 0 where q is 0
     norm: float                 # slots are averaged per (sequence, group)
+    label_terms: tuple          # (B, S) row sums of q log q and of q, (B, S, V) q * weight / norm
 
 
 def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
@@ -184,6 +188,8 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
     M, K = P + G * m, G + m
     keys = group_keys(M, G, K)
     queries = slot_positions.reshape(G, d)
+    ones, rows, norm = np.ones(target.vocab_size), g + t, float(len(sequences) * G)
+    labels, weights = dists.take(rows, axis=1), np.tile(gamma ** np.arange(d, dtype=np.float64), G)
     return TrainingBatch(
         feats=np.stack([target.features(seq) for seq in sequences]),
         emb_tokens=emb_tokens,
@@ -191,10 +197,9 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
         position_ids=build_position_ids(P, m)[:M],
         n_prefix=P,
         slot_positions=slot_positions,
-        slot_weights=np.tile(gamma ** np.arange(d, dtype=np.float64), G),
-        labels=dists.take(g + t, axis=1),
-        labels_log_labels=_safe_q_log_q(dists).take(g + t, axis=1),
-        norm=float(len(sequences) * G),
+        slot_weights=weights, labels=labels, norm=norm,
+        label_terms=((_safe_q_log_q(dists) @ ones).take(rows, axis=1),  # each position's, gathered
+                     (dists @ ones).take(rows, axis=1), labels * (weights / norm)[:, None]),
     )
 
 
@@ -220,9 +225,8 @@ def _batch_forward(model: ToyDraft, batch: TrainingBatch):
     queries = batch.slot_positions.reshape(batch.mask.shape[:2])
     logits, cache = model.forward_core(z, batch.mask, queries)
     grouped = logits.shape
-    loss, floored, kl_grad = _floored_kl(logits.reshape(batch.labels.shape), batch.labels,
-                                         batch.slot_weights[None, :], batch.labels_log_labels,
-                                         batch.norm)
+    loss, floored, kl_grad = _floored_kl(logits.reshape(batch.labels.shape), batch.slot_weights,
+                                         batch.norm, batch.labels, batch.label_terms)
 
     def backward() -> dict[str, np.ndarray]:
         return model.backward_core(cache, kl_grad().reshape(grouped), batch.feats,

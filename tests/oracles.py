@@ -282,7 +282,12 @@ def allocating_batch_loss(model, batch, want_grads=True):
     keys in one product and each group against its block in another, and
     the key and value gradients are put back by position. The arithmetic,
     and the memory layout of every array whose layout sets a summation
-    order, are batch_loss's, so the two agree bit for bit."""
+    order, are batch_loss's, so the two agree bit for bit. The row max is a
+    plain max (the same element whatever the order); row sums are products
+    with ones or row-dot einsums; unless a log-probability may lie below the
+    floor, a row's KL is sum q log q - q . (logits - max) + sum q * log total,
+    with the batch's row sums of q log q and q; and the weight gradients are
+    2-D products over every row."""
     p = model.params
     M, P = len(batch.position_ids), batch.n_prefix
     G, d, K = batch.mask.shape
@@ -309,40 +314,47 @@ def allocating_batch_loss(model, batch, want_grads=True):
     s = np.where(batch.mask, s, -1e30)
     s = s - s.max(axis=-1, keepdims=True)
     attn = np.exp(s)
-    attn = attn / attn.sum(axis=-1, keepdims=True)
+    attn = attn / (attn @ np.ones(K))[..., None]
     a_shared, a_block = by_sequence(attn[..., :G]), attn[..., G:]
     y = a_block @ v_block + (a_shared @ v_shared).reshape(B, G, d, W) + zq
     logits = y @ p["W_head"] + p["b_head"]
 
-    labels, weights = batch.labels, batch.slot_weights[None, :]
+    labels, weights, norm = batch.labels, batch.slot_weights, batch.norm
     ones = np.ones(labels.shape[-1])  # a row sum is a product with ones
+    # The labels' row sums are batch data, which the training tests check.
+    label_term, mass = batch.label_terms[:2]
+    scaled = labels * (weights / norm)[..., None]
     shifted = logits.reshape(labels.shape)
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = (e @ ones)[..., None]
-    logp = shifted - np.log(total)
-    unfloored = logp >= LOG_FLOOR
-    floored = bool(np.any(~unfloored & (labels > 0)))
-    label_term = np.where(labels > 0, labels * np.log(np.maximum(labels, 1e-300)), 0.0)
-    kl = (label_term - np.maximum(logp, LOG_FLOOR) * labels) @ ones
+    total = e @ ones
+    if shifted.min() >= LOG_FLOOR + np.log(total).max():
+        floored, kept, q_kept = False, mass, scaled
+        kl = label_term - np.einsum("...v,...v->...", labels, shifted) + mass * np.log(total)
+    else:
+        logp = shifted - np.log(total)[..., None]
+        unfloored = logp >= LOG_FLOOR
+        floored = bool(np.any(~unfloored & (labels > 0)))
+        kept, q_kept = (labels * unfloored) @ ones, scaled * unfloored
+        kl = label_term - np.einsum("...v,...v->...", labels, np.maximum(logp, LOG_FLOOR))
     # Added slot by slot, every sequence's term of a slot in turn, as
     # batch_loss adds them.
-    loss = float(np.ascontiguousarray((weights * kl).T).sum()) / batch.norm
+    loss = float(np.ascontiguousarray((weights * kl).T).sum()) / norm
     if not want_grads:
         return loss, None, floored
-    q_kept = labels * unfloored
-    dlogits = e * ((q_kept @ ones)[..., None] / total) - q_kept
-    dlogits = (dlogits * (weights / batch.norm)[..., None]).reshape(logits.shape)
+    dlogits = (e * (weights / norm * kept / total)[..., None] - q_kept).reshape(logits.shape)
 
-    per_row = ([0, 1, 2], [0, 1, 2])
-    grads = {"W_head": np.tensordot(y, dlogits, axes=per_row),
-             "b_head": dlogits.sum(axis=(0, 1, 2))}
+    def summed(x, dx):  # x.T @ dx over every row of both
+        return x.reshape(-1, x.shape[-1]).T @ dx.reshape(-1, dx.shape[-1])
+
+    grads = {"W_head": summed(y, dlogits),
+             "b_head": np.ones(B * G * d) @ dlogits.reshape(B * G * d, -1)}
     dy = dlogits @ p["W_head"].T
     dv_shared = np.swapaxes(a_shared, -1, -2) @ by_sequence(dy)
     dv_block = np.swapaxes(a_block, -1, -2) @ dy
     dattn = np.concatenate([(by_sequence(dy) @ transposed(v_shared)).reshape(B, G, d, G),
                             dy @ transposed(v_block)], axis=-1)
-    ds = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    ds = attn * (dattn - np.einsum("...k,...k->...", dattn, attn)[..., None])
     ds = ds * scale
     ds_shared, ds_block = by_sequence(ds[..., :G]), ds[..., G:]
     dq = ds_block @ k_block + (ds_shared @ k_shared).reshape(B, G, d, W)
@@ -350,9 +362,7 @@ def allocating_batch_loss(model, batch, want_grads=True):
     dk[:, shared] = np.swapaxes(ds_shared, -1, -2) @ by_sequence(q)
     dk[:, blocks] = np.swapaxes(ds_block, -1, -2) @ q
     dv[:, shared], dv[:, blocks] = dv_shared, dv_block
-    grads["Wq"] = np.tensordot(zq, dq, axes=per_row)
-    grads["Wk"] = np.tensordot(z, dk, axes=([0, 1], [0, 1]))
-    grads["Wv"] = np.tensordot(z, dv, axes=([0, 1], [0, 1]))
+    grads["Wq"], grads["Wk"], grads["Wv"] = summed(zq, dq), summed(z, dk), summed(z, dv)
     dz = dk @ p["Wk"].T + dv @ p["Wv"].T
     dz[:, rows] += dy + dq @ p["Wq"].T
     grads["mask_vec"] = dz[:, P:, :].sum(axis=(0, 1))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,41 @@ def test_vocab_size_past_2_to_the_32_exits_2(config_file, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "2**32" in err
     assert "Traceback" not in err
+
+
+def test_vocab_size_past_2_to_the_20_exits_2_before_any_allocation(config_file, capsys):
+    # A 2**31-token target would allocate its 16 GiB Dirichlet parameter
+    # first; the check comes before any array.
+    tracemalloc.start()
+    try:
+        rc = main(["decode", "--config", config_file(), "--prompt-tokens", "1 2", "--baseline",
+                   "--override", "target.vocab_size=2147483648"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_CONFIG and peak < 2 ** 20
+    err = capsys.readouterr().err
+    assert "config error" in err and "2**20" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, override, blamed", [
+    (["decode", "--baseline"], "target.concentration=9999999999999999999999", "2**53"),
+    (["decode", "--baseline"], "target.concentration=1" + "0" * 400, "2**53"),
+    (["decode", "--no-ngram"], "decode.d=9999999999999999999999", "<= 4096"),
+    (["decode", "--no-ngram"], "decode.d=4097", "<= 4096"),
+    (["eval", "--drafter", "oracle"], "decode.d=9999999999999999999999", "<= 4096"),
+], ids=["concentration-past-int64", "concentration-past-float64", "decode-d-past-int64",
+        "decode-d-past-cap", "eval-d-past-int64"])
+def test_numbers_past_their_limits_exit_2(config_file, capsys, command, override, blamed):
+    # An integer concentration beyond int64 made an object array, and one
+    # beyond float64 overflowed the finiteness test; a d beyond int64 made
+    # the drafter's draw fail. Each is a configuration error.
+    argv = [command[0], "--config", config_file(), *command[1:], "--override", override]
+    if command[0] == "decode":
+        argv += ["--prompt-tokens", "1 2"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and blamed in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("override", [

@@ -4,10 +4,12 @@ size; the benchmark snapshot's JSON assembly, with perfbench stubbed out."""
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,14 +34,32 @@ def test_script_runs(script, args):
     assert _run(script, args).strip()
 
 
+def _environment():
+    """The versions a digest's bits may depend on, as transcript_digests.txt names them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
+
+
 def test_transcript_digest_repeats():
-    # The digest is the bit-identity check for refactors, so two runs agree.
+    # The digest is the bit-identity check for refactors, so two runs agree,
+    # and the first one prints the values pinned in transcript_digests.txt.
     args = ["--requests", "1", "--long-prompt", "64"]
     first = _run("transcript_digest.py", args).splitlines()
     assert first == _run("transcript_digest.py", args).splitlines()
     digests = [line.split()[0] for line in first]
     assert len(digests) == 7
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests)
+    pinned = [line for line in (ROOT / "tests" / "transcript_digests.txt").read_text().splitlines()
+              if line and not line.startswith("#")]
+    made_in = dict(line.split(": ", 1) for line in pinned[:3])
+    for field, value in _environment().items():
+        assert made_in.get(field) == value, (
+            f"transcript_digests.txt was made with {field} {made_in.get(field)}, "
+            f"this run has {value}: the digests may differ for that reason alone")
+    assert len(pinned[3:]) == len(first)
+    for i, (got, want) in enumerate(zip(first, pinned[3:]), start=1):
+        assert got == want, f"digest {i} {want.split(None, 1)[1]} changed: {want.split()[0]} -> {got}"
 
 
 def _bench_snapshot():

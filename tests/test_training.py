@@ -3,10 +3,12 @@ import pytest
 from scipy.special import rel_entr
 
 from specdraft.errors import ConfigError, TrainingDivergedError
-from specdraft.models import MarkovTarget, NoisyOracleDrafter, ToyDraft, group_keys
+from specdraft.models import MarkovTarget, NoisyOracleDrafter, ToyDraft, _key_major_max, group_keys
+from specdraft.ngram import LOG_FLOOR
 from specdraft.training import (
     TrainingLogRecord,
     _batch_forward,
+    _safe_q_log_q,
     batch_loss,
     build_position_ids,
     build_training_batch,
@@ -175,6 +177,68 @@ def test_kl_gradient_matches_central_difference():
         down, _, _ = floored_kl(bumped, q, weights)
         fd = (up - down) / (2 * h)
         assert grad[idx] == pytest.approx(fd, abs=1e-7)
+
+
+def test_kl_where_the_cheap_floor_test_fails_but_nothing_clamps():
+    # Row 0's smallest log-probability, about -20, clears the floor (log 1e-9,
+    # about -20.7), but row 1's total, 8, is the largest: the whole-array test
+    # min(logits - top) >= floor + max(log total) fails, and each row's own
+    # log-probabilities decide. Nothing clamps, so the loss is the plain KL.
+    rng = np.random.default_rng(7)
+    logits = np.stack([np.r_[0.0, np.full(7, -20.0)], np.zeros(8)])
+    logits += rng.uniform(-0.01, 0.01, size=logits.shape)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_total = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    assert shifted.min() < LOG_FLOOR + log_total.max()
+    assert (shifted - log_total).min() >= LOG_FLOOR
+    q = rng.dirichlet(np.ones(8), size=2)
+    weights = 0.6 ** np.arange(2)
+    loss, grad, floored = floored_kl(logits, q, weights)
+    assert not floored
+    p = np.exp(shifted - log_total)
+    want = rel_entr(q, p).sum(axis=1) @ weights  # independent oracle
+    assert abs(loss - want) <= 1e-12 * want
+    h = 1e-5
+    for idx in [(0, 0), (0, 4), (1, 2), (1, 7)]:
+        bumped = logits.copy()
+        bumped[idx] += h
+        up = floored_kl(bumped, q, weights)[0]
+        bumped[idx] -= 2 * h
+        down = floored_kl(bumped, q, weights)[0]
+        assert grad[idx] == pytest.approx((up - down) / (2 * h), abs=1e-7)
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_batch_label_terms_are_row_sums_of_the_labels(shifted):
+    # The per-row constants the KL reads are built once per batch, summed
+    # over each position's conditional and gathered like the labels: sum q
+    # log q and sum q of each slot's own label row, up to the rounding of a
+    # sum over another matrix, and the gradient's label term q * weight / norm.
+    model, batch = _step_setup("train", shifted)
+    q_log_q, mass, scaled = batch.label_terms
+    ones = np.ones(batch.labels.shape[-1])
+    assert np.allclose(q_log_q, _safe_q_log_q(batch.labels) @ ones, rtol=1e-14, atol=0)
+    assert np.allclose(mass, batch.labels @ ones, rtol=1e-14, atol=0)
+    assert np.array_equal(scaled, batch.labels * (batch.slot_weights / batch.norm)[:, None])
+    assert q_log_q.shape == mass.shape == batch.labels.shape[:2]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_key_major_row_max_equals_max_over_the_last_axis(seed):
+    # Training's softmax takes each score row's max from a key-major copy.
+    # On score arrays masked as forward_core masks them (-1e30 where a key is
+    # hidden, rows with one key left, ties, zeros of both signs), it equals
+    # max(axis=-1), and the softmax's exp(s - max) keeps every bit.
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal((3, 4, 5, 23))
+    s[..., ::3] = np.round(s[..., ::3])  # ties
+    mask = rng.random((4, 5, 23)) < 0.4
+    mask[0, 0] = False
+    mask[0, 0, 5] = True  # a row that sees one key
+    np.copyto(s, -1e30, where=~mask)
+    got, want = _key_major_max(s), s.max(axis=-1, keepdims=True)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.exp(s - got).tobytes() == np.exp(s - want).tobytes()
 
 
 def test_kl_config_validation(setup):
