@@ -602,7 +602,7 @@ class ToyDraft:
         k_shared, k_block = _key_parts(k, G, K)
         vt_shared, vt_block = _key_parts(v, G, K, transposed=True)
         a_shared, a_block = _score_parts(attn)
-        n_rows, W = B * G * R, MODEL_WIDTH  # weight gradients are 2-D products over every row
+        n_rows, W = B * G * R, MODEL_WIDTH
         grads = {"W_head": y.reshape(n_rows, W).T @ dlogits.reshape(n_rows, -1),
                  "b_head": np.ones(n_rows) @ dlogits.reshape(n_rows, -1)}
         dy = dlogits @ p["W_head"].T

@@ -198,7 +198,7 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
         n_prefix=P,
         slot_positions=slot_positions,
         slot_weights=weights, labels=labels, norm=norm,
-        label_terms=((_safe_q_log_q(dists) @ ones).take(rows, axis=1),  # each position's, gathered
+        label_terms=((_safe_q_log_q(dists) @ ones).take(rows, axis=1),  # summed per position
                      (dists @ ones).take(rows, axis=1), labels * (weights / norm)[:, None]),
     )
 
