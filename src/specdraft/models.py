@@ -2,8 +2,9 @@
 
 MarkovTarget is an order-k Markov chain standing in for the target LM: exact
 conditional distributions, deterministic per-context feature rows standing in
-for low/middle/high hidden states side by side, kept in one table by context
-id so a prompt's rows are one gather, and a frozen token embedding table.
+for low/middle/high hidden states side by side, and a frozen token embedding
+table. Both kinds of row are found by one int64 context id, so a prompt's
+feature rows are one gather from one table.
 The contexts one call meets for the first time are seeded together, by one
 vectorized pass of numpy's SeedSequence hash, with every row's bits kept.
 `start(prompt)` opens the Session that holds one request's prefix.
@@ -26,7 +27,6 @@ from __future__ import annotations
 import functools
 import zipfile
 from collections.abc import Iterator
-from itertools import repeat
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -164,9 +164,10 @@ class MarkovTarget:
     1 for transitions and 2 for features. A call draws the contexts it meets
     for the first time together: from BATCH_SEEDING_MIN of them, one
     vectorized pass of SeedSequence's hash seeds them all, and the rows keep
-    their bits. A feature row is appended to one table, found by the
-    context's int64 id: its window read as a base-V number. Contexts shorter
-    than k are left-padded with token 0. seed >= 0, vocab_size >= 2 and
+    their bits. Transition rows and feature rows alike are found by the
+    context's int64 id, its window read as a base-V number: transition rows
+    in a dict, feature rows appended to one table. Contexts shorter than k
+    are left-padded with token 0. seed >= 0, vocab_size >= 2 and
     order >= 1 must be integers, with vocab_size at most 2 ** 20 so that a row
     takes at most 8 MiB (and a token is one 32-bit seed word), vocab_size **
     order below 2 ** 63 so that ids fit in int64, and concentration, the
@@ -178,9 +179,6 @@ class MarkovTarget:
     def __init__(self, seed: int, vocab_size: int, order: int, concentration: float = 0.3):
         check_int("target seed", seed, minimum=0)
         check_int("vocab_size", vocab_size, minimum=2)
-        if vocab_size > 2 ** 32:
-            raise ConfigError(f"vocab_size must be <= 2**32 = {2 ** 32}, so that each token "
-                              f"is one 32-bit seed word; got {vocab_size}")
         if vocab_size > 2 ** 20:
             raise ConfigError(f"vocab_size must be <= 2**20 (a row is <= 8 MiB); got {vocab_size}")
         check_int("markov order", order, minimum=1)
@@ -197,22 +195,41 @@ class MarkovTarget:
         self.concentration = concentration
         self._alpha = np.full(vocab_size, concentration)  # every row's Dirichlet parameter
         self._seed_words = _int_words(seed)
-        self._rows: dict[tuple[int, ...], np.ndarray] = {}
+        self._rows: dict[int, np.ndarray] = {}
         self._place = vocab_size ** np.arange(order - 1, -1, -1, dtype=np.int64)
+        self._lead = vocab_size ** (order - 1)  # the place of a context's oldest token
         self._slot: dict[int, int] = {}
         self._table = np.empty((64, 3 * FEAT_WIDTH))
         emb_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
         self.embeddings = emb_rng.standard_normal((vocab_size, EMB_WIDTH))
 
-    def _context(self, prefix) -> tuple[int, ...]:
-        """The trailing `order` tokens of `prefix`, left-padded with token 0; a
+    def _id(self, prefix) -> int:
+        """The id of prefix's context: its trailing `order` tokens read as a
+        base-V number, which left-padding with token 0 leaves unchanged. A
         token outside [0, vocab_size) among them raises ConfigError."""
-        ctx = tuple(int(t) for t in prefix[-self.order:])
+        ctx = [int(t) for t in prefix[-self.order:]]
         if ctx and not (min(ctx) >= 0 and max(ctx) < self.vocab_size):
             raise self._token_error(prefix, len(prefix) - len(ctx))
-        if len(ctx) < self.order:
-            ctx = (0,) * (self.order - len(ctx)) + ctx
-        return ctx
+        ident = 0
+        for token in ctx:
+            ident = ident * self.vocab_size + token
+        return ident
+
+    def _ids(self, prefix, start: int) -> np.ndarray:
+        """(n - start,) int64: the context id of each position start .. n-1
+        of a prefix of n tokens, from the `order` tokens ending there, as
+        _id reads them. A token outside [0, vocab_size) that they read
+        raises ConfigError."""
+        n = len(prefix)
+        lo = max(0, start + 1 - self.order)
+        try:
+            tokens = np.asarray(prefix[lo:n], dtype=np.int64)
+        except OverflowError:  # a token past int64
+            raise self._token_error(prefix, lo) from None
+        if tokens.size and not 0 <= tokens.min() <= tokens.max() < self.vocab_size:
+            raise self._token_error(prefix, lo)
+        padded = np.concatenate([np.zeros(self.order - 1 - (start - lo), np.int64), tokens])
+        return padded[np.arange(n - start)[:, None] + np.arange(self.order)].dot(self._place)
 
     def _token_error(self, prefix, lo: int) -> ConfigError:
         """The error naming the first token of prefix[lo:] outside [0, vocab_size)."""
@@ -220,79 +237,68 @@ class MarkovTarget:
         i, bad = next((i, t) for i, t in enumerate(prefix[lo:], lo) if not 0 <= t < V)
         return ConfigError(f"token {bad} at position {i} is outside [0, {V})")
 
-    def _generators(self, tag: int, contexts) -> Iterator[np.random.Generator]:
-        """A generator per context, a sequence of `order` Python ints in
-        [0, vocab_size), which the callers check, seeded as
-        np.random.SeedSequence([seed, tag, *context]) seeds it: one
-        SeedSequence each below BATCH_SEEDING_MIN contexts, else one
-        `_seed_states` pass over all of them. Each is made as it is read,
+    def _generators(self, tag: int, ids) -> Iterator[np.random.Generator]:
+        """A generator per context id, seeded as np.random.SeedSequence([seed,
+        tag, *context]) seeds it, with the context's `order` tokens read back
+        from its id: one SeedSequence each below BATCH_SEEDING_MIN ids, else
+        one `_seed_states` pass over all of them. Each is made as it is read,
         so a long prompt's thousands of new contexts hold one at a time."""
         words = len(self._seed_words)
-        entropy = np.empty((len(contexts), words + 1 + self.order), np.uint32)
+        entropy = np.empty((len(ids), words + 1 + self.order), np.uint32)
         entropy[:, :words] = self._seed_words
         entropy[:, words] = tag
-        entropy[:, words + 1:] = contexts
+        entropy[:, words + 1:] = np.asarray(ids, np.int64)[:, None] // self._place % self.vocab_size
         if len(entropy) < BATCH_SEEDING_MIN:
             seeds = map(np.random.SeedSequence, entropy)
         else:
             seeds = map(_SeedState, _seed_states(entropy))
         return map(np.random.Generator, map(np.random.PCG64, seeds))
 
-    def _row(self, ctx: tuple[int, ...]) -> np.ndarray:
-        row = self._rows.get(ctx)
+    def _row(self, ident: int) -> np.ndarray:
+        """The stored untempered row of a context id, drawn when first met."""
+        row = self._rows.get(ident)
         if row is None:
-            row = self._rows[ctx] = next(self._generators(1, [ctx])).dirichlet(self._alpha)
+            row = self._rows[ident] = next(self._generators(1, [ident])).dirichlet(self._alpha)
         return row
 
-    def _dists(self, contexts: list[tuple[int, ...]]) -> np.ndarray:
-        """(len(contexts), V): the untempered row of each context, those met
+    def _dists(self, ids: list[int]) -> np.ndarray:
+        """(len(ids), V): the untempered row of each context id, those met
         for the first time drawn together."""
         rows = self._rows
-        new = list({ctx: None for ctx in contexts if ctx not in rows})
+        new = list(dict.fromkeys(i for i in ids if i not in rows))
         if new:
-            for ctx, rng in zip(new, self._generators(1, new)):
-                rows[ctx] = rng.dirichlet(self._alpha)
-        return np.array([rows[ctx] for ctx in contexts]).reshape(-1, self.vocab_size)
-
-    def _feats(self, contexts) -> np.ndarray:
-        """(n, 3 * FEAT_WIDTH) feature rows of n contexts, drawn afresh from
-        (seed, context): low | mid | high."""
-        return np.array([rng.standard_normal(3 * FEAT_WIDTH)
-                         for rng in self._generators(2, contexts)])
-
-    def _feat(self, ctx: tuple[int, ...]) -> np.ndarray:
-        """A context's feature row, drawn afresh from (seed, context)."""
-        return self._feats([ctx])[0]
+            for ident, rng in zip(new, self._generators(1, new)):
+                rows[ident] = rng.dirichlet(self._alpha)
+        return np.array([rows[i] for i in ids]).reshape(-1, self.vocab_size)
 
     def start(self, prompt) -> Session:
         """A session on this target holding a copy of `prompt`."""
         return Session(self, list(prompt))
 
     def next_dist(self, prefix, temperature: float = 1.0) -> np.ndarray:
-        return temperature_adjust(self._row(self._context(prefix)), temperature)
+        return temperature_adjust(self._row(self._id(prefix)), temperature)
 
     def tree_dists(self, prefix, tree: DraftTree, temperature: float = 1.0) -> np.ndarray:
         """(1 + len(tree), V): row 0 is next_dist(prefix), row i + 1 is
         next_dist of the prefix followed by node i's path, bit for bit.
 
-        A node's context is its parent's shifted by its own token, so the
+        A node's context id is its parent's shifted by its own token, so the
         prefix is never copied. A token outside [0, vocab_size) in the tree
         or in the prefix's trailing `order` raises ConfigError.
         """
-        tokens, V = tree.token.tolist(), self.vocab_size
+        tokens, V, lead = tree.token.tolist(), self.vocab_size, self._lead
         if tokens and not (min(tokens) >= 0 and max(tokens) < V):
             i = next(i for i, t in enumerate(tokens) if not 0 <= t < V)
             raise ConfigError(f"tree node {i}'s token {tokens[i]} is outside [0, {V})")
-        contexts = [self._context(prefix)]
+        ids = [self._id(prefix)]
         for parent, token in zip(tree.parent.tolist(), tokens):
-            contexts.append(contexts[parent + 1][1:] + (token,))
-        return temperature_adjust(self._dists(contexts), temperature)
+            ids.append(ids[parent + 1] % lead * V + token)
+        return temperature_adjust(self._dists(ids), temperature)
 
     def next_dists(self, prefix, temperature: float = 1.0) -> np.ndarray:
         """(n, V) for a prefix of n tokens: row i is
         next_dist(prefix[:i + 1], temperature), bit for bit."""
-        contexts = list(map(tuple, self._contexts(prefix, 0).tolist()))
-        return temperature_adjust(self._dists(contexts), temperature)
+        return temperature_adjust(self._dists(self._ids(prefix, 0).tolist()), temperature)
 
     def features(self, prefix, start: int = 0) -> np.ndarray:
         """(n - start, 3 * FEAT_WIDTH) feature rows of positions start .. n-1
@@ -305,50 +311,37 @@ class MarkovTarget:
         n = len(prefix)
         if not 0 <= start <= n:
             raise ConfigError(f"features start must be in [0, {n}], got {start}")
-        windows = self._contexts(prefix, start)  # checked: (3, 20) is (4, 4)'s id at V=16
-        ids = windows.dot(self._place).tolist()
+        ids = self._ids(prefix, start).tolist()  # checked: (3, 20) is (4, 4)'s id at V=16
         slot = self._slot
         try:
             slots = np.fromiter(map(slot.__getitem__, ids), np.intp, len(ids))
         except KeyError:  # draw the contexts met for the first time together, once
-            missing = np.flatnonzero(
-                np.fromiter(map(slot.get, ids, repeat(-1)), np.intp, len(ids)) < 0).tolist()
-            new = dict(zip([ids[i] for i in missing], missing))  # id: a position with it
+            new = list(dict.fromkeys(i for i in ids if i not in slot))
             k, size = len(slot), len(slot) + len(new)
             if size > len(self._table):
                 table = np.empty((max(size, 2 * len(self._table)), 3 * FEAT_WIDTH))
                 table[:k] = self._table[:k]
                 self._table = table
-            self._table[k:size] = self._feats(windows[list(new.values())].tolist())
+            for j, rng in enumerate(self._generators(2, new), k):
+                self._table[j] = rng.standard_normal(3 * FEAT_WIDTH)
             slot.update(zip(new, range(k, size)))
             slots = np.fromiter(map(slot.__getitem__, ids), np.intp, len(ids))
         return self._table.take(slots, axis=0)
 
-    def _contexts(self, prefix, start: int) -> np.ndarray:
-        """(n - start, order): the context of each position start .. n-1 of a
-        prefix of n tokens, the `order` tokens ending there, in the prefix
-        left-padded with token 0 as _context pads it. A token outside
-        [0, vocab_size) that they read raises ConfigError."""
-        n = len(prefix)
-        lo = max(0, start + 1 - self.order)
-        try:
-            tokens = np.asarray(prefix[lo:n], dtype=np.int64)
-        except OverflowError:  # a token past int64
-            raise self._token_error(prefix, lo) from None
-        if tokens.size and not 0 <= tokens.min() <= tokens.max() < self.vocab_size:
-            raise self._token_error(prefix, lo)
-        padded = np.concatenate([np.zeros(self.order - 1 - (start - lo), np.int64), tokens])
-        return padded[np.arange(n - start)[:, None] + np.arange(self.order)]
-
     def rollout(self, prefix, length: int, pick) -> list[int]:
         """`length` tokens past `prefix`, each `pick(row)` of the untempered
         conditional given everything before it. A token outside
-        [0, vocab_size) in the trailing `order` of `prefix` raises ConfigError."""
-        seq = list(self._context(prefix))  # all that later contexts read, checked
-        start = len(seq)
-        for _ in range(length):
-            seq.append(int(pick(self._row(self._context(seq)))))
-        return seq[start:]
+        [0, vocab_size) in the trailing `order` of `prefix`, or picked,
+        raises ConfigError."""
+        ident, V, lead = self._id(prefix), self.vocab_size, self._lead
+        tokens = []
+        for step in range(length):
+            token = int(pick(self._row(ident)))
+            if not 0 <= token < V:
+                raise ConfigError(f"picked token {token} at step {step} is outside [0, {V})")
+            tokens.append(token)
+            ident = ident % lead * V + token
+        return tokens
 
     def greedy_chain(self, prefix, length: int) -> list[int]:
         """Argmax rollout of `length` tokens past `prefix`."""

@@ -167,6 +167,16 @@ def argmax_rollout(target, prompt, length):
     return seq[len(prompt):]
 
 
+def context_rng(seed, tag, order, prefix):
+    """The generator of prefix's context by MarkovTarget's documented seeding
+    rule, Generator(PCG64(SeedSequence([seed, tag, *context]))), the context
+    being prefix's trailing `order` tokens left-padded with token 0; tag 1
+    draws a transition row (a Dirichlet draw), tag 2 a feature row (standard
+    normals)."""
+    context = ([0] * order + [int(t) for t in prefix])[-order:]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag, *context])))
+
+
 def tree_to_paths(tree):
     """Canonical form of a DraftTree, read from its records:
     {draft path tuple: (level, score)}, in tree order."""

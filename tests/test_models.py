@@ -27,7 +27,7 @@ from specdraft.models import (
 from specdraft.training import build_training_batch
 from specdraft.tree import ROOT_ID, DraftTree
 
-from oracles import concat_inputs, readout_attention
+from oracles import concat_inputs, context_rng, readout_attention
 
 
 # -- markov target ---------------------------------------------------------------
@@ -163,8 +163,8 @@ def test_features_match_per_position_contexts():
         assert np.array_equal(feats[i], ref[i])
         # Row i, one position at a time: the low, mid and high vectors of the
         # trailing `order` tokens up to i, left-padded with token 0.
-        block = t._feat(t._context(prefix[max(0, i + 1 - t.order): i + 1]))
-        assert np.array_equal(feats[i], block)
+        block = context_rng(9, 2, t.order, prefix[max(0, i + 1 - t.order): i + 1])
+        assert np.array_equal(feats[i], block.standard_normal(3 * FEAT_WIDTH))
 
 
 def test_features_extend_to_the_full_prefix():
@@ -214,12 +214,12 @@ def test_features_check_only_the_windows_of_the_rows_asked_for():
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_features_of_a_fresh_target_equal_the_cold_rows(order):
     # The rows gathered from the table, which grows while the call fills it,
-    # are the rows _feat draws for each position's context, from every start.
+    # are the seeded draws of each position's context, from every start.
     prefix = [int(x) for x in np.random.default_rng(order).integers(0, 100, size=160)]
-    ref = MarkovTarget(9, 100, order)
-    expect = np.array([ref._feat(ref._context(prefix[:i + 1])) for i in range(len(prefix))])
-    contexts = {ref._context(prefix[:i + 1]) for i in range(len(prefix))}
-    assert len(contexts) > len(ref._table)  # more than the table's first capacity
+    expect = np.array([context_rng(9, 2, order, prefix[:i + 1]).standard_normal(3 * FEAT_WIDTH)
+                       for i in range(len(prefix))])
+    contexts = {tuple(([0] * order + prefix[:i + 1])[-order:]) for i in range(len(prefix))}
+    assert len(contexts) > len(MarkovTarget(9, 100, order)._table)  # past the first capacity
     for start in range(len(prefix) + 1):
         assert np.array_equal(MarkovTarget(9, 100, order).features(prefix, start), expect[start:])
 
@@ -279,6 +279,39 @@ def test_rollout_from_a_long_prefix_equals_one_from_its_last_order_tokens(order)
     assert t.greedy_chain([3], 4) == t.greedy_chain([0] * order + [3], 4)
 
 
+@pytest.mark.parametrize("bad", [16, -1])
+def test_rollout_rejects_a_picked_token_outside_the_vocabulary(bad):
+    # Read into the next context id, the token would alias another context's
+    # row: at V=16, order 2, (3, 16) reads as the id of (4, 0).
+    t = MarkovTarget(1, 16, 2)
+    picks = iter([bad, 0, 0])
+    with pytest.raises(ConfigError, match=rf"token {bad} .*outside \[0, 16\)"):
+        t.rollout([3], 3, lambda row: next(picks))
+
+
+@pytest.mark.parametrize("vocab_size, order", [(2, 62), (256, 7), (64, 10)])
+def test_rows_at_the_widest_context_ids_are_the_seeded_draws(vocab_size, order):
+    # The highest order at each vocabulary size, with tokens near V - 1: ids
+    # just below V ** order, within a factor of V of 2 ** 63.
+    seed, V = 3, vocab_size
+    t = MarkovTarget(seed, V, order)
+
+    def row(prefix):
+        p = context_rng(seed, 1, order, prefix).dirichlet(np.full(V, 0.3))
+        return p / p.sum()
+
+    prefix = [V - 1 - i % 2 for i in range(order + 1)]
+    tokens = [V - 1, V - 2, V - 1, 0, V - 1, V - 2, V - 1]
+    tree = DraftTree([ROOT_ID, ROOT_ID, 0, 0, 1, 2, 5], tokens, [0, 0, 1, 1, 1, 2, 3],
+                     np.zeros(7))
+    want = [row(prefix)] + [row(prefix + path_of(tree, i)) for i in range(len(tree.token))]
+    assert np.array_equal(t.tree_dists(prefix, tree), np.stack(want))
+    seq = list(prefix)
+    for _ in range(6):
+        seq.append(int(np.argmax(row(seq))))
+    assert t.rollout(prefix, 6, np.argmax) == seq[len(prefix):]
+
+
 def test_short_prefix_padded():
     t = MarkovTarget(5, 8, 3)
     assert np.array_equal(t.next_dist([4]), t.next_dist([0, 0, 4]))
@@ -293,9 +326,9 @@ def test_sample_sequence_seeded():
 
 @pytest.mark.parametrize("vocab_size", [2 ** 32 + 1, 2 ** 40])
 def test_target_vocab_past_2_to_the_32_is_rejected(vocab_size):
-    # Each token is one 32-bit word of a row's seed. Only values past the cap
-    # are built: a row at the cap itself would take 32 GB.
-    with pytest.raises(ConfigError, match=r"vocab_size must be <= 2\*\*32"):
+    # Each token is one 32-bit word of a row's seed; the 2**20 cap on a row's
+    # size keeps every token within that word, before any array is built.
+    with pytest.raises(ConfigError, match=r"vocab_size must be <= 2\*\*20"):
         MarkovTarget(1, vocab_size, 1)
 
 
@@ -356,15 +389,13 @@ def test_rows_of_any_seed_are_the_seeded_numpy_draws(seed):
     assert len(t._rows) >= BATCH_SEEDING_MIN and len(t._slot) >= BATCH_SEEDING_MIN
     one = MarkovTarget(seed, 16, 2, concentration=0.4)
     for i in range(len(prefix)):
-        ctx = t._context(prefix[:i + 1])
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1, *ctx])))
+        rng = context_rng(seed, 1, 2, prefix[:i + 1])
         expect = temperature_adjust(rng.dirichlet(np.full(16, 0.4)), 1.0)
         assert np.array_equal(dists[i], expect)
         assert np.array_equal(one.next_dist(prefix[:i + 1]), expect)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2, *ctx])))
-        expect = rng.standard_normal(3 * FEAT_WIDTH)
+        expect = context_rng(seed, 2, 2, prefix[:i + 1]).standard_normal(3 * FEAT_WIDTH)
         assert np.array_equal(feats[i], expect)
-        assert np.array_equal(one._feat(ctx), expect)
+        assert np.array_equal(one.features(prefix[:i + 1])[i], expect)
 
 
 # (seed, order): entropy of 3 words, shorter than the pool, then 5 and 6, longer.
@@ -400,7 +431,8 @@ def test_cold_next_dists_and_features_equal_one_context_at_a_time(seed, order, m
     ref = MarkovTarget(seed, 97, order)
     for i in range(m):
         assert np.array_equal(dists[i], ref.next_dist(prefix[:i + 1]))
-        assert np.array_equal(feats[i], ref._feat(ref._context(prefix[:i + 1])))
+        feat = context_rng(seed, 2, order, prefix[:i + 1]).standard_normal(3 * FEAT_WIDTH)
+        assert np.array_equal(feats[i], feat)
 
 
 # -- toy draft -------------------------------------------------------------------
