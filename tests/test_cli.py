@@ -137,21 +137,29 @@ def test_markov_order_whose_context_ids_overflow_int64_exits_2(config_file, caps
     assert "Traceback" not in err
 
 
+def test_vocab_size_past_2_to_the_32_exits_2(config_file, capsys):
+    # A token past 2**32 is no 32-bit seed word; the 2**20 cap rejects it.
+    rc = main(["decode", "--config", config_file(), "--prompt-tokens", "1 2",
+               "--override", "target.vocab_size=4294967297"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "2**20" in err
+    assert "Traceback" not in err
+
+
 def test_vocab_size_past_2_to_the_20_exits_2_before_any_allocation(config_file, capsys):
     # A 2**31-token target would allocate its 16 GiB Dirichlet parameter
-    # first, and a token past 2**32 is no 32-bit seed word; the check comes
-    # before any array.
-    for vocab_size in (2147483648, 4294967297):
-        tracemalloc.start()
-        try:
-            rc = main(["decode", "--config", config_file(), "--prompt-tokens", "1 2",
-                       "--baseline", "--override", f"target.vocab_size={vocab_size}"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rc == EXIT_CONFIG and peak < 2 ** 20
-        err = capsys.readouterr().err
-        assert "config error" in err and "2**20" in err and "Traceback" not in err
+    # first; the check comes before any array.
+    tracemalloc.start()
+    try:
+        rc = main(["decode", "--config", config_file(), "--prompt-tokens", "1 2", "--baseline",
+                   "--override", "target.vocab_size=2147483648"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_CONFIG and peak < 2 ** 20
+    err = capsys.readouterr().err
+    assert "config error" in err and "2**20" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, override, blamed", [
