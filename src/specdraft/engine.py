@@ -167,10 +167,12 @@ def verify(
             residual[token[child]] = 0.0
             total -= mass
         if chosen is None:
-            if total > 0.0:
+            if residual.any():
                 return accepted, sample_from(residual, rng)
-            # All target mass sat on the offered children (fp corner); fall
-            # back to the highest-mass child to stay well-defined.
+            # All target mass sat on the offered children, and rounding let
+            # the last of them be rejected (fp corner, `total` may still read
+            # a few ulps above 0); fall back to the highest-mass child to
+            # stay well-defined.
             chosen = max(offered, key=lambda c: float(dist[token[c]]))
         accepted.append(token[chosen])
         current = chosen

@@ -689,43 +689,45 @@ class ToyDraft:
         vocab_size or shifted is not an integer, or that carries another
         version or a shifted other than 0 or 1, raises ModelFormatError."""
         unreadable = (ValueError, EOFError, zipfile.BadZipFile)
-        try:
-            data = np.load(path)
-        except unreadable as exc:
-            raise ModelFormatError(f"{path}: not a model file ({exc})") from exc
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ModelFormatError(f"{path}: a single array, not a model file")
-        with data:
-            def read(name: str, shape: tuple, integer: bool = False) -> np.ndarray:
-                if name not in data.files:
-                    raise ModelFormatError(f"{path}: missing array {name!r}")
-                try:
-                    arr = data[name]
-                except unreadable as exc:  # e.g. a pickled object array
-                    raise ModelFormatError(f"{path}: array {name!r} unreadable ({exc})") from exc
-                kinds, what = ("iu", "an integer") if integer else ("iuf", "a number")
-                if arr.shape != shape or arr.dtype.kind not in kinds:
-                    raise ModelFormatError(
-                        f"{path}: array {name!r} is {arr.dtype} of shape {arr.shape}, "
-                        f"expected {what} array of shape {shape}"
-                    )
-                if not np.isfinite(arr).all():
-                    raise ModelFormatError(f"{path}: array {name!r} holds a NaN or an infinity")
-                return arr
+        with open(path, "rb") as handle:
+            try:
+                data = np.load(handle)
+            except unreadable as exc:
+                raise ModelFormatError(f"{path}: not a model file ({exc})") from exc
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ModelFormatError(f"{path}: a single array, not a model file")
+            with data:
+                def read(name: str, shape: tuple, integer: bool = False) -> np.ndarray:
+                    if name not in data.files:
+                        raise ModelFormatError(f"{path}: missing array {name!r}")
+                    try:
+                        arr = data[name]
+                    except unreadable as exc:  # e.g. a pickled object array
+                        raise ModelFormatError(
+                            f"{path}: array {name!r} unreadable ({exc})") from exc
+                    kinds, what = ("iu", "an integer") if integer else ("iuf", "a number")
+                    if arr.shape != shape or arr.dtype.kind not in kinds:
+                        raise ModelFormatError(
+                            f"{path}: array {name!r} is {arr.dtype} of shape {arr.shape}, "
+                            f"expected {what} array of shape {shape}"
+                        )
+                    if not np.isfinite(arr).all():
+                        raise ModelFormatError(f"{path}: array {name!r} holds a NaN or an infinity")
+                    return arr
 
-            version = int(read("version", (), integer=True))
-            if version != MODEL_FILE_VERSION:
-                raise ModelFormatError(
-                    f"{path}: model file version {version}, expected {MODEL_FILE_VERSION}"
-                )
-            vocab_size = int(read("vocab_size", (), integer=True))
-            shifted = int(read("shifted", (), integer=True))
-            if shifted not in (0, 1):
-                raise ModelFormatError(f"{path}: array 'shifted' is {shifted}, expected 0 or 1")
-            model = cls(vocab_size, read("embeddings", (vocab_size, EMB_WIDTH)),
-                        shifted=bool(shifted))
-            for name, fresh in model.params.items():
-                model.params[name] = read(name, fresh.shape)
+                version = int(read("version", (), integer=True))
+                if version != MODEL_FILE_VERSION:
+                    raise ModelFormatError(
+                        f"{path}: model file version {version}, expected {MODEL_FILE_VERSION}"
+                    )
+                vocab_size = int(read("vocab_size", (), integer=True))
+                shifted = int(read("shifted", (), integer=True))
+                if shifted not in (0, 1):
+                    raise ModelFormatError(f"{path}: array 'shifted' is {shifted}, expected 0 or 1")
+                model = cls(vocab_size, read("embeddings", (vocab_size, EMB_WIDTH)),
+                            shifted=bool(shifted))
+                for name, fresh in model.params.items():
+                    model.params[name] = read(name, fresh.shape)
         return model
 
 

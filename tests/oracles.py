@@ -8,20 +8,24 @@ by hand. They implement the same contracts (scoring formulas, tie-break
 order) independently. The training step is written out with a fresh array
 per intermediate, over the whole packed layout with a dense mask, and one
 supervised slot at a time; the gradient and sampling checks compare the
-package against central differences and exact enumeration.
+package against central differences and exact enumeration. Verify's
+acceptance rule is enumerated branch by branch in exact rational arithmetic
+from the target's own conditionals.
 """
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
-from specdraft.engine import decode
+from specdraft.engine import decode, verify
 from specdraft.errors import ConfigError
 from specdraft.models import positional_encoding
 from specdraft.ngram import LOG_FLOOR
 from specdraft.training import batch_loss
+from specdraft.tree import ROOT_ID
 
 
 class WindowCounter:
@@ -465,6 +469,107 @@ def slot_by_slot_loss(model, target, sequences, d, gamma, shifted, visible):
                 grads["W_in"] += np.outer(feats[prompt_of[pos]], dx[:proj])
     norm = len(sequences) * G
     return loss / norm, {name: g / norm for name, g in grads.items()}
+
+
+VERIFY_DELTA = Fraction(1e-13)
+
+
+def verify_branches(target, prefix, tree, temperature):
+    """Every branch of the residual walk that verify's docstring specifies,
+    the acceptance rule of Leviathan et al. (arXiv:2211.17192) over a tree:
+    a list of (draws, accepted tokens, bonus token), where draws holds one
+    (lo, hi, margin) per uniform the branch spends, u in [lo, hi).
+
+    At each node reached, the conditional comes from the oracle's own
+    target.next_dist(prefix + path, T) call, read as exact fractions. The
+    node's children are tried in tree order, one draw each: child c is
+    accepted when u < r(c) / R, r being the residual mass and R its total;
+    on rejection r(c) becomes 0. A child that holds all of R is always
+    accepted, so the children after it are never tried. With every child
+    rejected, one more draw u gives bonus x when
+    r(<x) / R <= u < r(<=x) / R.
+
+    `margin` is how far inside an end a draw is far enough from verify's
+    threshold: VERIFY_DELTA, scaled for a child's test by the node's whole
+    mass over R, because a float R kept by subtraction carries the rounding
+    of the whole mass."""
+    children = defaultdict(list)
+    for node, parent in enumerate(tree.parent.tolist()):
+        children[parent].append(node)
+    tokens = tree.token.tolist()
+    branches = []
+
+    def walk(node, path, draws):
+        residual = [Fraction(float(p)) for p in target.next_dist(list(prefix) + path, temperature)]
+        whole = total = sum(residual)
+        for child in children[node]:
+            token = tokens[child]
+            accept, margin = residual[token] / total, VERIFY_DELTA * whole / total
+            if accept > 0:
+                walk(child, path + [token], draws + [(Fraction(0), accept, margin)])
+            if accept == 1:
+                return
+            draws = draws + [(accept, Fraction(1), margin)]
+            total -= residual[token]
+            residual[token] = Fraction(0)
+        below = Fraction(0)
+        for x, mass in enumerate(residual):
+            if mass > 0:
+                bonus = (below / total, (below + mass) / total, VERIFY_DELTA)
+                branches.append((draws + [bonus], path, x))
+            below += mass
+
+    walk(ROOT_ID, [], [])
+    return branches
+
+
+class ScriptedRandom:
+    """A stand-in for np.random.Generator whose random() returns `values` in
+    order; `drawn` counts the draws taken."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.drawn = 0
+
+    def random(self):
+        if self.drawn == len(self.values):
+            raise AssertionError(f"a draw past the {len(self.values)} the branch spends")
+        self.drawn += 1
+        return self.values[self.drawn - 1]
+
+
+def check_verify_law(target, prefix, tree, temperature, tol=1e-12):
+    """The exact law of verify over `tree`, checked branch by branch.
+
+    verify runs down each branch of verify_branches twice, with every draw
+    its margin inside its interval's lower end, then inside its upper end,
+    and must return the branch's tokens after spending exactly its draws; a
+    branch with an interval no wider than twice its margin is not driven
+    (it weighs under 2e-13 / R). Weighting each branch by the product of its
+    interval lengths, for every node the walk reaches, P(next emitted token
+    = x | node reached) must equal the node's target conditional p_node(x)
+    to `tol`. Returns the number of branches."""
+    branches = verify_branches(target, prefix, tree, temperature)
+    reached = defaultdict(Fraction)
+    emitted = defaultdict(Fraction)
+    for draws, path, bonus in branches:
+        if all(hi - lo > 2 * margin for lo, hi, margin in draws):
+            for end in ([lo + margin for lo, _, margin in draws],
+                        [hi - margin for _, hi, margin in draws]):
+                rng = ScriptedRandom(float(u) for u in end)
+                got = verify(tree, target.start(prefix), temperature, rng)
+                assert got == (path, bonus), (got, path, bonus, draws)
+                assert rng.drawn == len(draws), (rng.drawn, draws)
+        weight = math.prod(hi - lo for lo, hi, _ in draws)
+        for depth, token in enumerate(path + [bonus]):
+            reached[tuple(path[:depth])] += weight
+            emitted[tuple(path[:depth]), token] += weight
+    assert reached[()] == 1
+    for node, mass in reached.items():
+        p_node = target.next_dist(list(prefix) + list(node), temperature)
+        law = [float(emitted[node, x] / mass) for x in range(len(p_node))]
+        assert np.max(np.abs(np.array(law) - p_node)) <= tol, (node, law, p_node)
+    return len(branches)
 
 
 def exactness_check(target, drafter, trie, cfg, n_samples, prompt=(0,), horizon=3):

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdraft import engine
 from specdraft import tree as tree_module
@@ -18,14 +20,16 @@ from specdraft.models import (
     MarkovTarget,
     NoisyOracleDrafter,
     OracleDrafter,
+    Session,
     ToyDraft,
     UniformDrafter,
+    temperature_adjust,
 )
 from specdraft.ngram import NgramTrie, build_trie
 from specdraft.training import evaluate_alpha
 from specdraft.tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, prune
 
-from oracles import argmax_rollout, exactness_check
+from oracles import ScriptedRandom, argmax_rollout, check_verify_law, exactness_check
 
 
 @pytest.fixture
@@ -99,6 +103,84 @@ def test_verify_tries_children_in_tree_order(target):
 def test_verify_rejects_empty_tree(target):
     with pytest.raises(ConfigError):
         verify(DraftTree([], [], [], []), target.start([0]), 0.0, np.random.default_rng(0))
+
+
+# -- the exact law of verify ------------------------------------------------------
+
+LAW_TEMPERATURES = (0.0, 0.5, 1.0, 2.0)
+
+
+class OneRowTarget:
+    """A target whose conditional is `row` after every prefix."""
+
+    def __init__(self, row):
+        self.row = np.asarray(row, dtype=np.float64)
+        self.vocab_size = len(self.row)
+
+    def start(self, prompt):
+        return Session(self, list(prompt))
+
+    def next_dist(self, prefix, temperature=1.0):
+        return temperature_adjust(self.row, temperature)
+
+    def tree_dists(self, prefix, tree, temperature=1.0):
+        return np.tile(self.next_dist(prefix, temperature), (len(tree) + 1, 1))
+
+
+def _full_tree(V, depth):
+    """Every token at level 0, and every token under each level-0 node when
+    depth is 2: the walk meets children holding all of the target's mass."""
+    cfg = PruneConfig(k=V, w=V, theta=V + V * V)
+    return prune(ParallelLogits(np.zeros((depth, V))), None, cfg, [0])
+
+
+@given(st.data())
+@settings(max_examples=40, derandomize=True)
+def test_verify_law_on_pruned_trees(data):
+    V = data.draw(st.integers(2, 8))
+    d = data.draw(st.integers(1, 4))
+    cfg = PruneConfig(k=data.draw(st.integers(1, V)), w=data.draw(st.integers(1, 4)),
+                      theta=data.draw(st.integers(1, 12)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+    target = MarkovTarget(int(rng.integers(1000)), V, data.draw(st.integers(1, 2)),
+                          concentration=data.draw(st.sampled_from([0.05, 0.3, 2.0])))
+    prefix = rng.integers(0, V, size=2).tolist()
+    tree = prune(ParallelLogits(rng.standard_normal((d, V)) * 2), None, cfg, prefix)
+    for temperature in LAW_TEMPERATURES:
+        check_verify_law(target, prefix, tree, temperature)
+
+
+@pytest.mark.parametrize("temperature", LAW_TEMPERATURES)
+def test_verify_law_on_hand_built_trees(target, temperature):
+    prefix = [1, 2]
+    a, b = np.argsort(target.next_dist(prefix, 1.0))[::-1][:2].tolist()
+    # Duplicate sibling tokens: the second copy of a token holds no residual
+    # mass, so it is rejected, and its subtree is never reached.
+    duplicates = DraftTree(parent=[ROOT_ID, ROOT_ID, ROOT_ID, 0, 0, 1],
+                           token=[a, a, b, b, b, a], level=[0, 0, 0, 1, 1, 1],
+                           score=[0.0] * 6)
+    assert check_verify_law(target, prefix, duplicates, temperature) > 0
+    # Near-zero and zero masses beside one token holding almost all of it;
+    # at temperature 0 every row is one-hot.
+    peaked = MarkovTarget(3, 6, 1, concentration=0.01)
+    for context in range(6):
+        check_verify_law(peaked, [context], _full_tree(6, 2), temperature)
+    # Children that hold all of the mass, in an order whose subtractions
+    # round (the fp corner below).
+    check_verify_law(OneRowTarget([0.1, 0.7, 0.2]), [0], _full_tree(3, 2), temperature)
+
+
+def test_verify_falls_back_to_the_heaviest_child_when_rounding_rejects_all_mass():
+    # At [0.1, 0.7, 0.2] with children 0, 1, 2 in that order, rounding leaves
+    # 0.2 / (1 - 0.1 - 0.7) just below 1, so the largest draw below 1 rejects
+    # the last child that holds mass. The residual is then all zero: verify
+    # accepts the heaviest child instead of drawing a bonus from no mass,
+    # which would give token V.
+    target = OneRowTarget([0.1, 0.7, 0.2])
+    tree = DraftTree(parent=[ROOT_ID] * 3, token=[0, 1, 2], level=[0] * 3, score=[0.0] * 3)
+    rng = ScriptedRandom([0.99, 0.99, 1 - 2 ** -53, 0.5])
+    assert verify(tree, target.start([0]), 1.0, rng) == ([1], 1)
+    assert rng.drawn == 4
 
 
 # -- decode -----------------------------------------------------------------------

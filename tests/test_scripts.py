@@ -1,5 +1,6 @@
-"""Smoke test: each experiment script in scripts/ runs to completion at toy
-size; the benchmark snapshot's JSON assembly, with perfbench stubbed out."""
+"""Smoke test: the reproduction script and the transcript digest run to
+completion at toy size and repeat; the benchmark snapshot's JSON assembly,
+with perfbench stubbed out."""
 
 import importlib.util
 import json
@@ -10,7 +11,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,13 +25,22 @@ def _run(script, args):
     return proc.stdout
 
 
-@pytest.mark.parametrize("script, args", [
-    ("gamma_sweep.py", ["--gammas", "0.6", "--seeds", "1", "--steps", "5", "--d", "3"]),
-    ("shifted_ablation.py", ["--seeds", "1", "--steps", "5", "--d", "3"]),
-    ("ngram_ablation.py", ["--runs", "2", "--max-tokens", "10"]),
-])
-def test_script_runs(script, args):
-    assert _run(script, args).strip()
+def _reproduce_quick():
+    """reproduce.py --quick's report, split into (deterministic part, timing)."""
+    report = json.loads(_run("reproduce.py", ["--quick"]))
+    return report, report.pop("timing")
+
+
+def test_script_runs():
+    report, timing = _reproduce_quick()
+    assert list(report) == ["gamma_sweep", "shifted", "ngram"]
+    assert all(list(section) == ["setup", "results"] for section in report.values())
+    assert set(timing) == {"shared_setup_s", "gamma_sweep_s", "shifted_s", "ngram_s"}
+    assert all(isinstance(seconds, float) and seconds >= 0 for seconds in timing.values())
+
+
+def test_reproduce_repeats_but_for_timing():
+    assert _reproduce_quick()[0] == _reproduce_quick()[0]
 
 
 def _environment():
