@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,12 +32,23 @@ def _reproduce_quick():
     return report, report.pop("timing")
 
 
-def test_script_runs():
-    report, timing = _reproduce_quick()
+@pytest.fixture(scope="module")
+def quick_run():
+    return _reproduce_quick()
+
+
+# One case per section; each keeps the id of the ablation script the section replaced.
+@pytest.mark.parametrize("section", ["gamma_sweep", "shifted", "ngram"],
+                         ids=["gamma_sweep.py-args0", "shifted_ablation.py-args1",
+                              "ngram_ablation.py-args2"])
+def test_script_runs(quick_run, section):
+    report, timing = quick_run
     assert list(report) == ["gamma_sweep", "shifted", "ngram"]
-    assert all(list(section) == ["setup", "results"] for section in report.values())
+    assert list(report[section]) == ["setup", "results"]
+    assert report[section]["results"]
     assert set(timing) == {"shared_setup_s", "gamma_sweep_s", "shifted_s", "ngram_s"}
-    assert all(isinstance(seconds, float) and seconds >= 0 for seconds in timing.values())
+    for key in ("shared_setup_s", f"{section}_s"):
+        assert isinstance(timing[key], float) and timing[key] >= 0
 
 
 def test_reproduce_repeats_but_for_timing():
