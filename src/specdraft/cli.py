@@ -25,6 +25,7 @@ from .errors import (
     ModelFormatError,
     TrainingDivergedError,
     TrieFormatError,
+    check_bool,
     check_int,
     check_number,
 )
@@ -96,8 +97,7 @@ def _check_kinds(section: str, values: dict, defaults: dict) -> None:
     for key, default in defaults.items():
         name, value = f"{section}.{key}", values[key]
         if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be true or false, got {value!r}")
+            check_bool(name, value)
         elif isinstance(default, int):
             check_int(name, value)
         else:

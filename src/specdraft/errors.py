@@ -17,6 +17,12 @@ def check_int(name: str, value, minimum: int | None = None) -> None:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
+def check_bool(name: str, value) -> None:
+    """Raise ConfigError unless `value` is a bool."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
 def check_number(name: str, value) -> None:
     """Raise ConfigError unless `value` is a finite real number (no bool; ints within +-2**53)."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)

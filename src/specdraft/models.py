@@ -31,7 +31,7 @@ from collections.abc import Iterator
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ConfigError, ModelFormatError, check_int, check_number
+from .errors import ConfigError, ModelFormatError, check_bool, check_int, check_number
 from .tree import DraftTree, ParallelLogits
 
 FEAT_WIDTH = 8       # width of each of the three feature vectors
@@ -475,6 +475,8 @@ class ToyDraft:
 
     def __init__(self, vocab_size: int, embeddings: np.ndarray, seed: int = 0,
                  shifted: bool = True):
+        check_int("drafter seed", seed, minimum=0)
+        check_bool("shifted", shifted)
         if embeddings.shape != (vocab_size, EMB_WIDTH):
             raise ConfigError(
                 f"embeddings must be ({vocab_size}, {EMB_WIDTH}), got {embeddings.shape}"
@@ -740,6 +742,7 @@ class UniformDrafter:
     """Uniform random logits; a fresh row set per cycle from a seeded stream."""
 
     def __init__(self, vocab_size: int, seed: int = 0):
+        check_int("drafter seed", seed, minimum=0)
         self.vocab_size = vocab_size
         self.rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -757,6 +760,7 @@ class NoisyOracleDrafter:
     pick = staticmethod(np.argmax)
 
     def __init__(self, target: MarkovTarget, noise: float = 1.0, base: float = 1.2, seed: int = 0):
+        check_int("drafter seed", seed, minimum=0)
         self.target = target
         self.noise = noise
         self.base = base

@@ -19,10 +19,12 @@ group.
 
 The objective is a position-annealed KL divergence (`floored_kl`) against the
 target model's exact conditionals, weighted gamma^(t-1) for the t-th future
-position. All arithmetic is float64 and gradients are written by hand, so
-they can be validated against central differences. With the labels' row
-sums of q log q and q built once per batch, the KL makes one full-width pass
-besides its softmax, and its gradient two, unless a value may be clamped.
+position. A batch holds each sequence's L-1 conditionals once: slot (g, t)
+reads row g+t, and the row's sums of q log q and q, through read-only
+(B, G, d, ...) window views. All arithmetic is float64 and gradients are
+written by hand, so they can be validated against central differences. The
+KL makes one full-width pass besides its softmax, in place over the logits
+when no log-probability can reach the floor, and its gradient two.
 
 A TrainingBatch is plain data that no step writes to: each step makes its
 own arrays, so steps on one batch may overlap.
@@ -33,8 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, TrainingDivergedError, check_int, check_number, check_tokens
+from .errors import (ConfigError, TrainingDivergedError, check_bool, check_int, check_number,
+                     check_tokens)
 from .models import MarkovTarget, ToyDraft, group_keys
 from .ngram import LOG_FLOOR
 
@@ -75,6 +79,12 @@ def _safe_q_log_q(q: np.ndarray) -> np.ndarray:
     return np.where(q > 0, q * np.log(np.maximum(q, 1e-300)), 0.0)
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """x @ ones, a (B, G, d, V) x taken as (B, G*d, V): a product rounds a row by its place."""
+    flat = x.reshape(len(x), -1, x.shape[-1]) if x.ndim > 3 else x
+    return (flat @ np.ones(x.shape[-1])).reshape(x.shape[:-1])
+
+
 def floored_kl(logits: np.ndarray, q: np.ndarray,
                weights: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Weighted sum of KL(q || softmax(logits)) over the last axis, with the
@@ -84,11 +94,10 @@ def floored_kl(logits: np.ndarray, q: np.ndarray,
     coordinate whose log-probability was clamped while carrying target mass.
     The gradient is exact for the clamped objective: clamped coordinates stop
     contributing their -q_v log p_v term. `weights` broadcasts against the
-    per-row KL values, which the loss adds up with their last axis outermost
-    (slot by slot for a batch's (B, S)). `logits` is left as it is.
+    per-row KL values, which the loss adds up with their first axis innermost
+    (slot by slot for a batch's (B, S) or (B, G, d)). `logits` is left as it is.
     """
-    ones = np.ones(np.shape(q)[-1])
-    terms = _safe_q_log_q(q) @ ones, q @ ones, q * np.asarray(weights)[..., None]
+    terms = _row_sums(_safe_q_log_q(q)), _row_sums(q), q * np.asarray(weights)[..., None]
     loss, floored, grad = _floored_kl(np.array(logits, dtype=np.float64), weights, 1.0, q, terms)
     return loss, grad(), floored
 
@@ -99,24 +108,29 @@ def _floored_kl(logits, weights, norm, q, label_terms):
     grad), where grad(), called at most once, builds d loss / d logits in
     the softmax the loss computed. Overwrites `logits`. Unclamped, a row's KL
     is sum q log q - q . (logits - top) + sum q * log total, for the row max
-    `top` (found by argmax, faster) and the softmax's total (a product)."""
-    (q_log_q, mass, q_scaled), ones = label_terms, np.ones(logits.shape[-1])
+    `top` (found by argmax, faster) and the softmax's total (a product), at
+    most V: if min(logits - top) clears LOG_FLOOR + log V, nothing clamps
+    and the softmax is taken in place."""
+    q_log_q, mass, q_scaled = label_terms
     top = np.take_along_axis(logits, logits.argmax(axis=-1)[..., None], axis=-1)
     shifted = np.subtract(logits, top, out=logits)
-    p = np.exp(shifted)
-    total = p @ ones
+    q_dot, low = np.einsum("...v,...v->...", q, shifted), shifted.min()
+    in_place = low >= LOG_FLOOR + np.log(logits.shape[-1]) + 1e-6  # 1e-6 >> a total's rounding
+    p = np.exp(shifted, out=shifted if in_place else None)
+    total = _row_sums(p)
     log_total = np.log(total)
     # logp >= min(shifted) - max(log total): nothing clamps. A NaN fails this test.
-    if shifted.min() >= LOG_FLOOR + log_total.max():
+    if in_place or low >= LOG_FLOOR + log_total.max():
         floored, kept, q_kept = False, mass, q_scaled
-        kl = q_log_q - np.einsum("...v,...v->...", q, shifted) + mass * log_total
+        kl = q_log_q - q_dot + mass * log_total
     else:
         logp = np.subtract(shifted, log_total[..., None], out=shifted)
         unfloored = logp >= LOG_FLOOR
         floored = bool(np.any(~unfloored & (q > 0)))
-        kept, q_kept = (q * unfloored) @ ones, q_scaled * unfloored
+        kept, q_kept = _row_sums(q * unfloored), q_scaled * unfloored
         kl = q_log_q - np.einsum("...v,...v->...", q, np.maximum(logp, LOG_FLOOR, out=logp))
-    loss = float(np.ascontiguousarray((weights * kl).T).sum()) / norm
+    by_slot = np.moveaxis(np.atleast_1d(weights * kl), 0, -1)  # each slot's sequences in turn
+    loss = float(np.ascontiguousarray(by_slot).sum()) / norm
 
     def grad() -> np.ndarray:
         # weights / norm * (kept * p - q_kept), where kept is a row's target
@@ -139,9 +153,10 @@ class TrainingBatch:
     n_prefix: int
     slot_positions: np.ndarray  # (S,) = (G*d,) distinct supervised positions, group by group
     slot_weights: np.ndarray    # (S,) annealing weight of each slot
-    labels: np.ndarray          # (B, S, V) exact target conditionals
+    conditionals: np.ndarray    # (B, L-1, V) the target's conditional after each prefix
+    labels: np.ndarray          # (B, G, d, V) read-only view: slot (g, t) reads conditional g+t
     norm: float                 # slots are averaged per (sequence, group)
-    label_terms: tuple          # (B, S) row sums of q log q and of q, (B, S, V) q * weight / norm
+    label_terms: tuple          # (B, G, d) views: rows' sum q log q, sum q; (B, G, d, V) q*w/norm
 
 
 def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
@@ -160,6 +175,7 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
     """
     check_int("d", d, minimum=1)
     check_number("gamma", gamma)
+    check_bool("shifted", shifted)
     if not 0 < gamma <= 1:
         raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
     if not sequences:
@@ -179,7 +195,7 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
     # of block g; shifted mode reads t = 0 from prompt position g itself.
     g, t = np.divmod(np.arange(G * d), d)
     slot_positions = np.where(shifted & (t == 0), g, P + g * m + t - int(shifted))
-    # Its label is the target's conditional given the first g+t+1 tokens.
+    # Its label is the target's conditional given the first g+t+1 tokens: row g+t of dists.
     dists = np.stack([target.next_dists(seq[:-1]) for seq in sequences])
     emb_tokens = np.array(sequences, dtype=np.int64)
     if shifted:
@@ -188,8 +204,11 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
     M, K = P + G * m, G + m
     keys = group_keys(M, G, K)
     queries = slot_positions.reshape(G, d)
-    ones, rows, norm = np.ones(target.vocab_size), g + t, float(len(sequences) * G)
-    labels, weights = dists.take(rows, axis=1), np.tile(gamma ** np.arange(d, dtype=np.float64), G)
+
+    def slots(rows):  # (B, L-1, ...) as a read-only (B, G, d, ...) view: (g, t) reads row g+t
+        return np.moveaxis(sliding_window_view(rows, d, axis=1), -1, 2)
+    labels, norm = slots(dists), float(len(sequences) * G)
+    weights = np.tile(gamma ** np.arange(d, dtype=np.float64), G)
     return TrainingBatch(
         feats=np.stack([target.features(seq) for seq in sequences]),
         emb_tokens=emb_tokens,
@@ -197,9 +216,9 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
         position_ids=build_position_ids(P, m)[:M],
         n_prefix=P,
         slot_positions=slot_positions,
-        slot_weights=weights, labels=labels, norm=norm,
-        label_terms=((_safe_q_log_q(dists) @ ones).take(rows, axis=1),  # summed per position
-                     (dists @ ones).take(rows, axis=1), labels * (weights / norm)[:, None]),
+        slot_weights=weights, conditionals=dists, labels=labels, norm=norm,
+        label_terms=(slots(_row_sums(_safe_q_log_q(dists))),  # summed per position
+                     slots(_row_sums(dists)), labels * (weights / norm).reshape(G, d, 1)),
     )
 
 
@@ -224,13 +243,11 @@ def _batch_forward(model: ToyDraft, batch: TrainingBatch):
                            M - batch.n_prefix, batch.position_ids)
     queries = batch.slot_positions.reshape(batch.mask.shape[:2])
     logits, cache = model.forward_core(z, batch.mask, queries)
-    grouped = logits.shape
-    loss, floored, kl_grad = _floored_kl(logits.reshape(batch.labels.shape), batch.slot_weights,
+    loss, floored, kl_grad = _floored_kl(logits, batch.slot_weights.reshape(queries.shape),
                                          batch.norm, batch.labels, batch.label_terms)
 
     def backward() -> dict[str, np.ndarray]:
-        return model.backward_core(cache, kl_grad().reshape(grouped), batch.feats,
-                                   batch.n_prefix)
+        return model.backward_core(cache, kl_grad(), batch.feats, batch.n_prefix)
 
     return loss, floored, backward
 
@@ -264,7 +281,8 @@ def train_toy_draft(
 ) -> ToyDraft:
     """Full-batch gradient descent on the annealed KL objective.
 
-    steps and eval_every must be integers >= 0 and lr a finite number > 0.
+    steps, eval_every and seed must be integers >= 0, shifted a bool and
+    lr a finite number > 0.
     The batch is built, and so checked, before any step, even when steps is
     0 and the fresh model is returned.
     Aborts with diagnostics if the loss exceeds 10x its initial value or is
@@ -279,6 +297,8 @@ def train_toy_draft(
     """
     check_int("training steps", steps, minimum=0)
     check_int("eval_every", eval_every, minimum=0)
+    check_int("seed", seed, minimum=0)
+    check_bool("shifted", shifted)
     check_number("lr", lr)
     if lr <= 0:
         raise ConfigError(f"lr must be > 0, got {lr}")

@@ -333,10 +333,13 @@ def allocating_batch_loss(model, batch, want_grads=True):
     y = a_block @ v_block + (a_shared @ v_shared).reshape(B, G, d, W) + zq
     logits = y @ p["W_head"] + p["b_head"]
 
-    labels, weights, norm = batch.labels, batch.slot_weights, batch.norm
+    # The (B, G, d, V) labels and their (B, G, d) row sums, copied slot by
+    # slot into (B, S, V) and (B, S).
+    labels = batch.labels.reshape(B, G * d, -1)
+    weights, norm = batch.slot_weights, batch.norm
     ones = np.ones(labels.shape[-1])  # a row sum is a product with ones
     # The labels' row sums are batch data, which the training tests check.
-    label_term, mass = batch.label_terms[:2]
+    label_term, mass = (x.reshape(B, G * d) for x in batch.label_terms[:2])
     scaled = labels * (weights / norm)[..., None]
     shifted = logits.reshape(labels.shape)
     shifted = shifted - shifted.max(axis=-1, keepdims=True)

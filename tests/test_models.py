@@ -891,3 +891,37 @@ def test_noisy_oracle_keeps_chain_in_topk(target):
         assert tok in top3
     noise = np.random.Generator(np.random.PCG64(0)).standard_normal((4, target.vocab_size)) * 0.5
     assert np.array_equal(rows, _chain_rows(chain, target.vocab_size, 2.0, noise))
+
+
+BAD_SEEDS = [-1, 1.5, True, "0", None]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_toy_draft_rejects_a_seed_that_is_no_integer_at_least_0(target, seed):
+    with pytest.raises(ConfigError, match="seed"):
+        ToyDraft(8, target.embeddings, seed=seed)
+
+
+@pytest.mark.parametrize("shifted", ["x", 1, None, np.True_])
+def test_toy_draft_rejects_a_shifted_that_is_no_bool(target, shifted):
+    with pytest.raises(ConfigError, match="shifted"):
+        ToyDraft(8, target.embeddings, shifted=shifted)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_uniform_drafter_rejects_a_seed_that_is_no_integer_at_least_0(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        UniformDrafter(8, seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_noisy_oracle_drafter_rejects_a_seed_that_is_no_integer_at_least_0(target, seed):
+    with pytest.raises(ConfigError, match="seed"):
+        NoisyOracleDrafter(target, seed=seed)
+
+
+def test_drafters_take_a_numpy_integer_seed(target):
+    for make in (lambda s: ToyDraft(8, target.embeddings, seed=s).params["Wq"],
+                 lambda s: UniformDrafter(8, seed=s).predict(target.start([0]), 2).rows,
+                 lambda s: NoisyOracleDrafter(target, seed=s).predict(target.start([0]), 2).rows):
+        assert np.array_equal(make(np.int64(3)), make(3))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import rel_entr
 
+from specdraft import training
 from specdraft.errors import ConfigError, TrainingDivergedError
 from specdraft.models import MarkovTarget, NoisyOracleDrafter, ToyDraft, _key_major_max, group_keys
 from specdraft.ngram import LOG_FLOOR
@@ -217,10 +218,12 @@ def test_batch_label_terms_are_row_sums_of_the_labels(shifted):
     model, batch = _step_setup("train", shifted)
     q_log_q, mass, scaled = batch.label_terms
     ones = np.ones(batch.labels.shape[-1])
+    G, d = batch.labels.shape[1:3]
     assert np.allclose(q_log_q, _safe_q_log_q(batch.labels) @ ones, rtol=1e-14, atol=0)
     assert np.allclose(mass, batch.labels @ ones, rtol=1e-14, atol=0)
-    assert np.array_equal(scaled, batch.labels * (batch.slot_weights / batch.norm)[:, None])
-    assert q_log_q.shape == mass.shape == batch.labels.shape[:2]
+    slot_scale = (batch.slot_weights / batch.norm).reshape(G, d)
+    assert np.array_equal(scaled, batch.labels * slot_scale[:, :, None])
+    assert q_log_q.shape == mass.shape == batch.labels.shape[:3]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -383,11 +386,34 @@ def test_supervised_slot_count(setup):
     L = len(corpus[0])
     groups = L - d
     assert len(batch.slot_positions) == groups * d
-    assert batch.labels.shape == (len(corpus), groups * d, 8)
+    assert batch.labels.shape == (len(corpus), groups, d, 8)
     lam = 0.6 ** np.arange(d)
     assert np.allclose(batch.slot_weights[:d], lam)
     # each slot's weight matches its future-position index
     assert np.allclose(batch.slot_weights, np.tile(lam, groups))
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_batch_holds_one_copy_of_each_conditional(setup, shifted):
+    # The L-1 per-position conditionals are the labels' only copy: slot (g, t)
+    # reads row g + t through a read-only view, and so do the per-slot row
+    # sums. The scaled labels are the one V-wide array the batch holds per slot.
+    target, corpus, _ = setup
+    batch = build_training_batch(target, corpus, 3, 0.6, shifted=shifted)
+    B, G, d, V = batch.labels.shape
+    assert batch.conditionals.shape == (B, len(corpus[0]) - 1, V) == (B, G + d - 1, V)
+    assert np.shares_memory(batch.labels, batch.conditionals)
+    assert not batch.labels.flags.writeable
+    for g in range(G):
+        for t in range(d):
+            assert np.array_equal(batch.labels[:, g, t], batch.conditionals[:, g + t])
+    assert all(x.shape == (B, G, d) and not x.flags.writeable for x in batch.label_terms[:2])
+    per_slot = [x for x in (*vars(batch).values(), *batch.label_terms)
+                if isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape[-1] == V
+                and x.size >= B * G * d * V and not np.shares_memory(x, batch.conditionals)]
+    assert len(per_slot) == 1 and per_slot[0] is batch.label_terms[2]
+    with pytest.raises(ConfigError, match="shifted"):
+        build_training_batch(target, corpus, 3, 0.6, shifted="no")
 
 
 @pytest.mark.parametrize("shifted", [True, False])
@@ -409,7 +435,7 @@ def test_slots_and_labels_match_per_slot_reference(setup, shifted):
                 pos = P + g * m + (t - 1)
             assert batch.slot_positions[s] == pos
             for b, seq in enumerate(corpus):
-                assert np.array_equal(batch.labels[b, s], target.next_dist(seq[:g + t], 1.0))
+                assert np.array_equal(batch.labels[b, g, t - 1], target.next_dist(seq[:g + t], 1.0))
             s += 1
     assert s == len(batch.slot_positions)
     for b, seq in enumerate(corpus):
@@ -738,10 +764,64 @@ def test_training_step_in_the_clamped_regime(shifted):
     z = model.build_inputs(batch.feats, batch.emb_tokens, M - batch.n_prefix,
                            batch.position_ids)
     queries = batch.slot_positions.reshape(batch.mask.shape[:2])
-    logits = model.forward_core(z, batch.mask, queries)[0].reshape(batch.labels.shape)
+    logits = model.forward_core(z, batch.mask, queries)[0]
+    assert logits.shape == batch.labels.shape
     kept = logits.copy()
-    assert floored_kl(logits, batch.labels, batch.slot_weights[None, :])[2]
+    assert floored_kl(logits, batch.labels, batch.slot_weights.reshape(queries.shape))[2]
     assert np.array_equal(logits, kept)
+
+
+# Head biases that send the smallest shifted logit to either side of the
+# two floor tests. In place: it clears LOG_FLOOR + log V. Copying: it does
+# not, but it clears LOG_FLOOR + max log total, so nothing clamps. Clamped:
+# it clears LOG_FLOOR alone, and the last token's log-probability, about
+# -20.5 - log 7, is clamped.
+KL_PATHS = {"in_place": [0.0] + [-5.0] * 7, "copying": [0.0] + [-19.5] * 7,
+            "clamped": [0.0] * 7 + [-20.5]}
+
+
+def _kl_path_setup(path, shifted):
+    # d = 3, so a (B, G, d, V) array's rows sit at other places in a matrix
+    # than its (B, G * d, V) copy's.
+    target = MarkovTarget(5, 8, 1, concentration=0.05)
+    rng = np.random.default_rng(0)
+    corpus = [target.sample_sequence(rng, 12) for _ in range(5)]
+    batch = build_training_batch(target, corpus, 3, 0.6, shifted=shifted)
+    model = ToyDraft(8, target.embeddings, seed=4, shifted=shifted)
+    model.params["W_head"] *= 0.01
+    model.params["b_head"][:] = KL_PATHS[path]
+    M = len(batch.position_ids)
+    z = model.build_inputs(batch.feats, batch.emb_tokens, M - batch.n_prefix,
+                           batch.position_ids)
+    queries = batch.slot_positions.reshape(batch.mask.shape[:2])
+    return model, batch, model.forward_core(z, batch.mask, queries)[0]
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+@pytest.mark.parametrize("path", sorted(KL_PATHS))
+def test_each_kl_path_matches_the_allocating_reference(path, shifted):
+    model, batch, logits = _kl_path_setup(path, shifted)
+    low = (logits - logits.max(axis=-1, keepdims=True)).min()
+    top_log_total = np.log(np.exp(logits - logits.max(axis=-1, keepdims=True)).sum(-1)).max()
+    assert (low >= LOG_FLOOR + np.log(logits.shape[-1]) + 1e-6) == (path == "in_place")
+    assert (low >= LOG_FLOOR + top_log_total) == (path != "clamped") and low >= LOG_FLOOR
+    loss, grads, floored = batch_loss(model, batch)
+    want_loss, want_grads, want_floored = allocating_batch_loss(model, batch)
+    assert loss == want_loss and floored == want_floored == (path == "clamped")
+    for name, g in want_grads.items():
+        assert np.array_equal(grads[name], g), name
+
+
+@pytest.mark.parametrize("path", sorted(KL_PATHS))
+def test_floored_kl_on_the_label_view_equals_it_on_a_contiguous_copy(path):
+    _, batch, logits = _kl_path_setup(path, True)
+    B, G, d, V = batch.labels.shape
+    loss, grad, floored = floored_kl(logits, batch.labels, batch.slot_weights.reshape(G, d))
+    copy = np.ascontiguousarray(batch.labels).reshape(B, G * d, V)
+    flat_loss, flat_grad, flat_floored = floored_kl(logits.reshape(B, G * d, V), copy,
+                                                    batch.slot_weights)
+    assert loss == flat_loss and floored == flat_floored == (path == "clamped")
+    assert grad.shape == logits.shape and grad.tobytes() == flat_grad.tobytes()
 
 
 # -- finite differences --------------------------------------------------------------
@@ -812,6 +892,20 @@ def test_finite_diff_h_bounds(setup):
         finite_diff_check(model, batch, 1e-1)
     with pytest.raises(ConfigError):
         finite_diff_check(model, batch, 1e-8)
+
+
+@pytest.mark.parametrize("name, value", [("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "1"),
+                                         ("shifted", "no"), ("shifted", 1)])
+def test_train_toy_draft_rejects_a_bad_seed_or_shifted_before_building_the_batch(
+        setup, monkeypatch, name, value):
+    target, corpus, _ = setup
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the batch was built")
+
+    monkeypatch.setattr(training, "build_training_batch", unreachable)
+    with pytest.raises(ConfigError, match=name):
+        train_toy_draft(target, corpus, 0.6, 3, steps=1, lr=0.1, **{"seed": 1, name: value})
 
 
 def test_log_records_shape(setup):
