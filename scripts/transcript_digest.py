@@ -175,6 +175,12 @@ def cli_all(digest, seed):
                                   "--jsonl", "--tau-prompts", "2").encode())
 
 
+def chain(tokens):
+    """The draft tree whose nodes are `tokens`, each the child of the one before."""
+    n = len(tokens)
+    return DraftTree(np.arange(-1, n - 1), tokens, np.arange(n), np.zeros(n))
+
+
 def cold_rows(digest, seed):
     """Draw cold rows of two targets by calls that meet many new contexts
     (drawn together), few (drawn one at a time) and some seen already,
@@ -184,9 +190,9 @@ def cold_rows(digest, seed):
         rng = np.random.default_rng([seed, vocab_size, 3])
         prompt = [int(t) for t in rng.integers(0, vocab_size, size=40)]
         target.next_dist(prompt[:3])
-        target.next_dists(prompt[:24])
-        target.greedy_chain(prompt, 6)
-        target.next_dists(prompt[:28])
+        target.tree_dists(prompt[:1], chain(prompt[1:24]))  # the rows of prompt[:1] .. [:24]
+        target.rollout(prompt, 6, np.argmax)
+        target.tree_dists(prompt[:1], chain(prompt[1:28]))
         parent, level = [int(rng.integers(ROOT_ID, i)) if i else ROOT_ID for i in range(30)], []
         for p in parent:
             level.append(0 if p == ROOT_ID else level[p] + 1)
@@ -194,7 +200,7 @@ def cold_rows(digest, seed):
         target.tree_dists(prompt, tree)
         target.features(prompt[:5])
         target.features(prompt)
-        target.features(prompt + target.greedy_chain(prompt, 3), len(prompt))
+        target.features(prompt + target.rollout(prompt, 3, np.argmax), len(prompt))
         for row in target._rows.values():
             digest.floats(row)
         digest.floats(target._table[:len(target._slot)])

@@ -1,20 +1,20 @@
 """Draft-verify decode loop with lossless tree verification.
 
 A request is one target session, extended by the tokens each cycle emits.
-Each cycle runs three stages: one drafting forward on the session producing
-parallel logits, tree pruning, and tree verification against the target.
-Verification takes the conditionals at the root and at every tree node from
-one `tree_dists` call on the session, then walks the tree from the root; at
-every node the offered children are tested one after another by rejection
-against the running residual of the target conditional (each rejected
-sibling's mass is removed and the residual renormalized), and when all
-siblings are rejected the bonus token is sampled from what remains. Because
-each sibling's acceptance probability equals exactly its residual target
-mass, the joint law of (accepted path, bonus token) is identical to
-ancestral sampling from the target -- for any draft tree whatsoever. The
-same walk runs at temperature 0: the target conditional is then one-hot, so
-every non-argmax sibling has zero residual mass and is rejected, the argmax
-child is accepted with probability 1, and the bonus is the argmax.
+decode, the drafters and the trainer reach a target only through the
+`TargetModel` and `TargetSession` protocols below: a new target provides
+both, and tests/test_target_contract.py checks it. Each cycle runs three
+stages: one drafting forward on the session producing parallel logits, tree
+pruning, and tree verification against the target. Verification takes the
+conditionals at the root and at every tree node from one `tree_dists` call
+on the session, then walks the tree from the root; at every node the offered
+children are tested one after another by rejection against the running
+residual of the target conditional, and when all siblings are rejected the
+bonus token is sampled from what remains. Because each sibling's acceptance
+probability equals exactly its residual target mass, the joint law of
+(accepted path, bonus token) is identical to ancestral sampling from the
+target -- for any draft tree whatsoever, and at temperature 0 too, where the
+one-hot conditional makes the walk follow and emit the argmax.
 """
 
 from __future__ import annotations
@@ -22,35 +22,50 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, check_int, check_number, check_tokens
-from .models import Session, sample_from
+from .models import sample_from
 from .ngram import NgramTrie
 from .tree import ROOT_ID, DraftTree, ParallelLogits, PruneConfig, prune
 
 
+class TargetSession(Protocol):
+    """One request's prefix on a target. `extend`, the only mutator, appends,
+    so what a drafter keeps in `draft` (None at first) stays valid. The one
+    multi-row query is `tree_dists`: (1 + len(tree), V), next_dist and then
+    each node's given its path, so a chain gives a sequence's conditionals.
+    `rollout` picks tokens past the prefix, each pick(row) of an untempered row."""
+
+    tokens: list[int]
+    draft: object
+
+    def extend(self, tokens: Sequence[int]) -> None: ...
+    def features(self, start: int = 0) -> np.ndarray: ...  # (n - start, 3 * FEAT_WIDTH)
+    def next_dist(self, temperature: float = 1.0) -> np.ndarray: ...
+    def tree_dists(self, tree: DraftTree, temperature: float = 1.0) -> np.ndarray: ...
+    def rollout(self, length: int, pick: Callable[[np.ndarray], int]) -> list[int]: ...
+
+
 class TargetModel(Protocol):
     vocab_size: int
+    embeddings: np.ndarray  # (vocab_size, EMB_WIDTH), frozen, shared with drafters
 
-    def start(self, prompt: Sequence[int]) -> Session:
-        """One request's session, holding a copy of `prompt`."""
+    def start(self, prompt: Sequence[int]) -> TargetSession: ...  # holds a copy of prompt
+    def sample_sequence(self, rng: np.random.Generator, length: int) -> list[int]: ...
 
 
 class DraftPredictor(Protocol):
-    def predict(self, session: Session, d: int, *, rng: np.random.Generator,
+    def predict(self, session: TargetSession, d: int, *, rng: np.random.Generator,
                 temperature: float = 0.0) -> ParallelLogits:
-        """d rows of future-position logits from one drafting forward. The
-        drafter asks `session` for what it reads of the prefix, such as the
-        feature rows of the positions it builds. `rng` is decode's
-        generator, which it shares with verify; a drafter that samples may
-        draw from it, or from a seeded stream of its own, as UniformDrafter
-        and NoisyOracleDrafter do. decode makes one session per request and
-        extends it by each cycle's tokens, so a drafter may keep in
-        `session.draft` what the next, longer prefix can reuse. A drafter
-        with nothing to keep leaves it alone."""
+        """d rows of future-position logits from one drafting forward, from
+        what it asks `session` of the prefix. `rng` is decode's generator,
+        shared with verify; a drafter that samples may draw from it, or from
+        a seeded stream of its own, as UniformDrafter and NoisyOracleDrafter
+        do. decode makes one session per request, so a drafter may keep in
+        `session.draft` what the next, longer prefix can reuse."""
 
 
 @dataclass(frozen=True)
@@ -126,7 +141,7 @@ class DecodeMetrics:
 
 def verify(
     tree: DraftTree,
-    session: Session,
+    session: TargetSession,
     temperature: float,
     rng: np.random.Generator,
 ) -> tuple[list[int], int]:

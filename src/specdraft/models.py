@@ -4,10 +4,10 @@ MarkovTarget is an order-k Markov chain standing in for the target LM: exact
 conditional distributions, deterministic per-context feature rows standing in
 for low/middle/high hidden states side by side, and a frozen token embedding
 table. Both kinds of row are found by one int64 context id, so a prompt's
-feature rows are one gather from one table.
-The contexts one call meets for the first time are seeded together, by one
-vectorized pass of numpy's SeedSequence hash, with every row's bits kept.
-`start(prompt)` opens the Session that holds one request's prefix.
+feature rows are one gather from one table. The contexts one call meets for
+the first time are seeded together, by one vectorized pass of numpy's
+SeedSequence hash, with every row's bits kept. Like any target it provides
+engine.TargetModel; `start(prompt)` opens its engine.TargetSession, Session.
 
 ToyDraft realizes the parallel drafting architecture at toy scale: the fused
 feature rows are projected, the projection is joined with
@@ -295,11 +295,6 @@ class MarkovTarget:
             ids.append(ids[parent + 1] % lead * V + token)
         return temperature_adjust(self._dists(ids), temperature)
 
-    def next_dists(self, prefix, temperature: float = 1.0) -> np.ndarray:
-        """(n, V) for a prefix of n tokens: row i is
-        next_dist(prefix[:i + 1], temperature), bit for bit."""
-        return temperature_adjust(self._dists(self._ids(prefix, 0).tolist()), temperature)
-
     def features(self, prefix, start: int = 0) -> np.ndarray:
         """(n - start, 3 * FEAT_WIDTH) feature rows of positions start .. n-1
         of a prefix of n tokens, each from the trailing `order` tokens up to
@@ -343,18 +338,13 @@ class MarkovTarget:
             ident = ident % lead * V + token
         return tokens
 
-    def greedy_chain(self, prefix, length: int) -> list[int]:
-        """Argmax rollout of `length` tokens past `prefix`."""
-        return self.rollout(prefix, length, np.argmax)
-
     def sample_sequence(self, rng: np.random.Generator, length: int) -> list[int]:
         return self.rollout((), length, lambda row: sample_from(row, rng))
 
 
 class Session:
-    """One request's prefix on a target. `extend` only appends to it, so
-    what the drafter keeps for the request in `draft` stays valid; the other
-    methods ask the target about the current prefix."""
+    """MarkovTarget's engine.TargetSession: each query forwards the current
+    prefix to the target, which keeps no state per request."""
 
     def __init__(self, target, tokens: list[int]):
         self.target = target
@@ -372,6 +362,9 @@ class Session:
 
     def tree_dists(self, tree: DraftTree, temperature: float = 1.0) -> np.ndarray:
         return self.target.tree_dists(self.tokens, tree, temperature)
+
+    def rollout(self, length: int, pick) -> list[int]:
+        return self.target.rollout(self.tokens, length, pick)
 
 
 def positional_encoding(position_ids) -> np.ndarray:
@@ -768,7 +761,7 @@ class NoisyOracleDrafter:
 
     def predict(self, session, d, *, temperature=0.0, rng=None) -> ParallelLogits:
         rows = self.rng.standard_normal((d, self.target.vocab_size)) * self.noise
-        for i, tok in enumerate(self.target.rollout(session.tokens, d, self.pick)):
+        for i, tok in enumerate(session.rollout(d, self.pick)):
             rows[i, tok] += self.base
         return ParallelLogits(rows)
 

@@ -39,8 +39,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigError, TrainingDivergedError, check_bool, check_int, check_number,
                      check_tokens)
-from .models import MarkovTarget, ToyDraft, group_keys
+from .engine import TargetModel
+from .models import ToyDraft, group_keys
 from .ngram import LOG_FLOOR
+from .tree import DraftTree
 
 
 def build_training_mask(prompt_len: int, block_len: int) -> np.ndarray:
@@ -159,7 +161,7 @@ class TrainingBatch:
     label_terms: tuple          # (B, G, d) views: rows' sum q log q, sum q; (B, G, d, V) q*w/norm
 
 
-def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
+def build_training_batch(target: TargetModel, sequences: list[list[int]],
                          d: int, gamma: float, shifted: bool = True) -> TrainingBatch:
     """Pack equal-length sequences into the prefix-shared layout.
 
@@ -195,8 +197,15 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
     # of block g; shifted mode reads t = 0 from prompt position g itself.
     g, t = np.divmod(np.arange(G * d), d)
     slot_positions = np.where(shifted & (t == 0), g, P + g * m + t - int(shifted))
-    # Its label is the target's conditional given the first g+t+1 tokens: row g+t of dists.
-    dists = np.stack([target.next_dists(seq[:-1]) for seq in sequences])
+    # Its label is the target's conditional given the first g+t+1 tokens: row g+t of
+    # dists, from one tree_dists call per sequence on its tokens 1 .. L-2 as a chain.
+    parent, level, dists, feats = np.arange(-1, L - 3), np.arange(L - 2), [], []
+    for seq in sequences:
+        session = target.start(seq[:1])
+        dists.append(session.tree_dists(DraftTree(parent, seq[1:-1], level, np.zeros(L - 2))))
+        session.extend(seq[1:])
+        feats.append(session.features())
+    dists = np.stack(dists)
     emb_tokens = np.array(sequences, dtype=np.int64)
     if shifted:
         emb_tokens = np.roll(emb_tokens, -1, axis=1)
@@ -210,7 +219,7 @@ def build_training_batch(target: MarkovTarget, sequences: list[list[int]],
     labels, norm = slots(dists), float(len(sequences) * G)
     weights = np.tile(gamma ** np.arange(d, dtype=np.float64), G)
     return TrainingBatch(
-        feats=np.stack([target.features(seq) for seq in sequences]),
+        feats=np.stack(feats),
         emb_tokens=emb_tokens,
         mask=build_training_mask(P, m)[queries[:, :, None], keys[:, None, :]],
         position_ids=build_position_ids(P, m)[:M],
@@ -266,7 +275,7 @@ class TrainingLogRecord:
 
 
 def train_toy_draft(
-    target: MarkovTarget,
+    target: TargetModel,
     corpus: list[list[int]],
     gamma: float,
     d: int,
@@ -332,7 +341,7 @@ def _check_loss(step: int, loss: float, initial_loss: float) -> None:
         raise TrainingDivergedError(step, loss, initial_loss)
 
 
-def evaluate_alpha(drafter, target: MarkovTarget,
+def evaluate_alpha(drafter, target: TargetModel,
                    sequences: list[list[int]], d: int,
                    vs_greedy: bool = False) -> list[float]:
     """Held-out argmax accuracy per future position, inference conditions.
@@ -359,7 +368,7 @@ def evaluate_alpha(drafter, target: MarkovTarget,
             session.extend(seq[g:g + 1])
             rows = drafter.predict(session, d, rng=rng).rows
             preds = np.argmax(rows, axis=1)
-            truth = (target.greedy_chain(session.tokens, d) if vs_greedy
+            truth = (session.rollout(d, np.argmax) if vs_greedy
                      else seq[g + 1: g + 1 + d])
             for t in range(d):
                 hits[t] += preds[t] == truth[t]

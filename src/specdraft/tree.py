@@ -109,13 +109,6 @@ class DraftTree:
             mask[idx, idx] = True
         return mask
 
-    def to_records(self) -> list[dict]:
-        """Machine-readable adjacency listing for golden tests."""
-        columns = zip(self.parent.tolist(), self.token.tolist(), self.level.tolist(),
-                      self.score.tolist())
-        return [{"id": i, "parent_id": p, "token": t, "level": lv, "score": s}
-                for i, (p, t, lv, s) in enumerate(columns)]
-
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-softmax over the last axis, in float64."""

@@ -10,7 +10,9 @@ per intermediate, over the whole packed layout with a dense mask, and one
 supervised slot at a time; the gradient and sampling checks compare the
 package against central differences and exact enumeration. Verify's
 acceptance rule is enumerated branch by branch in exact rational arithmetic
-from the target's own conditionals.
+from the target's own conditionals. ReferenceTarget draws MarkovTarget's
+documented rows afresh on every call, with no ids, tables or cache, behind a
+session that holds the target protocol's members and nothing else.
 """
 
 import math
@@ -22,10 +24,10 @@ import numpy as np
 
 from specdraft.engine import decode, verify
 from specdraft.errors import ConfigError
-from specdraft.models import positional_encoding
+from specdraft.models import EMB_WIDTH, FEAT_WIDTH, positional_encoding
 from specdraft.ngram import LOG_FLOOR
 from specdraft.training import batch_loss
-from specdraft.tree import ROOT_ID
+from specdraft.tree import ROOT_ID, DraftTree
 
 
 class WindowCounter:
@@ -181,22 +183,116 @@ def context_rng(seed, tag, order, prefix):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag, *context])))
 
 
+class ReferenceTarget:
+    """MarkovTarget's documented rows, drawn afresh on every call: a row is
+    context_rng's draw for its context, with no context ids, no tables, no
+    cache and no batched seeding, and the tempering is written out per row.
+    Its sessions hold only the target protocol's members (engine.TargetModel,
+    engine.TargetSession), so a caller that reaches past them fails here."""
+
+    def __init__(self, seed, vocab_size, order, concentration=0.3):
+        self.seed, self.vocab_size, self.order = seed, vocab_size, order
+        self.concentration = concentration
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
+        self.embeddings = rng.standard_normal((vocab_size, EMB_WIDTH))
+
+    def context(self, prefix):
+        """The tokens a row of `prefix` reads, each checked to lie in [0, V)."""
+        window = list(prefix)[max(0, len(prefix) - self.order):]
+        for token in window:
+            if not 0 <= token < self.vocab_size:
+                raise ConfigError(f"token {token} is outside [0, {self.vocab_size})")
+        return window
+
+    def row(self, prefix):
+        """The untempered conditional after `prefix`: its context's Dirichlet draw."""
+        rng = context_rng(self.seed, 1, self.order, self.context(prefix))
+        return rng.dirichlet(np.full(self.vocab_size, self.concentration))
+
+    def dist(self, prefix, temperature):
+        """The row tempered: its argmax at T = 0, p / sum p at T = 1, else
+        p^(1/T) renormalized, scaled by its max first."""
+        if not (math.isfinite(temperature) and temperature >= 0):
+            raise ConfigError(f"temperature must be a finite number >= 0, got {temperature}")
+        p = self.row(prefix)
+        if temperature == 0:
+            return np.eye(self.vocab_size)[int(np.argmax(p))]
+        if temperature == 1:
+            return p / p.sum()
+        powed = (p / p.max()) ** (1.0 / temperature)
+        return powed / powed.sum()
+
+    def feature_row(self, prefix):
+        return context_rng(self.seed, 2, self.order, self.context(prefix)).standard_normal(
+            3 * FEAT_WIDTH)
+
+    def start(self, prompt):
+        return ReferenceSession(self, prompt)
+
+    def sample_sequence(self, rng, length):
+        def inverse_cdf(row):
+            cum = np.cumsum(row)
+            return int((cum <= rng.random() * cum[-1]).sum())
+        return ReferenceSession(self, []).rollout(length, inverse_cdf)
+
+
+class ReferenceSession:
+    """ReferenceTarget's session: the prefix, the drafter's slot and the
+    protocol's queries, each answered from scratch."""
+
+    __slots__ = ("tokens", "draft", "_target")
+
+    def __init__(self, target, prompt):
+        self._target, self.tokens, self.draft = target, list(prompt), None
+
+    def extend(self, tokens):
+        self.tokens.extend(tokens)
+
+    def features(self, start=0):
+        n = len(self.tokens)
+        if not 0 <= start <= n:
+            raise ConfigError(f"features start must be in [0, {n}], got {start}")
+        rows = [self._target.feature_row(self.tokens[:i + 1]) for i in range(start, n)]
+        return np.array(rows).reshape(n - start, 3 * FEAT_WIDTH)
+
+    def next_dist(self, temperature=1.0):
+        return self._target.dist(self.tokens, temperature)
+
+    def tree_dists(self, tree, temperature=1.0):
+        paths = []
+        for parent, token in zip(tree.parent.tolist(), tree.token.tolist()):
+            paths.append((paths[parent] if parent != ROOT_ID else []) + [token])
+        prefixes = [self.tokens] + [self.tokens + path for path in paths]
+        return np.array([self._target.dist(p, temperature) for p in prefixes])
+
+    def rollout(self, length, pick):
+        seq = list(self.tokens)
+        for step in range(length):
+            token = int(pick(self._target.row(seq)))
+            if not 0 <= token < self._target.vocab_size:
+                raise ConfigError(f"picked token {token} at step {step} is outside "
+                                  f"[0, {self._target.vocab_size})")
+            seq.append(token)
+        return seq[len(self.tokens):]
+
+
+def chain(tokens):
+    """The draft tree whose nodes are `tokens`, each the child of the one
+    before: on a session holding one token before them, tree_dists gives the
+    conditional after every prefix of the sequence."""
+    n = len(tokens)
+    return DraftTree(np.arange(-1, n - 1), tokens, np.arange(n), np.zeros(n))
+
+
 def tree_to_paths(tree):
-    """Canonical form of a DraftTree, read from its records:
-    {draft path tuple: (level, score)}, in tree order."""
-    records = tree.to_records()
-    by_id = {r["id"]: r for r in records}
-    out = {}
-    for r in records:
-        path = []
-        cur = r
-        while True:
-            path.append(cur["token"])
-            if cur["parent_id"] == -1:
-                break
-            cur = by_id[cur["parent_id"]]
-        out[tuple(reversed(path))] = (r["level"], r["score"])
-    return out
+    """Canonical form of a DraftTree, read from its parent, token, level and
+    score arrays: {draft path tuple: (level, score)}, in tree order."""
+    parent, token = tree.parent.tolist(), tree.token.tolist()
+    paths = []
+    for i, p in enumerate(parent):
+        paths.append((paths[p] if p != ROOT_ID else ()) + (token[i],))
+    return {path: (level, score)
+            for path, level, score in zip(paths, tree.level.tolist(), tree.score.tolist())}
 
 
 def readout_attention(params, embeddings, feats, emb_tokens, d, shifted):

@@ -3,8 +3,11 @@ traceback.
 
 `train-toy` runs in-process with warnings as errors over `--override` of
 every `training.*` key and the top-level `seed`, each set to an edge value
-or a small valid one. Valid sizes are capped here, not by a timeout: a
-valid but large run is no defect.
+or a small valid one. `decode --no-ngram` does the same over every
+`decode.*`, `prune.*` and `target.*` key and `seed`, with every `--drafter`
+and with prompts that hold no token, a negative one, one past the
+vocabulary, one that is no integer or one of 2**64. Valid sizes are capped
+here, not by a timeout: a valid but large run is no defect.
 """
 
 import contextlib
@@ -17,7 +20,9 @@ from pathlib import Path
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from specdraft.cli import _TRAINING_DEFAULTS, EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
+from specdraft.cli import (_SECTION_KEYS, _TARGET_DEFAULTS, _TRAINING_DEFAULTS, DRAFTERS,
+                           EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main)
+from specdraft.models import MarkovTarget, ToyDraft
 
 # JSON texts of the edge values: 0, -1, NaN, +-inf, 1e308, 2**63, 10**22,
 # true, a string, a list and null.
@@ -25,7 +30,8 @@ EDGES = ["0", "-1", "NaN", "Infinity", "-Infinity", "1e308", str(2 ** 63), str(1
          "true", '"x"', "[1]", "null"]
 # A valid integer this large would run for ever or allocate without bound.
 UNBOUNDED = {str(2 ** 63), str(10 ** 22)}
-SIZE_CAPS = {"steps": 3, "corpus_sequences": 4, "heldout_sequences": 4, "sequence_length": 12}
+SIZE_CAPS = {"steps": 3, "corpus_sequences": 4, "heldout_sequences": 4, "sequence_length": 12,
+             "max_tokens": 8, "d": 8, "vocab_size": 256, "order": 3, "theta": 64}
 # Small valid sizes set first, so that no default size (500 steps, 50
 # held-out sequences) runs; a case's own overrides come after and win.
 BASE = ["training.steps=2", "training.corpus_sequences=2", "training.heldout_sequences=2",
@@ -60,3 +66,36 @@ def test_train_toy_exits_with_a_code_for_any_override(overrides):
             rc = main(argv)
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DIVERGED), (argv, err.getvalue())
         assert (rc == EXIT_OK) == model.exists(), (argv, err.getvalue())
+
+
+# Up to four overrides of the decode, prune and target keys and seed.
+DECODE_KEYS = [f"{section}.{key}" for section in ("decode", "prune", "target")
+               for key in sorted(_SECTION_KEYS[section])] + ["seed"]
+DECODE_OVERRIDES = st.lists(st.sampled_from(DECODE_KEYS).flatmap(
+    lambda key: _values(key.rpartition(".")[2]).map(lambda value: f"{key}={value}")),
+    max_size=4)
+# Prompt tokens, joined by commas or spaces: mostly in the default vocabulary
+# of 64, at times -1 or past it; or one of 2**64, or one that is no integer.
+PROMPTS = (st.lists(st.integers(-1, 66), max_size=4).flatmap(
+    lambda ts: st.sampled_from([",", " "]).map(lambda sep: sep.join(map(str, ts))))
+    | st.sampled_from([str(2 ** 64), f"3,{2 ** 64}", "1.5", "x", "3,,4", "1e3"]))
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(overrides=DECODE_OVERRIDES, prompt=PROMPTS, drafter=st.sampled_from(sorted(DRAFTERS)))
+def test_decode_exits_with_a_code_for_any_override_and_prompt(overrides, prompt, drafter):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = Path(tmp, "model.npz")  # the toy drafter of the default target
+        target = MarkovTarget(**_TARGET_DEFAULTS)
+        ToyDraft(target.vocab_size, target.embeddings).save(model)
+        argv = ["decode", "--no-ngram", "--drafter", drafter, f"--prompt-tokens={prompt}",
+                "--override", "decode.max_tokens=4", "--override", "decode.d=3",
+                "--override", f"paths.model={json.dumps(str(model))}"]
+        for item in overrides:
+            argv += ["--override", item]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(argv)
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO), (argv, err.getvalue())

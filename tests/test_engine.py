@@ -53,7 +53,7 @@ def test_verify_accepts_greedy_chain(target):
     logits = OracleDrafter(target).predict(target.start(prefix), 3)
     tree = prune(logits, None, cfg.prune, prefix)
     accepted, bonus = verify(tree, target.start(prefix), 0.0, np.random.default_rng(0))
-    chain = target.greedy_chain(prefix, 4)
+    chain = target.rollout(prefix, 4, np.argmax)
     assert accepted == chain[:3]
     assert bonus == chain[3]
 
@@ -307,7 +307,7 @@ def test_concurrent_sessions_share_target_and_trie(target):
     # Sessions own their RNGs; the trie and target are shared read-only.
     from concurrent.futures import ThreadPoolExecutor
 
-    corpus = [target.greedy_chain([t], 40) for t in range(4)]
+    corpus = [target.rollout([t], 40, np.argmax) for t in range(4)]
     trie = build_trie(corpus, 3, target.vocab_size)
 
     def run(seed):
@@ -333,7 +333,7 @@ def test_metrics_report_and_records(target):
 
 
 def test_cycle_records_explain_tau(target, monkeypatch):
-    corpus = [target.greedy_chain([t], 60) for t in range(4)]
+    corpus = [target.rollout([t], 60, np.argmax) for t in range(4)]
     trie = build_trie(corpus, 3, target.vocab_size)
     sizes = []
 
@@ -361,7 +361,7 @@ def test_cycle_records_explain_tau(target, monkeypatch):
 
 
 def test_same_seed_same_records(target):
-    corpus = [target.greedy_chain([t], 60) for t in range(4)]
+    corpus = [target.rollout([t], 60, np.argmax) for t in range(4)]
     trie = build_trie(corpus, 3, target.vocab_size)
 
     def run():
@@ -410,7 +410,7 @@ def test_exactness_with_sampling_drafter():
 
 
 def test_greedy_losslessness_with_trie(target):
-    corpus = [target.greedy_chain([t], 60) for t in range(4)]
+    corpus = [target.rollout([t], 60, np.argmax) for t in range(4)]
     trie = build_trie(corpus, 3, target.vocab_size)
     for seed in range(4):
         cfg = small_cfg(seed=seed, max_tokens=80)

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,19 +29,10 @@ from specdraft.models import (
 from specdraft.training import build_training_batch
 from specdraft.tree import ROOT_ID, DraftTree
 
-from oracles import concat_inputs, context_rng, readout_attention
+from oracles import chain, concat_inputs, context_rng, readout_attention
 
 
 # -- markov target ---------------------------------------------------------------
-
-
-def test_same_seed_identical_tables():
-    a = MarkovTarget(7, 4, 2)
-    b = MarkovTarget(7, 4, 2)
-    for ctx in [(0, 0), (1, 3), (2, 2)]:
-        assert np.array_equal(a.next_dist(ctx), b.next_dist(ctx))
-        assert np.array_equal(a.features(list(ctx)), b.features(list(ctx)))
-    assert np.array_equal(a.embeddings, b.embeddings)
 
 
 def test_rows_are_the_seeded_dirichlet_draws():
@@ -58,12 +51,6 @@ def test_rows_sum_to_one():
     for _ in range(20):
         ctx = list(rng.integers(0, 16, size=2))
         assert abs(t.next_dist(ctx).sum() - 1.0) < 1e-12
-
-
-def test_greedy_continuation_reproducible():
-    a = MarkovTarget(7, 4, 2)
-    b = MarkovTarget(7, 4, 2)
-    assert a.greedy_chain([1, 2], 8) == b.greedy_chain([1, 2], 8)
 
 
 def test_temperature_adjust():
@@ -108,6 +95,31 @@ def test_temperature_adjust_rows_match_per_row_calls(temperature):
         assert (got.sum(axis=1) == 1.0).all()
 
 
+@pytest.mark.parametrize("temperature", [0.25, 0.5, 2.0])
+def test_temperature_adjust_is_p_to_the_one_over_t_renormalized(temperature):
+    # The reference never calls temperature_adjust: p^(1/T) / sum p^(1/T) in
+    # exact fractions where 1/T is an integer (T = 0.25, 0.5), and from
+    # logarithms, shifted by their max and summed by math.fsum, at T = 2.
+    rng = np.random.default_rng(12)
+    rows = rng.dirichlet(np.full(64, 0.3), size=6)
+    rows[1, :8] = [1e-30, 1e-12, 0.0, 0.0, 0.3, 1e-300, 0.25, 0.25]  # tiny, zero and tied
+    inverse = 1 / temperature
+
+    def reference(row):
+        if inverse == int(inverse):
+            powed = [Fraction(float(p)) ** int(inverse) for p in row]
+            return [float(x / sum(powed)) for x in powed]
+        logs = [math.log(p) * inverse if p > 0 else -math.inf for p in row]
+        top = max(logs)
+        total = math.fsum(math.exp(x - top) for x in logs)
+        return [math.exp(x - top) / total for x in logs]
+
+    want = np.array([reference(row) for row in rows])
+    assert np.max(np.abs(temperature_adjust(rows, temperature) - want)) < 1e-12
+    for row, expect in zip(rows, want):
+        assert np.max(np.abs(temperature_adjust(row, temperature) - expect)) < 1e-12
+
+
 def random_tree(rng, n):
     """n nodes, each under ROOT_ID or an earlier node."""
     parent = [int(rng.integers(ROOT_ID, i)) if i else ROOT_ID for i in range(n)]
@@ -144,14 +156,19 @@ def test_tree_dists_match_next_dist_over_each_path(order, temperature):
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("temperature", [0.0, 0.5, 1.0])
 def test_next_dists_match_next_dist_per_prefix(order, temperature):
-    t = MarkovTarget(13, 9, order)
+    # A sequence's conditionals, as training takes them: one tree_dists call
+    # on a chain from its first token. Bit for bit the rows of its prefixes,
+    # and the contexts met for the first time are drawn in position order,
+    # as a target asked one prefix at a time draws them.
     rng = np.random.default_rng(order)
-    for n in (0, 1, 2, 3, 17):  # shorter than the order, and longer
-        prefix = [int(x) for x in rng.integers(0, 9, size=n)]
-        got = t.next_dists(prefix, temperature)
+    for n in (1, 2, 3, 17):  # shorter than the order, and longer
+        seq = [int(x) for x in rng.integers(0, 9, size=n)]
+        t, ref = MarkovTarget(13, 9, order), MarkovTarget(13, 9, order)
+        got = t.tree_dists(seq[:1], chain(seq[1:]), temperature)
         assert got.shape == (n, 9)
         for i in range(n):
-            assert np.array_equal(got[i], t.next_dist(prefix[:i + 1], temperature))
+            assert np.array_equal(got[i], ref.next_dist(seq[:i + 1], temperature))
+        assert list(t._rows) == list(ref._rows)
 
 
 def test_features_match_per_position_contexts():
@@ -165,22 +182,6 @@ def test_features_match_per_position_contexts():
         # trailing `order` tokens up to i, left-padded with token 0.
         block = context_rng(9, 2, t.order, prefix[max(0, i + 1 - t.order): i + 1])
         assert np.array_equal(feats[i], block.standard_normal(3 * FEAT_WIDTH))
-
-
-def test_features_extend_to_the_full_prefix():
-    # Rows from `start` on, appended to the rows of prefix[:start], are the
-    # rows of the whole prefix: also for start < order, where a row's context
-    # reaches back past `start`.
-    t = MarkovTarget(9, 8, 3)
-    rng = np.random.default_rng(2)
-    for n in (0, 1, 2, 5, 17):
-        prefix = [int(x) for x in rng.integers(0, 8, size=n)]
-        full = t.features(prefix)
-        assert full.shape == (n, 3 * FEAT_WIDTH)
-        for start in range(n + 1):
-            tail = t.features(prefix, start)
-            assert tail.shape == (n - start, 3 * FEAT_WIDTH)
-            assert np.array_equal(np.concatenate([t.features(prefix[:start]), tail]), full)
 
 
 def test_features_start_out_of_range():
@@ -275,8 +276,8 @@ def test_rollout_from_a_long_prefix_equals_one_from_its_last_order_tokens(order)
         return t.rollout(start, 12, lambda row: sample_from(row, rng))
 
     assert sampled(prefix) == sampled(prefix[-order:])
-    assert t.greedy_chain(prefix, 12) == t.greedy_chain(prefix[-order:], 12)
-    assert t.greedy_chain([3], 4) == t.greedy_chain([0] * order + [3], 4)
+    assert t.rollout(prefix, 12, np.argmax) == t.rollout(prefix[-order:], 12, np.argmax)
+    assert t.rollout([3], 4, np.argmax) == t.rollout([0] * order + [3], 4, np.argmax)
 
 
 @pytest.mark.parametrize("bad", [16, -1])
@@ -335,8 +336,8 @@ def test_target_vocab_past_2_to_the_32_is_rejected(vocab_size):
 def _reading_calls(t):
     """Every MarkovTarget call that reads a prefix's tokens, as call(prefix)."""
     one_node = DraftTree([ROOT_ID], [1], [0], [0.0])
-    return (t.next_dist, t.next_dists, t.features, lambda prefix: t.tree_dists(prefix, one_node),
-            lambda prefix: t.greedy_chain(prefix, 3))
+    return (t.next_dist, t.features, lambda prefix: t.tree_dists(prefix, one_node),
+            lambda prefix: t.rollout(prefix, 3, np.argmax))
 
 
 def test_a_token_that_is_no_seed_word_raises():
@@ -351,7 +352,7 @@ def test_a_token_that_is_no_seed_word_raises():
 
 def test_a_rejected_call_draws_no_row():
     t = MarkovTarget(1, 16, 2)
-    t.next_dists([1, 2, 3, 4])
+    t.tree_dists([1], chain([2, 3, 4]))
     t.features([1, 2, 3, 4])
     rows, slots = dict(t._rows), dict(t._slot)
     for call in _reading_calls(t):
@@ -385,7 +386,7 @@ def test_rows_of_any_seed_are_the_seeded_numpy_draws(seed):
     # rows drawn together.
     prefix = [int(x) for x in np.random.default_rng(4).integers(0, 16, size=3 * BATCH_SEEDING_MIN)]
     t = MarkovTarget(seed, 16, 2, concentration=0.4)
-    dists, feats = t.next_dists(prefix), t.features(prefix)
+    dists, feats = t.tree_dists(prefix[:1], chain(prefix[1:])), t.features(prefix)
     assert len(t._rows) >= BATCH_SEEDING_MIN and len(t._slot) >= BATCH_SEEDING_MIN
     one = MarkovTarget(seed, 16, 2, concentration=0.4)
     for i in range(len(prefix)):
@@ -426,7 +427,7 @@ def test_cold_next_dists_and_features_equal_one_context_at_a_time(seed, order, m
     # A prefix of m distinct tokens has m distinct contexts.
     prefix = [int(x) for x in np.random.default_rng(m).permutation(97)[:m]]
     t = MarkovTarget(seed, 97, order)
-    dists, feats = t.next_dists(prefix), t.features(prefix)
+    dists, feats = t.tree_dists(prefix[:1], chain(prefix[1:])), t.features(prefix)
     assert len(t._rows) == m and len(t._slot) == m
     ref = MarkovTarget(seed, 97, order)
     for i in range(m):
@@ -858,7 +859,7 @@ def test_oracle_argmax_matches_greedy_chain(target):
     drafter = OracleDrafter(target)
     prefix = [3, 1]
     rows = drafter.predict(target.start(prefix), 5).rows
-    chain = target.greedy_chain(prefix, 5)
+    chain = target.rollout(prefix, 5, np.argmax)
     assert list(np.argmax(rows, axis=1)) == chain
     assert np.array_equal(rows, _chain_rows(chain, target.vocab_size, CHAIN_LOGIT))
 
@@ -884,7 +885,7 @@ def test_uniform_drafter_seeded_stream(target):
 def test_noisy_oracle_keeps_chain_in_topk(target):
     drafter = NoisyOracleDrafter(target, noise=0.5, base=2.0, seed=0)
     prefix = [2, 2]
-    chain = target.greedy_chain(prefix, 4)
+    chain = target.rollout(prefix, 4, np.argmax)
     rows = drafter.predict(target.start(prefix), 4).rows
     for i, tok in enumerate(chain):
         top3 = np.argsort(-rows[i])[:3]

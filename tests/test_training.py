@@ -359,7 +359,7 @@ def _alpha_per_prefix(drafter, target, sequences, d, vs_greedy):
         for g in range(1, len(seq) - d):
             prefix = seq[: g + 1]
             rows = drafter.predict(target.start(prefix), d, rng=np.random.default_rng(0)).rows
-            truth = target.greedy_chain(prefix, d) if vs_greedy else seq[g + 1: g + 1 + d]
+            truth = target.rollout(prefix, d, np.argmax) if vs_greedy else seq[g + 1: g + 1 + d]
             hits += np.argmax(rows, axis=1) == truth
             total += 1
     return [float(h / total) for h in hits]
@@ -781,6 +781,10 @@ KL_PATHS = {"in_place": [0.0] + [-5.0] * 7, "copying": [0.0] + [-19.5] * 7,
 
 
 def _kl_path_setup(path, shifted):
+    return _kl_setup(KL_PATHS[path], shifted)
+
+
+def _kl_setup(head_bias, shifted):
     # d = 3, so a (B, G, d, V) array's rows sit at other places in a matrix
     # than its (B, G * d, V) copy's.
     target = MarkovTarget(5, 8, 1, concentration=0.05)
@@ -789,7 +793,7 @@ def _kl_path_setup(path, shifted):
     batch = build_training_batch(target, corpus, 3, 0.6, shifted=shifted)
     model = ToyDraft(8, target.embeddings, seed=4, shifted=shifted)
     model.params["W_head"] *= 0.01
-    model.params["b_head"][:] = KL_PATHS[path]
+    model.params["b_head"][:] = head_bias
     M = len(batch.position_ids)
     z = model.build_inputs(batch.feats, batch.emb_tokens, M - batch.n_prefix,
                            batch.position_ids)
@@ -808,6 +812,25 @@ def test_each_kl_path_matches_the_allocating_reference(path, shifted):
     loss, grads, floored = batch_loss(model, batch)
     want_loss, want_grads, want_floored = allocating_batch_loss(model, batch)
     assert loss == want_loss and floored == want_floored == (path == "clamped")
+    for name, g in want_grads.items():
+        assert np.array_equal(grads[name], g), name
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_kl_in_the_nat_below_the_in_place_bound_matches_the_allocating_reference(shifted):
+    # The smallest shifted logit lies in [LOG_FLOOR + log V - 1, LOG_FLOOR +
+    # log V), so the softmax may not be taken in place, and the last token's
+    # log-probability, about that less log 7, is clamped where the labels
+    # hold mass.
+    V = 8
+    model, batch, logits = _kl_setup([0.0] * 7 + [LOG_FLOOR + np.log(V) - 0.5], shifted)
+    shifted_logits = logits - logits.max(axis=-1, keepdims=True)
+    assert LOG_FLOOR + np.log(V) - 1 <= shifted_logits.min() < LOG_FLOOR + np.log(V)
+    logp = shifted_logits - np.log(np.exp(shifted_logits).sum(axis=-1, keepdims=True))
+    assert ((logp < LOG_FLOOR) & (batch.labels > 0)).any()
+    loss, grads, floored = batch_loss(model, batch)
+    want_loss, want_grads, want_floored = allocating_batch_loss(model, batch)
+    assert loss == want_loss and floored and want_floored
     for name, g in want_grads.items():
         assert np.array_equal(grads[name], g), name
 
