@@ -27,11 +27,17 @@ KL makes one full-width pass besides its softmax, in place over the logits
 when no log-probability can reach the floor, and its gradient two.
 
 A TrainingBatch is plain data that no step writes to: each step makes its
-own arrays, so steps on one batch may overlap.
+own arrays, so steps on one batch may overlap. Freed, they would go back to
+the OS, and each request after the first would fault its working set in
+again, so the first training forward in a process pins glibc's mmap and
+trim thresholds (`_keep_freed_memory_mapped`). A process that trains once,
+such as `train-toy`, gains nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,10 +249,25 @@ def batch_loss(model: ToyDraft, batch: TrainingBatch,
     return loss, backward() if want_grads else None, floored
 
 
+@functools.cache
+def _keep_freed_memory_mapped() -> None:
+    """Pin glibc's mmap threshold at 32 MiB, the ceiling of its dynamic
+    threshold, and its trim threshold at 64 MiB, twice that, as the dynamic
+    rule sets it. Both are set, as setting either turns that rule off, and
+    its 128 KiB start would map every step array afresh. A libc without
+    mallopt is left as it is."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _batch_forward(model: ToyDraft, batch: TrainingBatch):
     """batch_loss's forward: (loss, floored, backward), where backward(),
     called at most once, returns the grads, whatever else ran on the batch
     since."""
+    _keep_freed_memory_mapped()
     M = len(batch.position_ids)
     z = model.build_inputs(batch.feats, batch.emb_tokens,
                            M - batch.n_prefix, batch.position_ids)
@@ -325,10 +346,7 @@ def train_toy_draft(
             for name, g in backward().items():
                 model.params[name] -= lr * g
             # The updated weights' loss, checked before anything reads them;
-            # its grads wait for the next step. The spent forward is let go
-            # only once this one is built: freed first, its arrays would top
-            # the heap, which glibc hands back to the OS, and every step would
-            # fault them in again.
+            # its grads wait for the next step.
             loss, _, backward = _batch_forward(model, batch)
             _check_loss(step + 1, loss, initial_loss)
             if checkpoint_hook and eval_every and (step + 1) % eval_every == 0:

@@ -64,7 +64,7 @@ class DraftTree:
     child of the prefix; level 0 is the first future position; score is the
     cumulative combined score. Construction raises InvalidTreeError unless
     every parent id lies in [ROOT_ID, i) and every level is one more than its
-    parent's (0 under ROOT_ID)."""
+    parent's (0 under ROOT_ID), and for a parent, token or level past int64."""
 
     parent: np.ndarray
     token: np.ndarray
@@ -72,9 +72,11 @@ class DraftTree:
     score: np.ndarray
 
     def __post_init__(self):
-        self.parent = np.asarray(self.parent, dtype=np.int64)
-        self.token = np.asarray(self.token, dtype=np.int64)
-        self.level = np.asarray(self.level, dtype=np.int64)
+        for name in ("parent", "token", "level"):
+            try:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+            except OverflowError:
+                raise InvalidTreeError(f"{name} holds a value past int64") from None
         self.score = np.asarray(self.score, dtype=np.float64)
         n = len(self.token)
         if any(a.shape != (n,) for a in (self.parent, self.token, self.level, self.score)):

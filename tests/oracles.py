@@ -9,10 +9,12 @@ order) independently. The training step is written out with a fresh array
 per intermediate, over the whole packed layout with a dense mask, and one
 supervised slot at a time; the gradient and sampling checks compare the
 package against central differences and exact enumeration. Verify's
-acceptance rule is enumerated branch by branch in exact rational arithmetic
-from the target's own conditionals. ReferenceTarget draws MarkovTarget's
-documented rows afresh on every call, with no ids, tables or cache, behind a
-session that holds the target protocol's members and nothing else.
+acceptance rule is enumerated branch by branch in exact rational arithmetic.
+It and the exactness check read the target's law from its untempered
+conditionals, tempered here (`tempered`), not by the package's
+temperature_adjust. ReferenceTarget draws MarkovTarget's documented rows
+afresh on every call, with no ids, tables or cache, behind a session that
+holds the target protocol's members and nothing else.
 """
 
 import math
@@ -21,6 +23,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import softmax
 
 from specdraft.engine import decode, verify
 from specdraft.errors import ConfigError
@@ -171,6 +174,23 @@ def argmax_rollout(target, prompt, length):
     for _ in range(length):
         seq.append(int(np.argmax(target.next_dist(seq, 1.0))))
     return seq[len(prompt):]
+
+
+def tempered(p, temperature):
+    """The untempered row p at `temperature`, p^(1/T) / sum p^(1/T), taken as
+    softmax(log p / T): a zero-mass token stays at 0, and T = 0 gives the
+    one-hot of the lowest-id argmax."""
+    p = np.asarray(p, dtype=np.float64)
+    if temperature == 0:
+        return np.eye(len(p))[int(np.argmax(p))]
+    with np.errstate(divide="ignore"):
+        return softmax(np.log(p) / temperature)
+
+
+def target_row(target, prefix, temperature):
+    """The target's conditional after `prefix` at `temperature`, tempered by
+    `tempered` from its untempered row."""
+    return tempered(target.next_dist(prefix, 1.0), temperature)
 
 
 def context_rng(seed, tag, order, prefix):
@@ -579,8 +599,8 @@ def verify_branches(target, prefix, tree, temperature):
     a list of (draws, accepted tokens, bonus token), where draws holds one
     (lo, hi, margin) per uniform the branch spends, u in [lo, hi).
 
-    At each node reached, the conditional comes from the oracle's own
-    target.next_dist(prefix + path, T) call, read as exact fractions. The
+    At each node reached, the conditional is the oracle's own
+    target_row(target, prefix + path, T), read as exact fractions. The
     node's children are tried in tree order, one draw each: child c is
     accepted when u < r(c) / R, r being the residual mass and R its total;
     on rejection r(c) becomes 0. A child that holds all of R is always
@@ -599,7 +619,8 @@ def verify_branches(target, prefix, tree, temperature):
     branches = []
 
     def walk(node, path, draws):
-        residual = [Fraction(float(p)) for p in target.next_dist(list(prefix) + path, temperature)]
+        row = target_row(target, list(prefix) + path, temperature)
+        residual = [Fraction(float(p)) for p in row]
         whole = total = sum(residual)
         for child in children[node]:
             token = tokens[child]
@@ -665,7 +686,7 @@ def check_verify_law(target, prefix, tree, temperature, tol=1e-12):
             emitted[tuple(path[:depth]), token] += weight
     assert reached[()] == 1
     for node, mass in reached.items():
-        p_node = target.next_dist(list(prefix) + list(node), temperature)
+        p_node = target_row(target, list(prefix) + list(node), temperature)
         law = [float(emitted[node, x] / mass) for x in range(len(p_node))]
         assert np.max(np.abs(np.array(law) - p_node)) <= tol, (node, law, p_node)
     return len(branches)
@@ -673,7 +694,7 @@ def check_verify_law(target, prefix, tree, temperature, tol=1e-12):
 
 def exactness_check(target, drafter, trie, cfg, n_samples, prompt=(0,), horizon=3):
     """Total-variation distance between decode outputs and exact ancestral
-    sampling over all length-`horizon` continuations.
+    sampling of target_row over all length-`horizon` continuations.
 
     Requires temperature > 0 and a vocabulary small enough to enumerate.
     n_samples <= 0 returns the sentinel TV of 1.0 (nothing was measured).
@@ -691,7 +712,7 @@ def exactness_check(target, drafter, trie, cfg, n_samples, prompt=(0,), horizon=
         if depth == horizon:
             exact[tuple(prefix[len(prompt):])] = prob
             return
-        dist = target.next_dist(prefix, cfg.temperature)
+        dist = target_row(target, prefix, cfg.temperature)
         for tok in range(V):
             p = float(dist[tok])
             if p > 0:

@@ -6,8 +6,10 @@ every `training.*` key and the top-level `seed`, each set to an edge value
 or a small valid one. `decode --no-ngram` does the same over every
 `decode.*`, `prune.*` and `target.*` key and `seed`, with every `--drafter`
 and with prompts that hold no token, a negative one, one past the
-vocabulary, one that is no integer or one of 2**64. Valid sizes are capped
-here, not by a timeout: a valid but large run is no defect.
+vocabulary, one that is no integer or one of 2**64. `decode` and `eval`
+read copies of a valid trie file and a valid model file, each cut short or
+with one byte flipped. Valid sizes are capped here, not by a timeout: a
+valid but large run is no defect.
 """
 
 import contextlib
@@ -17,12 +19,15 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from specdraft.cli import (_SECTION_KEYS, _TARGET_DEFAULTS, _TRAINING_DEFAULTS, DRAFTERS,
                            EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main)
 from specdraft.models import MarkovTarget, ToyDraft
+from specdraft.ngram import build_trie, save_trie
 
 # JSON texts of the edge values: 0, -1, NaN, +-inf, 1e308, 2**63, 10**22,
 # true, a string, a list and null.
@@ -99,3 +104,51 @@ def test_decode_exits_with_a_code_for_any_override_and_prompt(overrides, prompt,
                 contextlib.redirect_stderr(io.StringIO()) as err:
             rc = main(argv)
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO), (argv, err.getvalue())
+
+
+# decode and eval read a trie file and a toy drafter's model file: each run
+# reads copies of valid ones, each cut short at a drawn offset or with one
+# drawn byte flipped.
+DAMAGE = st.tuples(st.sampled_from(["truncate", "flip"]), st.floats(0, 1, exclude_max=True),
+                   st.integers(1, 255))
+
+
+def _damaged(data: bytes, damage) -> bytes:
+    kind, where, mask = damage
+    offset = int(where * len(data))
+    if kind == "truncate":
+        return data[:offset]
+    return data[:offset] + bytes([data[offset] ^ mask]) + data[offset + 1:]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """The bytes of a trie file and a model file that decode and eval accept."""
+    tmp = tmp_path_factory.mktemp("valid")
+    target = MarkovTarget(**_TARGET_DEFAULTS)
+    rng = np.random.default_rng(0)
+    save_trie(build_trie([target.sample_sequence(rng, 40) for _ in range(4)], 3,
+                         target.vocab_size), tmp / "trie.bin")
+    ToyDraft(target.vocab_size, target.embeddings).save(tmp / "model.npz")
+    return (tmp / "trie.bin").read_bytes(), (tmp / "model.npz").read_bytes()
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(command=st.sampled_from(["decode", "eval"]), trie_damage=DAMAGE, model_damage=DAMAGE)
+def test_decode_and_eval_exit_with_a_code_for_a_damaged_trie_or_model(
+        valid_files, command, trie_damage, model_damage):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trie, model = Path(tmp, "trie.bin"), Path(tmp, "model.npz")
+        trie.write_bytes(_damaged(valid_files[0], trie_damage))
+        model.write_bytes(_damaged(valid_files[1], model_damage))
+        argv = [command, "--drafter", "toy", "--override", "decode.max_tokens=4",
+                "--override", "decode.d=3", "--override", f"paths.trie={json.dumps(str(trie))}",
+                "--override", f"paths.model={json.dumps(str(model))}"]
+        argv += (["--prompt-tokens=3,5"] if command == "decode" else
+                 ["--tau-prompts", "1"] + [a for item in BASE for a in ("--override", item)])
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(argv)
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DIVERGED), (argv, err.getvalue())

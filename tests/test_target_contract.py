@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from specdraft.engine import DecodeConfig, TargetModel, TargetSession, baseline_decode, decode
-from specdraft.errors import ConfigError
+from specdraft.errors import ConfigError, InvalidTreeError
 from specdraft.models import FEAT_WIDTH, MarkovTarget, NoisyOracleDrafter, ToyDraft
 from specdraft.ngram import build_trie
 from specdraft.training import build_training_batch, evaluate_alpha
@@ -161,6 +161,9 @@ def test_a_token_outside_the_vocabulary_raises(make, bad):
     if bad < 2 ** 63:  # a tree node's token, where a tree can hold it
         with pytest.raises(ConfigError, match=pattern):
             target.start([3, 1]).tree_dists(chain([2, bad]))
+    else:  # past int64, no tree can
+        with pytest.raises(InvalidTreeError, match="^token holds a value past int64"):
+            chain([2, bad])
     picks = iter([0, bad])
     with pytest.raises(ConfigError, match=pattern):  # a picked token
         target.start([3, 1]).rollout(3, lambda row: next(picks))

@@ -1,3 +1,9 @@
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import rel_entr
@@ -944,3 +950,87 @@ def test_log_records_shape(setup):
     assert log[19].alpha is not None and len(log[19].alpha) == 3
     assert log[0].alpha is None
     assert log[0].to_dict() == {"step": 0, "loss": log[0].loss}
+
+
+# -- the allocator policy: a request's freed arrays stay mapped for the next -------
+
+
+def _run_fresh(code: str) -> str:
+    """Run `code` in a fresh interpreter on this checkout's package, with one
+    BLAS thread; return its standard output."""
+    env = dict(os.environ, PYTHONPATH=str(Path(training.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# A 3-step warm-up request, then a second at perfbench's train shape (16
+# sequences of 24 tokens, V=64, order 2, d=8): the page faults from the call
+# to its first checkpoint hook, when the step's working set is first built.
+SECOND_REQUEST_FAULTS = """
+import resource
+import numpy as np
+from specdraft.models import MarkovTarget
+from specdraft.training import train_toy_draft
+
+target, rng = MarkovTarget(7, 64, 2, concentration=0.2), np.random.default_rng(1)
+def request(steps, hook=None):
+    corpus = [target.sample_sequence(rng, 24) for _ in range(16)]
+    train_toy_draft(target, corpus, 0.6, 8, steps, 0.1, 0, eval_every=1, checkpoint_hook=hook)
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+request(3)
+first, start = [], faults()
+request(1, lambda *_: first.append(faults() - start))
+print(first[0])
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
+def test_a_second_request_reuses_the_first_ones_freed_memory():
+    # Trimmed back to the OS, the first request's freed heap faulted in
+    # again: about 3,100 pages before the second request's first hook.
+    assert int(_run_fresh(SECOND_REQUEST_FAULTS)) < 300
+
+
+def test_a_libc_without_mallopt_is_left_as_it_is(setup, monkeypatch):
+    target, corpus, _ = setup
+    looked_up = []
+
+    class NoMallopt:  # as musl's or macOS's libc
+        def __init__(self, name):
+            assert name is None
+
+        def __getattr__(self, name):
+            looked_up.append(name)
+            raise AttributeError(name)
+
+    expected = []
+    train_toy_draft(target, corpus, 0.6, 3, steps=3, lr=0.1, seed=1, log=expected)
+    monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
+    training._keep_freed_memory_mapped.cache_clear()
+    log = []
+    try:
+        train_toy_draft(target, corpus, 0.6, 3, steps=3, lr=0.1, seed=1, log=log)
+    finally:
+        training._keep_freed_memory_mapped.cache_clear()
+    assert looked_up == ["mallopt"]
+    assert [r.loss for r in log] == [r.loss for r in expected]
+
+
+def test_decoding_never_sets_the_allocator_policy():
+    # Only a training forward pins the thresholds; importing and decoding,
+    # with the toy drafter too, leave glibc's dynamic rule alone.
+    code = """
+import specdraft.cli
+from specdraft import training
+from specdraft.engine import DecodeConfig, decode
+from specdraft.models import MarkovTarget, ToyDraft
+
+target = MarkovTarget(7, 64, 2)
+decode([3, 5], target, ToyDraft(64, target.embeddings), None, DecodeConfig(max_tokens=8))
+print(training._keep_freed_memory_mapped.cache_info().misses)
+"""
+    assert _run_fresh(code).split() == ["0"]

@@ -430,6 +430,15 @@ def test_draft_tree_rejects_orphans_and_disorder():
         DraftTree([ROOT_ID, 0], [1], [0, 1], [-0.1, -0.2])  # ragged arrays
 
 
+@pytest.mark.parametrize("name", ["parent", "token", "level"])
+@pytest.mark.parametrize("big", [2 ** 63, 2 ** 64, -2 ** 64])
+def test_draft_tree_names_an_array_holding_a_value_past_int64(name, big):
+    arrays = {"parent": [ROOT_ID, 0], "token": [1, 2], "level": [0, 1]}
+    arrays[name] = [arrays[name][0], big]
+    with pytest.raises(InvalidTreeError, match=f"^{name} holds a value past int64"):
+        DraftTree(**arrays, score=[0.0, 0.0])
+
+
 @given(st.integers(0, 2 ** 31))
 def test_linearized_mask_rows_reproduce_parent_chains(seed):
     # The attention-mask row of every node admits exactly its ancestors and
