@@ -174,7 +174,7 @@ def cmd_build_trie(args) -> int:
     if not any(len(s) >= args.order for s in corpus):
         print("warning: corpus has no windows of the requested order; "
               "trie will contain only the root", file=sys.stderr)
-    vocab = 256 if args.format == "text" else args.vocab_size
+    vocab = 256 if args.format == "text" and args.vocab_size is None else args.vocab_size
     trie = build_trie(corpus, args.order, vocab)
     n_bytes = save_trie(trie, args.out)
     stats = trie.stats()
@@ -273,6 +273,8 @@ def _write_transcript(args, cfg: RunConfig, tokens: list[int]) -> None:
 
 def cmd_bench_trie(args) -> int:
     check_int("--queries", args.queries, minimum=0)
+    if args.queries > 10 ** 6:  # each query keeps a context tuple and a latency
+        raise ConfigError(f"--queries must be <= 1000000, got {args.queries}")
     check_int("--seed", args.seed, minimum=0)
     trie = load_trie(args.trie)
     if args.queries == 0:
@@ -290,15 +292,18 @@ def cmd_bench_trie(args) -> int:
                for i in range(args.queries)]
     # prune's query: one key_scores call for the node keys of w beam contexts
     # by a row's top-k tokens, most of which those contexts continue with. A
-    # batch's tokens are its contexts' continuations, topped up at random to k.
+    # batch's tokens are its contexts' continuations, topped up to k with
+    # distinct tokens drawn at random from the others: k plus the seen ones
+    # are drawn, so no array of the whole vocabulary is made.
     shape = PruneConfig()
     width = min(shape.k, V)
     batches = []
     for lo in range(0, len(queries), shape.w):
         ctxs = queries[lo:lo + shape.w]
         seen = np.array(sorted({t for ctx in ctxs for t in trie.counts(ctx)}), dtype=np.int64)
-        others = np.setdiff1d(np.arange(V), seen)
-        tokens = np.concatenate([rng.permutation(seen), rng.permutation(others)])[:width]
+        drawn = rng.choice(V, size=min(V, width + len(seen)), replace=False)
+        others = drawn[~np.isin(drawn, seen, kind="sort")]
+        tokens = np.concatenate([rng.permutation(seen), others])[:width]
         context_keys = np.array([trie.context_key(ctx) for ctx in ctxs])
         batches.append(context_keys[:, None] * trie.base + trie.digits(tokens))
 

@@ -51,7 +51,10 @@ class OutOfVocabularyError(ConfigError):
         self.token = token
         self.vocab_size = vocab_size
         self.sequence_index = sequence_index
-        where = "is negative" if vocab_size is None else f"outside [0, {vocab_size})"
+        if vocab_size is not None:
+            where = f"outside [0, {vocab_size})"
+        else:
+            where = "is negative" if token < 0 else "is past int64"
         super().__init__(f"token {token} {where} in corpus sequence {sequence_index}")
 
 

@@ -9,13 +9,17 @@ floor. One vectorized np.log scores every node; where it differs from
 math.log by an ulp, as it does on a few ratios, the nodes of that distinct
 ratio take math.log's value, so every score is math.log's.
 
-Every query reads one sorted int64 array of node keys, beside each node's
-count and score, computed once. A key is the node's tokens in base
+Every query reads one sorted array of node keys, beside each node's count
+and float64 score, computed once. A key is the node's tokens in base
 B = vocab_size + 2, left-padded to `order` digits with vocab_size + 1, so the
 table sorts by level, full windows first and the root last; a token outside
 the vocabulary is the digit vocab_size, which no node holds. A context's
-children are one key span, and B^order < 2^63 bounds the order: at most 10
-at V = 64, 7 at V = 256 and 4 at V = 32k.
+children are one key span. Keys are int32 when B^order < 2^31 (V = 256 up to
+order 3, V = 64 up to order 5) and int64 otherwise; they must fit in int64,
+so B^order < 2^63 bounds the order: at most 10 at V = 64, 7 at V = 256 and 4
+at V = 32k. Counts are int32 while all the windows number below 2^31, int64
+otherwise. Every search of the keys is made with needles of their width: a
+needle of another width would make numpy cast the whole table on every call.
 
 File format, version 2, little-endian: a 32-byte header holding the magic
 ``NGTR``, a u16 version, two zero bytes, then order, vocab_size and the row
@@ -64,7 +68,8 @@ class TrieStats:
 
 class NgramTrie:
     """Immutable node table of one `order`: sorted `keys`, with `node_counts`
-    and `node_scores`. build_trie and load_trie check the order and pass the
+    and `node_scores`, keys and counts each in the narrower of int32 and int64
+    that holds them. build_trie and load_trie check the order and pass the
     distinct full windows' keys, increasing, and their counts."""
 
     def __init__(self, order: int, vocab_size: int, window_keys: np.ndarray,
@@ -74,7 +79,8 @@ class NgramTrie:
         self.base = vocab_size + 2
         self.context_limit = self.base ** (order - 1)  # every context key is below it
         self.keys, self.node_counts, self.node_scores = _node_table(
-            order, self.base, window_keys, window_counts)
+            order, self.base, np.asarray(window_keys, _width(self.base ** order)),
+            np.asarray(window_counts, _width(int(np.sum(window_counts)))))
 
     # -- queries ------------------------------------------------------------
 
@@ -94,8 +100,12 @@ class NgramTrie:
 
     def key_scores(self, keys: np.ndarray) -> np.ndarray:
         """Each key's node score, or LOG_FLOOR where no node has the key, by one
-        searchsorted. Query keys, context_key * base + digit, sort below the root's."""
-        at = self.keys.searchsorted(keys)
+        searchsorted. Query keys, context_key * base + digit, sort below the
+        root's. They are searched in the table's width, and a found node is
+        matched against the key as given, so a key that its cast wraps is
+        never taken for another node's."""
+        keys = np.asarray(keys)
+        at = self.keys.searchsorted(keys.astype(self.keys.dtype, copy=False))
         return np.where(self.keys[at] == keys, self.node_scores[at], LOG_FLOOR)
 
     def children_scores(self, context: Sequence[int], eps: float = EPSILON) -> dict[int, float]:
@@ -132,14 +142,18 @@ class NgramTrie:
 
     def _level_span(self, length: int) -> slice:
         top = self.base ** self.order
-        return slice(*self.keys.searchsorted((top - self.base ** length,
-                                              top - self.base ** (length - 1))).tolist())
+        return self._span(top - self.base ** length, top - self.base ** (length - 1))
 
     def _children(self, context: Sequence[int]) -> tuple[list[int], slice]:
         """The children of `context`: their tokens, and their span of the table."""
         first = self.context_key(context) * self.base
-        lo, hi = self.keys.searchsorted((first, first + self.vocab_size)).tolist()
-        return [key - first for key in self.keys[lo:hi].tolist()], slice(lo, hi)
+        span = self._span(first, first + self.vocab_size)
+        return [key - first for key in self.keys[span].tolist()], span
+
+    def _span(self, lo: int, hi: int) -> slice:
+        """The table's span of keys in [lo, hi), both below B^order: one
+        searchsorted, its needles in the table's width."""
+        return slice(*self.keys.searchsorted(np.array((lo, hi), self.keys.dtype)).tolist())
 
 
 def _node_table(order: int, base: int, window_keys: np.ndarray,
@@ -152,21 +166,22 @@ def _node_table(order: int, base: int, window_keys: np.ndarray,
     a second call of the same elementwise loop. It misses math.log by an ulp
     on a few inputs, so the nodes of each distinct ratio whose np.log and
     math.log differ, found by one equality pass each before the ratios are
-    overwritten, take math.log's value, and every score is math.log's."""
+    overwritten, take math.log's value, and every score is math.log's. Keys
+    and counts stay in the width of `window_keys` and `window_counts`."""
     top = base ** order
     keys, counts, ratios, values = [window_keys], [window_counts], [], window_keys
     for length in range(order - 1, 0, -1):
         values = values // base
         starts = np.flatnonzero(_run_starts(values))
-        level_counts = np.add.reduceat(counts[-1], starts)
+        level_counts = np.add.reduceat(counts[-1], starts, dtype=window_counts.dtype)
         ratios.append(counts[-1] / np.repeat(level_counts, np.diff(starts, append=len(values))))
         values = values[starts]
         keys.append(values + (top - base ** length))
         counts.append(level_counts)
     total = counts[-1].sum()
     ratios += [counts[-1] / total, [0.0]]
-    keys.append([top - 1])
-    counts.append([total])
+    keys.append(np.array([top - 1], window_keys.dtype))
+    counts.append(np.array([total], window_counts.dtype))
     scores = np.concatenate(ratios)  # each node's ratio, until its score replaces it
     distinct = np.sort(scores)  # not np.unique: its first call imports numpy.ma, ~10 ms
     distinct = distinct[_run_starts(distinct)]
@@ -193,6 +208,22 @@ def _place_values(base: int, length: int) -> np.ndarray:
     return base ** np.arange(length - 1, -1, -1, dtype=np.int64)
 
 
+def _width(bound: int) -> np.dtype:
+    """int32 when every value up to `bound` fits in it (bound < 2^31), else int64."""
+    return np.dtype(np.int32 if bound < 2 ** 31 else np.int64)
+
+
+def _window_keys(windows: np.ndarray, base: int) -> np.ndarray:
+    """Each (rows, order) window row's key, in the table's width. A block of
+    16k rows at a time is multiplied out in int64 (128 KiB, which stays in
+    cache) and stored, so no int64 copy of all the keys is made."""
+    place, block = _place_values(base, windows.shape[1]), 1 << 14
+    keys = np.empty(len(windows), _width(base ** windows.shape[1]))
+    for lo in range(0, len(windows), block):
+        keys[lo:lo + block] = windows[lo:lo + block] @ place
+    return keys
+
+
 def _check_order(order: int, vocab_size: int, error: type[Exception], where: str = "") -> None:
     """Raise `error` unless 2 <= order and the node keys of `order` fit in int64."""
     highest = next(n for n in range(1, 64) if (max(vocab_size, 0) + 2) ** (n + 1) >= 2 ** 63)
@@ -208,16 +239,20 @@ def build_trie(
 ) -> NgramTrie:
     """Count every length-`order` window of every sequence into a table.
 
-    vocab_size=None infers V as max token + 1; a negative token, or when
-    vocab_size is given any token >= V, raises OutOfVocabularyError naming
-    the offending sequence. An order whose node keys overflow int64 raises
-    ConfigError.
+    vocab_size=None infers V as max token + 1; a negative token, one past
+    int64, or when vocab_size is given any token >= V, raises
+    OutOfVocabularyError naming the offending sequence. An order whose node
+    keys overflow int64 raises ConfigError.
     """
     _check_order(order, vocab_size or 0, ConfigError)
     parts = []
     max_token = -1
     for seq_index, seq in enumerate(corpus):
-        arr = np.asarray(seq, dtype=np.int64)
+        try:
+            arr = np.asarray(seq, dtype=np.int64)
+        except OverflowError:  # a token past int64 lies outside any vocabulary
+            token = next(t for t in seq if not -2 ** 63 <= t < 2 ** 63)
+            raise OutOfVocabularyError(token, vocab_size, seq_index) from None
         if arr.size == 0:
             continue
         bad = arr < 0 if vocab_size is None else (arr < 0) | (arr >= vocab_size)
@@ -230,8 +265,8 @@ def build_trie(
         vocab_size = max_token + 1
     _check_order(order, vocab_size, ConfigError)
     windows = np.concatenate(parts) if parts else np.empty((0, order), np.int64)
-    keys, counts = np.unique(windows @ _place_values(vocab_size + 2, order), return_counts=True)
-    return NgramTrie(order, vocab_size, keys, counts.astype(np.int64))
+    keys, counts = np.unique(_window_keys(windows, vocab_size + 2), return_counts=True)
+    return NgramTrie(order, vocab_size, keys, counts)
 
 
 # -- serialization ------------------------------------------------------------
@@ -288,7 +323,7 @@ def load_trie(path: str | os.PathLike) -> NgramTrie:
         if int(counts.max()) * rows >= 2 ** 53 and sum(counts.tolist()) >= 2 ** 53:
             raise TrieFormatError(f"{path}: the window counts sum to 2 ** 53 or more")
     # With every token below the base, the keys order the rows as their tokens do.
-    keys = windows @ _place_values(vocab_size + 2, order)
+    keys = _window_keys(windows, vocab_size + 2)
     del windows  # the largest array read: free it before the node table is built
     if (keys[1:] <= keys[:-1]).any():  # one pass; the fault is named only on failure
         raise TrieFormatError(f"{path}: rows are not in increasing order"

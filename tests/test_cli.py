@@ -16,7 +16,7 @@ from specdraft.cli import (
 from specdraft.engine import baseline_decode
 from specdraft.errors import ConfigError
 from specdraft.models import MarkovTarget, ToyDraft
-from specdraft.ngram import build_trie, save_trie
+from specdraft.ngram import build_trie, load_trie, save_trie
 
 
 @pytest.fixture
@@ -223,6 +223,19 @@ def test_build_trie_out_of_vocabulary_token_exits_2(tmp_path, capsys):
         assert "config error" in err and "sequence 0" in err
 
 
+def test_build_trie_text_takes_the_vocab_size_given(tmp_path, capsys):
+    src, out = tmp_path / "corpus.txt", tmp_path / "t.bin"
+    src.write_text("hello\n", encoding="utf-8")
+    argv = ["build-trie", "--corpus", str(src), "--order", "2", "--out", str(out),
+            "--format", "text"]
+    assert main(argv + ["--vocab-size", "64"]) == EXIT_CONFIG  # b"h" is 104
+    assert "token 104 outside [0, 64)" in capsys.readouterr().err and not out.exists()
+    assert main(argv + ["--vocab-size", "300"]) == EXIT_OK
+    assert load_trie(out).vocab_size == 300
+    assert main(argv) == EXIT_OK
+    assert load_trie(out).vocab_size == 256
+
+
 def test_build_trie_non_utf8_text_exits_2(tmp_path, capsys):
     src = tmp_path / "latin1.txt"
     src.write_bytes("caf\xe9\n".encode("latin-1"))
@@ -341,6 +354,30 @@ def test_bench_trie_runs_and_reports(tmp_path, capsys):
     assert records[-1]["queries"] == 5000
     assert records[-1]["median_us"] > 0
     assert 0 < records[-1]["batch_median_us"] <= records[-1]["batch_p90_us"]
+
+
+def test_bench_trie_checks_the_queries_cap_before_reading_the_trie(tmp_path, capsys):
+    # A missing trie file would exit 3: the cap is checked first, so a value
+    # past it allocates nothing; 10**6 itself passes the check.
+    missing = str(tmp_path / "missing.bin")
+    assert main(["bench-trie", "--trie", missing, "--queries", "1000001"]) == EXIT_CONFIG
+    assert "--queries must be <= 1000000" in capsys.readouterr().err
+    assert main(["bench-trie", "--trie", missing, "--queries", "1000000"]) == EXIT_IO
+
+
+def test_bench_trie_allocates_nothing_the_size_of_the_vocabulary(tmp_path, capsys):
+    # A batch's top-up tokens are drawn from the vocabulary, not taken from
+    # an array of all of it: at V = 2**20 such arrays peak above 50 MiB.
+    path = tmp_path / "t.bin"
+    save_trie(build_trie([[1, 2, 3, 2 ** 20 - 1, 5, 6]], 2, 2 ** 20), path)
+    tracemalloc.start()
+    try:
+        assert main(["bench-trie", "--trie", str(path), "--queries", "100"]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert "key_scores of 20 contexts x 25 tokens" in capsys.readouterr().out
 
 
 def test_v1_trie_file_exits_3_with_rebuild_message(tmp_path, config_file, capsys):

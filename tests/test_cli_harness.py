@@ -8,8 +8,11 @@ or a small valid one. `decode --no-ngram` does the same over every
 and with prompts that hold no token, a negative one, one past the
 vocabulary, one that is no integer or one of 2**64. `decode` and `eval`
 read copies of a valid trie file and a valid model file, each cut short or
-with one byte flipped. Valid sizes are capped here, not by a timeout: a
-valid but large run is no defect.
+with one byte flipped. `build-trie` counts generated token and text corpora
+with `--order`, `--vocab-size` and `--format` at edge values, and
+`bench-trie` reads each trie it writes with `--queries` and `--seed` at edge
+values. Valid sizes are capped here, not by a timeout: a valid but large
+run is no defect.
 """
 
 import contextlib
@@ -152,3 +155,71 @@ def test_decode_and_eval_exit_with_a_code_for_a_damaged_trie_or_model(
                 contextlib.redirect_stderr(io.StringIO()) as err:
             rc = main(argv)
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DIVERGED), (argv, err.getvalue())
+
+
+# build-trie and bench-trie: integer flags at edge values or small valid
+# ones. A vocabulary of 2**31 - 3 or more is valid at order 2 only, and
+# 10**6 + 1 is the first --queries past the cap; the valid 10**6 itself would
+# only run long.
+FLAG_EDGES = ["0", "-1", "1", "x", "1.5", "", str(2 ** 63), str(10 ** 22)]
+ORDERS = st.sampled_from(FLAG_EDGES + ["31", "62", "63"]) | st.integers(2, 6).map(str)
+VOCAB_SIZES = (st.sampled_from(FLAG_EDGES + [str(2 ** 31 - 3), str(2 ** 31), str(2 ** 32)])
+               | st.sampled_from([64, 70, 256, 300]).map(str))
+QUERIES = st.sampled_from(FLAG_EDGES + [str(10 ** 6 + 1)]) | st.integers(0, 60).map(str)
+SEEDS = st.sampled_from(FLAG_EDGES + [str(2 ** 64)]) | st.integers(0, 5).map(str)
+# Token corpora: lines of tokens below 70, at times with one more token
+# that is -1, past int64, no integer or just large; text corpora: text, or
+# any bytes, so at times no UTF-8.
+BAD_TOKENS = st.none() | st.sampled_from(["-1", "x", "1.5", str(2 ** 31), str(2 ** 63),
+                                          str(2 ** 64), str(-2 ** 63 - 1)])
+
+
+def _token_corpus(lines, bad):
+    if bad is not None:
+        lines = [lines[0] + [bad], *lines[1:]]
+    return "\n".join(" ".join(line) for line in lines).encode()
+
+
+TOKEN_CORPORA = st.builds(
+    _token_corpus,
+    st.lists(st.lists(st.integers(0, 69).map(str), max_size=60), min_size=1, max_size=4),
+    BAD_TOKENS)
+TEXT_CORPORA = st.text(max_size=200).map(str.encode) | st.binary(max_size=50)
+
+
+def _run(argv):
+    """main(argv)'s exit code, argparse's rejections included, and its stderr."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(corpus=st.sampled_from(["tokens", "text"]).flatmap(
+           lambda fmt: (TOKEN_CORPORA if fmt == "tokens" else TEXT_CORPORA).map(
+               lambda data: (fmt, data))),
+       order=ORDERS, vocab_size=st.none() | VOCAB_SIZES, queries=QUERIES, bench_seed=SEEDS)
+def test_build_trie_and_bench_trie_exit_with_a_code_for_any_flags(
+        corpus, order, vocab_size, queries, bench_seed):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fmt, data = corpus
+        source, out = Path(tmp, "corpus.txt"), Path(tmp, "trie.bin")
+        source.write_bytes(data)
+        argv = ["build-trie", "--corpus", str(source), "--out", str(out), "--format", fmt,
+                f"--order={order}"]
+        if vocab_size is not None:
+            argv.append(f"--vocab-size={vocab_size}")
+        rc, err = _run(argv)
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO), (argv, err)
+        assert (rc == EXIT_OK) == out.exists(), (argv, err)
+        if rc == EXIT_OK:
+            argv = ["bench-trie", "--trie", str(out), f"--queries={queries}",
+                    f"--seed={bench_seed}"]
+            rc, err = _run(argv)
+            assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO), (argv, err)

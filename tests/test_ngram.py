@@ -2,6 +2,7 @@ import math
 import struct
 import tempfile
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from specdraft.ngram import (
     EPSILON,
     LOG_FLOOR,
     MAGIC,
+    NgramTrie,
     build_trie,
     load_trie,
     read_text_corpus,
@@ -164,12 +166,17 @@ def _key(window, base):
 
 
 def _assert_reference_table(trie, corpus):
-    """The trie's keys, counts and scores equal the searchsorted reference's, bit for bit."""
-    want = searchsorted_node_table(trie.order, trie.base,
-                                   *_window_table(corpus, trie.order, trie.vocab_size))
-    for got, ref in zip((trie.keys, trie.node_counts, trie.node_scores), want):
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        assert got.tobytes() == ref.tobytes()
+    """The trie's keys and counts equal the searchsorted reference's int64
+    values exactly, each in the width the policy gives (int32 for keys while
+    B^order < 2^31, for counts while the root's count is below 2^31), and its
+    scores equal the reference's bit for bit."""
+    keys, counts, scores = searchsorted_node_table(
+        trie.order, trie.base, *_window_table(corpus, trie.order, trie.vocab_size))
+    assert trie.keys.dtype == (np.int32 if trie.base ** trie.order < 2 ** 31 else np.int64)
+    assert trie.node_counts.dtype == (np.int32 if counts[-1] < 2 ** 31 else np.int64)
+    assert np.array_equal(trie.keys, keys) and np.array_equal(trie.node_counts, counts)
+    assert trie.node_scores.dtype == scores.dtype
+    assert trie.node_scores.tobytes() == scores.tobytes()
 
 
 vocab_corpora = st.integers(2, 300).flatmap(lambda V: st.tuples(
@@ -228,13 +235,14 @@ def _gathered(trie, contexts, tokens):
     return np.array(rows, dtype=np.float64).reshape(len(contexts), len(tokens))
 
 
-@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("order", [2, 3, 4, 9])  # 12^9 > 2^31: order 9 has int64 keys
 @pytest.mark.parametrize("seed", range(4))
 def test_key_scores_equal_gathered_children_scores(order, seed):
     rng = np.random.default_rng(seed)
     V = 10
     corpus = [list(rng.integers(0, V, size=int(rng.integers(1, 120)))) for _ in range(4)]
     trie = build_trie(corpus, order, vocab_size=V)
+    assert trie.keys.dtype == (np.int64 if order == 9 else np.int32)
     seen = [tuple(seq[i:i + order - 1]) for seq in corpus for i in range(len(seq))]
     contexts = [seen[i] for i in rng.integers(0, len(seen), 12)]  # hits, some shorter
     contexts += [tuple(rng.integers(0, V, size=n)) for n in range(order + 3)]  # any length
@@ -280,6 +288,122 @@ def test_children_probabilities_sum_to_one(corpus, order):
             # A continuation's count is the total of the context it extends to.
             for tok, count in counts.items():
                 assert count == sum(trie.counts(ctx + (tok,)).values())
+
+
+# -- node table widths ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("vocab_size, order, width", [
+    (64, 5, np.int32), (64, 6, np.int64), (256, 3, np.int32), (256, 4, np.int64),
+    (0, 30, np.int32), (0, 31, np.int64),  # B = 2: B^order = 2^30 and exactly 2^31
+])
+def test_keys_are_int32_exactly_while_b_to_the_order_is_below_2_to_the_31(
+        vocab_size, order, width):
+    assert ((vocab_size + 2) ** order < 2 ** 31) == (width == np.int32)
+    corpus = [[t % max(vocab_size, 1) for t in range(order + 40)]] if vocab_size else [[]]
+    trie = build_trie(corpus, order, vocab_size)
+    assert trie.keys.dtype == width and trie.node_counts.dtype == np.int32
+    _assert_reference_table(trie, corpus)
+
+
+@pytest.mark.parametrize("counts, width", [
+    ([2 ** 31 - 1], np.int32), ([2 ** 31], np.int64), ([2 ** 31 - 1, 1], np.int64)])
+def test_counts_are_int64_from_2_to_the_31_windows(tmp_path, counts, width):
+    windows = [[0, 1, 2], [3, 3, 3]][:len(counts)]
+    keys = np.array([_key(w, 6) for w in windows], dtype=np.int64)
+    trie = NgramTrie(3, 4, keys, np.array(counts, dtype=np.int64))
+    assert trie.keys.dtype == np.int32 and trie.node_counts.dtype == width
+    assert int(trie.node_counts[-1]) == sum(counts)
+    assert trie.counts((0, 1)) == {2: counts[0]}
+    assert trie.counts(()) == dict(zip((0, 3), counts))
+    assert trie.children_scores(()) == {t: math.log(c / sum(counts) + EPSILON)
+                                        for t, c in zip((0, 3), counts)}
+    path = tmp_path / "t.bin"
+    save_trie(trie, path)
+    assert path.read_bytes() == _v2_bytes(3, 4, windows, counts)
+    loaded = load_trie(path)
+    assert loaded.node_counts.dtype == width
+    assert np.array_equal(loaded.node_counts, trie.node_counts)
+
+
+@pytest.mark.parametrize("vocab_size, order", [(10, 3), (64, 6)])  # int32 and int64 keys
+def test_save_writes_the_v2_bytes_of_the_int64_reference_and_load_round_trips(
+        tmp_path, vocab_size, order):
+    rng = np.random.default_rng(order)
+    corpus = [list(rng.integers(0, vocab_size, size=300)) for _ in range(3)] + [[1] * 50]
+    trie = build_trie(corpus, order, vocab_size)
+    keys, counts = _window_table(corpus, order, vocab_size)
+    base = vocab_size + 2
+    windows = [[key // base ** (order - 1 - i) % base for i in range(order)]
+               for key in keys.tolist()]
+    path = tmp_path / "t.bin"
+    data = _v2_bytes(order, vocab_size, windows, counts)
+    assert save_trie(trie, path) == len(data)
+    assert path.read_bytes() == data
+    loaded = load_trie(path)
+    _assert_reference_table(loaded, corpus)
+    _trie_equal(trie, loaded)
+
+
+@pytest.mark.parametrize("vocab_size, order", [(256, 3), (64, 6)])  # int32 and int64 keys
+def test_a_key_past_the_table_never_scores_as_the_node_it_wraps_onto(vocab_size, order):
+    trie = build_trie([list(range(1, 3 * order))], order, vocab_size)
+    node = int(trie.keys[0])  # a full window: it scores log(1 + eps), not the floor
+    assert trie.key_scores(np.array([node])).tolist() == [math.log(1 + EPSILON)]
+    top = (vocab_size + 2) ** order
+    for key in (top, top + node, 2 ** 32 + node, 2 ** 33 + node, node - 2 ** 32, -1):
+        try:
+            got = trie.key_scores(np.array([[key]], dtype=np.int64))
+        except IndexError:  # a key of B^order or more may raise, as it always has
+            assert key >= top
+            continue
+        assert got.tolist() == [[LOG_FLOOR]], key
+
+
+def _large_trie(vocab_size, order, tokens):
+    rng = np.random.default_rng(0)
+    return build_trie([list(rng.integers(0, vocab_size, size=tokens))], order, vocab_size)
+
+
+@pytest.fixture(scope="module", params=[(256, 3, 120_000), (64, 6, 40_000)],
+                ids=["int32-keys", "int64-keys"])
+def large_trie(request):
+    trie = _large_trie(*request.param)
+    assert len(trie.keys) >= 100_000
+    assert trie.keys.dtype == (np.int32 if request.param[0] == 256 else np.int64)
+    return trie
+
+
+def test_no_trie_query_copies_the_node_table(large_trie):
+    # One searchsorted over the table with needles of another width casts the
+    # whole table; every query must allocate far less than the keys hold.
+    trie = large_trie
+    rng = np.random.default_rng(1)
+    seen = trie.contexts()
+    contexts = [seen[i] for i in rng.integers(0, len(seen), 20)]
+    context_keys = np.array([trie.context_key(c) for c in contexts], dtype=np.int64)
+    batch = context_keys[:, None] * trie.base + trie.digits(rng.permutation(trie.vocab_size)[:25])
+    assert batch.shape == (20, 25)
+    queries = {
+        "key_scores": lambda: trie.key_scores(batch),
+        "children_scores": lambda: trie.children_scores(contexts[0]),
+        "children_scores(eps=1e-6)": lambda: trie.children_scores(contexts[0], eps=1e-6),
+        "counts": lambda: trie.counts(contexts[1]),
+        "stats": trie.stats,
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, query in queries.items():
+            query()  # first calls may cache; the measured call is a later one
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            query()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    limit = trie.keys.nbytes / 8
+    assert all(peak < limit for peak in peaks.values()), (peaks, limit)
 
 
 def _trie_equal(a, b):
