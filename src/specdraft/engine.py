@@ -344,7 +344,7 @@ def estimate_speedup(
     speedup = tau * t_base / (t_verify + t_draft + t_prune);
     draft_ratio = (t_draft + t_prune) / (t_verify + t_draft + t_prune).
     Verification and baseline times must be positive; drafting and pruning
-    may be zero (free drafting) but not negative; all must be finite.
+    may be zero (free drafting) but not negative; inputs and results are finite.
     """
     for name, value in (("tau", tau), ("t_verify", t_verify), ("t_draft", t_draft),
                         ("t_prune", t_prune), ("t_base", t_base)):
@@ -356,4 +356,7 @@ def estimate_speedup(
     if t_draft < 0 or t_prune < 0:
         raise ConfigError("t_draft and t_prune must be >= 0")
     cycle = t_verify + t_draft + t_prune
-    return tau * t_base / cycle, (t_draft + t_prune) / cycle
+    speedup, ratio = tau * t_base / cycle, (t_draft + t_prune) / cycle
+    if not np.isfinite([speedup, ratio]).all():
+        raise ConfigError(f"the times overflow a float: speedup {speedup}, draft_ratio {ratio}")
+    return speedup, ratio

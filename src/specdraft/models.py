@@ -570,30 +570,33 @@ class ToyDraft:
                  "y": y, "scale": scale}
         return logits, cache
 
-    def backward_core(self, cache: dict, dlogits: np.ndarray,
-                      feats: np.ndarray, n_prefix: int) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss given d(loss)/d(logits) (B, G, R, V) for
-        the groups of query rows that the training forward_core call behind
-        `cache` queried.
+    def backward_core(self, cache: dict, feats: np.ndarray,
+                      n_prefix: int) -> dict[str, np.ndarray]:
+        """Gradients of a scalar loss given d(loss)/d(logits) (B, G, R, V),
+        put in `cache` as "dlogits", for the groups of query rows that the
+        training forward_core call behind `cache` queried.
 
         The shared keys' and values' gradients are one product over all
         G * R rows of a sequence, the sum over the groups; each block's are
         written straight to its packed positions. Positions that are not
         queried are keys and values only; the queried ones also take
-        gradient through q and the residual.
+        gradient through q and the residual. It consumes `cache`: it takes
+        the gradient and the forward's arrays out and drops each after its
+        last use, so a spent forward is freed before the next one runs and
+        a second call on one cache raises KeyError.
         """
         p = self.params
-        z, zq, rows, q, k, v = (cache["z"], cache["zq"], cache["rows"],
-                                cache["q"], cache["k"], cache["v"])
-        attn, y, scale = cache["attn"], cache["y"], cache["scale"]
+        z, zq, rows, q, k, attn, y, scale, dlogits = map(cache.pop, (
+            "z", "zq", "rows", "q", "k", "attn", "y", "scale", "dlogits"))
         B, G, R, K = attn.shape
         k_shared, k_block = _key_parts(k, G, K)
-        vt_shared, vt_block = _key_parts(v, G, K, transposed=True)
+        vt_shared, vt_block = _key_parts(cache.pop("v"), G, K, transposed=True)
         a_shared, a_block = _score_parts(attn)
         n_rows, W = B * G * R, MODEL_WIDTH
         grads = {"W_head": y.reshape(n_rows, W).T @ dlogits.reshape(n_rows, -1),
                  "b_head": np.ones(n_rows) @ dlogits.reshape(n_rows, -1)}
         dy = dlogits @ p["W_head"].T
+        del dlogits, y
         dy_rows, q_rows = (x.reshape(B, G * R, -1) for x in (dy, q))
         dk, dv = np.empty_like(z), np.empty_like(z)
         dk[:, G:n_prefix] = dv[:, G:n_prefix] = 0  # no group's keys
@@ -605,13 +608,17 @@ class ToyDraft:
         ds_shared, ds_block = _score_parts(dattn)
         np.matmul(dy_rows, vt_shared, out=ds_shared)
         np.matmul(dy, vt_block, out=ds_block)
+        del vt_shared, vt_block
         dattn -= np.einsum("...k,...k->...", dattn, attn)[..., None]
         dattn *= attn
+        del attn, a_shared, a_block
         dattn *= scale
         dq = ds_block @ k_block
         dq += (ds_shared @ k_shared).reshape(dq.shape)
+        del k, k_shared, k_block
         np.matmul(np.swapaxes(ds_shared, -1, -2), q_rows, out=dk_shared)
         np.matmul(np.swapaxes(ds_block, -1, -2), q, out=dk_block)
+        del q, q_rows, dattn, ds_shared, ds_block
         grads["Wq"] = zq.reshape(n_rows, W).T @ dq.reshape(n_rows, W)
         grads["Wk"], grads["Wv"] = (z.reshape(-1, W).T @ dx.reshape(-1, W) for dx in (dk, dv))
         dz = dk @ p["Wk"].T

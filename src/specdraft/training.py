@@ -27,11 +27,15 @@ KL makes one full-width pass besides its softmax, in place over the logits
 when no log-probability can reach the floor, and its gradient two.
 
 A TrainingBatch is plain data that no step writes to: each step makes its
-own arrays, so steps on one batch may overlap. Freed, they would go back to
+own arrays, so steps on one batch may overlap. A step holds one forward at
+a time: its backward consumes the forward's arrays, the gradient buffer
+among them, and frees each after its last use. Freed, they would go back to
 the OS, and each request after the first would fault its working set in
-again, so the first training forward in a process pins glibc's mmap and
-trim thresholds (`_keep_freed_memory_mapped`). A process that trains once,
-such as `train-toy`, gains nothing.
+again, so the first training batch built in a process pins glibc's mmap and
+trim thresholds (`_keep_freed_memory_mapped`) before it makes its arrays;
+pinned later, that batch alone is mapped apart and every later batch takes
+part of the freed step region. A process that trains once, such as
+`train-toy`, gains nothing.
 """
 
 from __future__ import annotations
@@ -142,8 +146,10 @@ def _floored_kl(logits, weights, norm, q, label_terms):
 
     def grad() -> np.ndarray:
         # weights / norm * (kept * p - q_kept), where kept is a row's target
-        # mass outside the clamp and p the softmax, exp(shifted) / total.
-        dlogits = np.multiply(p, (weights / norm * kept / total)[..., None], out=p)
+        # mass outside the clamp and p the softmax, exp(shifted) / total,
+        # built in p's buffer, whose only reference it hands over.
+        nonlocal p
+        dlogits, p = np.multiply(p, (weights / norm * kept / total)[..., None], out=p), None
         dlogits -= q_kept
         return dlogits
 
@@ -188,6 +194,7 @@ def build_training_batch(target: TargetModel, sequences: list[list[int]],
         raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
     if not sequences:
         raise ConfigError("need at least one training sequence")
+    _keep_freed_memory_mapped()  # before the batch's arrays, so they take no fresh mapping
     sequences = [check_tokens(f"training sequence {i} tokens", seq, target.vocab_size)
                  for i, seq in enumerate(sequences)]
     L = len(sequences[0])
@@ -266,8 +273,8 @@ def _keep_freed_memory_mapped() -> None:
 def _batch_forward(model: ToyDraft, batch: TrainingBatch):
     """batch_loss's forward: (loss, floored, backward), where backward(),
     called at most once, returns the grads, whatever else ran on the batch
-    since."""
-    _keep_freed_memory_mapped()
+    since, and frees the forward's arrays as it goes; the allocator policy
+    was pinned when the batch was built."""
     M = len(batch.position_ids)
     z = model.build_inputs(batch.feats, batch.emb_tokens,
                            M - batch.n_prefix, batch.position_ids)
@@ -277,7 +284,8 @@ def _batch_forward(model: ToyDraft, batch: TrainingBatch):
                                          batch.norm, batch.labels, batch.label_terms)
 
     def backward() -> dict[str, np.ndarray]:
-        return model.backward_core(cache, kl_grad(), batch.feats, batch.n_prefix)
+        cache["dlogits"] = kl_grad()  # backward_core frees it, and the forward, as it goes
+        return model.backward_core(cache, batch.feats, batch.n_prefix)
 
     return loss, floored, backward
 

@@ -11,8 +11,11 @@ read copies of a valid trie file and a valid model file, each cut short or
 with one byte flipped. `build-trie` counts generated token and text corpora
 with `--order`, `--vocab-size` and `--format` at edge values, and
 `bench-trie` reads each trie it writes with `--queries` and `--seed` at edge
-values. Valid sizes are capped here, not by a timeout: a valid but large
-run is no defect.
+values. `report` reads copies of a small `train-toy` run's log, cut short or
+with one byte flipped, with `--every` at edge values, and `estimate-speedup`
+takes each of its five times at an edge value, with and without `--jsonl`.
+Valid sizes are capped here, not by a timeout: a valid but large run is no
+defect.
 """
 
 import contextlib
@@ -223,3 +226,67 @@ def test_build_trie_and_bench_trie_exit_with_a_code_for_any_flags(
                     f"--seed={bench_seed}"]
             rc, err = _run(argv)
             assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO), (argv, err)
+
+
+# report reads the log of a small train-toy run, each copy cut short at a
+# drawn offset or with one drawn byte flipped, with --every at edge values
+# or small valid ones.
+EVERY = st.sampled_from(FLAG_EDGES) | st.integers(0, 5).map(str)
+
+
+@pytest.fixture(scope="module")
+def training_log(tmp_path_factory):
+    """The bytes of the log that `train-toy` writes for BASE's small run."""
+    tmp = tmp_path_factory.mktemp("log")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = _run(["train-toy", "--eval-every", "1", "--log", str(tmp / "log.jsonl"),
+                        "--override", f"paths.model={json.dumps(str(tmp / 'model.npz'))}",
+                        *(a for item in BASE for a in ("--override", item))])
+    assert rc == EXIT_OK, err
+    return (tmp / "log.jsonl").read_bytes()
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(damage=st.none() | DAMAGE, every=EVERY)
+def test_report_exits_with_a_code_for_a_damaged_log(training_log, damage, every):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = Path(tmp, "log.jsonl")
+        log.write_bytes(training_log if damage is None else _damaged(training_log, damage))
+        argv = ["report", "--log", str(log), f"--every={every}"]
+        rc, err = _run(argv)
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO), (argv, err)
+
+
+# estimate-speedup with each of its five times at an edge value or a small
+# valid one. A run that exits 0 prints finite numbers, and with --jsonl
+# strict JSON: no NaN or Infinity.
+SPEEDUP_FLAGS = ["--tau", "--t-verify", "--t-draft", "--t-prune", "--t-base"]
+TIMES = st.sampled_from(EDGES) | st.floats(0, 100).map(repr)
+
+
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(times=st.tuples(*[TIMES] * len(SPEEDUP_FLAGS)), jsonl=st.booleans())
+def test_estimate_speedup_exits_with_a_code_for_any_times(times, jsonl):
+    argv = ["estimate-speedup", *(f"{flag}={t}" for flag, t in zip(SPEEDUP_FLAGS, times))]
+    argv += ["--jsonl"] if jsonl else []
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("error")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's rejections
+            rc = exc.code
+    assert rc in (EXIT_OK, EXIT_CONFIG), (argv, err.getvalue())
+    if rc == EXIT_OK:
+        lines = out.getvalue().splitlines()
+        values = ([v for line in lines for v in json.loads(line, parse_constant=_strict_constant)
+                   .values()] if jsonl else [float(line.split()[1]) for line in lines])
+        assert len(values) == 2 and all(np.isfinite(values)), (argv, lines)

@@ -556,6 +556,14 @@ def test_estimate_speedup_validation():
         estimate_speedup(2.0, 1.0, 1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("times", [(1e308, 1.0, 0.0, 0.0, 1e308), (2.0, 1e308, 1e308, 1e308, 1.0)])
+def test_estimate_speedup_rejects_times_that_overflow(times):
+    # Each time is finite, but the speedup overflows to inf, or the cycle
+    # and the draft time do and their ratio is NaN.
+    with pytest.raises(ConfigError, match="overflow"):
+        estimate_speedup(*times)
+
+
 def test_decode_config_validation():
     with pytest.raises(ConfigError):
         DecodeConfig(d=0)

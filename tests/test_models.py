@@ -120,15 +120,6 @@ def test_temperature_adjust_is_p_to_the_one_over_t_renormalized(temperature):
         assert np.max(np.abs(temperature_adjust(row, temperature) - expect)) < 1e-12
 
 
-def random_tree(rng, n):
-    """n nodes, each under ROOT_ID or an earlier node."""
-    parent = [int(rng.integers(ROOT_ID, i)) if i else ROOT_ID for i in range(n)]
-    level = []
-    for p in parent:
-        level.append(0 if p == ROOT_ID else level[p] + 1)
-    return DraftTree(parent, rng.integers(0, 9, size=n), level, np.zeros(n))
-
-
 def path_of(tree, i):
     path = []
     while i != ROOT_ID:
@@ -139,35 +130,19 @@ def path_of(tree, i):
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("temperature", [0.0, 0.5, 1.0])
-def test_tree_dists_match_next_dist_over_each_path(order, temperature):
-    t = MarkovTarget(13, 9, order)
-    rng = np.random.default_rng(order)
-    for prefix_len in (0, 1, 2, 3, 6):  # shorter than the order, and longer
-        for n in (1, 2, 7, 30):
-            tree = random_tree(rng, n)
-            prefix = [int(x) for x in rng.integers(0, 9, size=prefix_len)]
-            want = [t.next_dist(prefix, temperature)]
-            want += [t.next_dist(prefix + path_of(tree, i), temperature) for i in range(n)]
-            got = t.tree_dists(prefix, tree, temperature)
-            assert got.shape == (1 + n, 9)
-            assert np.array_equal(got, np.stack(want))
-
-
-@pytest.mark.parametrize("order", [1, 2, 3])
-@pytest.mark.parametrize("temperature", [0.0, 0.5, 1.0])
 def test_next_dists_match_next_dist_per_prefix(order, temperature):
     # A sequence's conditionals, as training takes them: one tree_dists call
-    # on a chain from its first token. Bit for bit the rows of its prefixes,
-    # and the contexts met for the first time are drawn in position order,
-    # as a target asked one prefix at a time draws them.
+    # on a chain from its first token draws the contexts met for the first
+    # time in position order, as a target asked one prefix at a time draws
+    # them. That the rows match is a check of the target contract
+    # (tests/test_target_contract.py), which runs on these targets too.
     rng = np.random.default_rng(order)
     for n in (1, 2, 3, 17):  # shorter than the order, and longer
         seq = [int(x) for x in rng.integers(0, 9, size=n)]
         t, ref = MarkovTarget(13, 9, order), MarkovTarget(13, 9, order)
-        got = t.tree_dists(seq[:1], chain(seq[1:]), temperature)
-        assert got.shape == (n, 9)
+        t.tree_dists(seq[:1], chain(seq[1:]), temperature)
         for i in range(n):
-            assert np.array_equal(got[i], ref.next_dist(seq[:i + 1], temperature))
+            ref.next_dist(seq[:i + 1], temperature)
         assert list(t._rows) == list(ref._rows)
 
 
