@@ -54,6 +54,7 @@ from .errors import (
 
 EPSILON = 1e-9
 LOG_FLOOR = math.log(EPSILON)  # the score of an unseen continuation
+LOG_CEILING = math.log(1 + EPSILON)  # the best score: a continuation that always follows
 
 MAGIC = b"NGTR"
 FORMAT_VERSION = 2

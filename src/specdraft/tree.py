@@ -4,12 +4,13 @@ One drafting forward yields d rows of logits, one per future position. Pruning
 walks the positions level by level and scores each level at once: the beam
 times the row's top-k tokens is one (beam, k) matrix of expansions, scored by
 `combine` from the draft logit score and the n-gram continuity score. Every
-expansion enters a pool of parallel arrays and the best w become the next
-beam, but a beam entry scoring below the theta-th best pool score is not
-expanded, as none of its descendants can reach the tree, so pruning may end
-before level d. The top-theta pool nodes form the DraftTree that
-verification walks: it checks its own structure and carries its own
-tree-attention mask.
+expansion's score enters the pool, and the best w become the next beam. A
+beam entry is not expanded when even its best possible child, from the next
+row's best logit score and the best trie score, cannot beat the theta-th best
+pool score: none of its descendants could reach the tree, so pruning may
+expand fewer entries and end before level d. The top-theta pool nodes form
+the DraftTree that verification walks: it checks its own structure and
+carries its own tree-attention mask.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InvalidTreeError, check_int
-from .ngram import EPSILON, LOG_FLOOR, NgramTrie
+from .ngram import EPSILON, LOG_CEILING, LOG_FLOOR, NgramTrie
 
 ROOT_ID = -1
 
@@ -78,16 +79,17 @@ class DraftTree:
             except OverflowError:
                 raise InvalidTreeError(f"{name} holds a value past int64") from None
         self.score = np.asarray(self.score, dtype=np.float64)
-        n = len(self.token)
-        if any(a.shape != (n,) for a in (self.parent, self.token, self.level, self.score)):
-            raise InvalidTreeError("parent, token, level and score must be 1-D and of one length")
         parent, level = self.parent, self.level
-        bad = np.flatnonzero((parent < ROOT_ID) | (parent >= np.arange(n)))
+        n = len(self.token)
+        if not parent.shape == self.token.shape == level.shape == self.score.shape == (n,):
+            raise InvalidTreeError("parent, token, level and score must be 1-D and of one length")
+        bad = ((parent < ROOT_ID) | (parent >= np.arange(n))).nonzero()[0]
         if bad.size:
             raise InvalidTreeError(f"node {bad[0]} appears before its parent {parent[bad[0]]} "
                                    "or the parent is missing")
-        parent_level = np.where(parent == ROOT_ID, -1, level[np.maximum(parent, 0)])
-        bad = np.flatnonzero(level != parent_level + 1)
+        # Every parent id is now in [ROOT_ID, n): ROOT_ID (-1) reads the appended level -1.
+        parent_level = np.concatenate((level, [-1]))[parent]
+        bad = (level != parent_level + 1).nonzero()[0]
         if bad.size:
             raise InvalidTreeError(f"node {bad[0]} has level {level[bad[0]]} under a parent "
                                    f"of level {parent_level[bad[0]]}")
@@ -112,19 +114,12 @@ class DraftTree:
         return mask
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, in float64."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return shifted
-
-
 def top_k_candidates(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k highest-logit tokens of each row, with s_logit = log(softmax(row) + EPSILON).
 
     Works over the last axis: for (d, V) rows both arrays are (d, k). Sorted
-    by descending logit; ties broken by ascending token ID.
+    by descending logit; ties broken by ascending token ID. Only the picked
+    entries of the log-softmax are exponentiated back and logged.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if k > rows.shape[-1]:
@@ -132,8 +127,10 @@ def top_k_candidates(rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     tokens = np.argsort(-rows, axis=-1, kind="stable")[..., :k]
-    probs = np.exp(log_softmax(rows))
-    return tokens, np.log(np.take_along_axis(probs, tokens, axis=-1) + EPSILON)
+    shifted = rows - rows.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    picked = np.take_along_axis(shifted, tokens, axis=-1)
+    return tokens, np.log(np.exp(picked) + EPSILON)
 
 
 W_NG = 0.5            # weight of the n-gram continuity score
@@ -169,84 +166,85 @@ def prune(
     `trie.key_scores` call (the floor without a trie, or for a token outside
     its vocabulary). Every expansion enters the pool, in beam order, then
     top-k order; the top w become the next beam, and the top-theta pool nodes
-    form the tree. Before every level but the first, once the pool holds
-    theta nodes, the beam keeps only its entries scoring at least the
-    theta-th best pool score, and an empty beam ends the loop before level
-    d: the tree is the same as if every entry were expanded. A beam entry
-    is (pool id, context key, score): its trailing order-1 tokens as one
-    int64 key, all that the trie reads, so pruning costs the same for any
-    prefix length. An expansion's node key is key * base +
-    digit; modulo `trie.context_limit` it is the expansion's context key. Ties
-    break as (higher score, lower level, lower token, lower parent id, pool order).
+    form the tree. Pool node i is expansion i % k of beam entry i // k, over
+    all levels' beams. Before every level but the first, once the pool holds
+    theta nodes, the beam keeps only the entries whose best possible child
+    beats the theta-th best pool score, and an empty beam ends the loop
+    before level d: the tree is the same as if every entry were expanded. A
+    beam entry's context is its trailing order-1 tokens as one key, in the
+    trie's key width: all that the trie reads, so pruning costs the same for
+    any prefix length. An expansion's node key is key * base + digit; modulo
+    `trie.context_limit` it is the expansion's context key. Ties break as
+    (higher score, lower level, lower token, lower parent id, pool order).
     """
     if len(prefix) == 0:
         raise ConfigError("prefix must be nonempty")
     top_tokens, top_scores = top_k_candidates(logits.rows, cfg.k)
+    best_ng = LOG_FLOOR if trie is None else LOG_CEILING  # no expansion's s_ng is higher
     if trie is not None:
-        top_digits = trie.digits(top_tokens)
-        beam_keys = np.array([trie.context_key(prefix)])
-
-    beam_ids = np.array([ROOT_ID])
-    beam_scores = np.zeros(1)
+        top_digits = trie.digits(top_tokens).astype(trie.keys.dtype)
+        beam_keys = np.array([trie.context_key(prefix)], trie.keys.dtype)
+    beam_ids, beam_scores, size = np.array([ROOT_ID]), np.zeros(1), 0  # size: pool nodes so far
     top = None  # the theta best pool scores, once the pool holds theta nodes
-    pool = []  # per level: (parent, token, level, score) arrays of its expansions
-    size = 0
+    parents, scores = [], []  # per level: the beam's pool ids, its expansions' scores
     for depth in range(logits.d):
         if trie is not None:
             node_keys = beam_keys[:, None] * trie.base + top_digits[depth]
         s_ng = LOG_FLOOR if trie is None else trie.key_scores(node_keys)
-        inc = combine(top_scores[depth], s_ng, depth)
-        level_scores = (beam_scores[:, None] + inc).ravel()
-        level_parents = np.repeat(beam_ids, cfg.k)
-        level_tokens = top_tokens[depth][None, :].repeat(len(beam_ids), axis=0).ravel()
-        best = _ranked(cfg.w, level_scores, level_tokens, level_parents)[: cfg.w]
-        if trie is not None:
-            beam_keys = node_keys.ravel()[best] % trie.context_limit
-        beam_ids = size + best
-        beam_scores = level_scores[best]
-        size += len(level_scores)
-        pool.append((level_parents, level_tokens, np.full(len(level_scores), depth), level_scores))
-        if depth + 1 == logits.d or size < cfg.theta:
-            continue
-        # Branch and bound: `top` holds the theta best pool scores so far,
-        # and `bound` is the least of them. Increments are clamped <= 0, so a
-        # node scores at most its parent, and a deeper node loses a score tie
-        # to a shallower one: every later node scoring at most `bound` ranks
-        # behind theta pool nodes, and so does every descendant of a beam
-        # entry below `bound`. Dropping such an entry frees beam slots at
-        # later levels; a node taking one ranks below the dropped entry's
-        # descendant it displaces, so it too scores at most `bound` and never
-        # reaches the tree. The beam is ranked by score, so the entries kept
-        # are a prefix, in their old order, and parent ids still compare as
-        # before.
-        seen = np.concatenate([top, level_scores] if top is not None else [a[3] for a in pool])
-        top = np.partition(seen, len(seen) - cfg.theta)[-cfg.theta:]
-        bound = top[0]
-        kept = np.count_nonzero(beam_scores >= bound)
-        if kept == 0:
+        level = (beam_scores[:, None] + combine(top_scores[depth], s_ng, depth)).ravel()
+        parents.append(beam_ids)
+        scores.append(level)
+        if depth + 1 == logits.d:
             break
-        beam_ids, beam_scores = beam_ids[:kept], beam_scores[:kept]
+        candidates = _contenders(cfg.w, level)
+        beam, digit = divmod(candidates, cfg.k)
+        best = np.lexsort((beam_ids[beam], top_tokens[depth, digit], -level[candidates]))[: cfg.w]
         if trie is not None:
-            beam_keys = beam_keys[:kept]
-    parent, token, level, score = (np.concatenate(a) for a in zip(*pool))
+            beam_keys = node_keys[beam[best], digit[best]] % trie.context_limit
+        beam_ids, beam_scores = size + candidates[best], level[candidates[best]]
+        size += len(level)
+        if size < cfg.theta:
+            continue
+        # Branch and bound. combine is monotone in both scores and clamped <= 0,
+        # so no child of a beam entry scores above the entry's score plus
+        # combine(the next row's best s_logit, best_ng), no node scores above
+        # its parent, and a deeper node loses a score tie to a shallower one:
+        # no descendant of an entry whose best child scores at most `top[0]`
+        # outranks theta pool nodes. A node taking a beam slot so freed ranks
+        # below the dropped entry's child it displaces, so it never reaches the
+        # tree. The beam is ranked by score, so the kept entries are a prefix.
+        seen = np.concatenate((top, level) if top is not None else scores)
+        seen.partition(len(seen) - cfg.theta)
+        top = seen[-cfg.theta:]
+        kept = beam_scores + combine(top_scores[depth + 1, 0], best_ng, depth + 1) > top[0]
+        if not kept[0]:
+            break
+        beam_ids, beam_scores = beam_ids[kept], beam_scores[kept]
+        if trie is not None:
+            beam_keys = beam_keys[kept]
 
-    # Top-theta selection. Increments are clamped <= 0, so a parent scores at
-    # least as high as its child and sorts strictly before it: the top theta
-    # are ancestor-closed. Parent ids are remapped by the inverse permutation,
-    # whose extra last slot keeps ROOT_ID; were a parent ever left out, its
+    # Top-theta selection, ranking only the contenders. A parent scores at
+    # least its child and sorts strictly before it, so the top theta are
+    # ancestor-closed. Parent ids are remapped by the inverse permutation,
+    # whose extra last slot keeps ROOT_ID: were a parent ever left out, its
     # child would land under ROOT_ID below level 0, which DraftTree rejects.
-    picked = _ranked(cfg.theta, score, level, token, parent)[: cfg.theta]
-    tree_id = np.full(size + 1, ROOT_ID)
-    tree_id[picked] = np.arange(len(picked))
+    score = np.concatenate(scores)
+    candidates = _contenders(cfg.theta, score)
+    beam, digit = divmod(candidates, cfg.k)
+    level = np.cumsum([len(ids) for ids in parents]).searchsorted(beam, "right")
+    parent, token = np.concatenate(parents)[beam], top_tokens[level, digit]
+    tree_id = np.full(len(score) + 1, ROOT_ID)
+    score = score[candidates]
+    picked = np.lexsort((parent, token, level, -score))[: cfg.theta]
+    tree_id[candidates[picked]] = np.arange(len(picked))
     return DraftTree(tree_id[parent[picked]], token[picked], level[picked], score[picked])
 
 
-def _ranked(n: int, score: np.ndarray, *keys: np.ndarray) -> np.ndarray:
-    """Indices of the entries scoring at least the n-th best score, ranked by
-    (higher score, *keys ascending, lower index): the top n of the full
-    ranking come first. One stable np.lexsort ranks just these candidates."""
+def _contenders(n: int, score: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the entries scoring at least the n-th best
+    score: the top n under any tie-break, for a stable lexsort to rank."""
     if len(score) <= n:
-        return np.lexsort((*reversed(keys), -score))
-    candidates = np.flatnonzero(score >= -np.partition(-score, n - 1)[n - 1])
-    order = np.lexsort(tuple(k[candidates] for k in reversed(keys)) + (-score[candidates],))
-    return candidates[order]
+        return np.arange(len(score))
+    worst = -score
+    worst.partition(n - 1)
+    return (score >= -worst[n - 1]).nonzero()[0]

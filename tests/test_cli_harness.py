@@ -290,3 +290,73 @@ def test_estimate_speedup_exits_with_a_code_for_any_times(times, jsonl):
         values = ([v for line in lines for v in json.loads(line, parse_constant=_strict_constant)
                    .values()] if jsonl else [float(line.split()[1]) for line in lines])
         assert len(values) == 2 and all(np.isfinite(values)), (argv, lines)
+
+
+@seed(20261021)
+@settings(max_examples=150, deadline=None, database=None)
+@given(overrides=DECODE_OVERRIDES, prompt=PROMPTS)
+def test_decode_baseline_exits_with_a_code_for_any_override_and_prompt(overrides, prompt):
+    argv = ["decode", "--baseline", f"--prompt-tokens={prompt}",
+            "--override", "decode.max_tokens=4"]
+    for item in overrides:
+        argv += ["--override", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = _run(argv)
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO), (argv, err)
+
+
+# eval with up to four overrides over every section's keys and seed, each at
+# an edge value or a small valid one, after BASE's small sizes.
+ALL_KEYS = [f"{section}.{key}" for section in sorted(_SECTION_KEYS)
+            for key in sorted(_SECTION_KEYS[section])] + ["seed"]
+ALL_OVERRIDES = st.lists(st.sampled_from(ALL_KEYS).flatmap(
+    lambda key: _values(key.rpartition(".")[2]).map(lambda value: f"{key}={value}")),
+    max_size=4)
+
+
+@seed(20261021)
+@settings(max_examples=120, deadline=None, database=None)
+@given(overrides=ALL_OVERRIDES, drafter=st.sampled_from(sorted(DRAFTERS)),
+       tau_prompts=st.integers(0, 1))
+def test_eval_exits_with_a_code_for_any_override(valid_files, overrides, drafter, tau_prompts):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trie, model = Path(tmp, "trie.bin"), Path(tmp, "model.npz")
+        trie.write_bytes(valid_files[0])
+        model.write_bytes(valid_files[1])
+        argv = ["eval", "--drafter", drafter, f"--tau-prompts={tau_prompts}",
+                "--override", f"paths.trie={json.dumps(str(trie))}",
+                "--override", f"paths.model={json.dumps(str(model))}"]
+        for item in BASE + ["decode.d=3"] + overrides:
+            argv += ["--override", item]
+        rc, err = _run(argv)
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DIVERGED), (argv, err)
+
+
+# One small valid config file for every command that reads one; each run
+# reads a copy cut short at a drawn offset or with one drawn byte flipped.
+CONFIG = json.dumps({"seed": 1, "decode": {"max_tokens": 4, "d": 3},
+                     "prune": {"k": 4, "w": 4, "theta": 8}, "target": {"vocab_size": 16},
+                     "training": {"steps": 2, "corpus_sequences": 2, "heldout_sequences": 2,
+                                  "sequence_length": 10}}, separators=(",", ":")).encode()
+CONFIG_COMMANDS = [["decode", "--prompt-tokens=3,5", "--drafter", "noisy-oracle"],
+                   ["decode", "--prompt-tokens=3,5", "--baseline"],
+                   ["eval", "--drafter", "oracle", "--tau-prompts=1"],
+                   ["train-toy", "--eval-every", "1"]]
+
+
+@seed(20261021)
+@settings(max_examples=150, deadline=None, database=None)
+@given(command=st.sampled_from(CONFIG_COMMANDS), damage=st.none() | DAMAGE)
+def test_commands_exit_with_a_code_for_a_damaged_config(command, damage):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = Path(tmp, "config.json")
+        config.write_bytes(CONFIG if damage is None else _damaged(CONFIG, damage))
+        argv = [*command, "--config", str(config),
+                "--override", f"paths.model={json.dumps(str(Path(tmp, 'model.npz')))}"]
+        if command[0] == "train-toy":
+            argv += ["--log", str(Path(tmp, "log.jsonl"))]
+        rc, err = _run(argv)
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DIVERGED), (argv, err)

@@ -462,27 +462,57 @@ def test_decode_cycle_makes_one_target_call_and_one_trie_call_per_level(monkeypa
     # Verify scores the whole tree in one tree_dists call, and prune scores
     # each level it expands in one key_scores call on its node keys and one
     # combine call; nothing in a cycle calls the per-node next_dist or
-    # children_scores. Prune may stop before level d once no beam entry can
-    # reach the tree, and some cycle here does.
+    # children_scores. Once the pool holds theta nodes, each later level is
+    # preceded by one combine call on scalars, the bound on its children,
+    # and prune may stop before level d once no beam entry can reach the
+    # tree, and some cycle here does. Per prune the calls come in exactly
+    # that order: key_scores calls equal the levels expanded, and combine
+    # calls equal those plus the bound's.
     calls = Counter()
+    events = []
     for owner, name in ((MarkovTarget, "next_dist"), (MarkovTarget, "tree_dists"),
                         (NgramTrie, "children_scores"), (NgramTrie, "key_scores"),
                         (tree_module, "combine")):
         def counted(*args, _name=name, _method=getattr(owner, name), **kwargs):
             calls[_name] += 1
+            if _name == "key_scores":
+                events[-1].append(("key_scores", np.size(args[1])))
+            elif _name == "combine":
+                s_logit, _, level = args
+                events[-1].append(("bound" if np.ndim(s_logit) == 0 else "combine", level))
             return _method(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
+
+    def pruned(*args):
+        events.append([])
+        return prune(*args)
+
+    monkeypatch.setattr(engine, "prune", pruned)
     target = MarkovTarget(21, 32, 2, concentration=0.3)
     trie = build_trie([target.sample_sequence(np.random.default_rng(1), 500)], 3, 32)
     cfg = small_cfg(d=5, max_tokens=40, prune=PruneConfig())
     stopped_early = []
     for drafter in (NoisyOracleDrafter(target, seed=2), UniformDrafter(32, seed=3)):
         calls.clear()
+        events.clear()
         _, metrics = decode([1, 2], target, drafter, trie, cfg, measure_base=False)
-        assert metrics.cycles > 1
+        assert metrics.cycles > 1 and len(events) == metrics.cycles
         assert set(calls) == {"tree_dists", "key_scores", "combine"}
         assert calls["tree_dists"] == metrics.cycles
-        assert calls["key_scores"] == calls["combine"] <= cfg.d * metrics.cycles
+        bounds = 0
+        for cycle in events:
+            expanded = [size for kind, size in cycle if kind == "key_scores"]
+            want, pool = [], 0
+            for level, size in enumerate(expanded):
+                want += [("key_scores", size), ("combine", level)]
+                pool += size
+                if level + 1 < cfg.d and pool >= cfg.prune.theta:
+                    want.append(("bound", level + 1))
+            assert cycle == want
+            assert len(expanded) == cfg.d or cycle[-1][0] == "bound"
+            bounds += len(want) - 2 * len(expanded)
+        assert calls["key_scores"] <= cfg.d * metrics.cycles
+        assert calls["combine"] == calls["key_scores"] + bounds
         stopped_early.append(calls["key_scores"] < cfg.d * metrics.cycles)
     assert any(stopped_early)
 

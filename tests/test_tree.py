@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from specdraft import tree as tree_module
 from specdraft.errors import ConfigError, InvalidTreeError
 from specdraft.models import MarkovTarget
-from specdraft.ngram import EPSILON, build_trie
+from specdraft.ngram import EPSILON, LOG_CEILING, LOG_FLOOR, NgramTrie, build_trie
 from specdraft.tree import (
     ROOT_ID,
     DraftTree,
@@ -188,6 +188,106 @@ def test_prune_bound_matches_oracle(monkeypatch, theta, with_trie):
         assert len(got) == cfg.theta
         cut.append(sum(sizes) < full)
     assert any(cut)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_prune_oracle_equivalence_on_tie_heavy_grids(data):
+    # Logits on a 0.5 grid over a few values tie many candidates and many
+    # pool scores, and a small alphabet's corpus lets continuations hit the
+    # trie, so beam entries sit at, just above and just below the bound.
+    V = data.draw(st.integers(4, 16))
+    d = data.draw(st.integers(2, 5))
+    k = data.draw(st.integers(1, min(V, 6)))
+    cfg = PruneConfig(k=k, w=data.draw(st.integers(1, 12)), theta=data.draw(st.integers(1, 40)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+    rows = rng.integers(-3, 4, size=(d, V)) / 2
+    alphabet = rng.choice(V, size=min(V, 3), replace=False)
+    corpus = [list(rng.choice(alphabet, size=40))] if data.draw(st.booleans()) else []
+    rows[:, alphabet] += data.draw(st.sampled_from([0.0, 1.0, 30.0]))
+    prefix = list(rng.choice(alphabet, size=2))
+    assert_matches_oracle(rows, corpus, cfg, prefix)
+
+
+def _spied_prune(monkeypatch, rows, trie, cfg, prefix):
+    """prune's tree, with the level of every combine call, marked True for
+    the bound's call on scalars, and the size of every key_scores call."""
+    combined, keyed = [], []
+    key_scores = NgramTrie.key_scores
+
+    def counted(s_logit, s_ng, level):
+        combined.append((level, np.ndim(s_logit) == 0))
+        return combine(s_logit, s_ng, level)
+
+    def spied(self, keys):
+        keyed.append(np.size(keys))
+        return key_scores(self, keys)
+
+    monkeypatch.setattr(tree_module, "combine", counted)
+    monkeypatch.setattr(NgramTrie, "key_scores", spied)
+    return prune(ParallelLogits(rows), trie, cfg, prefix), combined, keyed
+
+
+def test_prune_drops_a_beam_entry_whose_best_child_ties_the_bound(monkeypatch):
+    # The prefix [0] continues with 1 or 2, each half the time, and each of
+    # them by 3 every time. theta = k = 2, so after level 0 the bound is the
+    # second node's score. Row 1's token 3 is certain and so is its trie
+    # continuation, so its increment clamps to 0: the first entry's best
+    # child beats the bound, and the second's ties it exactly and would lose
+    # that tie to theta shallower nodes, so only the first is expanded.
+    corpus = [[0, 1, 3], [0, 2, 3]]
+    trie = build_trie(corpus, 2, vocab_size=4)
+    assert trie.node_scores.max() == LOG_CEILING  # no trie scores above it
+    rows = np.array([[0.0, 2.0, 1.0, 0.0], [0.0, 0.0, 0.0, 30.0]])
+    cfg = PruneConfig(k=2, w=2, theta=2)
+    _, top_scores = top_k_candidates(rows, cfg.k)
+    assert combine(top_scores[1, 0], LOG_CEILING, 1) == 0.0
+    tree, combined, keyed = _spied_prune(monkeypatch, rows, trie, cfg, [0])
+    monkeypatch.undo()
+    assert tree_to_paths(tree) == {(1,): (0, tree.score[0]), (1, 3): (1, tree.score[0])}
+    assert combined == [(0, False), (1, True), (1, False)]
+    assert keyed == [cfg.k, cfg.k]  # level 1 expands one beam entry of two
+    assert_matches_oracle(rows, corpus, cfg, [0], order=2)
+
+
+def test_prune_ends_the_loop_when_no_child_can_beat_the_bound(monkeypatch):
+    # Without a trie every child's increment carries W_NG * LOG_FLOOR, about
+    # -6.4 at level 1, which the 1-nat gap between the two level-0 nodes
+    # cannot cover: once they fill theta = 2, the bound ends the loop
+    # before level 1, and the tree is those two nodes.
+    rows = np.array([[2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    cfg = PruneConfig(k=2, w=2, theta=2)
+    _, top_scores = top_k_candidates(rows, cfg.k)
+    assert combine(top_scores[1, 0], LOG_FLOOR, 1) < -6
+    tree, combined, _ = _spied_prune(monkeypatch, rows, None, cfg, [0])
+    monkeypatch.undo()
+    assert combined == [(0, False), (1, True)]
+    assert tree.token.tolist() == [0, 1] and tree.level.tolist() == [0, 0]
+    assert_matches_oracle(rows, [], cfg, [0])
+
+
+@pytest.mark.parametrize("order, width", [(3, np.int32), (6, np.int64)])
+def test_prune_builds_node_keys_in_the_tries_key_width(monkeypatch, order, width):
+    # V = 64: keys fit int32 up to order 5, so a needle of another width
+    # would make every search cast the table or its needles.
+    rng = np.random.default_rng(order)
+    V = 64
+    corpus = [list(rng.integers(0, 8, size=400))]
+    trie = build_trie(corpus, order, vocab_size=V)
+    assert trie.keys.dtype == width
+    dtypes = []
+    key_scores = NgramTrie.key_scores
+
+    def spied(self, keys):
+        dtypes.append(keys.dtype)
+        return key_scores(self, keys)
+
+    monkeypatch.setattr(NgramTrie, "key_scores", spied)
+    rows = rng.standard_normal((5, V))
+    rows[:, :8] += 3.0
+    tree = prune(ParallelLogits(rows), trie, PruneConfig(k=25, w=20, theta=59), corpus[0][-6:])
+    assert len(tree) == 59 and len(dtypes) >= 2
+    assert set(dtypes) == {trie.keys.dtype}
 
 
 @given(st.data())
