@@ -4,10 +4,18 @@ Its nodes are the root and the distinct prefixes (length 1 … order) of the
 corpus's length-`order` windows, each counting the windows it starts. A
 context, the trailing ``order - 1`` tokens or fewer at a sequence start,
 continues with its children's last tokens; a continuation scores
-``log(child count / context count + eps)``, so unseen ones sit at a finite
-floor. One vectorized np.log scores every node; where it differs from
-math.log by an ulp, as it does on a few ratios, the nodes of that distinct
-ratio take math.log's value, so every score is math.log's.
+``log(child count / context count + eps)``. One vectorized np.log scores
+every node; where it differs from math.log by an ulp, as it does on a few
+ratios, the nodes of that distinct ratio take math.log's value, so every
+score is math.log's.
+
+A continuation the trie never saw is scored two ways. `key_scores`, the
+scorer prune uses, backs off to the token's unigram (stupid back-off, Brants
+et al., EMNLP 2007): the score of the trie's length-1 node for the token
+plus log(BACKOFF), BACKOFF = 0.4 being Brants et al.'s constant, untuned
+here. It keeps the floor log(eps) only where no length-1 node holds the
+token, or the key names no window. `children_scores` lists the seen
+continuations only, so every other one sits at the floor.
 
 Every query reads one sorted array of node keys, beside each node's count
 and float64 score, computed once. A key is the node's tokens in base
@@ -53,7 +61,8 @@ from .errors import (
 )
 
 EPSILON = 1e-9
-LOG_FLOOR = math.log(EPSILON)  # the score of an unseen continuation
+LOG_FLOOR = math.log(EPSILON)  # the score of a continuation no back-off reaches
+BACKOFF = 0.4  # an unseen continuation scores BACKOFF times its token's unigram
 LOG_CEILING = math.log(1 + EPSILON)  # the best score: a continuation that always follows
 
 MAGIC = b"NGTR"
@@ -79,9 +88,16 @@ class NgramTrie:
         self.vocab_size = vocab_size
         self.base = vocab_size + 2
         self.context_limit = self.base ** (order - 1)  # every context key is below it
+        self.key_limit = self.base ** order  # every node key is below it
         self.keys, self.node_counts, self.node_scores = _node_table(
-            order, self.base, np.asarray(window_keys, _width(self.base ** order)),
+            order, self.base, np.asarray(window_keys, _width(self.key_limit)),
             np.asarray(window_counts, _width(int(np.sum(window_counts)))))
+        # The table's tail, its length-1 nodes and the root: each unigram's
+        # back-off score, and the floor at the root, which a key whose last
+        # digit is the pad would back off to.
+        first = self._level_span(1).start
+        self._tail_keys = self.keys[first:]
+        self._tail_scores = np.append(self.node_scores[first:-1] + math.log(BACKOFF), LOG_FLOOR)
 
     # -- queries ------------------------------------------------------------
 
@@ -100,14 +116,23 @@ class NgramTrie:
         return int(key) + self.context_limit
 
     def key_scores(self, keys: np.ndarray) -> np.ndarray:
-        """Each key's node score, or LOG_FLOOR where no node has the key, by one
-        searchsorted. Query keys, context_key * base + digit, sort below the
-        root's. They are searched in the table's width, and a found node is
-        matched against the key as given, so a key that its cast wraps is
-        never taken for another node's."""
+        """Each key's node score. A key that no node has backs off to the
+        length-1 node of its last digit, scoring that node's score plus
+        log(BACKOFF), or LOG_FLOOR where no such node exists: for a token no
+        window starts with, the out-of-vocabulary digit, or a key outside
+        [0, B^order), which names no window. Query keys, context_key * base +
+        digit, sort below the root's. Both searches are made in the table's
+        width, the back-off's in the table's short tail; a found node is
+        matched against the key as given, so a key that its cast wraps is never
+        taken for another node's, nor backs off by the digit it wraps onto."""
         keys = np.asarray(keys)
-        at = self.keys.searchsorted(keys.astype(self.keys.dtype, copy=False))
-        return np.where(self.keys[at] == keys, self.node_scores[at], LOG_FLOOR)
+        needles = keys.astype(self.keys.dtype, copy=False)
+        at = self.keys.searchsorted(needles)
+        unigrams = needles % self.base + (self.key_limit - self.base)
+        tail = self._tail_keys.searchsorted(unigrams)
+        named = (self._tail_keys[tail] == unigrams) & (keys >= 0) & (keys < self.key_limit)
+        backoff = np.where(named, self._tail_scores[tail], LOG_FLOOR)
+        return np.where(self.keys[at] == keys, self.node_scores[at], backoff)
 
     def children_scores(self, context: Sequence[int], eps: float = EPSILON) -> dict[int, float]:
         """Scores for every observed continuation of `context`, one span. Only
@@ -142,7 +167,7 @@ class NgramTrie:
         return TrieStats(len(self.keys), span.stop - span.start)
 
     def _level_span(self, length: int) -> slice:
-        top = self.base ** self.order
+        top = self.key_limit
         return self._span(top - self.base ** length, top - self.base ** (length - 1))
 
     def _children(self, context: Sequence[int]) -> tuple[list[int], slice]:

@@ -163,8 +163,10 @@ def prune(
     The beam starts as the bare prefix with score 0. At level l every beam
     entry expands by row l's top-k tokens, and `combine` scores the level's
     (beam, k) expansions from their logit scores and the trie scores of one
-    `trie.key_scores` call (the floor without a trie, or for a token outside
-    its vocabulary). Every expansion enters the pool, in beam order, then
+    `trie.key_scores` call: a continuation the trie never saw backs off to
+    its token's unigram, and the floor scores a token that starts no corpus
+    window or lies outside the trie's vocabulary, and every expansion
+    without a trie. Every expansion enters the pool, in beam order, then
     top-k order; the top w become the next beam, and the top-theta pool nodes
     form the tree. Pool node i is expansion i % k of beam entry i // k, over
     all levels' beams. Before every level but the first, once the pool holds
@@ -180,7 +182,7 @@ def prune(
     if len(prefix) == 0:
         raise ConfigError("prefix must be nonempty")
     top_tokens, top_scores = top_k_candidates(logits.rows, cfg.k)
-    best_ng = LOG_FLOOR if trie is None else LOG_CEILING  # no expansion's s_ng is higher
+    best_ng = LOG_FLOOR if trie is None else LOG_CEILING  # no s_ng, back-off included, is higher
     if trie is not None:
         top_digits = trie.digits(top_tokens).astype(trie.keys.dtype)
         beam_keys = np.array([trie.context_key(prefix)], trie.keys.dtype)

@@ -67,6 +67,15 @@ class WindowCounter:
         p = self.prob(context, token)
         return math.log(eps) if p is None else math.log(p + eps)
 
+    def backoff_score(self, context, token):
+        """The score with stupid back-off: an unseen continuation scores its
+        token's unigram, the windows it starts over all windows, times 0.4,
+        and log(1e-9) only when no window starts with the token."""
+        if self.prob(context, token) is not None:
+            return self.score(context, token)
+        unigram = self.prob((), token)
+        return math.log(1e-9) if unigram is None else math.log(unigram + 1e-9) + math.log(0.4)
+
     def children(self, context):
         return dict(self._children.get(self._ctx(context), {}))
 
@@ -110,10 +119,10 @@ def oracle_prune(rows, counter, cfg, prefix):
     """Level-synchronous brute-force enumeration of the pruning contract.
 
     Returns {draft-token path tuple: (level, cumulative score)} for the
-    selected tree. `counter` is a WindowCounter or None (epsilon floor).
-    The score's constants are written out, not read from the package:
-    epsilon 1e-9, logit weight 0.9^level, n-gram weight 0.5 and level
-    weight (level+1)^-0.7.
+    selected tree. `counter` is a WindowCounter, scoring by its back-off,
+    or None (epsilon floor). The score's constants are written out, not
+    read from the package: epsilon 1e-9, logit weight 0.9^level, n-gram
+    weight 0.5 and level weight (level+1)^-0.7.
     """
     eps = 1e-9
     rows = np.asarray(rows, dtype=np.float64)
@@ -138,7 +147,7 @@ def oracle_prune(rows, counter, cfg, prefix):
                 if counter is None:
                     s_ng = floor
                 else:
-                    s_ng = counter.score(seq, t, eps=eps)
+                    s_ng = counter.backoff_score(seq, t)
                 inc = (0.9 ** level * s_logit + 0.5 * s_ng) * (level + 1) ** (-0.7)
                 score = sc + min(0.0, inc)
                 nodes[path + (t,)] = {

@@ -11,9 +11,11 @@ read copies of a valid trie file and a valid model file, each cut short or
 with one byte flipped. `build-trie` counts generated token and text corpora
 with `--order`, `--vocab-size` and `--format` at edge values, and
 `bench-trie` reads each trie it writes with `--queries` and `--seed` at edge
-values. `report` reads copies of a small `train-toy` run's log, cut short or
-with one byte flipped, with `--every` at edge values, and `estimate-speedup`
-takes each of its five times at an edge value, with and without `--jsonl`.
+values; `build-trie` also counts copies of a valid token corpus and a valid
+text corpus, each cut short or with one byte flipped. `report` reads copies
+of a small `train-toy` run's log, cut short or with one byte flipped, with
+`--every` at edge values, and `estimate-speedup` takes each of its five
+times at an edge value, with and without `--jsonl`.
 Valid sizes are capped here, not by a timeout: a valid but large run is no
 defect.
 """
@@ -226,6 +228,37 @@ def test_build_trie_and_bench_trie_exit_with_a_code_for_any_flags(
                     f"--seed={bench_seed}"]
             rc, err = _run(argv)
             assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO), (argv, err)
+
+
+# build-trie counts copies of a valid token corpus and a valid text corpus
+# (multi-byte UTF-8 and a CRLF line among ASCII), each whole, cut short at a
+# drawn offset or with one drawn byte flipped, with or without a vocabulary.
+VALID_CORPORA = {
+    "tokens": "\n".join(" ".join(str((7 * i + j * j) % 64) for j in range(30))
+                        for i in range(4)).encode(),
+    "text": "plain ASCII, then ünïcödé ✓ — …\r\nand one more line\n".encode() * 3,
+}
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None, database=None)
+@given(fmt=st.sampled_from(sorted(VALID_CORPORA)), damage=st.none() | DAMAGE,
+       vocab_size=st.sampled_from([None, 64, 256]))
+def test_build_trie_exits_with_a_code_for_a_damaged_corpus(fmt, damage, vocab_size):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        source, out = Path(tmp, "corpus.txt"), Path(tmp, "trie.bin")
+        corpus = VALID_CORPORA[fmt]
+        source.write_bytes(corpus if damage is None else _damaged(corpus, damage))
+        argv = ["build-trie", "--corpus", str(source), "--out", str(out), "--format", fmt,
+                "--order=3"]
+        if vocab_size is not None:
+            argv.append(f"--vocab-size={vocab_size}")
+        rc, err = _run(argv)
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DIVERGED), (argv, err)
+        assert (rc == EXIT_OK) == out.exists(), (argv, err)
+        if damage is None and (fmt, vocab_size) != ("text", 64):  # its bytes pass 64
+            assert rc == EXIT_OK, (argv, err)
 
 
 # report reads the log of a small train-toy run, each copy cut short at a

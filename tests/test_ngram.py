@@ -228,10 +228,11 @@ def _key_score_matrix(trie, contexts, tokens):
     return trie.key_scores(context_keys[:, None] * trie.base + trie.digits(tokens))
 
 
-def _gathered(trie, contexts, tokens):
-    """The key score matrix's contract, one children_scores call per context."""
-    rows = [[trie.children_scores(ctx).get(tok, LOG_FLOOR) for tok in tokens]
-            for ctx in contexts]
+def _gathered(trie, counter, contexts, tokens):
+    """The key score matrix's contract: one children_scores call per context
+    for the continuations it lists, and the flat counter's back-off for the rest."""
+    rows = [[trie.children_scores(ctx).get(tok, counter.backoff_score(ctx, tok))
+             for tok in tokens] for ctx in contexts]
     return np.array(rows, dtype=np.float64).reshape(len(contexts), len(tokens))
 
 
@@ -251,7 +252,7 @@ def test_key_scores_equal_gathered_children_scores(order, seed):
                    np.array([2, 2, V + 5, 2, 0])):
         got = _key_score_matrix(trie, contexts, tokens)
         assert got.dtype == np.float64 and got.shape == (len(contexts), len(tokens))
-        assert (got == _gathered(trie, contexts, tokens)).all()
+        assert (got == _gathered(trie, WindowCounter(corpus, order), contexts, tokens)).all()
 
 
 def test_key_scores_without_windows_or_contexts():
@@ -267,7 +268,7 @@ def test_key_scores_match_the_flat_counter(corpus, order, tokens):
     trie = build_trie(corpus, order, vocab_size=16)
     counter = WindowCounter(corpus, order)
     contexts = [tuple(seq[i:i + order - 1]) for seq in corpus for i in range(len(seq))]
-    want = np.reshape([[counter.score(ctx, tok) for tok in tokens] for ctx in contexts],
+    want = np.reshape([[counter.backoff_score(ctx, tok) for tok in tokens] for ctx in contexts],
                       (len(contexts), len(tokens)))
     assert (_key_score_matrix(trie, contexts, tokens) == want).all()
 
@@ -347,7 +348,12 @@ def test_save_writes_the_v2_bytes_of_the_int64_reference_and_load_round_trips(
 
 @pytest.mark.parametrize("vocab_size, order", [(256, 3), (64, 6)])  # int32 and int64 keys
 def test_a_key_past_the_table_never_scores_as_the_node_it_wraps_onto(vocab_size, order):
-    trie = build_trie([list(range(1, 3 * order))], order, vocab_size)
+    # A key that the int32 cast wraps, and a negative key, name no window and
+    # score the floor. At (64, 6) the keys past 2^32 are below B^order: they
+    # name absent windows and back off by their own last digit.
+    corpus = [list(range(1, 3 * order))]
+    trie = build_trie(corpus, order, vocab_size)
+    counter = WindowCounter(corpus, order)
     node = int(trie.keys[0])  # a full window: it scores log(1 + eps), not the floor
     assert trie.key_scores(np.array([node])).tolist() == [math.log(1 + EPSILON)]
     top = (vocab_size + 2) ** order
@@ -357,7 +363,39 @@ def test_a_key_past_the_table_never_scores_as_the_node_it_wraps_onto(vocab_size,
         except IndexError:  # a key of B^order or more may raise, as it always has
             assert key >= top
             continue
-        assert got.tolist() == [[LOG_FLOOR]], key
+        unigram = counter.prob((), key % (vocab_size + 2)) if 0 <= key < top else None
+        want = LOG_FLOOR if unigram is None else math.log(unigram + 1e-9) + math.log(0.4)
+        assert got.tolist() == [[want]] and want != math.log(1 + EPSILON), key
+
+
+@pytest.mark.parametrize("vocab_size, order", [(10, 3), (64, 6)])  # int32 and int64 keys
+def test_an_absent_window_backs_off_to_its_tokens_unigram(vocab_size, order):
+    # Windows start with 1, 2 and 3 but never with 4, the last token, nor
+    # with 7, which the corpus never holds. An absent window scores the
+    # trie's unigram of its last token times 0.4, or the floor where no
+    # window starts with that token; a full or a padded sequence-start
+    # context follows the same rule, and the out-of-vocabulary digit and the
+    # pad digit always score the floor.
+    seq = [1, 2, 3] * 4 + [4]
+    trie = build_trie([seq], order, vocab_size)
+    assert trie.keys.dtype == (np.int32 if order == 3 else np.int64)
+    starts = seq[:len(seq) - order + 1]
+
+    def backoff(token):
+        return math.log(starts.count(token) / len(starts) + 1e-9) + math.log(0.4)
+
+    def score(context, digit):
+        return trie.key_scores(np.array([trie.context_key(context) * trie.base + digit]))[0]
+
+    full, padded = tuple(seq[:order - 1]), (2,)  # full continues by 3 only; padded by 3
+    assert score(full, seq[order - 1]) == math.log(1 + EPSILON)
+    for context in (full, padded, (3,) * (order - 1), (vocab_size,) * (order - 1)):
+        assert score(context, 1) == backoff(1)
+        assert score(context, 2) == backoff(2)
+        for digit in (4, 7, vocab_size, vocab_size + 1):
+            assert score(context, digit) == LOG_FLOOR
+    assert score(padded, 3) == math.log(1 + EPSILON)
+    assert LOG_FLOOR < backoff(3) < math.log(0.4)
 
 
 def _large_trie(vocab_size, order, tokens):
